@@ -15,8 +15,6 @@ from .algorithms import (
     CountingExperiment,
     algorithm1,
     algorithm2,
-    fd_gradient,
-    fd_shift_point,
     full_space_C,
     predict_dependent,
 )

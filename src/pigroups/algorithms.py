@@ -16,7 +16,7 @@ log-variables to expose the ridge structure of the raw input-output map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +44,7 @@ from .quadrature import (
 )
 from .subspace import (
     DEGENERATE_FLAG,
+    EIGEN_GAP_RTOL,
     SubspaceResult,
     assemble_C,
     eigen_gap,
@@ -139,46 +140,21 @@ class CountingExperiment:
         return evaluate_experiment(self.experiment, points)
 
 
-def fd_shift_point(q_vec, W, k: int, h: float) -> np.ndarray:
-    """Point whose k-th log-group coordinate is shifted by h.
+def _forward_differences(experiment, points, w, W, h: float):
+    """Forward differences of pi = q exp(-w^T x) along each column of W.
 
-    Minimum-change solution of W^T log q' = gamma + h e_k: shift log q
-    along column k of W (valid because the columns are orthonormal).
+    With x = log q, each shifted run moves x by h W[:, k], so one base run
+    plus one run per column gives the (N, n) gradient estimate; w = 0 and
+    W = I difference the raw map in every log-variable.
     """
-    q_vec = np.asarray(q_vec, dtype=float)
-    W = np.asarray(W, dtype=float)
-    if not 0 <= k < W.shape[1]:
-        raise ShapeMismatch(f"group index {k} outside [0, {W.shape[1] - 1}]")
-    if np.any(q_vec <= 0.0):
-        raise NonPositiveInput("q_vec must be strictly positive")
-    logq = np.log(q_vec)
-    shifted = np.exp(logq + h * W[:, k])
-    target = W.T @ logq
-    target[k] += h
-    if np.max(np.abs(W.T @ np.log(shifted) - target)) > 1e-12:
-        raise ToolkitError("shifted point violates its defining system")
-    return shifted
-
-
-def fd_gradient(experiment, q_vec, pi_base: float, w, W, h: float) -> np.ndarray:
-    """Forward-difference gradient of g at one point; n extra evaluations."""
-    q_vec = np.asarray(q_vec, dtype=float)
-    w = np.asarray(w, dtype=float)
-    W = np.asarray(W, dtype=float)
-    n = W.shape[1]
-    grad = np.empty(n)
-    logq = np.log(q_vec)
-    for k in range(n):
-        shifted = np.exp(logq + h * W[:, k])
-        try:
-            q_shift = float(experiment(shifted))
-        except Exception as exc:
-            raise ExperimentFailure(
-                f"experiment failed at shifted point {shifted.tolist()}: {exc!r}"
-            ) from exc
-        pi_shift = q_shift * np.exp(-np.dot(w, np.log(shifted)))
-        grad[k] = (pi_shift - pi_base) / h
-    return grad
+    X = np.log(points)
+    pi0 = evaluate_experiment(experiment, points) * np.exp(-X @ w)
+    grads = np.empty((X.shape[0], W.shape[1]))
+    for k in range(W.shape[1]):
+        Xs = X + h * W[:, k]
+        pik = evaluate_experiment(experiment, np.exp(Xs)) * np.exp(-Xs @ w)
+        grads[:, k] = (pik - pi0) / h
+    return pi0, grads
 
 
 def _finalize(system, W, C, config, extra) -> SubspaceResult:
@@ -192,7 +168,7 @@ def _finalize(system, W, C, config, extra) -> SubspaceResult:
     metadata = {
         "groups": descriptors,
         "eigen_gap": gap,
-        "unique": bool(gap >= 1e-3),
+        "unique": bool(gap >= EIGEN_GAP_RTOL),
         **extra,
     }
     if not metadata["unique"]:
@@ -273,15 +249,7 @@ def algorithm2(
     n = W.shape[1]
     h = config.h
     rule = build_rule(box, config)
-    X = np.log(rule.points)
-    base_vals = evaluate_experiment(experiment, rule.points)
-    pi0 = base_vals * np.exp(-X @ w)
-    grads = np.empty((len(rule), n))
-    for k in range(n):
-        Xs = X + h * W[:, k]
-        vals = evaluate_experiment(experiment, np.exp(Xs))
-        pik = vals * np.exp(-Xs @ w)
-        grads[:, k] = (pik - pi0) / h
+    pi0, grads = _forward_differences(experiment, rule.points, w, W, h)
     C = assemble_C(grads, rule.weights)
     if trace is not None:
         trace(rule.points, pi0, grads)
@@ -307,14 +275,8 @@ def full_space_C(experiment, box: RegimeBox, p: int, h: float) -> SubspaceResult
     eigensolver's round-off floor near m * eps * lambda_1.
     """
     rule = tensor_rule(box, p)
-    X = np.log(rule.points)
-    m = X.shape[1]
-    f0 = evaluate_experiment(experiment, rule.points)
-    grads = np.empty((len(rule), m))
-    for i in range(m):
-        Xs = X.copy()
-        Xs[:, i] += h
-        grads[:, i] = (evaluate_experiment(experiment, np.exp(Xs)) - f0) / h
+    m = box.m
+    _, grads = _forward_differences(experiment, rule.points, np.zeros(m), np.eye(m), h)
     C = assemble_C(grads, rule.weights)
     lam, U = eigendecompose(C)
     return SubspaceResult(C=C, eigenvalues=lam, U=U, Z=U, metadata={

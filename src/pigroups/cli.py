@@ -15,6 +15,7 @@ import json
 import shlex
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,12 +69,7 @@ _SUBPROCESS_ERRORS = (SubprocessFailure, ParseFailure, ExperimentTimeout)
 
 _DEFAULTS = {
     "algorithm": 2,
-    "h": 1e-6,
-    "degree": 2,
-    "quad": "tensor:11",
-    "seed": 0,
-    "design": 1000,
-    "holdout": 200,
+    **{f.name: f.default for f in fields(AlgorithmConfig)},
     "re_crit": None,
     "pressure_formula": "fanning",
     "timeout": None,
@@ -201,6 +197,10 @@ def _merge_config(args) -> dict:
     return cfg
 
 
+def _algorithm_config(cfg: dict) -> AlgorithmConfig:
+    return AlgorithmConfig(**{f.name: cfg[f.name] for f in fields(AlgorithmConfig)})
+
+
 def _load_system(args) -> QuantitySystem:
     if getattr(args, "system", None):
         return QuantitySystem.from_file(args.system)
@@ -233,6 +233,19 @@ def _make_experiment(args, cfg, system: QuantitySystem):
     raise ValueError(f"unknown experiment {args.experiment!r}")
 
 
+def _prepare(args):
+    """Setup shared by the analysis commands: merged options, system, box,
+    basis, a counting experiment and the output directory."""
+    cfg = _merge_config(args)
+    system = _load_system(args)
+    box = _load_box(args, system)
+    basis = pi_basis(system)
+    experiment = CountingExperiment(_make_experiment(args, cfg, system))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, system, box, basis, experiment, out_dir
+
+
 def _write_manifest(out_dir: Path, command: str, args, cfg: dict,
                     evaluations: int, started: float, **extra) -> None:
     doc = {
@@ -251,15 +264,10 @@ def _write_manifest(out_dir: Path, command: str, args, cfg: dict,
 
 
 def _cmd_pi_basis(args) -> int:
-    try:
-        system = QuantitySystem.from_file(args.system)
-        D = build_dimension_matrix(system)
-        v_q = system.dependent.dims.as_array()
-        w_min = solve_output_exponents(D, v_q)
-        W = nullspace_basis(D)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    system = QuantitySystem.from_file(args.system)
+    D = build_dimension_matrix(system)
+    w_min = solve_output_exponents(D, system.dependent.dims.as_array())
+    W = nullspace_basis(D)
 
     print(f"base units: {', '.join(system.base_units)}")
     print(f"independents ({system.m}): {', '.join(system.symbols)}")
@@ -286,21 +294,8 @@ def _cmd_pi_basis(args) -> int:
 
 def _cmd_analyze(args) -> int:
     started = time.monotonic()
-    cfg = _merge_config(args)
-    for key in ("algorithm", "h", "degree", "design", "holdout"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    system = _load_system(args)
-    box = _load_box(args, system)
-    basis = pi_basis(system)
-    experiment = CountingExperiment(_make_experiment(args, cfg, system))
-    config = AlgorithmConfig(
-        h=cfg["h"], degree=cfg["degree"], quad=cfg["quad"],
-        seed=cfg["seed"], design=cfg["design"], holdout=cfg["holdout"],
-    )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, system, box, basis, experiment, out_dir = _prepare(args)
+    config = _algorithm_config(cfg)
     trace_cb = _make_trace(out_dir, system, basis.n) if args.trace else None
 
     surface = None
@@ -373,19 +368,13 @@ def fit_loglog_slope(hs, values) -> float:
 
 def _cmd_ridge_check(args) -> int:
     started = time.monotonic()
-    cfg = _merge_config(args)
-    system = _load_system(args)
-    box = _load_box(args, system)
-    basis = pi_basis(system)
-    experiment = CountingExperiment(_make_experiment(args, cfg, system))
+    cfg, system, box, basis, experiment, out_dir = _prepare(args)
     hs = _parse_sweep(args.h_sweep)
     m = system.m
     rows = []
     for h in hs:
         res = full_space_C(experiment, box, args.points_per_dim, h)
         rows.append([h] + list(res.eigenvalues))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = ",".join(["h"] + [f"lambda_{i + 1}" for i in range(m)])
     np.savetxt(out_dir / "ridge.csv", np.array(rows), delimiter=",",
                header=header, comments="", fmt="%.17g")
@@ -414,22 +403,16 @@ def _cmd_ridge_check(args) -> int:
 
 def _cmd_fd_convergence(args) -> int:
     started = time.monotonic()
-    cfg = _merge_config(args)
-    system = _load_system(args)
-    box = _load_box(args, system)
-    basis = pi_basis(system)
-    experiment = CountingExperiment(_make_experiment(args, cfg, system))
+    cfg, system, box, basis, experiment, out_dir = _prepare(args)
     hs = _parse_sweep(args.h_sweep)
+    config = _algorithm_config(cfg)
     results = {}
     for h in hs:
-        config = AlgorithmConfig(h=h, quad=cfg["quad"], seed=cfg["seed"])
-        results[h] = algorithm2(experiment, system, basis, box, config)
+        results[h] = algorithm2(experiment, system, basis, box, replace(config, h=h))
     reference = results[hs[-1]].Z
     rows = []
     for h in hs[:-1]:
         rows.append([h, signed_column_distance(results[h].Z, reference)])
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "fdconv.csv", np.array(rows), delimiter=",",
                header="h,max_abs_z_error", comments="", fmt="%.17g")
     table = np.array(rows)

@@ -27,7 +27,6 @@ class ExternalExperiment:
     timeout: float | None = None
     batch_size: int = 20000
     n_workers: int = 1
-    domain: str = "positive"
 
     def evaluate_batch(self, points) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(points, dtype=float))

@@ -96,14 +96,7 @@ def colebrook(Re, rel_rough, tol: float = 1e-12, max_iter: int = 100):
     by Newton iteration on t = 1/sqrt(lambda), seeded with the explicit
     Haaland-style estimate. Scalar in, scalar out; arrays broadcast.
     """
-    Re_a = np.asarray(Re, dtype=float)
-    rr_a = np.asarray(rel_rough, dtype=float)
-    scalar = Re_a.ndim == 0 and rr_a.ndim == 0
-    Re_a, rr_a = np.broadcast_arrays(np.atleast_1d(Re_a), np.atleast_1d(rr_a))
-    if np.any(Re_a <= 0.0):
-        raise InvalidArgument("Reynolds number must be positive")
-    if np.any(rr_a < 0.0) or np.any(rr_a >= 1.0):
-        raise InvalidArgument("relative roughness must lie in [0, 1)")
+    Re_a, rr_a, scalar = _checked_arrays(Re, rel_rough)
     a = rr_a / 3.7
     b = 2.51 / Re_a
     t = -1.8 * np.log10((rr_a / 3.7) ** 1.11 + 6.9 / Re_a)
@@ -120,30 +113,42 @@ def colebrook(Re, rel_rough, tol: float = 1e-12, max_iter: int = 100):
     else:
         raise NoConvergence(f"Newton stalled at residual {residual:.3e} > {tol:.0e}")
     lam = 1.0 / (t * t)
-    return float(lam[0]) if scalar else lam.reshape(np.shape(Re))
+    return float(lam[0]) if scalar else lam
 
 
-def friction_factor(Re, rel_rough, re_crit: float = RE_CRITICAL):
-    """Piecewise friction factor: Poiseuille below re_crit, Colebrook above.
-
-    The branch switch is a genuine discontinuity of the model.
-    """
+def _checked_arrays(Re, rel_rough):
+    """Both arguments as broadcast float arrays (at least 1-D) inside the
+    Colebrook domain, and whether both were scalars."""
     Re_a = np.asarray(Re, dtype=float)
     rr_a = np.asarray(rel_rough, dtype=float)
     scalar = Re_a.ndim == 0 and rr_a.ndim == 0
-    shape = np.broadcast_shapes(Re_a.shape, rr_a.shape)
-    Re_a = np.broadcast_to(Re_a, shape).reshape(-1)
-    rr_a = np.broadcast_to(rr_a, shape).reshape(-1)
-    lam = np.empty_like(Re_a)
-    low = Re_a < re_crit
-    if np.any(low):
-        lam[low] = poiseuille(Re_a[low])
-    if np.any(~low):
-        lam[~low] = colebrook(Re_a[~low], rr_a[~low])
-    return float(lam[0]) if scalar else lam.reshape(shape)
+    Re_a, rr_a = np.broadcast_arrays(np.atleast_1d(Re_a), np.atleast_1d(rr_a))
+    if np.any(Re_a <= 0.0):
+        raise InvalidArgument("Reynolds number must be positive")
+    if np.any(rr_a < 0.0) or np.any(rr_a >= 1.0):
+        raise InvalidArgument("relative roughness must lie in [0, 1)")
+    return Re_a, rr_a, scalar
 
 
-def pressure_loss(state: PipeState, re_crit: float = RE_CRITICAL) -> float:
+def friction_factor(Re, rel_rough, re_crit: float | None = RE_CRITICAL):
+    """Piecewise friction factor: Poiseuille below re_crit, Colebrook above.
+
+    The branch switch is a genuine discontinuity of the model;
+    ``re_crit=None`` applies Colebrook at every Reynolds number. Every
+    point must lie in the Colebrook domain (Re > 0, 0 <= rel_rough < 1),
+    whichever branch it takes.
+    """
+    if re_crit is None:
+        return colebrook(Re, rel_rough)
+    Re_a, rr_a, scalar = _checked_arrays(Re, rel_rough)
+    lam = poiseuille(Re_a)
+    high = ~(Re_a < re_crit)  # NaN rows go to Colebrook, which rejects them
+    if np.any(high):
+        lam[high] = colebrook(Re_a[high], rr_a[high])
+    return float(lam[0]) if scalar else lam
+
+
+def pressure_loss(state: PipeState, re_crit: float | None = RE_CRITICAL) -> float:
     """Pressure loss per unit length, lambda rho V^2 / (2 D) [kg m^-2 s^-2]."""
     lam = friction_factor(reynolds(state), state.eps / state.D, re_crit=re_crit)
     return lam * state.rho * state.V**2 / (2.0 * state.D)
@@ -192,7 +197,6 @@ class PipeFlowExperiment:
 
     re_crit: float | None = None
     pressure_formula: str = "fanning"
-    domain: str = "positive"
 
     def __post_init__(self):
         if self.pressure_formula not in ("fanning", "darcy"):
@@ -205,13 +209,7 @@ class PipeFlowExperiment:
         if Q.shape[1] != 5:
             raise ToolkitError(f"pipe experiment expects 5 columns, got {Q.shape[1]}")
         rho, mu, D, eps, V = Q.T
-        Re = rho * V * D / mu
-        rr = eps / D
-        lam = colebrook(Re, rr)
-        if self.re_crit is not None:
-            low = Re < self.re_crit
-            if np.any(low):
-                lam = np.where(low, 64.0 / Re, lam)
+        lam = friction_factor(rho * V * D / mu, eps / D, re_crit=self.re_crit)
         if self.pressure_formula == "fanning":
             return 2.0 * lam * rho * V**2 / D
         return lam * rho * V**2 / (2.0 * D)

@@ -1,6 +1,9 @@
-"""Shared test utilities: synthetic ridge experiments and column alignment."""
+"""Shared test utilities: synthetic ridge experiments, column alignment and
+the per-point forward-difference oracle for algorithm 2's batched loop."""
 
 import numpy as np
+
+from pigroups.errors import ExperimentFailure, NonPositiveInput, ShapeMismatch, ToolkitError
 
 
 class RidgeExperiment:
@@ -10,7 +13,6 @@ class RidgeExperiment:
         self.w = np.asarray(w, dtype=float)
         self.W = np.asarray(W, dtype=float)
         self.fn = fn
-        self.domain = "positive"
 
     def evaluate_batch(self, points):
         X = np.log(np.atleast_2d(np.asarray(points, dtype=float)))
@@ -55,3 +57,45 @@ def fit_slope(hs, values):
     y = np.log(np.maximum(np.abs(np.asarray(values, dtype=float)), 1e-300))
     A = np.column_stack([x, np.ones_like(x)])
     return float(np.linalg.lstsq(A, y, rcond=None)[0][0])
+
+
+def fd_shift_point(q_vec, W, k: int, h: float) -> np.ndarray:
+    """Point whose k-th log-group coordinate is shifted by h.
+
+    Minimum-change solution of W^T log q' = gamma + h e_k: shift log q
+    along column k of W (valid because the columns are orthonormal).
+    """
+    q_vec = np.asarray(q_vec, dtype=float)
+    W = np.asarray(W, dtype=float)
+    if not 0 <= k < W.shape[1]:
+        raise ShapeMismatch(f"group index {k} outside [0, {W.shape[1] - 1}]")
+    if np.any(q_vec <= 0.0):
+        raise NonPositiveInput("q_vec must be strictly positive")
+    logq = np.log(q_vec)
+    shifted = np.exp(logq + h * W[:, k])
+    target = W.T @ logq
+    target[k] += h
+    if np.max(np.abs(W.T @ np.log(shifted) - target)) > 1e-12:
+        raise ToolkitError("shifted point violates its defining system")
+    return shifted
+
+
+def fd_gradient(experiment, q_vec, pi_base: float, w, W, h: float) -> np.ndarray:
+    """Forward-difference gradient of g at one point; n extra evaluations."""
+    q_vec = np.asarray(q_vec, dtype=float)
+    w = np.asarray(w, dtype=float)
+    W = np.asarray(W, dtype=float)
+    n = W.shape[1]
+    grad = np.empty(n)
+    logq = np.log(q_vec)
+    for k in range(n):
+        shifted = np.exp(logq + h * W[:, k])
+        try:
+            q_shift = float(experiment(shifted))
+        except Exception as exc:
+            raise ExperimentFailure(
+                f"experiment failed at shifted point {shifted.tolist()}: {exc!r}"
+            ) from exc
+        pi_shift = q_shift * np.exp(-np.dot(w, np.log(shifted)))
+        grad[k] = (pi_shift - pi_base) / h
+    return grad

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import RidgeExperiment, exp_g, linear_g, max_column_diff, quadratic_g
+from helpers import (
+    RidgeExperiment,
+    exp_g,
+    fd_gradient,
+    fd_shift_point,
+    linear_g,
+    max_column_diff,
+    quadratic_g,
+)
 from pigroups.algorithms import (
     AlgorithmConfig,
     CountingExperiment,
@@ -9,8 +17,6 @@ from pigroups.algorithms import (
     algorithm2,
     build_rule,
     evaluate_experiment,
-    fd_gradient,
-    fd_shift_point,
     full_space_C,
     predict_dependent,
 )
@@ -23,8 +29,8 @@ from pigroups.errors import (
     ShapeMismatch,
 )
 from pigroups.pipeflow import PipeFlowExperiment, regime_box
-from pigroups.quadrature import RegimeBox, latin_hypercube
-from pigroups.subspace import subspace_distance
+from pigroups.quadrature import RegimeBox, latin_hypercube, tensor_rule
+from pigroups.subspace import assemble_C, subspace_distance
 from pigroups.surrogate import eval_surface, fit_polynomial
 
 
@@ -171,6 +177,62 @@ class TestFdGradient:
 
         with pytest.raises(ExperimentFailure, match="sensor died"):
             fd_gradient(flaky, np.ones(5), 1.0, pipe_basis.w, pipe_basis.W, 1e-6)
+
+
+def fd_tolerance(X, w, values, h):
+    """Bound on |batched - oracle| for a forward-difference gradient.
+
+    The oracle evaluates one row at a time and normalizes with
+    log(exp(x)) rather than x, so each pi differs by a few ulps times the
+    condition 1 + |w|_1 (1 + max|x|) of exp(-w^T x); the difference
+    quotient divides that by h.
+    """
+    kappa = 1.0 + np.abs(w).sum() * (1.0 + np.abs(X).max())
+    return 8.0 * np.finfo(float).eps * kappa * np.abs(values).max() / h
+
+
+def fd_experiment(kind, basis):
+    if kind == "ridge":
+        return RidgeExperiment(basis.w, basis.W, exp_g([3.0, 1.0]))
+    return PipeFlowExperiment()
+
+
+class TestSharedForwardDifferences:
+    """algorithm2 and full_space_C share one batched forward-difference
+    loop; the per-point oracle in helpers checks it row by row."""
+
+    @pytest.mark.parametrize("kind", ["ridge", "pipe"])
+    @pytest.mark.parametrize("h", [1e-6, 1e-3])
+    def test_algorithm2_gradients_match_oracle(self, pipe_system, pipe_basis, kind, h):
+        experiment = fd_experiment(kind, pipe_basis)
+        seen = {}
+        algorithm2(experiment, pipe_system, pipe_basis, BOX, small_config(h=h),
+                   trace=lambda points, pi, grads: seen.update(points=points, pi=pi, grads=grads))
+        w, W = pipe_basis.w, pipe_basis.W
+        X = np.log(seen["points"])
+        tol = fd_tolerance(X, w, seen["pi"], h)
+        assert seen["grads"].shape == (3**5, 2)
+        for q, x, pi, grad in zip(seen["points"], X, seen["pi"], seen["grads"]):
+            pi_base = experiment(q) * float(np.exp(-w @ x))
+            assert abs(pi - pi_base) <= tol * h
+            oracle = fd_gradient(experiment, q, pi_base, w, W, h)
+            assert np.max(np.abs(grad - oracle)) <= tol
+
+    @pytest.mark.parametrize("kind", ["ridge", "pipe"])
+    def test_full_space_C_is_the_loop_with_identity_basis(self, pipe_basis, kind):
+        experiment = fd_experiment(kind, pipe_basis)
+        h = 1e-4
+        rule = tensor_rule(BOX, 3)
+        m = BOX.m
+        values = np.array([experiment(q) for q in rule.points])
+        G = np.array([
+            fd_gradient(experiment, q, f0, np.zeros(m), np.eye(m), h)
+            for q, f0 in zip(rule.points, values)
+        ])
+        tol_g = fd_tolerance(np.log(rule.points), pipe_basis.w, values, h)
+        result = full_space_C(experiment, BOX, 3, h)
+        C = assemble_C(G, rule.weights)
+        assert np.max(np.abs(result.C - C)) <= 2.0 * np.abs(G).max() * tol_g
 
 
 class TestAlgorithm1:

@@ -150,6 +150,23 @@ class TestPiBasisCommand:
     def test_missing_file_is_config_error(self):
         assert main(["pi-basis", "no-such-file.json"]) == 2
 
+    def test_undeclared_base_unit_is_config_error(self, tmp_path, capsys):
+        doc = {
+            "base_units": ["kg", "m"],
+            "independents": [
+                {"name": "a", "symbol": "a", "unit": "kg*furlong"},
+                {"name": "b", "symbol": "b", "unit": "m"},
+            ],
+            "dependent": {"name": "c", "symbol": "c", "unit": "kg"},
+        }
+        path = tmp_path / "furlong.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pi-basis", str(path)]) == 2
+        assert "furlong" in capsys.readouterr().err
+        # analyze maps the same input to the same code
+        assert main(["analyze", "--system", str(path), "--regime", "turbulent",
+                     "--out-dir", str(tmp_path / "run")]) == 2
+
 
 class TestAnalyzeCommand:
     def test_algorithm2_outputs_and_budget(self, tmp_path):

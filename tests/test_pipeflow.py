@@ -106,6 +106,11 @@ class TestColebrook:
         for i in range(3):
             assert vec[i] == colebrook(float(Re[i]), float(rr[i]))
 
+    def test_scalar_reynolds_broadcasts_over_roughness(self):
+        rr = np.array([1e-4, 1e-3, 1e-2])
+        assert np.array_equal(colebrook(1e5, rr), colebrook(np.full(3, 1e5), rr))
+        assert colebrook(np.array([[1e4], [1e6]]), rr).shape == (2, 3)
+
 
 class TestFrictionFactor:
     def test_laminar_branch_ignores_roughness(self):
@@ -135,6 +140,18 @@ class TestFrictionFactor:
 
     def test_configurable_critical_reynolds(self):
         assert friction_factor(5000.0, 0.0, re_crit=1e4) == pytest.approx(64.0 / 5000.0)
+
+    def test_no_critical_reynolds_is_colebrook(self):
+        Re = np.array([500.0, 5e3, 5e5])
+        assert np.array_equal(friction_factor(Re, 1e-3, re_crit=None), colebrook(Re, 1e-3))
+
+    def test_domain_checked_on_the_laminar_branch(self):
+        with pytest.raises(InvalidArgument, match="relative roughness"):
+            friction_factor(500.0, 1.5)
+        with pytest.raises(InvalidArgument, match="relative roughness"):
+            friction_factor(np.array([500.0, 5e4]), np.array([1.5, 1e-3]))
+        with pytest.raises(InvalidArgument, match="Reynolds"):
+            friction_factor(-500.0, 1e-3)
 
 
 class TestPressureLoss:
@@ -257,6 +274,14 @@ class TestPipeFlowExperiment:
     def test_bad_formula_rejected(self):
         with pytest.raises(ToolkitError):
             PipeFlowExperiment(pressure_formula="blasius")
+
+    @pytest.mark.parametrize("re_crit", [None, RE_CRITICAL])
+    def test_roughness_domain_checked_on_every_row(self, re_crit):
+        # first row is laminar (Re = 429) with eps/D = 1.5, second is turbulent
+        Q = np.array([[0.12, 5e-6, 0.65, 0.975, 0.0275],
+                      [0.12, 5e-6, 0.75, 1e-3, 3.0]])
+        with pytest.raises(InvalidArgument, match="relative roughness"):
+            PipeFlowExperiment(re_crit=re_crit).evaluate_batch(Q)
 
 
 class TestMoodyGrid:

@@ -9,8 +9,6 @@ from pigroups.quadrature import (
     gauss_legendre_1d,
     latin_hypercube,
     monte_carlo_rule,
-    rule_from_csv,
-    rule_to_csv,
     tensor_rule,
 )
 
@@ -63,7 +61,7 @@ class TestGaussLegendre1d:
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 13, 21, 40, 64])
     def test_weights_sum_to_two(self, p):
         _, w = gauss_legendre_1d(p)
-        assert abs(w.sum() - 2.0) < 1e-13
+        assert abs(w.sum() - 2.0) < 2e-15
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 9, 12])
     def test_exact_for_polynomials_up_to_degree_2p_minus_1(self, p):
@@ -194,23 +192,11 @@ class TestLatinHypercube:
         assert regime_box("turbulent").contains(pts)
 
 
-class TestRuleSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        rule = monte_carlo_rule(box2(), 37, seed=5)
-        path = tmp_path / "rule.csv"
-        rule_to_csv(rule, path)
-        again = rule_from_csv(path)
-        assert np.array_equal(again.points, rule.points)
-        assert np.array_equal(again.weights, rule.weights)
-
-    def test_weight_sum_validated_on_load(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x1,weight\n1.0,0.4\n2.0,0.4\n")
-        with pytest.raises(ToolkitError):
-            rule_from_csv(path)
-
-
 class TestQuadratureRuleInvariants:
     def test_weight_count_must_match(self):
         with pytest.raises(ShapeMismatch):
             QuadratureRule(points=np.ones((3, 2)), weights=np.array([0.5, 0.5]))
+
+    def test_weights_must_sum_to_one(self):
+        with pytest.raises(ToolkitError, match="weights sum to"):
+            QuadratureRule(points=np.array([[1.0], [2.0]]), weights=np.array([0.4, 0.4]))
