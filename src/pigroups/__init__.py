@@ -25,8 +25,6 @@ from .dimension import (
     QuantitySystem,
     build_dimension_matrix,
     check_dimensionless,
-    log_groups,
-    nondim_output,
     nullspace_basis,
     parse_unit_expr,
     pi_basis,

@@ -131,10 +131,6 @@ class CountingExperiment:
         self.experiment = experiment
         self.count = 0
 
-    def __call__(self, q_vec):
-        self.count += 1
-        return self.experiment(q_vec)
-
     def evaluate_batch(self, points):
         self.count += len(points)
         return evaluate_experiment(self.experiment, points)
@@ -157,7 +153,7 @@ def _forward_differences(experiment, points, w, W, h: float):
     return pi0, grads
 
 
-def _finalize(system, W, C, config, extra) -> SubspaceResult:
+def _finalize(system, W, C, extra) -> SubspaceResult:
     lam, U = eigendecompose(C)
     Z, descriptors = unique_groups(W, U, system.symbols)
     D = build_dimension_matrix(system)
@@ -168,7 +164,7 @@ def _finalize(system, W, C, config, extra) -> SubspaceResult:
     metadata = {
         "groups": descriptors,
         "eigen_gap": gap,
-        "unique": bool(gap >= EIGEN_GAP_RTOL),
+        "unique": gap is None or gap >= EIGEN_GAP_RTOL,
         **extra,
     }
     if not metadata["unique"]:
@@ -219,7 +215,7 @@ def algorithm1(
     C = assemble_C(grads, rule.weights)
     if trace is not None:
         trace(points, pi, grad_surface(surface, gamma))
-    result = _finalize(system, W, C, config, {
+    result = _finalize(system, W, C, {
         "algorithm": "surface",
         "degree": config.degree,
         "quadrature": _describe_rule(config, len(rule)),
@@ -253,7 +249,7 @@ def algorithm2(
     C = assemble_C(grads, rule.weights)
     if trace is not None:
         trace(rule.points, pi0, grads)
-    return _finalize(system, W, C, config, {
+    return _finalize(system, W, C, {
         "algorithm": "finite_difference",
         "h": h,
         "quadrature": _describe_rule(config, len(rule)),
@@ -263,10 +259,13 @@ def algorithm2(
     })
 
 
-def full_space_C(experiment, box: RegimeBox, p: int, h: float) -> SubspaceResult:
+def full_space_C(experiment, rule: QuadratureRule, h: float) -> SubspaceResult:
     """Gradient second moments of the raw map in all m log-variables.
 
-    Forward-differences each coordinate of x = log q on a tensor rule.
+    Forward-differences each coordinate of x = log q at the points of
+    ``rule`` (a tensor or Monte Carlo rule, as built by ``build_rule``)
+    and integrates with its weights.
+
     When the map factors through n groups, at most n + 1 eigenvalues
     survive as h shrinks; the rest are pure differencing error. The
     forward difference has an O(h) gradient error e, and for u orthogonal
@@ -274,15 +273,13 @@ def full_space_C(experiment, box: RegimeBox, p: int, h: float) -> SubspaceResult
     so those trailing eigenvalues fall at second order in h, down to the
     eigensolver's round-off floor near m * eps * lambda_1.
     """
-    rule = tensor_rule(box, p)
-    m = box.m
+    m = rule.points.shape[1]
     _, grads = _forward_differences(experiment, rule.points, np.zeros(m), np.eye(m), h)
     C = assemble_C(grads, rule.weights)
     lam, U = eigendecompose(C)
     return SubspaceResult(C=C, eigenvalues=lam, U=U, Z=U, metadata={
         "algorithm": "full_space",
         "h": h,
-        "quadrature": f"tensor:{p} (N={len(rule)})",
         "evaluations": int(len(rule) * (m + 1)),
     })
 

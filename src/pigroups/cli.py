@@ -26,6 +26,7 @@ from .algorithms import (
     CountingExperiment,
     algorithm1,
     algorithm2,
+    build_rule,
     full_space_C,
     predict_dependent,
 )
@@ -134,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_experiment_args(p)
     p.add_argument("--h-sweep", default="1e-2,1e-3,1e-4,1e-5",
                    help="comma-separated step sizes")
-    p.add_argument("--points-per-dim", type=int, default=11)
     p.set_defaults(func=_cmd_ridge_check)
 
     p = sub.add_parser("fd-convergence", help="group-exponent error against the step size")
@@ -370,10 +370,11 @@ def _cmd_ridge_check(args) -> int:
     started = time.monotonic()
     cfg, system, box, basis, experiment, out_dir = _prepare(args)
     hs = _parse_sweep(args.h_sweep)
+    rule = build_rule(box, _algorithm_config(cfg))
     m = system.m
     rows = []
     for h in hs:
-        res = full_space_C(experiment, box, args.points_per_dim, h)
+        res = full_space_C(experiment, rule, h)
         rows.append([h] + list(res.eigenvalues))
     header = ",".join(["h"] + [f"lambda_{i + 1}" for i in range(m)])
     np.savetxt(out_dir / "ridge.csv", np.array(rows), delimiter=",",

@@ -14,7 +14,6 @@ Exponents are kept as exact rationals until linear algebra needs floats.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,6 @@ import numpy as np
 from .errors import (
     ExponentOverflow,
     Inconsistent,
-    NonPositiveInput,
     NoNullSpace,
     RankDeficient,
     ShapeMismatch,
@@ -50,10 +48,6 @@ class DimensionVector:
     exponents: tuple[Fraction, ...]
 
     @classmethod
-    def zero(cls, k: int) -> "DimensionVector":
-        return cls(tuple(Fraction(0) for _ in range(k)))
-
-    @classmethod
     def of(cls, values) -> "DimensionVector":
         return cls(tuple(Fraction(v) for v in values))
 
@@ -65,21 +59,6 @@ class DimensionVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([float(e) for e in self.exponents])
-
-    def unit_expr(self, base_units) -> str:
-        """Render as a canonical unit expression, e.g. ``kg*m^-1*s^-1``."""
-        if len(base_units) != len(self.exponents):
-            raise ShapeMismatch(
-                f"{len(base_units)} base units for {len(self.exponents)} exponents"
-            )
-        terms = []
-        for name, e in zip(base_units, self.exponents):
-            if e == 0:
-                continue
-            if e.denominator != 1:
-                raise ValueError(f"exponent {e} of {name} is not an integer")
-            terms.append(name if e == 1 else f"{name}^{e.numerator}")
-        return "*".join(terms) if terms else "1"
 
 
 _TERM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|1)\s*(?:\^\s*([+-]?\d+))?\s*")
@@ -318,28 +297,6 @@ def nullspace_basis(D: np.ndarray) -> np.ndarray:
     return W
 
 
-def nondim_output(q: float, q_vec, w) -> float:
-    """Dimensionless dependent value: q * exp(-w^T log(q_vec))."""
-    if not math.isfinite(q):
-        raise NonFinite(f"dependent value {q!r} is not finite")
-    q_vec = np.asarray(q_vec, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if q_vec.shape != w.shape:
-        raise ShapeMismatch(f"q_vec {q_vec.shape} vs w {w.shape}")
-    _require_positive(q_vec)
-    return float(q * np.exp(-np.dot(w, np.log(q_vec))))
-
-
-def log_groups(q_vec, W: np.ndarray) -> np.ndarray:
-    """Logs of the dimensionless groups: gamma = W^T log(q_vec)."""
-    q_vec = np.asarray(q_vec, dtype=float)
-    W = np.asarray(W, dtype=float)
-    if q_vec.shape[0] != W.shape[0]:
-        raise ShapeMismatch(f"q_vec has {q_vec.shape[0]} entries, W has {W.shape[0]} rows")
-    _require_positive(q_vec)
-    return W.T @ np.log(q_vec)
-
-
 def check_dimensionless(D: np.ndarray, z) -> float:
     """Max-abs residual of D z; below 1e-10 counts as dimensionless."""
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -347,15 +304,6 @@ def check_dimensionless(D: np.ndarray, z) -> float:
     if z.shape[0] != D.shape[1]:
         raise ShapeMismatch(f"z has length {z.shape[0]}, D has {D.shape[1]} columns")
     return _max_abs(D @ z)
-
-
-def _require_positive(q_vec: np.ndarray) -> None:
-    if np.any(q_vec <= 0.0) or not np.all(np.isfinite(q_vec)):
-        bad = int(np.argmin(q_vec))
-        raise NonPositiveInput(
-            f"quantity value {q_vec[bad]!r} at index {bad} is not strictly positive; "
-            "shift the variable so all values are positive"
-        )
 
 
 @dataclass(frozen=True)

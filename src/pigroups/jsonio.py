@@ -1,72 +1,32 @@
 """Deterministic JSON emission.
 
-Floats are printed with 17 significant digits so every value round-trips
-exactly; dict keys keep insertion order. Identical data therefore always
-produces byte-identical files, which the CLI relies on for reproducibility.
+Floats are written in their shortest form that round-trips exactly (the
+standard library's ``repr``); dict keys keep insertion order. Identical
+data therefore always produces byte-identical files, which the CLI relies
+on for reproducibility. NaN and infinity are refused with ``NonFinite``.
 """
 
 import json
-import math
 
 import numpy as np
 
 from .errors import NonFinite
 
 
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise NonFinite(f"cannot serialize non-finite value {x!r}")
-    return "%.17g" % x
+def _to_builtin(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    out = []
-    _emit(obj, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
+def dumps(obj) -> str:
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False, default=_to_builtin)
+    except ValueError as exc:
+        raise NonFinite(f"cannot serialize: {exc}") from exc
+    return text + "\n"
 
 
-def dump(obj, path, indent: int = 2) -> None:
+def dump(obj, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps(obj, indent=indent))
-
-
-def _emit(obj, out, indent, level):
-    pad = " " * (indent * (level + 1))
-    end = " " * (indent * level)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out, indent, level)
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(pad + json.dumps(key) + ": ")
-            _emit(val, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(end + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad)
-            _emit(val, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(end + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        fh.write(dumps(obj))

@@ -76,9 +76,6 @@ class PipeState:
         if not self.eps < self.D:
             raise ToolkitError("relative roughness eps/D must be below 1")
 
-    def as_q_vec(self) -> np.ndarray:
-        return np.array([self.rho, self.mu, self.D, self.eps, self.V])
-
 
 def reynolds(state: PipeState) -> float:
     return state.rho * state.V * state.D / state.mu
@@ -216,19 +213,6 @@ class PipeFlowExperiment:
 
     def __call__(self, q_vec) -> float:
         return float(self.evaluate_batch(np.asarray(q_vec, dtype=float)[None, :])[0])
-
-    @classmethod
-    def textbook(cls) -> "PipeFlowExperiment":
-        """Piecewise Poiseuille/Colebrook model with the Darcy formula."""
-        return cls(re_crit=RE_CRITICAL, pressure_formula="darcy")
-
-
-def corner_reynolds(box: RegimeBox) -> tuple[float, float]:
-    """Reynolds range over the corners of a box in (rho, mu, D, eps, V) order."""
-    lo, hi = box.lower, box.upper
-    re_min = lo[0] * lo[4] * lo[2] / hi[1]
-    re_max = hi[0] * hi[4] * hi[2] / lo[1]
-    return float(re_min), float(re_max)
 
 
 def moody_grid(n_re: int = 120, n_rough: int = 12,

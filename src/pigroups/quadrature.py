@@ -77,9 +77,6 @@ class RegimeBox:
         P = np.atleast_2d(np.asarray(points, dtype=float))
         return bool(np.all(P > self.lower) and np.all(P < self.upper))
 
-    def to_dict(self) -> dict:
-        return {"bounds": [[float(a), float(b)] for a, b in zip(self.lower, self.upper)]}
-
 
 @dataclass(frozen=True)
 class QuadratureRule:

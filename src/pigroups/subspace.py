@@ -9,7 +9,6 @@ eigenvalues rank the groups by how much the output responds to each.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,11 +166,17 @@ def subspace_distance(U1, U2, k: int) -> float:
     return float(np.linalg.norm(P1 - P2, 2))
 
 
-def eigen_gap(eigenvalues) -> float:
-    """Smallest consecutive gap, relative to the leading eigenvalue."""
+def eigen_gap(eigenvalues) -> float | None:
+    """Smallest consecutive gap, relative to the leading eigenvalue.
+
+    A single eigenvalue has no gap: the result is None, and its one group
+    is unique.
+    """
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.size < 2 or lam[0] <= 0.0:
-        return np.inf if lam.size < 2 else 0.0
+    if lam.size < 2:
+        return None
+    if lam[0] <= 0.0:
+        return 0.0
     return float(np.min(lam[:-1] - lam[1:]) / lam[0])
 
 
@@ -185,10 +190,6 @@ class SubspaceResult:
     Z: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def degenerate(self) -> bool:
-        return eigen_gap(self.eigenvalues) < EIGEN_GAP_RTOL
-
     def to_dict(self) -> dict:
         return {
             "C": self.C,
@@ -200,20 +201,6 @@ class SubspaceResult:
 
     def to_json(self) -> str:
         return jsonio.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SubspaceResult":
-        return cls(
-            C=np.asarray(doc["C"], dtype=float),
-            eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
-            U=np.asarray(doc["U"], dtype=float),
-            Z=np.asarray(doc["Z"], dtype=float),
-            metadata=dict(doc.get("metadata", {})),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SubspaceResult":
-        return cls.from_dict(json.loads(text))
 
 
 def result_to_csv(result: SubspaceResult, symbols, path) -> None:

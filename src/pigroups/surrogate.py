@@ -8,7 +8,6 @@ algorithm differentiates the surrogate instead of the experiment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -74,10 +73,6 @@ class ResponseSurface:
             scale=np.asarray(doc["scale"], dtype=float),
             train_rmse=float(doc["train_rmse"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResponseSurface":
-        return cls.from_dict(json.loads(text))
 
 
 def _features(X: np.ndarray, alphas: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Shared test utilities: synthetic ridge experiments, column alignment and
-the per-point forward-difference oracle for algorithm 2's batched loop."""
+"""Shared test utilities: synthetic ridge experiments and the per-point
+forward-difference oracle for algorithm 2's batched loop."""
 
 import numpy as np
 
@@ -36,27 +36,6 @@ def quadratic_g(a, Q, c0=1.0):
     a = np.asarray(a, dtype=float)
     Q = np.asarray(Q, dtype=float)
     return lambda G: c0 + G @ a + 0.5 * np.einsum("ni,ij,nj->n", G, Q, G)
-
-
-def align_columns(A, reference):
-    """Flip column signs of A so each column best matches the reference."""
-    out = np.array(A, dtype=float, copy=True)
-    for j in range(out.shape[1]):
-        if np.dot(out[:, j], reference[:, j]) < 0:
-            out[:, j] = -out[:, j]
-    return out
-
-
-def max_column_diff(A, reference):
-    reference = np.asarray(reference, dtype=float)
-    return float(np.max(np.abs(align_columns(A, reference) - reference)))
-
-
-def fit_slope(hs, values):
-    x = np.log(np.asarray(hs, dtype=float))
-    y = np.log(np.maximum(np.abs(np.asarray(values, dtype=float)), 1e-300))
-    A = np.column_stack([x, np.ones_like(x)])
-    return float(np.linalg.lstsq(A, y, rcond=None)[0][0])
 
 
 def fd_shift_point(q_vec, W, k: int, h: float) -> np.ndarray:

@@ -12,9 +12,7 @@ import pytest
 from helpers import (
     RidgeExperiment,
     exp_g,
-    fit_slope,
     linear_g,
-    max_column_diff,
     quadratic_g,
 )
 from pigroups.algorithms import (
@@ -24,6 +22,7 @@ from pigroups.algorithms import (
     algorithm2,
     full_space_C,
 )
+from pigroups.cli import fit_loglog_slope, signed_column_distance
 from pigroups.dimension import PiBasis, build_dimension_matrix, check_dimensionless
 from pigroups.pipeflow import PipeFlowExperiment, colebrook, regime_box
 from pigroups.quadrature import RegimeBox, gauss_legendre_1d, tensor_rule
@@ -86,9 +85,8 @@ def rs_run(experiment, pipe_system, pipe_basis):
 def ridge_sweeps(experiment):
     tables = {}
     for name in ("laminar", "turbulent", "high_re"):
-        box = regime_box(name)
-        rows = [full_space_C(experiment, box, p=11, h=h).eigenvalues
-                for h in H_SWEEP_RIDGE]
+        rule = tensor_rule(regime_box(name), 11)
+        rows = [full_space_C(experiment, rule, h=h).eigenvalues for h in H_SWEEP_RIDGE]
         tables[name] = np.array(rows)
     return tables
 
@@ -103,7 +101,7 @@ def fd_sweeps(experiment, pipe_system, pipe_basis):
             config = AlgorithmConfig(h=h, quad="tensor:7", seed=0)
             Zs[h] = algorithm2(experiment, pipe_system, pipe_basis, box, config).Z
         reference = Zs[H_SWEEP_FD[-1]]
-        errors[name] = {h: max_column_diff(Zs[h], reference) for h in H_SWEEP_FD[:-1]}
+        errors[name] = {h: signed_column_distance(Zs[h], reference) for h in H_SWEEP_FD[:-1]}
     return errors
 
 
@@ -214,7 +212,7 @@ class TestCriterion7RidgeStructure:
             for idx in (3, 4):
                 above = table[:, idx] > floor
                 if above.sum() >= 2:
-                    slope = fit_slope(hs[above], table[above, idx])
+                    slope = fit_loglog_slope(hs[above], table[above, idx])
                     slopes.append(f"{slope:.2f}")
                     slopes_ok = slopes_ok and 1.6 <= slope <= 2.4
                 else:
@@ -237,7 +235,7 @@ class TestCriterion8ExponentConvergence:
         details = []
         for name, errors in fd_sweeps.items():
             pre_floor = [h for h in H_SWEEP_FD[:-1] if h >= 1e-5]
-            slope = fit_slope(pre_floor, [errors[h] for h in pre_floor])
+            slope = fit_loglog_slope(pre_floor, [errors[h] for h in pre_floor])
             slope_ok = 0.8 <= slope <= 1.2
             floor_ok = errors[1e-6] < 1e-5  # 6-to-7 accurate digits at h = 1e-6
             monotone = all(
@@ -268,7 +266,7 @@ class TestCriterion9PropertySuite:
             Q = Q * np.sign(np.diag(R))
             rebased = PiBasis(w=pipe_basis.w, W=pipe_basis.W @ Q)
             result = algorithm1(experiment, pipe_system, rebased, box, config)
-            worst = max(worst, max_column_diff(result.Z, reference.Z))
+            worst = max(worst, signed_column_distance(result.Z, reference.Z))
         ok = worst < 1e-6
         assert report("9a (rotation invariance of Z)", ok,
                       f"max sign-adjusted |dZ| over 10 re-bases {worst:.1e} (tol 1e-6)")
@@ -302,7 +300,7 @@ class TestCriterion9PropertySuite:
             pipe_system, pipe_basis, box, config)
         monomial = full_space_C(
             RidgeExperiment(pipe_basis.w, pipe_basis.W, lambda G: np.ones(len(G))),
-            box, p=5, h=1e-6)
+            tensor_rule(box, 5), h=1e-6)
 
         trail = max(linear.eigenvalues[1] / linear.eigenvalues[0],
                     exponential.eigenvalues[1] / exponential.eigenvalues[0])

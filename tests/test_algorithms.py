@@ -7,7 +7,6 @@ from helpers import (
     fd_gradient,
     fd_shift_point,
     linear_g,
-    max_column_diff,
     quadratic_g,
 )
 from pigroups.algorithms import (
@@ -20,7 +19,8 @@ from pigroups.algorithms import (
     full_space_C,
     predict_dependent,
 )
-from pigroups.dimension import PiBasis, log_groups
+from pigroups.cli import signed_column_distance
+from pigroups.dimension import PiBasis
 from pigroups.errors import (
     DesignTooSmall,
     ExperimentFailure,
@@ -117,17 +117,17 @@ class TestFdShiftPoint:
             q = np.exp(gen.uniform(-4, 4, size=5))
             k = int(gen.integers(0, W.shape[1]))
             h = float(gen.uniform(1e-8, 1e-2))
-            gamma = log_groups(q, W)
+            gamma = W.T @ np.log(q)
             shifted = fd_shift_point(q, W, k, h)
             target = gamma.copy()
             target[k] += h
-            assert np.max(np.abs(log_groups(shifted, W) - target)) < 1e-12
+            assert np.max(np.abs(W.T @ np.log(shifted) - target)) < 1e-12
 
     def test_pipe_point_gamma_shift_is_exact(self, pipe_basis):
         q = np.array([0.12, 5e-6, 0.75, 1e-3, 3.0])
         h = 1e-6
-        before = log_groups(q, pipe_basis.W)
-        after = log_groups(fd_shift_point(q, pipe_basis.W, 0, h), pipe_basis.W)
+        before = pipe_basis.W.T @ np.log(q)
+        after = pipe_basis.W.T @ np.log(fd_shift_point(q, pipe_basis.W, 0, h))
         assert after[0] - before[0] == pytest.approx(h, abs=1e-12)
         assert after[1] == pytest.approx(before[1], abs=1e-12)
 
@@ -144,7 +144,7 @@ class TestFdGradient:
         h = 1e-6
         for _ in range(10):
             q = np.exp(gen.uniform(-1, 1, size=5))
-            gamma = log_groups(q, pipe_basis.W)
+            gamma = pipe_basis.W.T @ np.log(q)
             g_val = float(np.exp(a @ gamma))
             pi0 = g_val  # exp(w.x) cancels in the dimensionless output
             grad = fd_gradient(experiment, q, pi0, pipe_basis.w, pipe_basis.W, h)
@@ -230,7 +230,7 @@ class TestSharedForwardDifferences:
             for q, f0 in zip(rule.points, values)
         ])
         tol_g = fd_tolerance(np.log(rule.points), pipe_basis.w, values, h)
-        result = full_space_C(experiment, BOX, 3, h)
+        result = full_space_C(experiment, rule, h)
         C = assemble_C(G, rule.weights)
         assert np.max(np.abs(result.C - C)) <= 2.0 * np.abs(G).max() * tol_g
 
@@ -320,8 +320,8 @@ class TestAlgorithm2:
         r1 = algorithm2(base, pipe_system, pipe_basis, BOX, small_config())
         r2 = algorithm2(Scaled(), pipe_system, pipe_basis, BOX, small_config())
         assert np.max(np.abs(r2.eigenvalues / r1.eigenvalues - scale**2)) < ratio_tol * scale**2
-        assert max_column_diff(r2.U, r1.U) < basis_tol
-        assert max_column_diff(r2.Z, r1.Z) < basis_tol
+        assert signed_column_distance(r2.U, r1.U) < basis_tol
+        assert signed_column_distance(r2.Z, r1.Z) < basis_tol
 
     def test_monte_carlo_rule_accepted(self, pipe_system, pipe_basis):
         experiment = PipeFlowExperiment()
@@ -343,7 +343,7 @@ class TestAlgorithmAgreement:
         r2 = algorithm2(experiment, pipe_system, pipe_basis, BOX,
                         small_config(quad="tensor:5"))
         assert subspace_distance(r1.U, r2.U, 1) < 1e-4
-        assert max_column_diff(r1.Z, r2.Z) < 1e-4
+        assert signed_column_distance(r1.Z, r2.Z) < 1e-4
 
     def test_rotation_invariance_of_z(self, pipe_system, pipe_basis):
         # re-basing the null space must not move the unique groups
@@ -356,14 +356,14 @@ class TestAlgorithmAgreement:
             Q = random_orthogonal(2, 600 + seed)
             rebased = PiBasis(w=pipe_basis.w, W=pipe_basis.W @ Q)
             result = algorithm1(experiment, pipe_system, rebased, BOX, config)
-            assert max_column_diff(result.Z, reference.Z) < 1e-6
+            assert signed_column_distance(result.Z, reference.Z) < 1e-6
 
 
 class TestFullSpaceC:
     def test_monomial_law_is_rank_one(self, pipe_basis):
         w = pipe_basis.w
         experiment = RidgeExperiment(w, pipe_basis.W, lambda G: np.ones(len(G)))
-        result = full_space_C(experiment, BOX, p=3, h=1e-6)
+        result = full_space_C(experiment, tensor_rule(BOX, 3), h=1e-6)
         lam = result.eigenvalues
         assert np.all(lam[1:] < 1e-12 * lam[0])
         direction = w / np.linalg.norm(w)
@@ -382,16 +382,16 @@ class TestFullSpaceC:
         hs = [1e-1, 1e-2]  # below that the error is already at the eigensolver floor
         trail = []
         for h in hs:
-            lam = full_space_C(experiment, BOX, p=3, h=h).eigenvalues
+            lam = full_space_C(experiment, tensor_rule(BOX, 3), h=h).eigenvalues
             trail.append(float(np.max(lam[3:]) / lam[0]))
         slope = np.log(trail[0] / trail[1]) / np.log(hs[0] / hs[1])
         assert slope > 0.8
-        lam_small = full_space_C(experiment, BOX, p=3, h=1e-4).eigenvalues
+        lam_small = full_space_C(experiment, tensor_rule(BOX, 3), h=1e-4).eigenvalues
         assert np.max(lam_small[3:]) < 1e-13 * lam_small[0]
 
     def test_evaluation_budget(self, pipe_basis):
         counter = CountingExperiment(PipeFlowExperiment())
-        result = full_space_C(counter, BOX, p=3, h=1e-5)
+        result = full_space_C(counter, tensor_rule(BOX, 3), h=1e-5)
         assert counter.count == 243 * 6
         assert result.metadata["evaluations"] == counter.count
 

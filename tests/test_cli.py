@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import pigroups
-from helpers import fit_slope
 from pigroups import jsonio
-from pigroups.cli import main
+from pigroups.cli import fit_loglog_slope, main
 from pigroups.dimension import QuantitySystem
 from pigroups.errors import ExperimentTimeout, ParseFailure, SubprocessFailure
 from pigroups.external import ExternalExperiment
@@ -60,6 +59,26 @@ SLOW_SCRIPT = """\
 import sys, time
 time.sleep(30)
 """
+
+# period T of a pendulum of length L under gravity g at amplitude A: one group, A / L
+PENDULUM_SCRIPT = """\
+import sys
+import numpy as np
+rows = sys.stdin.read().strip().splitlines()
+L, g, A = np.array([[float(tok) for tok in line.split(",")] for line in rows[1:]]).T
+for value in 2.0 * np.pi * np.sqrt(L / g) * (1.0 + (A / L) ** 2 / 16.0):
+    print("%.17g" % value)
+"""
+
+PENDULUM_SYSTEM = {
+    "base_units": ["m", "s"],
+    "independents": [
+        {"name": "length", "symbol": "L", "unit": "m"},
+        {"name": "gravity", "symbol": "g", "unit": "m*s^-2"},
+        {"name": "amplitude", "symbol": "A", "unit": "m"},
+    ],
+    "dependent": {"name": "period", "symbol": "T", "unit": "s"},
+}
 
 
 def write_script(tmp_path, name, body):
@@ -270,6 +289,24 @@ class TestAnalyzeCommand:
         assert (out_ext / "result.json").read_bytes() == \
             (out_builtin / "result.json").read_bytes()
 
+    @pytest.mark.parametrize("algorithm", ["1", "2"])
+    def test_single_group_system_writes_its_result(self, tmp_path, algorithm):
+        system = tmp_path / "pendulum.json"
+        system.write_text(json.dumps(PENDULUM_SYSTEM))
+        box = tmp_path / "box.json"
+        box.write_text(json.dumps({"bounds": {"L": [0.5, 2.0], "g": [9.0, 10.0],
+                                              "A": [0.05, 0.5]}}))
+        cmd = write_script(tmp_path, "pendulum.py", PENDULUM_SCRIPT)
+        out = tmp_path / "out"
+        rc = main(["analyze", "--algorithm", algorithm, "--system", str(system),
+                   "--box", str(box), "--experiment-cmd", " ".join(cmd),
+                   "--quad", "tensor:3", "--design", "30", "--holdout", "10",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        metadata = json.loads((out / "result.json").read_text())["metadata"]
+        assert metadata["eigen_gap"] is None
+        assert metadata["unique"] is True
+
     def test_failing_external_experiment_exit_code(self, tmp_path):
         cmd = write_script(tmp_path, "fail.py", FAIL_SCRIPT)
         rc = main(["analyze", "--experiment-cmd", " ".join(cmd),
@@ -287,14 +324,14 @@ class TestSweepCommands:
         table = np.loadtxt(out / "fdconv.csv", delimiter=",", skiprows=1)
         assert table.shape == (3, 2)
         assert np.all(np.diff(table[:, 1]) < 0.0)  # decays as h shrinks
-        slope = fit_slope(table[:, 0], table[:, 1])
+        slope = fit_loglog_slope(table[:, 0], table[:, 1])
         assert 0.8 < slope < 1.2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["evaluations"] == 4 * 243 * 3
 
     def test_ridge_check_outputs(self, tmp_path):
         out = tmp_path / "ridge"
-        rc = main(["ridge-check", "--regime", "turbulent", "--points-per-dim", "3",
+        rc = main(["ridge-check", "--regime", "turbulent", "--quad", "tensor:3",
                    "--h-sweep", "1e-2,1e-3", "--out-dir", str(out)])
         assert rc == 0
         table = np.loadtxt(out / "ridge.csv", delimiter=",", skiprows=1)
@@ -305,6 +342,23 @@ class TestSweepCommands:
         for slope in manifest["decay_slopes"].values():
             assert slope is None or 1.6 <= slope <= 2.4
         assert manifest["evaluations"] == 2 * 243 * 6
+
+    def test_ridge_check_integrates_over_the_chosen_rule(self, tmp_path):
+        def run(seed):
+            out = tmp_path / f"seed{seed}"
+            rc = main(["ridge-check", "--regime", "turbulent", "--quad", "mc:50",
+                       "--seed", str(seed), "--h-sweep", "1e-2,1e-3", "--out-dir", str(out)])
+            assert rc == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["evaluations"] == 2 * 50 * 6
+            return (out / "ridge.csv").read_bytes()
+
+        assert run(3) != run(4)
+
+    def test_points_per_dim_is_not_an_option(self, tmp_path):
+        rc = main(["ridge-check", "--regime", "turbulent", "--points-per-dim", "3",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
 
 
 class TestMoodyAndPredict:

@@ -11,7 +11,6 @@ from pigroups.pipeflow import (
     PipeFlowExperiment,
     PipeState,
     colebrook,
-    corner_reynolds,
     friction_factor,
     moody_grid,
     pipe_quantity_system,
@@ -214,11 +213,14 @@ class TestRegimeBoxes:
 
     def test_branch_coverage_of_the_boxes(self):
         # turbulent and high-Re corners all sit above the critical Reynolds
-        # number; the laminar box straddles it slightly at its extreme corner
+        # number; the laminar box straddles it slightly at its extreme corner.
+        # Re = rho V D / mu is smallest with rho, D, V low and mu high
         for name in ("turbulent", "high_re"):
-            re_min, _ = corner_reynolds(regime_box(name))
-            assert re_min > RE_CRITICAL
-        re_min, re_max = corner_reynolds(regime_box("laminar"))
+            box = regime_box(name)
+            assert box.lower[[0, 4, 2]].prod() / box.upper[1] > RE_CRITICAL
+        box = regime_box("laminar")
+        re_min = box.lower[[0, 4, 2]].prod() / box.upper[1]
+        re_max = box.upper[[0, 4, 2]].prod() / box.lower[1]
         assert re_min == pytest.approx(125.0, rel=1e-12)
         assert re_max == pytest.approx(3360.0, rel=1e-12)
         assert re_max > RE_CRITICAL
@@ -262,12 +264,13 @@ class TestPipeFlowExperiment:
         assert fanning(q) == pytest.approx(4.0 * darcy(q), rel=1e-14)
 
     def test_textbook_variant_matches_pressure_loss(self):
-        experiment = PipeFlowExperiment.textbook()
+        experiment = PipeFlowExperiment(re_crit=RE_CRITICAL, pressure_formula="darcy")
         for state in (
             PipeState(V=0.0275, rho=0.12, mu=5e-6, D=0.65, eps=5e-5),   # laminar branch
             PipeState(V=3.0, rho=0.12, mu=5e-6, D=0.75, eps=1e-3),      # Colebrook branch
         ):
-            assert experiment(state.as_q_vec()) == pytest.approx(
+            q_vec = [state.rho, state.mu, state.D, state.eps, state.V]
+            assert experiment(q_vec) == pytest.approx(
                 pressure_loss(state), rel=1e-14
             )
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import max_column_diff
+from pigroups.algorithms import _finalize
 from pigroups.errors import (
     NonFinite,
     NotPositiveSemidefinite,
@@ -14,6 +14,7 @@ from pigroups.errors import (
     WrongDimension,
 )
 from pigroups.subspace import (
+    DEGENERATE_FLAG,
     SubspaceResult,
     assemble_C,
     eigen_gap,
@@ -251,10 +252,10 @@ class TestSubspaceResult:
 
     def test_json_round_trip(self, pipe_basis):
         result = self.make(pipe_basis)
-        again = SubspaceResult.from_json(result.to_json())
-        assert np.array_equal(again.C, result.C)
-        assert np.array_equal(again.Z, result.Z)
-        assert again.metadata["h"] == 1e-6
+        doc = json.loads(result.to_json())
+        assert np.array_equal(doc["C"], result.C)
+        assert np.array_equal(doc["Z"], result.Z)
+        assert doc["metadata"]["h"] == 1e-6
 
     def test_csv_layout(self, pipe_basis, tmp_path):
         result = self.make(pipe_basis)
@@ -266,11 +267,13 @@ class TestSubspaceResult:
         assert lines[1].startswith("rho,")
         assert lines[-1].startswith("eigenvalue,")
 
-    def test_degenerate_flagging(self, pipe_basis):
-        U = np.eye(2)
-        result = SubspaceResult(
-            C=np.diag([1.0, 1.0 - 1e-5]), eigenvalues=np.array([1.0, 1.0 - 1e-5]),
-            U=U, Z=pipe_basis.W @ U,
-        )
-        assert result.degenerate
-        assert eigen_gap(np.array([1.0, 0.5])) == pytest.approx(0.5)
+    def test_degenerate_flagging(self, pipe_system, pipe_basis):
+        result = _finalize(pipe_system, pipe_basis.W, np.diag([1.0, 1.0 - 1e-5]), {})
+        assert result.metadata["eigen_gap"] == pytest.approx(1e-5)
+        assert result.metadata["unique"] is False
+        assert result.metadata["flag"] == DEGENERATE_FLAG
+        separated = _finalize(pipe_system, pipe_basis.W, np.diag([1.0, 0.5]), {})
+        assert separated.metadata["eigen_gap"] == pytest.approx(0.5)
+        assert separated.metadata["unique"] is True
+        assert "flag" not in separated.metadata
+        assert eigen_gap(np.array([2.0])) is None
