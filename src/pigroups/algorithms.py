@@ -83,6 +83,8 @@ class AlgorithmConfig:
             raise ValueError("finite-difference step h must be positive")
         if self.degree < 1:
             raise ValueError("surrogate degree must be at least 1")
+        if self.holdout < 0:
+            raise ValueError(f"hold-out size must be nonnegative, got {self.holdout}")
         self.parse_quad()
 
     def parse_quad(self):

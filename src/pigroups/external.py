@@ -28,6 +28,10 @@ class ExternalExperiment:
     batch_size: int = 20000
     n_workers: int = 1
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
+
     def evaluate_batch(self, points) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(points, dtype=float))
         starts = list(range(0, Q.shape[0], self.batch_size))

@@ -21,7 +21,7 @@ GL_MAX_POINTS = 64
 
 @dataclass(frozen=True)
 class RegimeBox:
-    """Per-variable strictly positive bounds, in independent-variable order."""
+    """Per-variable finite, strictly positive bounds, in independent-variable order."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -31,6 +31,8 @@ class RegimeBox:
         hi = np.asarray(self.upper, dtype=float).reshape(-1)
         if lo.shape != hi.shape:
             raise ShapeMismatch("lower and upper bounds must have equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ToolkitError("bounds must be finite")
         if np.any(lo <= 0.0) or np.any(hi <= lo):
             raise ToolkitError("bounds must satisfy 0 < lower < upper per variable")
         lo.flags.writeable = False

@@ -3,7 +3,10 @@
 Multivariate least squares on the full monomial basis of a given total
 degree, with the inputs standardized to zero mean and unit scale before
 fitting. Gradients are analytic, which is the point: the surface-based
-algorithm differentiates the surrogate instead of the experiment.
+algorithm differentiates the surrogate instead of the experiment. The
+monomials are built by running products, and the gradient comes from the
+coefficients differentiated once into the degree d - 1 basis, so a
+gradient over any number of points is one feature build and one matmul.
 """
 
 from __future__ import annotations
@@ -44,7 +47,12 @@ def _compositions(total, n):
 
 @dataclass(frozen=True)
 class ResponseSurface:
-    """Fitted polynomial in standardized coordinates."""
+    """Fitted polynomial in standardized coordinates.
+
+    Construction checks the shapes against ``n`` and ``degree``, that every
+    value is finite and that the scale is positive, so a tampered or
+    truncated ``surface.json`` fails with a ``ValueError`` naming the field.
+    """
 
     degree: int
     n: int
@@ -52,6 +60,26 @@ class ResponseSurface:
     center: np.ndarray         # per-coordinate training mean
     scale: np.ndarray          # per-coordinate training scale, strictly positive
     train_rmse: float
+
+    def __post_init__(self):
+        if self.n < 1 or self.degree < 0:
+            raise ValueError(
+                f"surface n must be >= 1 and degree >= 0, got n={self.n}, degree={self.degree}"
+            )
+        sizes = {"coefficients": n_coefficients(self.n, self.degree),
+                 "center": self.n, "scale": self.n}
+        for name, size in sizes.items():
+            shape = np.shape(getattr(self, name))
+            if shape != (size,):
+                raise ValueError(
+                    f"surface {name} has shape {shape}, expected ({size},) "
+                    f"for n={self.n}, degree={self.degree}"
+                )
+        for name in (*sizes, "train_rmse"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"surface {name} must be finite")
+        if not np.all(self.scale > 0.0):
+            raise ValueError("surface scale must be strictly positive")
 
     def to_dict(self) -> dict:
         return {
@@ -76,8 +104,29 @@ class ResponseSurface:
 
 
 def _features(X: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    # X: (N, n), alphas: (T, n) -> (N, T)
-    return np.prod(X[:, None, :] ** alphas[None, :, :], axis=2)
+    """Monomials of the rows of X (N, n), one column per exponent row: (N, T).
+
+    In graded order every row of ``alphas`` after the constant is an
+    earlier row plus one unit exponent, so each column is an earlier column
+    times one coordinate (the row's last nonzero one).
+    """
+    A = np.empty((X.shape[0], alphas.shape[0]))
+    A[:, 0] = 1.0
+    parents = {t: (s, j) for t, j, s in _lowerings(alphas)}
+    for t, (s, j) in parents.items():
+        np.multiply(A[:, s], X[:, j], out=A[:, t])
+    return A
+
+
+def _lowerings(alphas: np.ndarray):
+    """(t, j, s) for each alphas[t, j] > 0, where row s is alphas[t] - e_j."""
+    index = {row: s for s, row in enumerate(map(tuple, alphas.tolist()))}
+    for t, row in enumerate(alphas.tolist()):
+        for j, e in enumerate(row):
+            if e:
+                row[j] -= 1
+                yield t, j, index[tuple(row)]
+                row[j] += 1
 
 
 def fit_polynomial(designs, targets, degree: int) -> ResponseSurface:
@@ -126,20 +175,22 @@ def eval_surface(surface: ResponseSurface, gamma):
 
 
 def grad_surface(surface: ResponseSurface, gamma):
-    """Analytic gradient with the chain-rule factor for the standardization."""
+    """Analytic gradient with the chain-rule factor for the standardization.
+
+    The polynomial is differentiated once, in coefficient space: the term
+    c_alpha x^alpha puts c_alpha * alpha_j on monomial alpha - e_j of the
+    degree d - 1 basis, in column j of ``dcoef``. The gradient at every
+    point is then one feature build and one matmul.
+    """
     G, single = _as_batch(surface, gamma)
     Xs = (G - surface.center) / surface.scale
     alphas = multi_indices(surface.n, surface.degree)
-    out = np.zeros_like(G)
-    for j in range(surface.n):
-        mask = alphas[:, j] > 0
-        if not np.any(mask):
-            continue
-        shifted = alphas[mask].copy()
-        shifted[:, j] -= 1
-        terms = _features(Xs, shifted) * (surface.coefficients[mask] * alphas[mask, j])
-        out[:, j] = terms.sum(axis=1)
-    out /= surface.scale
+    # graded order: the degree d - 1 basis is a prefix of the degree d one
+    lower = alphas[:n_coefficients(surface.n, max(surface.degree - 1, 0))]
+    dcoef = np.zeros((lower.shape[0], surface.n))
+    for t, j, s in _lowerings(alphas):
+        dcoef[s, j] = surface.coefficients[t] * alphas[t, j]
+    out = _features(Xs, lower) @ dcoef / surface.scale
     return out[0] if single else out
 
 

@@ -1,9 +1,11 @@
-"""Shared test utilities: synthetic ridge experiments and the per-point
-forward-difference oracle for algorithm 2's batched loop."""
+"""Shared test utilities: synthetic ridge experiments, the per-point
+forward-difference oracle for algorithm 2's batched loop, and the direct
+monomial and per-term gradient oracles for the response-surface kernels."""
 
 import numpy as np
 
 from pigroups.errors import ExperimentFailure, NonPositiveInput, ShapeMismatch, ToolkitError
+from pigroups.surrogate import multi_indices
 
 
 class RidgeExperiment:
@@ -78,3 +80,34 @@ def fd_gradient(experiment, q_vec, pi_base: float, w, W, h: float) -> np.ndarray
         pi_shift = q_shift * np.exp(-np.dot(w, np.log(shifted)))
         grad[k] = (pi_shift - pi_base) / h
     return grad
+
+
+def monomials(X, alphas) -> np.ndarray:
+    """Direct formula prod_j X[:, j] ** alphas[t, j], shape (N, T)."""
+    X = np.asarray(X, dtype=float)
+    return np.prod(X[:, None, :] ** alphas[None, :, :], axis=2)
+
+
+def surface_gradient_terms(surface, gamma) -> list:
+    """Terms of the surface gradient before the 1/scale factor, per coordinate.
+
+    Entry j has shape (N, T_j): c_alpha * alpha_j * x^(alpha - e_j) at the
+    standardized points x, for each monomial with alpha_j > 0, built by the
+    direct formula.
+    """
+    G = np.atleast_2d(np.asarray(gamma, dtype=float))
+    Xs = (G - surface.center) / surface.scale
+    alphas = multi_indices(surface.n, surface.degree)
+    terms = []
+    for j in range(surface.n):
+        mask = alphas[:, j] > 0
+        shifted = alphas[mask].copy()
+        shifted[:, j] -= 1
+        terms.append(monomials(Xs, shifted) * (surface.coefficients[mask] * alphas[mask, j]))
+    return terms
+
+
+def surface_gradient_per_term(surface, gamma) -> np.ndarray:
+    """Gradient of a response surface, (N, n): the term sums over scale."""
+    terms = surface_gradient_terms(surface, gamma)
+    return np.stack([t.sum(axis=1) for t in terms], axis=1) / surface.scale

@@ -22,6 +22,7 @@ from pigroups.pipeflow import (
     regime_box,
 )
 from pigroups.quadrature import latin_hypercube
+from pigroups.surrogate import fit_polynomial
 
 
 @pytest.fixture()
@@ -307,6 +308,35 @@ class TestAnalyzeCommand:
         assert metadata["eigen_gap"] is None
         assert metadata["unique"] is True
 
+    @pytest.mark.parametrize("batch_size", ["-1", "0"])
+    def test_batch_size_below_one_is_config_error(self, tmp_path, pipe_system_file, capsys,
+                                                  batch_size):
+        cmd = write_script(tmp_path, "wrapper.py", WRAPPER)
+        rc = main(["analyze", "--experiment-cmd", " ".join(cmd), "--system", pipe_system_file,
+                   "--regime", "turbulent", "--quad", "tensor:3", "--batch-size", batch_size,
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"batch size must be at least 1, got {batch_size}" in capsys.readouterr().err
+
+    def test_negative_holdout_is_config_error(self, tmp_path, capsys):
+        rc = main(["analyze", "--regime", "turbulent", "--algorithm", "1", "--holdout", "-5",
+                   "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert "hold-out size must be nonnegative, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("side,value", [(0, float("nan")), (1, float("inf"))])
+    def test_non_finite_box_bound_is_rejected(self, tmp_path, capsys, side, value):
+        box = regime_box("turbulent")
+        bounds = {s: [lo, hi] for s, lo, hi in zip(SYMBOLS, box.lower, box.upper)}
+        bounds[SYMBOLS[0]][side] = value
+        box_path = tmp_path / "box.json"
+        box_path.write_text(json.dumps({"bounds": bounds}))  # writes NaN / Infinity
+        rc = main(["analyze", "--box", str(box_path), "--algorithm", "2",
+                   "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
+        assert rc == 3
+        assert "bounds must be finite" in capsys.readouterr().err
+
     def test_failing_external_experiment_exit_code(self, tmp_path):
         cmd = write_script(tmp_path, "fail.py", FAIL_SCRIPT)
         rc = main(["analyze", "--experiment-cmd", " ".join(cmd),
@@ -402,6 +432,25 @@ class TestMoodyAndPredict:
         )
         assert printed == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("scale", [0.0, 1.0], "surface scale must be strictly positive"),
+        ("coefficients", [0.1] * 5, "surface coefficients has shape (5,), expected (6,)"),
+        ("degree", 3, "expected (10,) for n=2, degree=3"),
+    ], ids=["scale", "coefficients", "degree"])
+    def test_predict_rejects_a_tampered_surface(self, tmp_path, capsys, pipe_basis,
+                                                field, value, message):
+        gen = np.random.default_rng(5)
+        surface = fit_polynomial(gen.normal(size=(20, 2)), gen.normal(size=20), 2)
+        doc = {"surface": {**surface.to_dict(), field: value},
+               "w": pipe_basis.w, "W": pipe_basis.W}
+        path = tmp_path / "surface.json"
+        jsonio.dump(doc, path)
+        rc = main(["predict", "--surface", str(path), "--point", "0.12,5e-6,0.75,1e-3,3.0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_predict_wrong_point_length(self, tmp_path):
         out = tmp_path / "run1"
         assert main(["analyze", "--regime", "turbulent", "--algorithm", "1",
@@ -432,6 +481,15 @@ class TestEntryPoint:
         src = str(Path(pigroups.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code, "--version"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"pigroups {pigroups.__version__}"
+
+    def test_python_dash_m_runs(self):
+        env = dict(os.environ)
+        src = str(Path(pigroups.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "pigroups", "--version"],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"pigroups {pigroups.__version__}"

@@ -3,18 +3,23 @@ import json
 import numpy as np
 import pytest
 
+from helpers import monomials, surface_gradient_per_term, surface_gradient_terms
 from pigroups import jsonio
 from pigroups.errors import IllConditioned, ShapeMismatch, Underdetermined
 from pigroups.pipeflow import PipeFlowExperiment, regime_box
 from pigroups.quadrature import latin_hypercube
 from pigroups.surrogate import (
     ResponseSurface,
+    _features,
     eval_surface,
     fit_polynomial,
     grad_surface,
     multi_indices,
     n_coefficients,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def rng():
@@ -84,12 +89,12 @@ class TestFitPolynomial:
         alphas = multi_indices(n, degree)
         coeffs = gen.normal(size=len(alphas))
         X = gen.normal(size=(2 * len(alphas), n))
-        y = np.prod(X[:, None, :] ** alphas[None, :, :], axis=2) @ coeffs
+        y = monomials(X, alphas) @ coeffs
         s = fit_polynomial(X, y, degree)
         scale = float(np.std(y)) or 1.0
         assert s.train_rmse < 1e-10 * scale
         fresh = gen.normal(size=(50, n))
-        truth = np.prod(fresh[:, None, :] ** alphas[None, :, :], axis=2) @ coeffs
+        truth = monomials(fresh, alphas) @ coeffs
         assert np.max(np.abs(eval_surface(s, fresh) - truth)) < 1e-8 * scale
 
 
@@ -124,6 +129,41 @@ class TestGradient:
         batch = grad_surface(s, pts)
         for i, point in enumerate(pts):
             assert np.array_equal(batch[i], grad_surface(s, point))
+
+
+class TestKernelsAgainstDirectFormulas:
+    """The kernels build x^alpha by |alpha| - 1 multiplies and sum the
+    gradient in matmul order; the oracles use pow per coordinate and numpy's
+    sum. A monomial then carries at most degree + 3n roundings on either
+    side, and a length-T sum adds T more per unit of sum |term|; the
+    tolerances are twice that, in eps."""
+
+    @pytest.mark.parametrize("degree", range(6))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_features_match_direct_formula(self, n, degree):
+        gen = np.random.default_rng(10 * n + degree)
+        X = 2.0 * gen.normal(size=(200, n))
+        alphas = multi_indices(n, degree)
+        want = monomials(X, alphas)
+        got = _features(X, alphas)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 2 * (degree + 3 * n) * EPS * np.abs(want))
+
+    @pytest.mark.parametrize("degree", range(6))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gradient_matches_per_term_formula(self, n, degree):
+        gen = np.random.default_rng(10 * n + degree)
+        T = n_coefficients(n, degree)
+        s = ResponseSurface(degree=degree, n=n, coefficients=gen.normal(size=T),
+                            center=gen.normal(size=n), scale=gen.uniform(0.5, 2.0, size=n),
+                            train_rmse=0.0)
+        G = s.center + 2.0 * s.scale * gen.normal(size=(200, n))
+        want = surface_gradient_per_term(s, G)
+        size = np.stack([np.abs(t).sum(axis=1) for t in surface_gradient_terms(s, G)],
+                        axis=1) / s.scale
+        got = grad_surface(s, G)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 2 * (degree + 3 * n + T) * EPS * size)
 
 
 class TestInvariances:
