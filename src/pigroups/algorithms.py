@@ -85,6 +85,11 @@ class AlgorithmConfig:
             raise ValueError("surrogate degree must be at least 1")
         if self.holdout < 0:
             raise ValueError(f"hold-out size must be nonnegative, got {self.holdout}")
+        if self.design < 1:
+            raise ValueError(f"--design must be at least 1, got {self.design}")
+        # a null seed (from a config file) draws a fresh one
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {self.seed}")
         self.parse_quad()
 
     def parse_quad(self):

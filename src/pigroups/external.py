@@ -1,16 +1,18 @@
 """Out-of-process experiments speaking CSV over standard streams.
 
 Per batch, the toolkit writes a CSV of query points (header = quantity
-symbols) to the child's stdin and expects one dependent value per row on
-stdout. A nonzero exit, unparseable or non-finite output, or a timeout
-aborts the run with the offending batch or row identified. Batching
-amortizes process start-up across large designs; with several workers,
-disjoint batches go to separate processes and land in preallocated slots,
-so the result is identical for any worker count.
+symbols, values as ``%.17g``) to the child's stdin and expects one
+dependent value per row on stdout. A nonzero exit, unparseable or
+non-finite output, or a timeout aborts the run with the offending batch or
+global row identified. Batching amortizes process start-up across large
+designs; with several workers, disjoint batches go to separate processes
+and land in preallocated slots, so the result is identical for any worker
+count.
 """
 
 from __future__ import annotations
 
+import math
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +33,12 @@ class ExternalExperiment:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(
+                f"--timeout must be a positive number of seconds, got {self.timeout}"
+            )
+        if self.n_workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {self.n_workers}")
 
     def evaluate_batch(self, points) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(points, dtype=float))
@@ -53,8 +61,10 @@ class ExternalExperiment:
         return float(self.evaluate_batch(np.asarray(q_vec, dtype=float)[None, :])[0])
 
     def _run_batch(self, Q: np.ndarray, batch_index: int, row_offset: int) -> np.ndarray:
-        text = ",".join(self.symbols) + "\n"
-        text += "\n".join(",".join("%.17g" % v for v in row) for row in Q) + "\n"
+        rows, cols = Q.shape
+        text = ",".join(self.symbols) + "\n" + (
+            (",".join(["%.17g"] * cols) + "\n") * rows % tuple(Q.ravel().tolist())
+        )
         try:
             proc = subprocess.run(
                 list(self.command), input=text, capture_output=True,
@@ -76,15 +86,19 @@ class ExternalExperiment:
             raise ParseFailure(
                 f"batch {batch_index}: expected {Q.shape[0]} values, got {len(lines)}"
             )
-        values = np.empty(Q.shape[0])
-        for i, line in enumerate(lines):
-            try:
-                v = float(line.strip())
-            except ValueError:
-                v = np.nan
-            if not np.isfinite(v):
-                raise ParseFailure(
-                    f"row {row_offset + i}: unparseable output {line.strip()!r}"
-                )
-            values[i] = v
+        try:
+            values = np.array(list(map(float, lines)))
+        except ValueError:
+            values = np.array([_float_or_nan(ln) for ln in lines])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            raise ParseFailure(f"row {row_offset + i}: unparseable output {lines[i].strip()!r}")
         return values
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return np.nan

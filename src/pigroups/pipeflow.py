@@ -91,9 +91,18 @@ def colebrook(Re, rel_rough, tol: float = 1e-12, max_iter: int = 100):
 
     Solves 1/sqrt(lambda) = -2 log10(rel_rough/3.7 + 2.51/(Re sqrt(lambda)))
     by Newton iteration on t = 1/sqrt(lambda), seeded with the explicit
-    Haaland-style estimate. Scalar in, scalar out; arrays broadcast.
+    Haaland-style estimate. Scalar in, scalar out; arrays broadcast. A
+    failure names the first offending point by its flat index in the
+    broadcast arguments and its (Re, rel_rough).
     """
     Re_a, rr_a, scalar = _checked_arrays(Re, rel_rough)
+    lam = _newton(Re_a, rr_a, tol, max_iter)
+    return float(lam[0]) if scalar else lam
+
+
+def _newton(Re_a, rr_a, tol=1e-12, max_iter=100, within=None):
+    """Colebrook by Newton on checked arrays. ``within`` is the caller's
+    mask that selected these points, so a failure names the caller's index."""
     a = rr_a / 3.7
     b = 2.51 / Re_a
     t = -1.8 * np.log10((rr_a / 3.7) ** 1.11 + 6.9 / Re_a)
@@ -101,16 +110,21 @@ def colebrook(Re, rel_rough, tol: float = 1e-12, max_iter: int = 100):
     for _ in range(max_iter):
         arg = a + b * t
         if np.any(arg <= 0.0):
-            raise InvalidArgument("logarithm argument became nonpositive")
+            raise InvalidArgument(
+                "logarithm argument became nonpositive at "
+                f"{_first_point(arg <= 0.0, Re_a, rr_a, within)}"
+            )
         F = t + 2.0 * np.log10(arg)
         residual = float(np.max(np.abs(F)))
         if residual < tol:
             break
         t = t - F / (1.0 + (2.0 / _LN10) * b / arg)
     else:
-        raise NoConvergence(f"Newton stalled at residual {residual:.3e} > {tol:.0e}")
-    lam = 1.0 / (t * t)
-    return float(lam[0]) if scalar else lam
+        raise NoConvergence(
+            f"Newton stalled at residual {residual:.3e} > {tol:.0e}; first unconverged "
+            f"{_first_point(~(np.abs(F) < tol), Re_a, rr_a, within)}"
+        )
+    return 1.0 / (t * t)
 
 
 def _checked_arrays(Re, rel_rough):
@@ -121,10 +135,23 @@ def _checked_arrays(Re, rel_rough):
     scalar = Re_a.ndim == 0 and rr_a.ndim == 0
     Re_a, rr_a = np.broadcast_arrays(np.atleast_1d(Re_a), np.atleast_1d(rr_a))
     if np.any(Re_a <= 0.0):
-        raise InvalidArgument("Reynolds number must be positive")
+        raise InvalidArgument(
+            f"Reynolds number must be positive at {_first_point(Re_a <= 0.0, Re_a, rr_a)}"
+        )
     if np.any(rr_a < 0.0) or np.any(rr_a >= 1.0):
-        raise InvalidArgument("relative roughness must lie in [0, 1)")
+        bad = (rr_a < 0.0) | (rr_a >= 1.0)
+        raise InvalidArgument(
+            f"relative roughness must lie in [0, 1) at {_first_point(bad, Re_a, rr_a)}"
+        )
     return Re_a, rr_a, scalar
+
+
+def _first_point(mask, Re_a, rr_a, within=None) -> str:
+    """The first point where ``mask`` holds, as flat index and (Re, rel_rough);
+    with ``within``, the index is mapped back to the caller's array."""
+    i = int(np.argmax(mask))
+    index = i if within is None else int(np.flatnonzero(within)[i])
+    return f"point {index} (Re={float(Re_a.flat[i])!r}, rel_rough={float(rr_a.flat[i])!r})"
 
 
 def friction_factor(Re, rel_rough, re_crit: float | None = RE_CRITICAL):
@@ -141,7 +168,7 @@ def friction_factor(Re, rel_rough, re_crit: float | None = RE_CRITICAL):
     lam = poiseuille(Re_a)
     high = ~(Re_a < re_crit)  # NaN rows go to Colebrook, which rejects them
     if np.any(high):
-        lam[high] = colebrook(Re_a[high], rr_a[high])
+        lam[high] = _newton(Re_a[high], rr_a[high], within=high)
     return float(lam[0]) if scalar else lam
 
 

@@ -167,7 +167,12 @@ def fit_polynomial(designs, targets, degree: int) -> ResponseSurface:
 
 
 def eval_surface(surface: ResponseSurface, gamma):
-    """Evaluate at one point (n,) or a batch (N, n)."""
+    """Evaluate at one point (n,) or a batch (N, n).
+
+    A point's value may differ in the last bits with the batch it comes
+    in: numpy sends a one-row product to BLAS gemv and a many-row one to
+    gemm, which sum in different orders. A fixed batch is reproducible.
+    """
     G, single = _as_batch(surface, gamma)
     Xs = (G - surface.center) / surface.scale
     vals = _features(Xs, multi_indices(surface.n, surface.degree)) @ surface.coefficients
@@ -180,7 +185,9 @@ def grad_surface(surface: ResponseSurface, gamma):
     The polynomial is differentiated once, in coefficient space: the term
     c_alpha x^alpha puts c_alpha * alpha_j on monomial alpha - e_j of the
     degree d - 1 basis, in column j of ``dcoef``. The gradient at every
-    point is then one feature build and one matmul.
+    point is then one feature build and one matmul. As for
+    ``eval_surface``, a point's gradient may differ in the last bits with
+    the batch it comes in (gemv against gemm).
     """
     G, single = _as_batch(surface, gamma)
     Xs = (G - surface.center) / surface.scale

@@ -1,6 +1,7 @@
 """Shared test utilities: synthetic ridge experiments, the per-point
-forward-difference oracle for algorithm 2's batched loop, and the direct
-monomial and per-term gradient oracles for the response-surface kernels."""
+forward-difference oracle for algorithm 2's batched loop, the direct
+monomial and per-term gradient oracles for the response-surface kernels,
+and the per-value CSV encoder that the external batch formatter must match."""
 
 import numpy as np
 
@@ -111,3 +112,9 @@ def surface_gradient_per_term(surface, gamma) -> np.ndarray:
     """Gradient of a response surface, (N, n): the term sums over scale."""
     terms = surface_gradient_terms(surface, gamma)
     return np.stack([t.sum(axis=1) for t in terms], axis=1) / surface.scale
+
+
+def csv_request(symbols, Q) -> str:
+    """Request text of one external batch, formatted one value at a time."""
+    text = ",".join(symbols) + "\n"
+    return text + "\n".join(",".join("%.17g" % v for v in row) for row in Q) + "\n"

@@ -3,12 +3,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pigroups
+from helpers import csv_request
 from pigroups import jsonio
 from pigroups.cli import fit_loglog_slope, main
 from pigroups.dimension import QuantitySystem
@@ -59,6 +61,28 @@ sys.exit(1)
 SLOW_SCRIPT = """\
 import sys, time
 time.sleep(30)
+"""
+
+# appends the exact request bytes to the file named by argv[1], answers 1 per row
+ECHO_SCRIPT = """\
+import sys
+data = sys.stdin.buffer.read()
+with open(sys.argv[1], "ab") as fh:
+    fh.write(data)
+for _ in data.splitlines()[1:]:
+    print(1)
+"""
+
+# echoes each row's first value; the row whose first value is 9 gets the
+# reply named by argv[1] ("nan", "oops"), or no line at all ("short")
+BAD_ROW_SCRIPT = """\
+import sys
+for line in sys.stdin.read().splitlines()[1:]:
+    first = float(line.split(",")[0])
+    if first != 9.0:
+        print(first)
+    elif sys.argv[1] != "short":
+        print(sys.argv[1])
 """
 
 # period T of a pendulum of length L under gravity g at amplitude A: one group, A / L
@@ -121,8 +145,46 @@ class TestExternalExperiment:
     def test_timeout(self, tmp_path):
         cmd = write_script(tmp_path, "slow.py", SLOW_SCRIPT)
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, timeout=0.5)
+        started = time.monotonic()
         with pytest.raises(ExperimentTimeout):
             external.evaluate_batch(np.ones((2, 5)))
+        # the child sleeps 30 s: returning early means it was killed and reaped
+        assert time.monotonic() - started < 2.0
+
+    def test_request_bytes_match_the_per_value_encoder(self, tmp_path):
+        log = tmp_path / "requests.csv"
+        cmd = write_script(tmp_path, "echo.py", ECHO_SCRIPT) + [str(log)]
+        special = [5e-324, 1.7976931348623157e308, -0.0, 0.1 + 0.2, 1.0 / 3.0,
+                   2.0 / 3.0, 123456789.12345679, 1e-300, -2.5e-310, 1e22, 0.0]
+        Q = np.concatenate([np.resize(special, (11, 5)),
+                            np.random.default_rng(4).lognormal(0.0, 30.0, size=(9, 5))])
+        batch_size = 6
+        values = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS,
+                                    batch_size=batch_size).evaluate_batch(Q)
+        assert np.array_equal(values, np.ones(20))
+        want = "".join(csv_request(SYMBOLS, Q[s:s + batch_size])
+                       for s in range(0, 20, batch_size))
+        assert log.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("reply,message", [
+        ("nan", "^row 9: unparseable output 'nan'$"),
+        ("oops", "^row 9: unparseable output 'oops'$"),
+        ("short", "^batch 1: expected 7 values, got 6$"),
+    ])
+    def test_bad_reply_names_its_global_row_or_batch(self, tmp_path, reply, message):
+        cmd = write_script(tmp_path, "bad.py", BAD_ROW_SCRIPT) + [reply]
+        Q = np.ones((20, 5))
+        Q[:, 0] = np.arange(20)
+        external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=7)
+        with pytest.raises(ParseFailure, match=message):
+            external.evaluate_batch(Q)
+
+    def test_child_that_exits_without_reading_a_large_batch(self, tmp_path):
+        # 50,000 rows are far more than a pipe buffer holds
+        cmd = write_script(tmp_path, "fail.py", FAIL_SCRIPT)
+        external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=50000)
+        with pytest.raises(SubprocessFailure, match="batch 0: exit code 1; .*boom"):
+            external.evaluate_batch(np.full((50000, 5), 1.0 / 3.0))
 
 
 class TestPiBasisCommand:
@@ -317,6 +379,30 @@ class TestAnalyzeCommand:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
         assert f"batch size must be at least 1, got {batch_size}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--timeout", "0"], "--timeout must be a positive number of seconds, got 0.0"),
+        (["--timeout", "-1"], "--timeout must be a positive number of seconds, got -1.0"),
+        (["--timeout", "nan"], "--timeout must be a positive number of seconds, got nan"),
+        (["--workers", "-2"], "--workers must be at least 1, got -2"),
+        (["--design", "-5"], "--design must be at least 1, got -5"),
+        (["--seed", "-1"], "--seed must be nonnegative, got -1"),
+    ], ids=["timeout-zero", "timeout-negative", "timeout-nan", "workers", "design", "seed"])
+    def test_out_of_range_option_is_config_error(self, tmp_path, pipe_system_file, capsys,
+                                                 flags, message):
+        cmd = write_script(tmp_path, "wrapper.py", WRAPPER)
+        rc = main(["analyze", "--experiment-cmd", " ".join(cmd), "--system", pipe_system_file,
+                   "--regime", "turbulent", "--algorithm", "1", "--design", "50",
+                   "--holdout", "10", "--quad", "tensor:3", *flags,
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_null_seed_in_config_file_still_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": None}))
+        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3",
+                     "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 0
 
     def test_negative_holdout_is_config_error(self, tmp_path, capsys):
         rc = main(["analyze", "--regime", "turbulent", "--algorithm", "1", "--holdout", "-5",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pigroups.dimension import build_dimension_matrix
-from pigroups.errors import InvalidArgument, ToolkitError, UnknownRegime
+from pigroups.errors import InvalidArgument, NoConvergence, ToolkitError, UnknownRegime
 from pigroups.pipeflow import (
     RE_CRITICAL,
     SYMBOLS,
@@ -97,6 +97,36 @@ class TestColebrook:
             colebrook(-1.0, 0.0)
         with pytest.raises(InvalidArgument):
             colebrook(1e5, 1.0)
+
+    def test_domain_errors_name_the_first_offending_point(self):
+        with pytest.raises(InvalidArgument, match=r"^Reynolds number must be positive at "
+                           r"point 2 \(Re=-1\.0, rel_rough=0\.001\)$"):
+            colebrook(np.array([1e5, 2e5, -1.0, -2.0]), 1e-3)
+        with pytest.raises(InvalidArgument, match=r"^relative roughness must lie in \[0, 1\) at "
+                           r"point 2 \(Re=100000\.0, rel_rough=1\.5\)$"):
+            colebrook(1e5, np.array([[1e-3, 1e-2], [1.5, 1e-3]]))
+
+    def test_nonpositive_logarithm_names_the_point(self):
+        # at Re = 1e-3 the Haaland seed is negative, so a + b t < 0 at once
+        with pytest.raises(InvalidArgument, match=r"^logarithm argument became nonpositive "
+                           r"at point 1 \(Re=0\.001, rel_rough=0\.0\)$"):
+            colebrook(np.array([1e5, 1e-3, 1e-3]), 0.0)
+
+    def test_no_convergence_names_the_point(self):
+        with pytest.raises(NoConvergence, match=r"first unconverged point 1 "
+                           r"\(Re=nan, rel_rough=0\.001\)$"):
+            colebrook(np.array([1e5, np.nan, 1e6]), 1e-3)
+
+    def test_branch_failure_names_the_callers_index(self):
+        # only points 1 and 2 reach Colebrook; the message names caller index 2
+        with pytest.raises(NoConvergence, match=r"first unconverged point 2 "
+                           r"\(Re=6000\.0, rel_rough=nan\)$"):
+            friction_factor(np.array([500.0, 5e3, 6e3]), np.array([1e-3, 1e-3, np.nan]),
+                            re_crit=3000.0)
+        # only point 2 reaches Colebrook, as the first of its branch
+        with pytest.raises(InvalidArgument, match=r"nonpositive at point 2 "
+                           r"\(Re=0\.001, rel_rough=0\.0\)$"):
+            friction_factor(np.array([1e-5, 1e-5, 1e-3]), 0.0, re_crit=1e-4)
 
     def test_vectorized_matches_scalar(self):
         Re = np.array([1e4, 1e5, 1e6])

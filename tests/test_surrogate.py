@@ -166,6 +166,31 @@ class TestKernelsAgainstDirectFormulas:
         assert np.all(np.abs(got - want) <= 2 * (degree + 3 * n + T) * EPS * size)
 
 
+class TestBatchDependence:
+    """A point alone and the same point in a batch go through BLAS gemv and
+    gemm, which may sum the T terms in different orders. Each order is off
+    by at most T eps per unit of sum |term|, so the two differ by at most
+    twice that: a few ulps of the terms' scale, never more."""
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_single_point_within_summation_error_of_its_batch(self, n, degree):
+        gen = np.random.default_rng(100 * n + degree)
+        T = n_coefficients(n, degree)
+        s = ResponseSurface(degree=degree, n=n, coefficients=gen.normal(size=T),
+                            center=gen.normal(size=n), scale=gen.uniform(0.5, 2.0, size=n),
+                            train_rmse=0.0)
+        G = s.center + 2.0 * s.scale * gen.normal(size=(37, n))
+        A = _features((G - s.center) / s.scale, multi_indices(n, degree))
+        value_size = np.abs(A) @ np.abs(s.coefficients)
+        grad_size = np.stack([np.abs(t).sum(axis=1) for t in surface_gradient_terms(s, G)],
+                             axis=1) / s.scale
+        values, grads = eval_surface(s, G), grad_surface(s, G)
+        for i, point in enumerate(G):
+            assert abs(eval_surface(s, point) - values[i]) <= 2 * T * EPS * value_size[i]
+            assert np.all(np.abs(grad_surface(s, point) - grads[i]) <= 2 * T * EPS * grad_size[i])
+
+
 class TestInvariances:
     def test_fit_invariant_under_affine_input_rescaling(self):
         gen = np.random.default_rng(31)
