@@ -150,13 +150,20 @@ def _forward_differences(experiment, points, w, W, h: float):
     plus one run per column gives the (N, n) gradient estimate; w = 0 and
     W = I difference the raw map in every log-variable.
     """
+    # w^T x by einsum, not X @ w: OpenBLAS threads this thin (N, m) product,
+    # and on a small host its idle workers keep spinning through the
+    # experiment runs that follow
     X = np.log(points)
-    pi0 = evaluate_experiment(experiment, points) * np.exp(-X @ w)
+    pi0 = evaluate_experiment(experiment, points) * np.exp(-np.einsum("ij,j->i", X, w))
     grads = np.empty((X.shape[0], W.shape[1]))
     for k in range(W.shape[1]):
-        Xs = X + h * W[:, k]
-        pik = evaluate_experiment(experiment, np.exp(Xs)) * np.exp(-Xs @ w)
+        # the shifted log-points become the points in place; the experiment
+        # gets this fresh array because it may keep a reference to it
+        Q = X + h * W[:, k]
+        weight = np.exp(-np.einsum("ij,j->i", Q, w))
+        pik = evaluate_experiment(experiment, np.exp(Q, out=Q)) * weight
         grads[:, k] = (pik - pi0) / h
+        del Q  # free these points before the next run allocates its own
     return pi0, grads
 
 

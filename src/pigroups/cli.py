@@ -46,8 +46,8 @@ from .errors import (
     UnitSyntaxError,
     UnknownBaseUnit,
     UnknownRegime,
+    check_external_options,
 )
-from .external import ExternalExperiment
 from .pipeflow import (
     RE_CRITICAL,
     PipeFlowExperiment,
@@ -219,6 +219,10 @@ def _load_box(args, system: QuantitySystem) -> RegimeBox:
 
 def _make_experiment(args, cfg, system: QuantitySystem):
     if getattr(args, "experiment_cmd", None):
+        # imported here: a built-in run needs neither the module nor its
+        # subprocess and thread-pool imports
+        from .external import ExternalExperiment
+
         return ExternalExperiment(
             command=tuple(shlex.split(args.experiment_cmd)),
             symbols=system.symbols,
@@ -237,6 +241,8 @@ def _prepare(args):
     """Setup shared by the analysis commands: merged options, system, box,
     basis, a counting experiment and the output directory."""
     cfg = _merge_config(args)
+    # the built-in experiment ignores these, but an out-of-range value is an error
+    check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
     system = _load_system(args)
     box = _load_box(args, system)
     basis = pi_basis(system)

@@ -1,4 +1,13 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the range check of the
+external-run options.
+
+The option check lives here, in the one module that every other imports
+and that imports nothing heavy, so the command line can apply it to every
+analysis command without loading ``pigroups.external``.
+"""
+
+import math
+from numbers import Integral, Real
 
 
 class ToolkitError(Exception):
@@ -131,3 +140,16 @@ class ParseFailure(ToolkitError):
 
 class ExperimentTimeout(ToolkitError):
     """An external experiment exceeded its time budget."""
+
+
+def check_external_options(timeout, batch_size, n_workers) -> None:
+    """Raise ``ValueError`` unless ``timeout`` is None or a positive finite
+    number of seconds and ``batch_size`` and ``n_workers`` are integers of
+    at least 1. Messages name the command-line options."""
+    if not (isinstance(batch_size, Integral) and batch_size >= 1):
+        raise ValueError(f"batch size must be at least 1, got {batch_size}")
+    if timeout is not None and not (
+            isinstance(timeout, Real) and math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"--timeout must be a positive number of seconds, got {timeout}")
+    if not (isinstance(n_workers, Integral) and n_workers >= 1):
+        raise ValueError(f"--workers must be at least 1, got {n_workers}")

@@ -12,14 +12,18 @@ count.
 
 from __future__ import annotations
 
-import math
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExperimentTimeout, ParseFailure, SubprocessFailure
+from .errors import (
+    ExperimentTimeout,
+    ParseFailure,
+    SubprocessFailure,
+    check_external_options,
+)
 
 
 @dataclass(frozen=True)
@@ -31,14 +35,7 @@ class ExternalExperiment:
     n_workers: int = 1
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
-        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError(
-                f"--timeout must be a positive number of seconds, got {self.timeout}"
-            )
-        if self.n_workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {self.n_workers}")
+        check_external_options(self.timeout, self.batch_size, self.n_workers)
 
     def evaluate_batch(self, points) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(points, dtype=float))

@@ -32,6 +32,9 @@ RE_CRITICAL = 3000.0
 SYMBOLS = ("rho", "mu", "D", "eps", "V")
 
 _LN10 = math.log(10.0)
+# Rows per block of PipeFlowExperiment.evaluate_batch: each float64
+# temporary of a block is 64 KB, so Newton's working set stays in L2.
+_BLOCK_ROWS = 8192
 
 # regime bounds keyed by symbol, in the independent-variable order above
 _REGIMES = {
@@ -100,57 +103,69 @@ def colebrook(Re, rel_rough, tol: float = 1e-12, max_iter: int = 100):
     return float(lam[0]) if scalar else lam
 
 
-def _newton(Re_a, rr_a, tol=1e-12, max_iter=100, within=None):
-    """Colebrook by Newton on checked arrays. ``within`` is the caller's
-    mask that selected these points, so a failure names the caller's index."""
+def _newton(Re_a, rr_a, tol=1e-12, max_iter=100, within=None, offset=0):
+    """Colebrook by Newton on checked arrays; a failure names its point as
+    ``_first_point`` does with ``within`` and ``offset``."""
     a = rr_a / 3.7
     b = 2.51 / Re_a
-    t = -1.8 * np.log10((rr_a / 3.7) ** 1.11 + 6.9 / Re_a)
+    c = (2.0 / _LN10) * b
+    t = -1.8 * np.log10(a ** 1.11 + 6.9 / Re_a)
     residual = np.inf
     for _ in range(max_iter):
         arg = a + b * t
-        if np.any(arg <= 0.0):
+        if (arg <= 0.0).any():
             raise InvalidArgument(
                 "logarithm argument became nonpositive at "
-                f"{_first_point(arg <= 0.0, Re_a, rr_a, within)}"
+                f"{_first_point(arg <= 0.0, Re_a, rr_a, within, offset)}"
             )
         F = t + 2.0 * np.log10(arg)
-        residual = float(np.max(np.abs(F)))
+        residual = float(np.abs(F).max())
         if residual < tol:
             break
-        t = t - F / (1.0 + (2.0 / _LN10) * b / arg)
+        t = t - F / (1.0 + c / arg)
     else:
         raise NoConvergence(
             f"Newton stalled at residual {residual:.3e} > {tol:.0e}; first unconverged "
-            f"{_first_point(~(np.abs(F) < tol), Re_a, rr_a, within)}"
+            f"{_first_point(~(np.abs(F) < tol), Re_a, rr_a, within, offset)}"
         )
     return 1.0 / (t * t)
 
 
-def _checked_arrays(Re, rel_rough):
+def _checked_arrays(Re, rel_rough, offset=0):
     """Both arguments as broadcast float arrays (at least 1-D) inside the
-    Colebrook domain, and whether both were scalars."""
+    Colebrook domain, and whether both were scalars. A failure names its
+    point as ``_first_point`` does with ``offset``."""
     Re_a = np.asarray(Re, dtype=float)
     rr_a = np.asarray(rel_rough, dtype=float)
     scalar = Re_a.ndim == 0 and rr_a.ndim == 0
     Re_a, rr_a = np.broadcast_arrays(np.atleast_1d(Re_a), np.atleast_1d(rr_a))
-    if np.any(Re_a <= 0.0):
+    finite = np.isfinite(Re_a) & np.isfinite(rr_a)
+    if not finite.all():
         raise InvalidArgument(
-            f"Reynolds number must be positive at {_first_point(Re_a <= 0.0, Re_a, rr_a)}"
+            "Reynolds number and relative roughness must be finite at "
+            f"{_first_point(~finite, Re_a, rr_a, offset=offset)}"
         )
-    if np.any(rr_a < 0.0) or np.any(rr_a >= 1.0):
-        bad = (rr_a < 0.0) | (rr_a >= 1.0)
+    if (Re_a <= 0.0).any():
         raise InvalidArgument(
-            f"relative roughness must lie in [0, 1) at {_first_point(bad, Re_a, rr_a)}"
+            "Reynolds number must be positive at "
+            f"{_first_point(Re_a <= 0.0, Re_a, rr_a, offset=offset)}"
+        )
+    bad = (rr_a < 0.0) | (rr_a >= 1.0)
+    if bad.any():
+        raise InvalidArgument(
+            "relative roughness must lie in [0, 1) at "
+            f"{_first_point(bad, Re_a, rr_a, offset=offset)}"
         )
     return Re_a, rr_a, scalar
 
 
-def _first_point(mask, Re_a, rr_a, within=None) -> str:
-    """The first point where ``mask`` holds, as flat index and (Re, rel_rough);
-    with ``within``, the index is mapped back to the caller's array."""
+def _first_point(mask, Re_a, rr_a, within=None, offset=0) -> str:
+    """The first point where ``mask`` holds, as flat index and (Re, rel_rough).
+    ``within`` is the caller's mask that selected these points, which maps
+    the index back to the caller's array; ``offset`` is then added, so a
+    block of a larger batch names the batch's row."""
     i = int(np.argmax(mask))
-    index = i if within is None else int(np.flatnonzero(within)[i])
+    index = offset + (i if within is None else int(np.flatnonzero(within)[i]))
     return f"point {index} (Re={float(Re_a.flat[i])!r}, rel_rough={float(rr_a.flat[i])!r})"
 
 
@@ -159,17 +174,23 @@ def friction_factor(Re, rel_rough, re_crit: float | None = RE_CRITICAL):
 
     The branch switch is a genuine discontinuity of the model;
     ``re_crit=None`` applies Colebrook at every Reynolds number. Every
-    point must lie in the Colebrook domain (Re > 0, 0 <= rel_rough < 1),
-    whichever branch it takes.
+    point must be finite and lie in the Colebrook domain (Re > 0,
+    0 <= rel_rough < 1), whichever branch it takes.
     """
-    if re_crit is None:
-        return colebrook(Re, rel_rough)
     Re_a, rr_a, scalar = _checked_arrays(Re, rel_rough)
-    lam = poiseuille(Re_a)
-    high = ~(Re_a < re_crit)  # NaN rows go to Colebrook, which rejects them
-    if np.any(high):
-        lam[high] = _newton(Re_a[high], rr_a[high], within=high)
+    lam = _friction(Re_a, rr_a, re_crit)
     return float(lam[0]) if scalar else lam
+
+
+def _friction(Re_a, rr_a, re_crit, offset=0):
+    """``friction_factor`` on checked arrays; a failure names point ``offset`` + i."""
+    if re_crit is None:
+        return _newton(Re_a, rr_a, offset=offset)
+    lam = poiseuille(Re_a)
+    high = ~(Re_a < re_crit)
+    if high.any():
+        lam[high] = _newton(Re_a[high], rr_a[high], within=high, offset=offset)
+    return lam
 
 
 def pressure_loss(state: PipeState, re_crit: float | None = RE_CRITICAL) -> float:
@@ -217,6 +238,12 @@ class PipeFlowExperiment:
     ``darcy`` (lambda rho V^2 / (2 D)). The defaults reproduce the shipped
     regime tables. Pure function of its inputs; safe to evaluate
     concurrently.
+
+    ``evaluate_batch`` works through its rows in blocks of ``_BLOCK_ROWS``.
+    Newton stops on a block's largest residual, as an external child stops
+    on its batch's, so a row's value can differ in the last bits from the
+    same row evaluated alone. A failure names the row by its index in the
+    whole batch.
     """
 
     re_crit: float | None = None
@@ -232,11 +259,16 @@ class PipeFlowExperiment:
         Q = np.atleast_2d(np.asarray(points, dtype=float))
         if Q.shape[1] != 5:
             raise ToolkitError(f"pipe experiment expects 5 columns, got {Q.shape[1]}")
-        rho, mu, D, eps, V = Q.T
-        lam = friction_factor(rho * V * D / mu, eps / D, re_crit=self.re_crit)
-        if self.pressure_formula == "fanning":
-            return 2.0 * lam * rho * V**2 / D
-        return lam * rho * V**2 / (2.0 * D)
+        out = np.empty(Q.shape[0])
+        for s in range(0, Q.shape[0], _BLOCK_ROWS):
+            rho, mu, D, eps, V = Q[s:s + _BLOCK_ROWS].T
+            Re_a, rr_a, _ = _checked_arrays(rho * V * D / mu, eps / D, offset=s)
+            lam = _friction(Re_a, rr_a, self.re_crit, offset=s)
+            if self.pressure_formula == "fanning":
+                out[s:s + _BLOCK_ROWS] = 2.0 * lam * rho * V**2 / D
+            else:
+                out[s:s + _BLOCK_ROWS] = lam * rho * V**2 / (2.0 * D)
+        return out
 
     def __call__(self, q_vec) -> float:
         return float(self.evaluate_batch(np.asarray(q_vec, dtype=float)[None, :])[0])

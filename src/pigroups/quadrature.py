@@ -127,15 +127,17 @@ def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
     if p ** box.m > MAX_TENSOR_POINTS:
         raise TooManyPoints(f"{p}^{box.m} exceeds the {MAX_TENSOR_POINTS:.0e} point guard")
     x, w = gauss_legendre_1d(p)
-    axes = [lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)]
+    m = box.m
+    # row-major layout: column j of the (p, ..., p, m) grid varies along axis j
+    points = np.empty((p,) * m + (m,))
+    for j, (lo, hi) in enumerate(zip(box.lower, box.upper)):
+        points[..., j] = (lo + (x + 1.0) * 0.5 * (hi - lo)).reshape((p,) + (1,) * (m - 1 - j))
     # w sums to 2 on [-1,1]; halving makes each axis integrate its uniform density
-    axis_w = [0.5 * w] * box.m
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=1)
+    axis_w = [0.5 * w] * m
     weights = np.ones(1)
     for aw in axis_w:
         weights = np.multiply.outer(weights, aw)
-    return QuadratureRule(points=points, weights=weights.reshape(-1))
+    return QuadratureRule(points=points.reshape(-1, m), weights=weights.reshape(-1))
 
 
 def monte_carlo_rule(box: RegimeBox, N: int, seed: int) -> QuadratureRule:

@@ -218,6 +218,28 @@ class TestSharedForwardDifferences:
             oracle = fd_gradient(experiment, q, pi_base, w, W, h)
             assert np.max(np.abs(grad - oracle)) <= tol
 
+    def test_each_run_gets_its_own_points(self, pipe_system, pipe_basis):
+        class Keeper:
+            """Keeps every array it is given, as a caching experiment might."""
+
+            def __init__(self):
+                self.inner, self.kept = PipeFlowExperiment(), []
+
+            def evaluate_batch(self, points):
+                self.kept.append(points)
+                return self.inner.evaluate_batch(points)
+
+        keeper = Keeper()
+        h = 1e-3
+        algorithm2(keeper, pipe_system, pipe_basis, BOX, small_config(h=h))
+        P = tensor_rule(BOX, 3).points
+        X = np.log(P)
+        expected = [P] + [np.exp(X + h * pipe_basis.W[:, k]) for k in range(2)]
+        assert len(keeper.kept) == 3
+        for i, (kept, want) in enumerate(zip(keeper.kept, expected)):
+            assert np.array_equal(kept, want)
+            assert not any(np.shares_memory(kept, other) for other in keeper.kept[i + 1:])
+
     @pytest.mark.parametrize("kind", ["ridge", "pipe"])
     def test_full_space_C_is_the_loop_with_identity_basis(self, pipe_basis, kind):
         experiment = fd_experiment(kind, pipe_basis)

@@ -398,6 +398,37 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flags,message", [
+        ("analyze", ["--workers", "-2"], "--workers must be at least 1, got -2"),
+        ("analyze", ["--timeout", "-1"],
+         "--timeout must be a positive number of seconds, got -1.0"),
+        ("analyze", ["--batch-size", "0"], "batch size must be at least 1, got 0"),
+        ("ridge-check", ["--workers", "0"], "--workers must be at least 1, got 0"),
+        ("fd-convergence", ["--timeout", "inf"],
+         "--timeout must be a positive number of seconds, got inf"),
+    ], ids=["analyze-workers", "analyze-timeout", "analyze-batch-size", "ridge-check-workers",
+            "fd-convergence-timeout"])
+    def test_external_options_are_checked_for_the_builtin_experiment(
+            self, tmp_path, capsys, command, flags, message):
+        rc = main([command, "--regime", "turbulent", "--quad", "tensor:3", *flags,
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("workers", None, "--workers must be at least 1, got None"),
+        ("batch_size", "10", "batch size must be at least 1, got 10"),
+        ("timeout", "30", "--timeout must be a positive number of seconds, got 30"),
+    ], ids=["null-workers", "string-batch-size", "string-timeout"])
+    def test_mistyped_option_in_config_file_is_config_error(self, tmp_path, capsys, key, value,
+                                                            message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3",
+                     "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_null_seed_in_config_file_still_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": None}))

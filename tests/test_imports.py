@@ -1,25 +1,32 @@
-"""Static checks on the names each module of the package binds and loads.
+"""Checks on the names each module of the package binds, loads and exports.
 
-No linter ships with the toolchain, so these walk each module's syntax
-tree:
+No linter ships with the toolchain, so the first checks walk each module's
+syntax tree:
 
 * every name bound by an import must appear as a name somewhere else in
-  the module (``__init__`` is excluded because its imports are the
-  package's public re-exports);
+  the module;
 * every name a module loads must be bound somewhere in it, be a builtin
   or be ``__file__``, so a call into a forgotten import cannot wait for
   its first run to raise ``NameError``.
+
+The others check that the package resolves its public names on first use,
+so a process loads only the modules it needs.
 """
 
 import ast
 import builtins
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pigroups
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pigroups"
 ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
-MODULES = [name for name in ALL_MODULES if name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -70,7 +77,7 @@ def test_checker_finds_unbound_names():
     assert unbound_names(source) == ["Missing", "Other"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
@@ -78,3 +85,82 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_unbound_names(module):
     assert unbound_names((PACKAGE / module).read_text()) == []
+
+
+# the package's public names, listed apart from the package's own table
+PUBLIC_NAMES = (
+    "AlgorithmConfig", "CountingExperiment", "algorithm1", "algorithm2", "full_space_C",
+    "predict_dependent", "DimensionVector", "PiBasis", "Quantity", "QuantitySystem",
+    "build_dimension_matrix", "check_dimensionless", "nullspace_basis", "parse_unit_expr",
+    "pi_basis", "solve_output_exponents", "ExternalExperiment", "PipeFlowExperiment",
+    "PipeState", "colebrook", "friction_factor", "pipe_quantity_system", "poiseuille",
+    "pressure_loss", "regime_box", "reynolds", "QuadratureRule", "RegimeBox",
+    "gauss_legendre_1d", "latin_hypercube", "monte_carlo_rule", "tensor_rule",
+    "SubspaceResult", "assemble_C", "eigendecompose", "express_in_classical",
+    "rotation_angle", "sensitivity_metrics", "subspace_distance", "unique_groups",
+    "ResponseSurface", "eval_surface", "fit_polynomial", "grad_surface", "n_coefficients",
+)
+
+
+def loaded_modules(code: str, *argv: str) -> set[str]:
+    """Run ``code`` in a fresh interpreter on this package; it must exit 0.
+    Returns the names in its ``sys.modules`` at exit."""
+    env = dict(os.environ)
+    src = str(Path(pigroups.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    report = "import sys, json; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_every_public_name_imports_from_the_package():
+    assert sorted(pigroups.__all__) == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        obj = getattr(pigroups, name)
+        assert obj.__name__ == name
+        assert obj.__module__ == f"pigroups.{pigroups._EXPORTS[name]}"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pigroups.no_such_name
+
+
+def test_public_names_are_looked_up_on_each_access(monkeypatch):
+    import pigroups.algorithms
+
+    def stand_in():
+        pass
+
+    assert pigroups.algorithm2 is pigroups.algorithms.algorithm2
+    monkeypatch.setattr(pigroups.algorithms, "algorithm2", stand_in)
+    assert pigroups.algorithm2 is stand_in
+
+
+def test_importing_the_pipe_model_loads_only_what_it_needs():
+    loaded = loaded_modules("import pigroups.pipeflow")
+    assert {"pigroups.pipeflow", "pigroups.dimension", "pigroups.quadrature",
+            "pigroups.errors"} <= loaded
+    for name in ("pigroups.algorithms", "pigroups.external", "pigroups.cli",
+                 "pigroups.subspace", "pigroups.surrogate", "concurrent.futures"):
+        assert name not in loaded
+
+
+def test_submodules_load_on_attribute_access():
+    loaded = loaded_modules("import pigroups\n"
+                            "assert pigroups.external.ExternalExperiment.__name__ == "
+                            "'ExternalExperiment'")
+    assert "pigroups.external" in loaded
+    assert "pigroups.algorithms" not in loaded
+
+
+def test_builtin_analyze_never_loads_the_external_module(tmp_path):
+    # --workers 1 is what the benchmark passes; the built-in run accepts it
+    loaded = loaded_modules(
+        "import sys\nfrom pigroups.cli import main\nassert main(sys.argv[1:]) == 0",
+        "analyze", "--regime", "turbulent", "--quad", "tensor:3", "--workers", "1",
+        "--out-dir", str(tmp_path))
+    assert "pigroups.algorithms" in loaded
+    assert "pigroups.external" not in loaded
+    assert "concurrent.futures" not in loaded

@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pigroups.dimension import build_dimension_matrix
+from pigroups import pipeflow
 from pigroups.errors import InvalidArgument, NoConvergence, ToolkitError, UnknownRegime
 from pigroups.pipeflow import (
+    _BLOCK_ROWS,
     RE_CRITICAL,
     SYMBOLS,
     PipeFlowExperiment,
@@ -113,13 +116,32 @@ class TestColebrook:
             colebrook(np.array([1e5, 1e-3, 1e-3]), 0.0)
 
     def test_no_convergence_names_the_point(self):
+        # three steps converge at Re = 1e5 and 1e6 but not at Re = 100
         with pytest.raises(NoConvergence, match=r"first unconverged point 1 "
-                           r"\(Re=nan, rel_rough=0\.001\)$"):
-            colebrook(np.array([1e5, np.nan, 1e6]), 1e-3)
+                           r"\(Re=100\.0, rel_rough=0\.001\)$"):
+            colebrook(np.array([1e5, 100.0, 1e6]), 1e-3, max_iter=3)
+
+    @pytest.mark.parametrize("Re,rel_rough,shown", [
+        (np.nan, 1e-3, "Re=nan, rel_rough=0.001"),
+        (np.inf, 1e-3, "Re=inf, rel_rough=0.001"),
+        (1e5, np.nan, "Re=100000.0, rel_rough=nan"),
+    ], ids=["nan-re", "inf-re", "nan-rel-rough"])
+    def test_non_finite_input_is_rejected_before_newton(self, monkeypatch, Re, rel_rough,
+                                                         shown):
+        def no_newton(*args, **kwargs):
+            raise AssertionError("Newton ran on a non-finite input")
+
+        monkeypatch.setattr(pipeflow, "_newton", no_newton)
+        message = rf"must be finite at point 1 \({re.escape(shown)}\)$"
+        with pytest.raises(InvalidArgument, match=message):
+            colebrook(np.array([1e5, Re, 1e6]), np.array([1e-3, rel_rough, 1e-3]))
+        with pytest.raises(InvalidArgument, match=message):
+            friction_factor(np.array([1e5, Re, 1e6]), np.array([1e-3, rel_rough, 1e-3]),
+                            re_crit=3000.0)
 
     def test_branch_failure_names_the_callers_index(self):
-        # only points 1 and 2 reach Colebrook; the message names caller index 2
-        with pytest.raises(NoConvergence, match=r"first unconverged point 2 "
+        # a non-finite point is rejected on the caller's arrays, before the branch split
+        with pytest.raises(InvalidArgument, match=r"must be finite at point 2 "
                            r"\(Re=6000\.0, rel_rough=nan\)$"):
             friction_factor(np.array([500.0, 5e3, 6e3]), np.array([1e-3, 1e-3, np.nan]),
                             re_crit=3000.0)
@@ -315,6 +337,74 @@ class TestPipeFlowExperiment:
                       [0.12, 5e-6, 0.75, 1e-3, 3.0]])
         with pytest.raises(InvalidArgument, match="relative roughness"):
             PipeFlowExperiment(re_crit=re_crit).evaluate_batch(Q)
+
+
+
+def block_points(*block_regimes):
+    """2 _BLOCK_ROWS + 5 rows; the rows of block b alternate between the
+    regime boxes named in block_regimes[b]."""
+    Q = np.empty((2 * _BLOCK_ROWS + 5, 5))
+    for b, regimes in enumerate(block_regimes):
+        block = Q[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS]
+        for j, name in enumerate(regimes):
+            rows = block[j::len(regimes)]
+            rows[:] = latin_hypercube(regime_box(name), len(rows), seed=10 * b + j)
+    return Q
+
+
+# Newton needs fewer steps on the middle block than on the others, so a
+# whole-batch solve differs from the blocked one in the last bits. With
+# re_crit = 3000 every block holds laminar rows on both branches.
+COLEBROOK_BLOCKS = (("laminar", "turbulent"), ("turbulent", "high_re"), ("high_re", "laminar"))
+BRANCH_BLOCKS = (("laminar", "high_re"), ("laminar", "turbulent"), ("laminar", "high_re"))
+
+
+class TestEvaluationBlocks:
+    N_ROWS = 2 * _BLOCK_ROWS + 5
+
+    @pytest.mark.parametrize("re_crit,formula,regimes", [
+        (None, "fanning", COLEBROOK_BLOCKS),
+        (None, "darcy", COLEBROOK_BLOCKS),
+        (RE_CRITICAL, "fanning", BRANCH_BLOCKS),
+        (RE_CRITICAL, "darcy", BRANCH_BLOCKS),
+    ], ids=["fanning", "darcy", "branches-fanning", "branches-darcy"])
+    def test_batch_is_the_concatenation_of_its_blocks(self, re_crit, formula, regimes):
+        experiment = PipeFlowExperiment(re_crit=re_crit, pressure_formula=formula)
+        Q = block_points(*regimes)
+        if re_crit is not None:
+            Re = Q[:, 0] * Q[:, 4] * Q[:, 2] / Q[:, 1]
+            for edge in (_BLOCK_ROWS, 2 * _BLOCK_ROWS):
+                for side in (Re[edge - 4:edge], Re[edge:edge + 4]):
+                    assert np.any(side < re_crit) and np.any(side >= re_crit)
+        blocks = [experiment.evaluate_batch(Q[s:s + _BLOCK_ROWS])
+                  for s in range(0, self.N_ROWS, _BLOCK_ROWS)]
+        assert [len(b) for b in blocks] == [_BLOCK_ROWS, _BLOCK_ROWS, 5]
+        assert np.array_equal(experiment.evaluate_batch(Q), np.concatenate(blocks))
+
+    def test_bad_row_in_a_later_block_names_its_global_index(self):
+        bad = 2 * _BLOCK_ROWS + 3
+        Q = block_points(*COLEBROOK_BLOCKS)
+        Q[bad, 3] = np.nan
+        with pytest.raises(InvalidArgument, match=rf"must be finite at point {bad} "):
+            PipeFlowExperiment().evaluate_batch(Q)
+        # with a re_crit, the index passes through the block and the Colebrook subset:
+        # Re = 1e-5 rows take Poiseuille, row bad - 2 (Re = 1e5) converges and row
+        # bad (Re = 1e-3, smooth) gives a negative Newton seed
+        Q = np.tile([1.0, 1.0, 1.0, 0.0, 1e-5], (self.N_ROWS, 1))
+        Q[bad - 2, 4] = 1e5
+        Q[bad, 4] = 1e-3
+        with pytest.raises(InvalidArgument, match=rf"nonpositive at point {bad} "
+                           r"\(Re=0\.001, rel_rough=0\.0\)$"):
+            PipeFlowExperiment(re_crit=1e-4).evaluate_batch(Q)
+
+    def test_each_row_agrees_with_its_single_evaluation(self):
+        # Newton stops on each block's largest residual, so agreement is to
+        # the solver tolerance, not to the bit
+        experiment = PipeFlowExperiment()
+        Q = block_points(*COLEBROOK_BLOCKS)
+        batch = experiment.evaluate_batch(Q)
+        single = np.array([experiment(row) for row in Q])
+        assert np.allclose(batch, single, rtol=1e-12, atol=0.0)
 
 
 class TestMoodyGrid:
