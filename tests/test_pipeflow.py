@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from pigroups.dimension import build_dimension_matrix
 from pigroups import pipeflow
+from pigroups.dimension import build_dimension_matrix
 from pigroups.errors import InvalidArgument, NoConvergence, ToolkitError, UnknownRegime
 from pigroups.pipeflow import (
     _BLOCK_ROWS,
@@ -337,7 +337,6 @@ class TestPipeFlowExperiment:
                       [0.12, 5e-6, 0.75, 1e-3, 3.0]])
         with pytest.raises(InvalidArgument, match="relative roughness"):
             PipeFlowExperiment(re_crit=re_crit).evaluate_batch(Q)
-
 
 
 def block_points(*block_regimes):
