@@ -262,6 +262,8 @@ def _write_manifest(out_dir: Path, command: str, args, cfg: dict,
         "seed": cfg.get("seed"),
         "output_dir": str(out_dir),
         "toolkit_version": __version__,
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
         "duration_seconds": time.monotonic() - started,
         "evaluations": evaluations,
         **extra,

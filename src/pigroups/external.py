@@ -4,10 +4,17 @@ Per batch, the toolkit writes a CSV of query points (header = quantity
 symbols, values as ``%.17g``) to the child's stdin and expects one
 dependent value per row on stdout. A nonzero exit, unparseable or
 non-finite output, or a timeout aborts the run with the offending batch or
-global row identified. Batching amortizes process start-up across large
-designs; with several workers, disjoint batches go to separate processes
-and land in preallocated slots, so the result is identical for any worker
-count.
+global row identified; output that is not valid UTF-8 is decoded with
+replacement characters, so it fails the same way. Batching amortizes
+process start-up across large designs; with several workers, disjoint
+batches go to separate processes and land in preallocated slots, so the
+result is identical for any worker count.
+
+A tensor rule, and each forward-difference shift of it, has only a few
+distinct values per column, so a batch formats each distinct value once
+and fills the rows from those strings. The bytes on the wire are the same
+as formatting every value on its own, which a batch of mostly distinct
+values (a Monte Carlo rule, a Latin hypercube) still does.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,14 +66,11 @@ class ExternalExperiment:
         return float(self.evaluate_batch(np.asarray(q_vec, dtype=float)[None, :])[0])
 
     def _run_batch(self, Q: np.ndarray, batch_index: int, row_offset: int) -> np.ndarray:
-        rows, cols = Q.shape
-        text = ",".join(self.symbols) + "\n" + (
-            (",".join(["%.17g"] * cols) + "\n") * rows % tuple(Q.ravel().tolist())
-        )
+        text = ",".join(self.symbols) + "\n" + _encode_rows(Q)
         try:
             proc = subprocess.run(
                 list(self.command), input=text, capture_output=True,
-                text=True, timeout=self.timeout,
+                encoding="utf-8", errors="replace", timeout=self.timeout,
             )
         except subprocess.TimeoutExpired as exc:
             raise ExperimentTimeout(
@@ -92,6 +97,26 @@ class ExternalExperiment:
             i = int(bad[0])
             raise ParseFailure(f"row {row_offset + i}: unparseable output {lines[i].strip()!r}")
         return values
+
+
+# private, so that a tracer of the public functions counts it in the
+# batch's own (codec) time
+def _encode_rows(Q: np.ndarray) -> str:
+    """CSV body of a batch: each row's values as ``%.17g``, one line per row.
+
+    Values are told apart by their bit patterns, so ``-0.0`` and ``0.0``
+    stay distinct. When at most half of the values are distinct, each
+    distinct value is formatted once and the rows gather its string;
+    otherwise each value is formatted on its own, because on 20,000 x 5
+    batches the gathering costs more than it saves from about 55% distinct.
+    """
+    rows, cols = Q.shape
+    flat = Q.ravel()
+    distinct, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    if distinct.size > flat.size // 2:
+        return ((",".join(["%.17g"] * cols) + "\n") * rows) % tuple(flat.tolist())
+    strings = ("%.17g\n" * distinct.size % tuple(distinct.view(np.float64).tolist())).split("\n")
+    return (("%s," * (cols - 1) + "%s\n") * rows) % itemgetter(*inverse.tolist())(strings)
 
 
 def _float_or_nan(text: str) -> float:

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimension import Quantity, QuantitySystem, DimensionVector
 from .errors import InvalidArgument, NoConvergence, ToolkitError, UnknownRegime
-from .quadrature import RegimeBox
 
 RE_CRITICAL = 3000.0
 SYMBOLS = ("rho", "mu", "D", "eps", "V")
@@ -201,6 +199,10 @@ def pressure_loss(state: PipeState, re_crit: float | None = RE_CRITICAL) -> floa
 
 def regime_box(name: str) -> RegimeBox:
     """Bounds table for one of the named flow regimes."""
+    # imported here, as in pipe_quantity_system, so that an external child
+    # evaluating the model loads neither module
+    from .quadrature import RegimeBox
+
     try:
         bounds = _REGIMES[name]
     except KeyError:
@@ -215,6 +217,8 @@ def regime_names() -> tuple[str, ...]:
 
 def pipe_quantity_system() -> QuantitySystem:
     """The pipe system over (kg, m, s), with the output exponents pinned."""
+    from .dimension import DimensionVector, Quantity, QuantitySystem
+
     base = ("kg", "m", "s")
     mk = DimensionVector.of
     independents = (

@@ -15,7 +15,7 @@ from pigroups import jsonio
 from pigroups.cli import fit_loglog_slope, main
 from pigroups.dimension import QuantitySystem
 from pigroups.errors import ExperimentTimeout, ParseFailure, SubprocessFailure
-from pigroups.external import ExternalExperiment
+from pigroups.external import ExternalExperiment, _encode_rows
 from pigroups.pipeflow import (
     SYMBOLS,
     PipeFlowExperiment,
@@ -23,7 +23,7 @@ from pigroups.pipeflow import (
     pipe_quantity_system,
     regime_box,
 )
-from pigroups.quadrature import latin_hypercube
+from pigroups.quadrature import latin_hypercube, monte_carlo_rule, tensor_rule
 from pigroups.surrogate import fit_polynomial
 
 
@@ -83,6 +83,21 @@ for line in sys.stdin.read().splitlines()[1:]:
         print(first)
     elif sys.argv[1] != "short":
         print(sys.argv[1])
+"""
+
+# echoes each row's first value; the row whose first value is 9 gets bytes
+# that are not UTF-8
+BAD_BYTES_SCRIPT = """\
+import sys
+for line in sys.stdin.read().splitlines()[1:]:
+    first = float(line.split(",")[0])
+    sys.stdout.buffer.write(b"\\xff\\xfe\\n" if first == 9.0 else b"%r\\n" % first)
+"""
+
+BAD_STDERR_SCRIPT = """\
+import sys
+sys.stderr.buffer.write(b"boom \\xff\\xfe\\n")
+sys.exit(1)
 """
 
 # period T of a pendulum of length L under gravity g at amplitude A: one group, A / L
@@ -179,12 +194,74 @@ class TestExternalExperiment:
         with pytest.raises(ParseFailure, match=message):
             external.evaluate_batch(Q)
 
+    def test_reply_that_is_not_utf8_names_its_global_row(self, tmp_path):
+        cmd = write_script(tmp_path, "bad_bytes.py", BAD_BYTES_SCRIPT)
+        Q = np.ones((20, 5))
+        Q[:, 0] = np.arange(20)
+        external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=7)
+        with pytest.raises(ParseFailure, match="^row 9: unparseable output '\ufffd\ufffd'$"):
+            external.evaluate_batch(Q)
+
+    def test_stderr_that_is_not_utf8_stays_in_the_message(self, tmp_path):
+        cmd = write_script(tmp_path, "bad_stderr.py", BAD_STDERR_SCRIPT)
+        external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS)
+        with pytest.raises(SubprocessFailure,
+                           match="^batch 0: exit code 1; stderr: 'boom \ufffd\ufffd'$"):
+            external.evaluate_batch(np.ones((2, 5)))
+
     def test_child_that_exits_without_reading_a_large_batch(self, tmp_path):
         # 50,000 rows are far more than a pipe buffer holds
         cmd = write_script(tmp_path, "fail.py", FAIL_SCRIPT)
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=50000)
         with pytest.raises(SubprocessFailure, match="batch 0: exit code 1; .*boom"):
             external.evaluate_batch(np.full((50000, 5), 1.0 / 3.0))
+
+
+class TestBatchEncoder:
+    """The batch body matches the per-value encoder on both of its paths: each
+    distinct value formatted once (at most half the values distinct) and
+    each value formatted on its own."""
+
+    @staticmethod
+    def assert_matches_per_value(Q):
+        assert ",".join(SYMBOLS) + "\n" + _encode_rows(Q) == csv_request(SYMBOLS, Q)
+
+    @staticmethod
+    def distinct_share(Q):
+        return np.unique(Q.view(np.uint64)).size / Q.size
+
+    def test_tensor_batches_and_their_shifted_batches(self, pipe_basis):
+        points = tensor_rule(regime_box("turbulent"), 9).points
+        X = np.log(points)
+        runs = [points] + [np.exp(X + 1e-6 * pipe_basis.W[:, k])
+                           for k in range(pipe_basis.n)]
+        for Q in runs:
+            for s in range(0, Q.shape[0], 20000):
+                batch = Q[s:s + 20000]
+                assert self.distinct_share(batch) <= 0.5
+                self.assert_matches_per_value(batch)
+
+    def test_monte_carlo_batch(self):
+        Q = monte_carlo_rule(regime_box("turbulent"), 20000, seed=5).points
+        assert self.distinct_share(Q) > 0.5
+        self.assert_matches_per_value(Q)
+
+    @pytest.mark.parametrize("Q", [
+        np.array([[0.0, -0.0, 0.0, -0.0, 0.0]]),
+        np.resize([0.0, -0.0, 1.5, -0.0, 0.0, 0.0, 2.5], (4, 5)),
+    ], ids=["1x5", "4x5"])
+    def test_zero_and_negative_zero_stay_apart(self, Q):
+        assert self.distinct_share(Q) <= 0.5
+        self.assert_matches_per_value(Q)
+        assert "-0," in _encode_rows(Q)
+
+    @pytest.mark.parametrize("Q", [
+        np.array([[1.0 / 3.0]]),
+        np.full((1, 5), 1.0 / 3.0),
+        np.array([[0.1, 0.2, 0.1 + 0.2, 5e-324, 0.1]]),
+    ], ids=["1x1", "1x5-one-value", "1x5"])
+    def test_single_row(self, Q):
+        self.assert_matches_per_value(Q)
 
 
 class TestPiBasisCommand:
@@ -460,6 +537,30 @@ class TestAnalyzeCommand:
                    "--experiment", "pipe", "--regime", "turbulent",
                    "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
         assert rc == 4
+
+    @pytest.mark.parametrize("script,message", [
+        (BAD_BYTES_SCRIPT, "row 0: unparseable output '\ufffd\ufffd'"),
+        (BAD_STDERR_SCRIPT, "batch 0: exit code 1; stderr: 'boom \ufffd\ufffd'"),
+    ], ids=["stdout", "stderr"])
+    def test_child_output_that_is_not_utf8_is_a_subprocess_error(self, tmp_path, capsys,
+                                                                 script, message):
+        # every tensor:3 point has a first value other than 9: each row is bad
+        Q = tensor_rule(regime_box("turbulent"), 3).points
+        assert not np.any(Q[:, 0] == 9.0)
+        cmd = write_script(tmp_path, "bad.py", script.replace("first == 9.0", "True"))
+        rc = main(["analyze", "--experiment-cmd", " ".join(cmd),
+                   "--experiment", "pipe", "--regime", "turbulent",
+                   "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
+        assert rc == 4
+        assert message in capsys.readouterr().err
+
+    def test_manifest_records_the_python_and_numpy_versions(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3",
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["python"] == "%d.%d.%d" % sys.version_info[:3]
+        assert manifest["numpy"] == np.__version__
 
 
 class TestSweepCommands:

@@ -139,12 +139,18 @@ def test_public_names_are_looked_up_on_each_access(monkeypatch):
 
 
 def test_importing_the_pipe_model_loads_only_what_it_needs():
+    # the external child's import: the model and its errors, nothing else
     loaded = loaded_modules("import pigroups.pipeflow")
-    assert {"pigroups.pipeflow", "pigroups.dimension", "pigroups.quadrature",
-            "pigroups.errors"} <= loaded
-    for name in ("pigroups.algorithms", "pigroups.external", "pigroups.cli",
-                 "pigroups.subspace", "pigroups.surrogate", "concurrent.futures"):
+    assert {name for name in loaded if name.startswith("pigroups")} == {
+        "pigroups", "pigroups.pipeflow", "pigroups.errors"}
+    for name in ("concurrent.futures", "fractions", "decimal"):
         assert name not in loaded
+
+
+def test_pipe_model_helpers_import_what_they_return():
+    loaded = loaded_modules("import pigroups.pipeflow as p\n"
+                            "p.regime_box('laminar')\np.pipe_quantity_system()")
+    assert {"pigroups.dimension", "pigroups.quadrature"} <= loaded
 
 
 def test_submodules_load_on_attribute_access():
