@@ -147,12 +147,6 @@ def test_importing_the_pipe_model_loads_only_what_it_needs():
         assert name not in loaded
 
 
-def test_pipe_model_helpers_import_what_they_return():
-    loaded = loaded_modules("import pigroups.pipeflow as p\n"
-                            "p.regime_box('laminar')\np.pipe_quantity_system()")
-    assert {"pigroups.dimension", "pigroups.quadrature"} <= loaded
-
-
 def test_submodules_load_on_attribute_access():
     loaded = loaded_modules("import pigroups\n"
                             "assert pigroups.external.ExternalExperiment.__name__ == "
