@@ -107,8 +107,11 @@ def _encode_rows(Q: np.ndarray) -> str:
     Values are told apart by their bit patterns, so ``-0.0`` and ``0.0``
     stay distinct. When at most half of the values are distinct, each
     distinct value is formatted once and the rows gather its string;
-    otherwise each value is formatted on its own, because on 20,000 x 5
-    batches the gathering costs more than it saves from about 55% distinct.
+    otherwise (a Monte Carlo rule, a Latin hypercube) each value is
+    formatted on its own, since there the gathering costs more than it
+    saves. The half-way cut was set by timing this function alone on
+    20,000 x 5 batches; no perfbench workload sends a batch on the
+    per-value side.
     """
     rows, cols = Q.shape
     flat = Q.ravel()

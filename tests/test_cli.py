@@ -180,6 +180,24 @@ class TestExternalExperiment:
                        for s in range(0, 20, batch_size))
         assert log.read_bytes() == want.encode()
 
+    def test_request_is_utf8_whatever_the_locale(self, tmp_path):
+        # the parent runs in the C locale with UTF-8 mode off, where the
+        # locale's encoding is ASCII and cannot encode the symbol
+        log = tmp_path / "request.csv"
+        cmd = write_script(tmp_path, "echo.py", ECHO_SCRIPT) + [str(log)]
+        code = ("import locale, sys; from pigroups.external import ExternalExperiment; "
+                "print(locale.getpreferredencoding(False)); "
+                "ExternalExperiment(command=tuple(sys.argv[1:]), symbols=('\\u03c1', 'b'))"
+                ".evaluate_batch([[0.5, -0.0]])")
+        src = str(Path(pigroups.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code] + cmd,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "utf" not in proc.stdout.lower().replace("-", "")
+        assert log.read_bytes() == "ρ,b\n0.5,-0\n".encode("utf-8")
+
     @pytest.mark.parametrize("reply,message", [
         ("nan", "^row 9: unparseable output 'nan'$"),
         ("oops", "^row 9: unparseable output 'oops'$"),
