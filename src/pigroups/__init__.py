@@ -25,14 +25,12 @@ _MODULE_NAMES = {
                   "build_dimension_matrix", "check_dimensionless", "nullspace_basis",
                   "parse_unit_expr", "pi_basis", "solve_output_exponents"),
     "external": ("ExternalExperiment",),
-    "pipeflow": ("PipeFlowExperiment", "PipeState", "colebrook", "friction_factor",
-                 "pipe_quantity_system", "poiseuille", "pressure_loss", "regime_box",
-                 "reynolds"),
+    "pipeflow": ("PipeFlowExperiment", "colebrook", "friction_factor",
+                 "pipe_quantity_system", "poiseuille", "regime_box"),
     "quadrature": ("QuadratureRule", "RegimeBox", "gauss_legendre_1d", "latin_hypercube",
                    "monte_carlo_rule", "tensor_rule"),
-    "subspace": ("SubspaceResult", "assemble_C", "eigendecompose", "express_in_classical",
-                 "rotation_angle", "sensitivity_metrics", "subspace_distance",
-                 "unique_groups"),
+    "subspace": ("SubspaceResult", "assemble_C", "eigendecompose", "rotation_angle",
+                 "sensitivity_metrics", "subspace_distance", "unique_groups"),
     "surrogate": ("ResponseSurface", "eval_surface", "fit_polynomial", "grad_surface",
                   "n_coefficients"),
 }

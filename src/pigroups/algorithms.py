@@ -143,6 +143,13 @@ class CountingExperiment:
         return evaluate_experiment(self.experiment, points)
 
 
+def _pi(experiment, points, X, w) -> np.ndarray:
+    """pi = q exp(-w^T x) at the points, with X = log(points). w^T x is an
+    einsum, not X @ w: OpenBLAS threads that thin (N, m) product, and on a
+    small host its idle workers keep spinning through the runs that follow."""
+    return evaluate_experiment(experiment, points) * np.exp(-np.einsum("ij,j->i", X, w))
+
+
 def _forward_differences(experiment, points, w, W, h: float):
     """Forward differences of pi = q exp(-w^T x) along each column of W.
 
@@ -150,15 +157,12 @@ def _forward_differences(experiment, points, w, W, h: float):
     plus one run per column gives the (N, n) gradient estimate; w = 0 and
     W = I difference the raw map in every log-variable.
     """
-    # w^T x by einsum, not X @ w: OpenBLAS threads this thin (N, m) product,
-    # and on a small host its idle workers keep spinning through the
-    # experiment runs that follow
     X = np.log(points)
-    pi0 = evaluate_experiment(experiment, points) * np.exp(-np.einsum("ij,j->i", X, w))
+    pi0 = _pi(experiment, points, X, w)
     grads = np.empty((X.shape[0], W.shape[1]))
     for k in range(W.shape[1]):
-        # the shifted log-points become the points in place; the experiment
-        # gets this fresh array because it may keep a reference to it
+        # _pi's weight; then the shifted log-points become the points in place,
+        # a fresh array because the experiment may keep a reference to it
         Q = X + h * W[:, k]
         weight = np.exp(-np.einsum("ij,j->i", Q, w))
         pik = evaluate_experiment(experiment, np.exp(Q, out=Q)) * weight
@@ -209,18 +213,16 @@ def algorithm1(
             f"design of {config.design} cannot fit {needed} surrogate coefficients"
         )
     points = latin_hypercube(box, config.design, config.seed)
-    values = evaluate_experiment(experiment, points)
     logq = np.log(points)
-    pi = values * np.exp(-logq @ w)
+    pi = _pi(experiment, points, logq, w)
     gamma = logq @ W
     surface = fit_polynomial(gamma, pi, config.degree)
 
     holdout_rmse = None
     if config.holdout > 0:
         fresh = latin_hypercube(box, config.holdout, config.seed + 1)
-        fresh_vals = evaluate_experiment(experiment, fresh)
         fresh_log = np.log(fresh)
-        fresh_pi = fresh_vals * np.exp(-fresh_log @ w)
+        fresh_pi = _pi(experiment, fresh, fresh_log, w)
         pred = eval_surface(surface, fresh_log @ W)
         holdout_rmse = float(np.sqrt(np.mean((pred - fresh_pi) ** 2)))
 

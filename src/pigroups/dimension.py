@@ -141,7 +141,7 @@ class QuantitySystem:
                 )
         if self.dependent.dims.is_zero():
             raise ToolkitError("the dependent quantity must not be dimensionless")
-        D = _assemble(self)
+        D = build_dimension_matrix(self)
         r = matrix_rank(D)
         if r < k:
             raise RankDeficient(_rank_message(D, self.base_units, r))
@@ -173,13 +173,9 @@ class QuantitySystem:
         return cls(base, inds, dep, None if w is None else tuple(float(v) for v in w))
 
     @classmethod
-    def from_json(cls, text: str) -> "QuantitySystem":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_file(cls, path) -> "QuantitySystem":
         with open(path) as fh:
-            return cls.from_json(fh.read())
+            return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
         doc = {
@@ -208,10 +204,6 @@ def _quantity_to_dict(q: Quantity, base_units) -> dict:
     return {"name": q.name, "symbol": q.symbol, "dims": [float(e) for e in q.dims.exponents]}
 
 
-def _assemble(system: QuantitySystem) -> np.ndarray:
-    return np.column_stack([q.dims.as_array() for q in system.independents])
-
-
 def _max_abs(a) -> float:
     a = np.asarray(a)
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
@@ -238,12 +230,9 @@ def _rank_message(D, base_units, r) -> str:
 
 
 def build_dimension_matrix(system: QuantitySystem) -> np.ndarray:
-    """Column i is the dimension vector of the i-th independent quantity."""
-    D = _assemble(system)
-    r = matrix_rank(D)
-    if r < system.k:
-        raise RankDeficient(_rank_message(D, system.base_units, r))
-    return D
+    """Column i is the dimension vector of the i-th independent quantity; its
+    rank is k, since a QuantitySystem of lower rank fails to construct."""
+    return np.column_stack([q.dims.as_array() for q in system.independents])
 
 
 def solve_output_exponents(D: np.ndarray, v_q: np.ndarray) -> np.ndarray:

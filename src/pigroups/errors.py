@@ -86,10 +86,6 @@ class NotPositiveSemidefinite(ToolkitError):
     """An eigenvalue is negative beyond round-off."""
 
 
-class SpanMismatch(ToolkitError):
-    """Group exponents do not lie in the span of the classical basis."""
-
-
 class WrongDimension(ToolkitError):
     """Operation defined only for a specific matrix size."""
 

@@ -62,9 +62,6 @@ class ExternalExperiment:
                     out[s:s + self.batch_size] = fut.result()
         return out
 
-    def __call__(self, q_vec) -> float:
-        return float(self.evaluate_batch(np.asarray(q_vec, dtype=float)[None, :])[0])
-
     def _run_batch(self, Q: np.ndarray, batch_index: int, row_offset: int) -> np.ndarray:
         text = ",".join(self.symbols) + "\n" + _encode_rows(Q)
         try:
@@ -83,7 +80,7 @@ class ExternalExperiment:
                 f"batch {batch_index}: exit code {proc.returncode}; "
                 f"stderr: {proc.stderr.strip()!r}"
             )
-        lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+        lines = [ln for ln in proc.stdout.split("\n") if ln.strip()]
         if len(lines) != Q.shape[0]:
             raise ParseFailure(
                 f"batch {batch_index}: expected {Q.shape[0]} values, got {len(lines)}"

@@ -6,15 +6,13 @@ and the implicit Colebrook correlation above it. Independent variables,
 in order: fluid density rho [kg/m^3], viscosity mu [kg/(m s)],
 pipe diameter D [m], wall roughness eps [m], bulk velocity V [m/s].
 
-Two conventions are exposed because both appear in practice and they
-matter for reproducing the shipped result tables:
-
-* ``friction_factor``/``pressure_loss`` follow the textbook piecewise
-  model with the Darcy pressure-gradient formula lambda rho V^2 / (2 D);
-* ``PipeFlowExperiment`` defaults to the reference configuration that the
-  bundled regime tables were produced with: the Colebrook correlation
-  applied across the full Reynolds range and the Fanning pressure-gradient
-  formula 2 lambda rho V^2 / D (a factor 4 on the Darcy form).
+``PipeFlowExperiment`` is the one pressure-loss model. Its defaults are
+the reference configuration that the bundled regime tables were produced
+with: the Colebrook correlation across the full Reynolds range and the
+Fanning pressure-gradient formula 2 lambda rho V^2 / D. With
+``re_crit=RE_CRITICAL`` and ``pressure_formula="darcy"`` it is the textbook
+piecewise model with the Darcy form lambda rho V^2 / (2 D), a factor 4
+below the Fanning one.
 """
 
 from __future__ import annotations
@@ -30,9 +28,15 @@ RE_CRITICAL = 3000.0
 SYMBOLS = ("rho", "mu", "D", "eps", "V")
 
 _LN10 = math.log(10.0)
+# Newton's stop rule: the largest residual falls below _TOL within _MAX_ITER steps
+_TOL = 1e-12
+_MAX_ITER = 100
 # Rows per block of PipeFlowExperiment.evaluate_batch: each float64
 # temporary of a block is 64 KB, so Newton's working set stays in L2.
 _BLOCK_ROWS = 8192
+# (lowest, highest, points) of the log-spaced axes of the Moody chart
+_MOODY_RE = (6e2, 1e8, 120)
+_MOODY_ROUGH = (1e-6, 5e-2, 12)
 
 # regime bounds keyed by symbol, in the independent-variable order above
 _REGIMES = {
@@ -60,56 +64,21 @@ _REGIMES = {
 }
 
 
-@dataclass(frozen=True)
-class PipeState:
-    """One operating point; everything strictly positive, eps < D."""
-
-    V: float
-    rho: float
-    mu: float
-    D: float
-    eps: float
-
-    def __post_init__(self):
-        for name in ("V", "rho", "mu", "D", "eps"):
-            if not getattr(self, name) > 0.0:
-                raise ToolkitError(f"{name} must be strictly positive")
-        if not self.eps < self.D:
-            raise ToolkitError("relative roughness eps/D must be below 1")
-
-
-def reynolds(state: PipeState) -> float:
-    return state.rho * state.V * state.D / state.mu
-
-
 def poiseuille(Re):
     """Laminar friction factor 64/Re."""
     return 64.0 / np.asarray(Re, dtype=float)
 
 
-def colebrook(Re, rel_rough, tol: float = 1e-12, max_iter: int = 100):
-    """Friction factor from the implicit Colebrook correlation.
-
-    Solves 1/sqrt(lambda) = -2 log10(rel_rough/3.7 + 2.51/(Re sqrt(lambda)))
-    by Newton iteration on t = 1/sqrt(lambda), seeded with the explicit
-    Haaland-style estimate. Scalar in, scalar out; arrays broadcast. A
-    failure names the first offending point by its flat index in the
-    broadcast arguments and its (Re, rel_rough).
-    """
-    Re_a, rr_a, scalar = _checked_arrays(Re, rel_rough)
-    lam = _newton(Re_a, rr_a, tol, max_iter)
-    return float(lam[0]) if scalar else lam
-
-
-def _newton(Re_a, rr_a, tol=1e-12, max_iter=100, within=None, offset=0):
-    """Colebrook by Newton on checked arrays; a failure names its point as
-    ``_first_point`` does with ``within`` and ``offset``."""
+def _newton(Re_a, rr_a, within=None, offset=0):
+    """Colebrook, 1/sqrt(lambda) = -2 log10(rel_rough/3.7 + 2.51/(Re sqrt(lambda))),
+    by Newton on t = 1/sqrt(lambda) from the explicit Haaland-style estimate,
+    on checked arrays; a failure names its point as ``_first_point`` does."""
     a = rr_a / 3.7
     b = 2.51 / Re_a
     c = (2.0 / _LN10) * b
     t = -1.8 * np.log10(a ** 1.11 + 6.9 / Re_a)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         arg = a + b * t
         if (arg <= 0.0).any():
             raise InvalidArgument(
@@ -118,13 +87,13 @@ def _newton(Re_a, rr_a, tol=1e-12, max_iter=100, within=None, offset=0):
             )
         F = t + 2.0 * np.log10(arg)
         residual = float(np.abs(F).max())
-        if residual < tol:
+        if residual < _TOL:
             break
         t = t - F / (1.0 + c / arg)
     else:
         raise NoConvergence(
-            f"Newton stalled at residual {residual:.3e} > {tol:.0e}; first unconverged "
-            f"{_first_point(~(np.abs(F) < tol), Re_a, rr_a, within, offset)}"
+            f"Newton stalled at residual {residual:.3e} > {_TOL:.0e}; first unconverged "
+            f"{_first_point(~(np.abs(F) < _TOL), Re_a, rr_a, within, offset)}"
         )
     return 1.0 / (t * t)
 
@@ -173,11 +142,19 @@ def friction_factor(Re, rel_rough, re_crit: float | None = RE_CRITICAL):
     The branch switch is a genuine discontinuity of the model;
     ``re_crit=None`` applies Colebrook at every Reynolds number. Every
     point must be finite and lie in the Colebrook domain (Re > 0,
-    0 <= rel_rough < 1), whichever branch it takes.
+    0 <= rel_rough < 1), whichever branch it takes. Scalar in, scalar out;
+    arrays broadcast. A failure names the first offending point by its flat
+    index in the broadcast arguments and its (Re, rel_rough).
     """
     Re_a, rr_a, scalar = _checked_arrays(Re, rel_rough)
     lam = _friction(Re_a, rr_a, re_crit)
     return float(lam[0]) if scalar else lam
+
+
+def colebrook(Re, rel_rough):
+    """Friction factor from the implicit Colebrook correlation at every
+    Reynolds number: ``friction_factor`` with ``re_crit=None``."""
+    return friction_factor(Re, rel_rough, re_crit=None)
 
 
 def _friction(Re_a, rr_a, re_crit, offset=0):
@@ -189,12 +166,6 @@ def _friction(Re_a, rr_a, re_crit, offset=0):
     if high.any():
         lam[high] = _newton(Re_a[high], rr_a[high], within=high, offset=offset)
     return lam
-
-
-def pressure_loss(state: PipeState, re_crit: float | None = RE_CRITICAL) -> float:
-    """Pressure loss per unit length, lambda rho V^2 / (2 D) [kg m^-2 s^-2]."""
-    lam = friction_factor(reynolds(state), state.eps / state.D, re_crit=re_crit)
-    return lam * state.rho * state.V**2 / (2.0 * state.D)
 
 
 def regime_box(name: str) -> RegimeBox:
@@ -278,12 +249,10 @@ class PipeFlowExperiment:
         return float(self.evaluate_batch(np.asarray(q_vec, dtype=float)[None, :])[0])
 
 
-def moody_grid(n_re: int = 120, n_rough: int = 12,
-               re_range=(6e2, 1e8), rough_range=(1e-6, 5e-2),
-               re_crit: float = RE_CRITICAL) -> np.ndarray:
+def moody_grid(re_crit: float) -> np.ndarray:
     """Rows of (log10 Re, log10 rel_rough, lambda) for plotting the chart."""
-    res = np.logspace(np.log10(re_range[0]), np.log10(re_range[1]), n_re)
-    roughs = np.logspace(np.log10(rough_range[0]), np.log10(rough_range[1]), n_rough)
+    res, roughs = (np.logspace(np.log10(lo), np.log10(hi), n)
+                   for lo, hi, n in (_MOODY_RE, _MOODY_ROUGH))
     rows = []
     for rr in roughs:
         lam = friction_factor(res, rr, re_crit=re_crit)

@@ -20,22 +20,21 @@ from .errors import (
     NotPositiveSemidefinite,
     NotSymmetric,
     ShapeMismatch,
-    SpanMismatch,
     ToolkitError,
     WrongDimension,
 )
 
-DEFAULT_CHUNK = 4096
+_CHUNK_ROWS = 4096      # rows per step of the sum in assemble_C
 EIGEN_GAP_RTOL = 1e-3   # below this gap the relevance ordering is ambiguous
 DEGENERATE_FLAG = "degenerate eigenspace - groups not unique"
 
 
-def assemble_C(gradients, weights, chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
+def assemble_C(gradients, weights) -> np.ndarray:
     """C = sum_j w_j g_j g_j^T, accumulated chunk by chunk in index order.
 
-    The reduction order is fixed by the chunk size, so concurrent gradient
-    producers cannot change the result; the lower triangle is mirrored at
-    the end to make C exactly symmetric.
+    The reduction order is fixed by the chunk size, ``_CHUNK_ROWS``, so
+    concurrent gradient producers cannot change the result; the lower
+    triangle is mirrored at the end to make C exactly symmetric.
     """
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
     w = np.asarray(weights, dtype=float).reshape(-1)
@@ -46,13 +45,11 @@ def assemble_C(gradients, weights, chunk_size: int = DEFAULT_CHUNK) -> np.ndarra
     if not np.all(np.isfinite(G)):
         bad = int(np.argwhere(~np.isfinite(G))[0, 0])
         raise NonFinite(f"gradient row {bad} contains a non-finite entry")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     n = G.shape[1]
     C = np.zeros((n, n))
-    for start in range(0, G.shape[0], chunk_size):
-        Gc = G[start:start + chunk_size]
-        wc = w[start:start + chunk_size]
+    for start in range(0, G.shape[0], _CHUNK_ROWS):
+        Gc = G[start:start + _CHUNK_ROWS]
+        wc = w[start:start + _CHUNK_ROWS]
         C += Gc.T @ (wc[:, None] * Gc)
     return np.tril(C) + np.tril(C, -1).T
 
@@ -119,25 +116,6 @@ def group_descriptor(z, symbols) -> str:
         f"{sym}^{e:.3f}" for sym, e in zip(symbols, z) if abs(e) >= 5e-4
     ]
     return " * ".join(terms) if terms else "1"
-
-
-def express_in_classical(Z, W_classical):
-    """Solve Z = W_classical E by least squares; returns (E, residual).
-
-    The classical columns must span the same null space: a max-abs
-    residual above 1e-6 raises SpanMismatch.
-    """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    Wc = np.atleast_2d(np.asarray(W_classical, dtype=float))
-    if Z.shape[0] != Wc.shape[0]:
-        raise ShapeMismatch(f"Z has {Z.shape[0]} rows, classical basis has {Wc.shape[0]}")
-    E, *_ = np.linalg.lstsq(Wc, Z, rcond=None)
-    residual = float(np.max(np.abs(Wc @ E - Z)))
-    if residual > 1e-6:
-        raise SpanMismatch(
-            f"groups leave the classical span: residual {residual:.3e} > 1e-6"
-        )
-    return E, residual
 
 
 def rotation_angle(U) -> float:

@@ -154,10 +154,10 @@ def fit_polynomial(designs, targets, degree: int) -> ResponseSurface:
     Xs = (X - center) / scale
     alphas = multi_indices(n, degree)
     A = _features(Xs, alphas)
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    coeffs, _, _, sv = np.linalg.lstsq(A, y, rcond=None)
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+    if cond > CONDITION_LIMIT:
         raise IllConditioned(f"feature matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
     rmse = float(np.sqrt(np.mean((A @ coeffs - y) ** 2)))
     coeffs.flags.writeable = False
     return ResponseSurface(

@@ -1,12 +1,36 @@
 """Shared test utilities: synthetic ridge experiments, the per-point
 forward-difference oracle for algorithm 2's batched loop, the direct
 monomial and per-term gradient oracles for the response-surface kernels,
-and the per-value CSV encoder that the external batch formatter must match."""
+the per-value CSV encoder that the external batch formatter must match,
+and the classical-basis coordinates of group exponents (criterion 5)."""
 
 import numpy as np
 
 from pigroups.errors import ExperimentFailure, NonPositiveInput, ShapeMismatch, ToolkitError
 from pigroups.surrogate import multi_indices
+
+
+class SpanMismatch(ToolkitError):
+    """Group exponents do not lie in the span of the classical basis."""
+
+
+def express_in_classical(Z, W_classical):
+    """Solve Z = W_classical E by least squares; returns (E, residual).
+
+    The classical columns must span the same null space: a max-abs
+    residual above 1e-6 raises SpanMismatch.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Wc = np.atleast_2d(np.asarray(W_classical, dtype=float))
+    if Z.shape[0] != Wc.shape[0]:
+        raise ShapeMismatch(f"Z has {Z.shape[0]} rows, classical basis has {Wc.shape[0]}")
+    E, *_ = np.linalg.lstsq(Wc, Z, rcond=None)
+    residual = float(np.max(np.abs(Wc @ E - Z)))
+    if residual > 1e-6:
+        raise SpanMismatch(
+            f"groups leave the classical span: residual {residual:.3e} > 1e-6"
+        )
+    return E, residual
 
 
 class RidgeExperiment:

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     RidgeExperiment,
     exp_g,
+    express_in_classical,
     linear_g,
     quadratic_g,
 )
@@ -29,7 +30,6 @@ from pigroups.quadrature import RegimeBox, gauss_legendre_1d, tensor_rule
 from pigroups.subspace import (
     assemble_C,
     eigendecompose,
-    express_in_classical,
     rotation_angle,
     sensitivity_metrics,
     subspace_distance,

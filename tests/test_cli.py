@@ -87,6 +87,12 @@ for line in sys.stdin.read().splitlines()[1:]:
         sys.stdout.buffer.write(reply + b"\\n")
 """
 
+FORM_FEED_SCRIPT = """\
+import sys
+for i, _ in enumerate(sys.stdin.read().splitlines()[1:]):
+    sys.stdout.write("1\\x0c5\\n" if i == 3 else "1\\n")
+"""
+
 NOT_UTF8_SCRIPT = """\
 import sys
 for _ in sys.stdin.read().splitlines()[1:]:
@@ -211,6 +217,13 @@ class TestExternalExperiment:
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=7)
         with pytest.raises(ParseFailure, match=message):
             external.evaluate_batch(Q)
+
+    def test_reply_is_split_at_newlines_only(self, tmp_path):
+        # a form feed inside a value is not a line break: the row fails as itself
+        cmd = write_script(tmp_path, "formfeed.py", FORM_FEED_SCRIPT)
+        external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS)
+        with pytest.raises(ParseFailure, match=r"^row 3: unparseable output '1\\x0c5'$"):
+            external.evaluate_batch(np.ones((6, 5)))
 
     def test_child_that_exits_without_reading_a_large_batch(self, tmp_path):
         # 50,000 rows are far more than a pipe buffer holds

@@ -7,7 +7,10 @@ syntax tree:
   the module;
 * every name a module loads must be bound somewhere in it, be a builtin
   or be ``__file__``, so a call into a forgotten import cannot wait for
-  its first run to raise ``NameError``.
+  its first run to raise ``NameError``;
+* every public top-level function or class must be exported by the
+  package or referenced by name somewhere in it, so code whose only
+  caller is its own test does not stay behind.
 
 The others check that the package resolves its public names on first use,
 so a process loads only the modules it needs.
@@ -60,6 +63,26 @@ def unbound_names(source: str) -> list[str]:
     return sorted(loaded - bound)
 
 
+def unreferenced_definitions(sources: dict[str, str], exported) -> list[str]:
+    """``module:name`` of each public top-level function or class of the
+    sources that is not in ``exported`` and that no source names, as a
+    variable or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(
+        f"{module}:{node.name}"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in named
+    )
+
+
 def test_checker_finds_unused_names():
     source = "import os\nimport numpy as np\nfrom a.b import c, d\nnp.zeros(c)\n"
     assert unused_imports(source) == ["d", "os"]
@@ -75,6 +98,21 @@ def test_checker_finds_unbound_names():
         "    return os, c, K, x, y, kw, z, len, __file__, Other\n"
     )
     assert unbound_names(source) == ["Missing", "Other"]
+
+
+def test_checker_finds_unreferenced_definitions():
+    sources = {
+        "a.py": "def used():\n    pass\ndef spare():\n    pass\ndef _private():\n    pass\n"
+                "class Shown:\n    def method(self):\n        pass\n",
+        "b.py": "from .a import used\nimport x\nused()\nx.attribute\n"
+                "def attribute():\n    pass\nclass Spare:\n    pass\n",
+    }
+    assert unreferenced_definitions(sources, exported=["Shown"]) == ["a.py:spare", "b.py:Spare"]
+
+
+def test_every_public_definition_is_exported_or_referenced():
+    sources = {module: (PACKAGE / module).read_text() for module in ALL_MODULES}
+    assert unreferenced_definitions(sources, pigroups.__all__) == []
 
 
 @pytest.mark.parametrize("module", ALL_MODULES)
@@ -93,10 +131,9 @@ PUBLIC_NAMES = (
     "predict_dependent", "DimensionVector", "PiBasis", "Quantity", "QuantitySystem",
     "build_dimension_matrix", "check_dimensionless", "nullspace_basis", "parse_unit_expr",
     "pi_basis", "solve_output_exponents", "ExternalExperiment", "PipeFlowExperiment",
-    "PipeState", "colebrook", "friction_factor", "pipe_quantity_system", "poiseuille",
-    "pressure_loss", "regime_box", "reynolds", "QuadratureRule", "RegimeBox",
-    "gauss_legendre_1d", "latin_hypercube", "monte_carlo_rule", "tensor_rule",
-    "SubspaceResult", "assemble_C", "eigendecompose", "express_in_classical",
+    "colebrook", "friction_factor", "pipe_quantity_system", "poiseuille", "regime_box",
+    "QuadratureRule", "RegimeBox", "gauss_legendre_1d", "latin_hypercube",
+    "monte_carlo_rule", "tensor_rule", "SubspaceResult", "assemble_C", "eigendecompose",
     "rotation_angle", "sensitivity_metrics", "subspace_distance", "unique_groups",
     "ResponseSurface", "eval_surface", "fit_polynomial", "grad_surface", "n_coefficients",
 )

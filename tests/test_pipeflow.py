@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pigroups import pipeflow
 from pigroups.dimension import build_dimension_matrix
@@ -12,15 +14,12 @@ from pigroups.pipeflow import (
     RE_CRITICAL,
     SYMBOLS,
     PipeFlowExperiment,
-    PipeState,
     colebrook,
     friction_factor,
     moody_grid,
     pipe_quantity_system,
     poiseuille,
-    pressure_loss,
     regime_box,
-    reynolds,
 )
 from pigroups.quadrature import latin_hypercube
 
@@ -42,20 +41,6 @@ def bisect_colebrook(Re, rr):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-class TestReynolds:
-    def test_unit_state(self):
-        state = PipeState(V=1.0, rho=1.0, mu=1.0, D=1.0, eps=0.5)
-        assert reynolds(state) == 1.0
-
-    def test_laminar_midpoint(self):
-        state = PipeState(V=0.0275, rho=0.12, mu=5e-6, D=0.65, eps=5.5e-5)
-        assert reynolds(state) == pytest.approx(429.0, rel=1e-12)
-
-    def test_high_re_interior(self):
-        state = PipeState(V=600.0, rho=0.12, mu=5e-6, D=0.75, eps=0.025)
-        assert reynolds(state) == pytest.approx(1.08e7, rel=1e-12)
 
 
 class TestPoiseuille:
@@ -115,11 +100,12 @@ class TestColebrook:
                            r"at point 1 \(Re=0\.001, rel_rough=0\.0\)$"):
             colebrook(np.array([1e5, 1e-3, 1e-3]), 0.0)
 
-    def test_no_convergence_names_the_point(self):
+    def test_no_convergence_names_the_point(self, monkeypatch):
         # three steps converge at Re = 1e5 and 1e6 but not at Re = 100
+        monkeypatch.setattr(pipeflow, "_MAX_ITER", 3)
         with pytest.raises(NoConvergence, match=r"first unconverged point 1 "
                            r"\(Re=100\.0, rel_rough=0\.001\)$"):
-            colebrook(np.array([1e5, 100.0, 1e6]), 1e-3, max_iter=3)
+            colebrook(np.array([1e5, 100.0, 1e6]), 1e-3)
 
     @pytest.mark.parametrize("Re,rel_rough,shown", [
         (np.nan, 1e-3, "Re=nan, rel_rough=0.001"),
@@ -175,10 +161,9 @@ class TestFrictionFactor:
         assert abs(above - below) > 0.01
 
     def test_laminar_midpoint_on_poiseuille_branch(self):
-        state = PipeState(V=0.0275, rho=0.12, mu=5e-6, D=0.65, eps=5.5e-5)
-        Re = reynolds(state)
+        Re = 0.12 * 0.0275 * 0.65 / 5e-6
         assert Re < RE_CRITICAL
-        assert friction_factor(Re, state.eps / state.D) == pytest.approx(64.0 / Re)
+        assert friction_factor(Re, 5.5e-5 / 0.65) == pytest.approx(64.0 / Re)
 
     def test_monotone_on_a_grid(self):
         res = np.logspace(3.7, 8, 25)
@@ -205,42 +190,53 @@ class TestFrictionFactor:
             friction_factor(-500.0, 1e-3)
 
 
+# the textbook model: Poiseuille below RE_CRITICAL, the Darcy pressure gradient
+TEXTBOOK = PipeFlowExperiment(re_crit=RE_CRITICAL, pressure_formula="darcy")
+
+
 class TestPressureLoss:
     def test_hand_chain_at_re_429(self):
-        state = PipeState(V=0.0275, rho=0.12, mu=5e-6, D=0.65, eps=5e-5)
+        q = np.array([0.12, 5e-6, 0.65, 5e-5, 0.0275])
         expected = (64.0 / 429.0) * 0.12 * 0.0275**2 / (2.0 * 0.65)
-        value = pressure_loss(state)
+        value = TEXTBOOK(q)
         assert value == pytest.approx(expected, rel=1e-13)
         assert value == pytest.approx(1.0414e-5, rel=1e-3)
 
     def test_laminar_scaling_v_over_d_squared(self):
-        base = PipeState(V=0.0275, rho=0.12, mu=5e-6, D=0.65, eps=5e-5)
-        faster = PipeState(V=0.055, rho=0.12, mu=5e-6, D=0.65, eps=5e-5)
-        wider = PipeState(V=0.0275, rho=0.12, mu=5e-6, D=1.3, eps=5e-5)
-        assert reynolds(faster) < RE_CRITICAL and reynolds(wider) < RE_CRITICAL
-        assert pressure_loss(faster) / pressure_loss(base) == pytest.approx(2.0, rel=1e-12)
-        assert pressure_loss(wider) / pressure_loss(base) == pytest.approx(0.25, rel=1e-12)
+        # rows: base, twice the velocity, twice the diameter; all laminar
+        Q = np.array([[0.12, 5e-6, 0.65, 5e-5, 0.0275],
+                      [0.12, 5e-6, 0.65, 5e-5, 0.055],
+                      [0.12, 5e-6, 1.3, 5e-5, 0.0275]])
+        assert np.all(Q[:, 0] * Q[:, 4] * Q[:, 2] / Q[:, 1] < RE_CRITICAL)
+        base, faster, wider = TEXTBOOK.evaluate_batch(Q)
+        assert faster / base == pytest.approx(2.0, rel=1e-12)
+        assert wider / base == pytest.approx(0.25, rel=1e-12)
 
     def test_friction_factor_round_trip(self):
-        for state in (
-            PipeState(V=0.0275, rho=0.12, mu=5e-6, D=0.65, eps=5e-5),
-            PipeState(V=3.0, rho=0.12, mu=5e-6, D=0.75, eps=1e-3),
-            PipeState(V=600.0, rho=0.12, mu=5e-6, D=0.75, eps=0.025),
-        ):
-            dpdx = pressure_loss(state)
-            recovered = dpdx * state.D / (0.5 * state.rho * state.V**2)
-            direct = friction_factor(reynolds(state), state.eps / state.D)
+        for rho, mu, D, eps, V in ([0.12, 5e-6, 0.65, 5e-5, 0.0275],
+                                   [0.12, 5e-6, 0.75, 1e-3, 3.0],
+                                   [0.12, 5e-6, 0.75, 0.025, 600.0]):
+            dpdx = TEXTBOOK([rho, mu, D, eps, V])
+            recovered = dpdx * D / (0.5 * rho * V**2)
+            direct = friction_factor(rho * V * D / mu, eps / D)
             assert recovered == pytest.approx(direct, rel=1e-12)
 
-
-class TestPipeState:
-    def test_positivity_enforced(self):
-        with pytest.raises(ToolkitError):
-            PipeState(V=0.0, rho=1.0, mu=1.0, D=1.0, eps=0.1)
-
-    def test_roughness_below_diameter(self):
-        with pytest.raises(ToolkitError):
-            PipeState(V=1.0, rho=1.0, mu=1.0, D=0.5, eps=0.5)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(log_re=st.floats(1.0, np.log10(0.999 * RE_CRITICAL)),
+           log_rho=st.floats(-2.0, 3.0), log_mu=st.floats(-7.0, 0.0),
+           log_D=st.floats(-3.0, 1.0), rel_rough=st.floats(0.0, 0.5))
+    def test_laminar_pressure_loss_is_32_mu_v_over_d_squared(self, log_re, log_rho, log_mu,
+                                                              log_D, rel_rough):
+        # V is chosen so that Re = rho V D / mu lies in [10, RE_CRITICAL), where
+        # Colebrook's Newton seed is positive too
+        rho, mu, D = 10.0**log_rho, 10.0**log_mu, 10.0**log_D
+        V = 10.0**log_re * mu / (rho * D)
+        q = [rho, mu, D, rel_rough * D, V]
+        darcy = TEXTBOOK(q)
+        assert darcy == pytest.approx(32.0 * mu * V / D**2, rel=1e-12, abs=0.0)
+        for re_crit in (None, RE_CRITICAL):
+            fanning = PipeFlowExperiment(re_crit=re_crit)(q)
+            assert fanning == 4.0 * PipeFlowExperiment(re_crit, pressure_formula="darcy")(q)
 
 
 class TestRegimeBoxes:
@@ -316,15 +312,27 @@ class TestPipeFlowExperiment:
         assert fanning(q) == pytest.approx(4.0 * darcy(q), rel=1e-14)
 
     def test_textbook_variant_matches_pressure_loss(self):
-        experiment = PipeFlowExperiment(re_crit=RE_CRITICAL, pressure_formula="darcy")
-        for state in (
-            PipeState(V=0.0275, rho=0.12, mu=5e-6, D=0.65, eps=5e-5),   # laminar branch
-            PipeState(V=3.0, rho=0.12, mu=5e-6, D=0.75, eps=1e-3),      # Colebrook branch
-        ):
-            q_vec = [state.rho, state.mu, state.D, state.eps, state.V]
-            assert experiment(q_vec) == pytest.approx(
-                pressure_loss(state), rel=1e-14
-            )
+        # one row on each branch: Re = 429 (Poiseuille) and Re = 54,000 (Colebrook)
+        Q = np.array([[0.12, 5e-6, 0.65, 5e-5, 0.0275],
+                      [0.12, 5e-6, 0.75, 1e-3, 3.0]])
+        rho, mu, D, eps, V = Q.T
+        Re = rho * V * D / mu
+        lam = np.array([poiseuille(Re[0]), colebrook(Re[1], eps[1] / D[1])])
+        want = lam * rho * V**2 / (2.0 * D)
+        assert np.allclose(TEXTBOOK.evaluate_batch(Q), want, rtol=1e-14, atol=0.0)
+
+    def test_positivity_enforced(self):
+        for column in (0, 4):  # rho = 0 or V = 0 gives Re = 0
+            q = np.array([0.12, 5e-6, 0.65, 5e-5, 0.0275])
+            q[column] = 0.0
+            with pytest.raises(InvalidArgument, match="Reynolds number must be positive "
+                               "at point 0 "):
+                PipeFlowExperiment()(q)
+
+    def test_roughness_below_diameter(self):
+        with pytest.raises(InvalidArgument, match=r"relative roughness must lie in \[0, 1\) "
+                           r"at point 0 \(Re=\S+, rel_rough=1\.0\)$"):
+            PipeFlowExperiment()([0.12, 5e-6, 0.65, 0.65, 0.0275])
 
     def test_bad_formula_rejected(self):
         with pytest.raises(ToolkitError):
@@ -408,8 +416,8 @@ class TestEvaluationBlocks:
 
 class TestMoodyGrid:
     def test_shape_and_values(self):
-        grid = moody_grid(n_re=50, n_rough=4)
-        assert grid.shape == (200, 3)
+        grid = moody_grid(RE_CRITICAL)
+        assert grid.shape == (120 * 12, 3)
         assert np.all(np.isfinite(grid))
         log_re, log_rr, lam = grid[137]
         assert lam == pytest.approx(friction_factor(10**log_re, 10**log_rr), rel=1e-12)

@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from helpers import SpanMismatch, express_in_classical
+from pigroups import subspace
 from pigroups.algorithms import _finalize
 from pigroups.errors import (
     NonFinite,
     NotPositiveSemidefinite,
     NotSymmetric,
     ShapeMismatch,
-    SpanMismatch,
     ToolkitError,
     WrongDimension,
 )
@@ -19,7 +20,6 @@ from pigroups.subspace import (
     assemble_C,
     eigen_gap,
     eigendecompose,
-    express_in_classical,
     group_descriptor,
     result_to_csv,
     rotation_angle,
@@ -61,21 +61,23 @@ class TestAssembleC:
         C = assemble_C(G, np.array([0.5, 0.5]))
         assert np.array_equal(C, np.diag([0.5, 0.5]))
 
-    def test_exactly_symmetric(self):
+    def test_exactly_symmetric(self, monkeypatch):
+        monkeypatch.setattr(subspace, "_CHUNK_ROWS", 128)
         gen = np.random.default_rng(7)
         G = gen.normal(size=(1000, 4))
         w = gen.random(1000)
         w /= w.sum()
-        C = assemble_C(G, w, chunk_size=128)
+        C = assemble_C(G, w)
         assert np.array_equal(C, C.T)
 
-    def test_chunk_size_does_not_change_result_materially(self):
+    def test_chunk_size_does_not_change_result_materially(self, monkeypatch):
         gen = np.random.default_rng(3)
         G = gen.normal(size=(500, 3))
         w = np.full(500, 1.0 / 500)
-        C1 = assemble_C(G, w, chunk_size=500)
-        C2 = assemble_C(G, w, chunk_size=7)
-        assert np.array_equal(C1, assemble_C(G, w, chunk_size=500))  # deterministic
+        C1 = assemble_C(G, w)  # one chunk
+        assert np.array_equal(C1, assemble_C(G, w))  # deterministic
+        monkeypatch.setattr(subspace, "_CHUNK_ROWS", 7)
+        C2 = assemble_C(G, w)
         assert np.max(np.abs(C1 - C2)) < 1e-14 * max(1.0, np.max(np.abs(C1)))
 
     def test_rejects_unnormalized_weights(self):
