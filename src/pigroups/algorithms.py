@@ -12,11 +12,15 @@ Both integrate in the original variables, where the uniform product
 density is exactly what the tensor rule integrates; the induced density
 on gamma is never materialized. A full-space variant differences all m
 log-variables to expose the ridge structure of the raw input-output map.
+
+An experiment is any object whose ``evaluate_batch`` maps an (N, m) array
+of points, one run per row, to the N dependent values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,25 +83,22 @@ class AlgorithmConfig:
     holdout: int = 200
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("finite-difference step h must be positive")
-        if self.degree < 1:
-            raise ValueError("surrogate degree must be at least 1")
-        if self.holdout < 0:
-            raise ValueError(f"hold-out size must be nonnegative, got {self.holdout}")
-        if self.design < 1:
-            raise ValueError(f"--design must be at least 1, got {self.design}")
-        # a null seed (from a config file) draws a fresh one
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"--seed must be nonnegative, got {self.seed}")
+        # a config file can hold any JSON value, so types are checked too
+        if isinstance(self.h, bool) or not (isinstance(self.h, Real) and self.h > 0):
+            raise ValueError(f"--h must be a positive number, got {self.h!r}")
+        for option, value, low in (("--degree", self.degree, 1), ("--design", self.design, 1),
+                                   ("--holdout", self.holdout, 0), ("--seed", self.seed, 0)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{option} must be an integer, got {value!r}")
+            if value < low:
+                bound = "nonnegative" if low == 0 else f"at least {low}"
+                raise ValueError(f"{option} must be {bound}, got {value}")
         self.parse_quad()
 
     def parse_quad(self):
-        kind, _, arg = self.quad.partition(":")
+        kind, _, arg = str(self.quad).partition(":")
         if kind not in ("tensor", "mc") or not arg.isdigit():
-            raise ValueError(
-                f"quadrature spec {self.quad!r} is not 'tensor:<p>' or 'mc:<N>'"
-            )
+            raise ValueError(f"--quad must be 'tensor:<p>' or 'mc:<N>', got {self.quad!r}")
         return kind, int(arg)
 
 
@@ -109,14 +110,10 @@ def build_rule(box: RegimeBox, config: AlgorithmConfig) -> QuadratureRule:
 
 
 def evaluate_experiment(experiment, points: np.ndarray) -> np.ndarray:
-    """Run the experiment at every row, preferring its batch entry point."""
+    """One ``evaluate_batch`` call at the (N, m) points, checked for N finite values."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    batch = getattr(experiment, "evaluate_batch", None)
     try:
-        if batch is not None:
-            values = np.asarray(batch(points), dtype=float).reshape(-1)
-        else:
-            values = np.array([float(experiment(row)) for row in points])
+        values = np.asarray(experiment.evaluate_batch(points), dtype=float).reshape(-1)
     except ToolkitError:
         raise
     except Exception as exc:
@@ -132,7 +129,7 @@ def evaluate_experiment(experiment, points: np.ndarray) -> np.ndarray:
 
 
 class CountingExperiment:
-    """Wrapper that counts scalar evaluations, for budgets and manifests."""
+    """Wrapper that counts the rows it passes on, for budgets and manifests."""
 
     def __init__(self, experiment):
         self.experiment = experiment
@@ -140,7 +137,7 @@ class CountingExperiment:
 
     def evaluate_batch(self, points):
         self.count += len(points)
-        return evaluate_experiment(self.experiment, points)
+        return self.experiment.evaluate_batch(points)
 
 
 def _pi(experiment, points, X, w) -> np.ndarray:
@@ -196,14 +193,13 @@ def algorithm1(
     basis: PiBasis,
     box: RegimeBox,
     config: AlgorithmConfig,
-    return_surface: bool = False,
     trace: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
-):
+) -> tuple[SubspaceResult, ResponseSurface]:
     """Surface route: design, fit, integrate the surrogate gradient.
 
-    Experiment calls: ``config.design`` for the fit plus ``config.holdout``
-    for the reported hold-out error; the integration phase evaluates only
-    the surrogate.
+    Returns the result and the fitted surface. Experiment calls:
+    ``config.design`` for the fit plus ``config.holdout`` for the reported
+    hold-out error; the integration phase evaluates only the surrogate.
     """
     w, W = basis.w, basis.W
     n = W.shape[1]
@@ -231,7 +227,7 @@ def algorithm1(
     C = assemble_C(grads, rule.weights)
     if trace is not None:
         trace(points, pi, grad_surface(surface, gamma))
-    result = _finalize(system, W, C, {
+    return _finalize(system, W, C, {
         "algorithm": "surface",
         "degree": config.degree,
         "quadrature": _describe_rule(config, len(rule)),
@@ -241,8 +237,7 @@ def algorithm1(
         "train_rmse": surface.train_rmse,
         "holdout_rmse": holdout_rmse,
         "seed": config.seed,
-    })
-    return (result, surface) if return_surface else result
+    }), surface
 
 
 def algorithm2(

@@ -16,6 +16,7 @@ import shlex
 import sys
 import time
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +72,7 @@ _SUBPROCESS_ERRORS = (SubprocessFailure, ParseFailure, ExperimentTimeout)
 _DEFAULTS = {
     "algorithm": 2,
     **{f.name: f.default for f in fields(AlgorithmConfig)},
-    "re_crit": None,
-    "pressure_formula": "fanning",
+    **{f.name: f.default for f in fields(PipeFlowExperiment)},
     "timeout": None,
     "batch_size": 20000,
     "workers": 1,
@@ -115,13 +115,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pigroups {__version__}")
     sub = parser.add_subparsers(dest="command")
+    # no prefix matching of long options, so "--experiment" is not "--experiment-cmd"
+    add_parser = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("pi-basis", help="dimension matrix, output exponents and null-space basis")
+    p = add_parser("pi-basis", help="dimension matrix, output exponents and null-space basis")
     p.add_argument("system", help="quantity-system JSON file")
     p.add_argument("--json", dest="json_out", help="also write the result as JSON")
     p.set_defaults(func=_cmd_pi_basis)
 
-    p = sub.add_parser("analyze", help="run one of the two group-estimation algorithms")
+    p = add_parser("analyze", help="run one of the two group-estimation algorithms")
     _common_experiment_args(p)
     p.add_argument("--algorithm", type=int, choices=(1, 2))
     p.add_argument("--h", type=float, help="finite-difference step in the group coordinates")
@@ -131,24 +133,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="write an evaluation-trace CSV")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("ridge-check", help="full-space eigenvalue decay against the step size")
+    p = add_parser("ridge-check", help="full-space eigenvalue decay against the step size")
     _common_experiment_args(p)
     p.add_argument("--h-sweep", default="1e-2,1e-3,1e-4,1e-5",
                    help="comma-separated step sizes")
     p.set_defaults(func=_cmd_ridge_check)
 
-    p = sub.add_parser("fd-convergence", help="group-exponent error against the step size")
+    p = add_parser("fd-convergence", help="group-exponent error against the step size")
     _common_experiment_args(p)
     p.add_argument("--h-sweep", default="1e-2,1e-3,1e-4,1e-5,1e-6,1e-7",
                    help="comma-separated step sizes; the smallest is the reference")
     p.set_defaults(func=_cmd_fd_convergence)
 
-    p = sub.add_parser("moody-data", help="friction-factor grid for external plotting")
+    p = add_parser("moody-data", help="friction-factor grid for external plotting")
     p.add_argument("--out", default="moody.csv")
     p.add_argument("--re-crit", type=float, default=RE_CRITICAL)
     p.set_defaults(func=_cmd_moody_data)
 
-    p = sub.add_parser("predict", help="evaluate a saved semi-empirical model at a point")
+    p = add_parser("predict", help="evaluate a saved semi-empirical model at a point")
     p.add_argument("--surface", required=True, help="surface JSON written by analyze")
     p.add_argument("--point", required=True,
                    help="comma-separated values in independent-variable order")
@@ -157,11 +159,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _common_experiment_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--experiment", default="pipe",
-                   help="built-in experiment name (built-ins: pipe)")
     p.add_argument("--experiment-cmd",
-                   help="external experiment command speaking CSV on stdin/stdout")
-    p.add_argument("--system", help="quantity-system JSON (defaults to the built-in's)")
+                   help="external experiment command speaking CSV on stdin/stdout "
+                        "(default: the built-in pipe model)")
+    p.add_argument("--system", help="quantity-system JSON (default: the pipe system)")
     p.add_argument("--regime", help=f"built-in pipe regime: {', '.join(regime_names())}")
     p.add_argument("--box", help="bounds JSON file")
     p.add_argument("--quad", help="integration rule, tensor:<p> or mc:<N>")
@@ -190,10 +191,18 @@ def _merge_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if isinstance(cfg["re_crit"], str):
-        cfg["re_crit"] = None if cfg["re_crit"].lower() == "none" else float(cfg["re_crit"])
+    re_crit = cfg["re_crit"]
+    if re_crit is not None:
+        try:
+            cfg["re_crit"] = None if str(re_crit).lower() == "none" else float(re_crit)
+        except (TypeError, ValueError):
+            raise ValueError(f"--re-crit must be a number or 'none', got {re_crit!r}") from None
     if cfg.get("quad") is None:
         cfg["quad"] = _DEFAULTS["quad"]
+    if not (type(cfg["algorithm"]) is int and cfg["algorithm"] in (1, 2)):
+        raise ValueError(f"--algorithm must be 1 or 2, got {cfg['algorithm']!r}")
+    if cfg["seed"] is None:  # a null seed in a config file draws one, for the manifest
+        cfg["seed"] = int(np.random.default_rng().integers(2**32))
     return cfg
 
 
@@ -204,9 +213,7 @@ def _algorithm_config(cfg: dict) -> AlgorithmConfig:
 def _load_system(args) -> QuantitySystem:
     if getattr(args, "system", None):
         return QuantitySystem.from_file(args.system)
-    if args.experiment == "pipe":
-        return pipe_quantity_system()
-    raise ValueError("--system is required unless the experiment is a built-in")
+    return pipe_quantity_system()
 
 
 def _load_box(args, system: QuantitySystem) -> RegimeBox:
@@ -230,11 +237,10 @@ def _make_experiment(args, cfg, system: QuantitySystem):
             batch_size=cfg["batch_size"],
             n_workers=cfg["workers"],
         )
-    if args.experiment == "pipe":
-        return PipeFlowExperiment(
-            re_crit=cfg["re_crit"], pressure_formula=cfg["pressure_formula"]
-        )
-    raise ValueError(f"unknown experiment {args.experiment!r}")
+    try:
+        return PipeFlowExperiment(**{f.name: cfg[f.name] for f in fields(PipeFlowExperiment)})
+    except ToolkitError as exc:  # a value the flags' choices would have refused
+        raise ValueError(str(exc)) from None
 
 
 def _prepare(args):
@@ -308,10 +314,7 @@ def _cmd_analyze(args) -> int:
 
     surface = None
     if cfg["algorithm"] == 1:
-        result, surface = algorithm1(
-            experiment, system, basis, box, config,
-            return_surface=True, trace=trace_cb,
-        )
+        result, surface = algorithm1(experiment, system, basis, box, config, trace=trace_cb)
     else:
         result = algorithm2(experiment, system, basis, box, config, trace=trace_cb)
 
@@ -367,11 +370,8 @@ def _parse_sweep(text: str) -> list[float]:
 
 def fit_loglog_slope(hs, values) -> float:
     """Least-squares slope of log|value| against log h."""
-    x = np.log(np.asarray(hs, dtype=float))
     y = np.log(np.maximum(np.abs(np.asarray(values, dtype=float)), 1e-300))
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0])
+    return float(np.polyfit(np.log(np.asarray(hs, dtype=float)), y, 1)[0])
 
 
 def _cmd_ridge_check(args) -> int:

@@ -307,27 +307,17 @@ class PiBasis:
         return self.W.shape[1]
 
 
-def pi_basis(system: QuantitySystem, w=None) -> PiBasis:
-    """Construct the PiBasis for a system, validating all identities to 1e-12.
+def pi_basis(system: QuantitySystem) -> PiBasis:
+    """Construct the PiBasis for a system, validating W to 1e-12.
 
-    ``w`` defaults to the system's pinned vector when present, otherwise to
-    the minimum-norm solution; any caller-supplied vector with residual
-    below 1e-12 is accepted.
+    w is the system's pinned vector when present, otherwise the
+    minimum-norm solution; either already satisfies D w = v(q) to 1e-12.
     """
     D = build_dimension_matrix(system)
-    v_q = system.dependent.dims.as_array()
-    if w is None:
-        if system.pinned_w is not None:
-            w = np.asarray(system.pinned_w, dtype=float)
-        else:
-            w = solve_output_exponents(D, v_q)
+    if system.pinned_w is not None:
+        w = np.array(system.pinned_w, dtype=float)
     else:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (system.m,):
-            raise ShapeMismatch(f"w must have length {system.m}")
-    res_w = _max_abs(D @ w - v_q)
-    if res_w > BASIS_TOL:
-        raise Inconsistent(f"supplied w violates D w = v(q): residual {res_w:.3e}")
+        w = solve_output_exponents(D, system.dependent.dims.as_array())
     W = nullspace_basis(D)
     res_null = _max_abs(D @ W)
     res_orth = _max_abs(W.T @ W - np.eye(W.shape[1]))
@@ -336,6 +326,5 @@ def pi_basis(system: QuantitySystem, w=None) -> PiBasis:
             f"null-space basis failed validation: |DW|={res_null:.3e}, "
             f"|W^TW - I|={res_orth:.3e}"
         )
-    w = w.copy()
     w.flags.writeable = False
     return PiBasis(w=w, W=W)

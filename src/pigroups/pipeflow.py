@@ -72,11 +72,21 @@ def poiseuille(Re):
 def _newton(Re_a, rr_a, within=None, offset=0):
     """Colebrook, 1/sqrt(lambda) = -2 log10(rel_rough/3.7 + 2.51/(Re sqrt(lambda))),
     by Newton on t = 1/sqrt(lambda) from the explicit Haaland-style estimate,
-    on checked arrays; a failure names its point as ``_first_point`` does."""
+    on checked arrays; a failure names its point as ``_first_point`` does.
+
+    Below Re of about 6.9 that estimate is not positive. Such rows start at
+    t = Re/2.51, where a + b t >= 1 and so F > 0, and halve t until F <= 0:
+    F(t) = t + 2 log10(a + b t) increases and is concave, so Newton then
+    climbs to the root without leaving the logarithm's domain."""
     a = rr_a / 3.7
     b = 2.51 / Re_a
     c = (2.0 / _LN10) * b
     t = -1.8 * np.log10(a ** 1.11 + 6.9 / Re_a)
+    low = np.flatnonzero(~(t > 0.0))
+    t[low] = Re_a[low] / 2.51
+    while low.size:
+        low = low[t[low] + 2.0 * np.log10(a[low] + b[low] * t[low]) > 0.0]
+        t[low] *= 0.5
     residual = np.inf
     for _ in range(_MAX_ITER):
         arg = a + b * t

@@ -89,7 +89,7 @@ def sensitivity_metrics(C) -> np.ndarray:
     return np.diag(_check_symmetric(C)).copy()
 
 
-def unique_groups(W, U, symbols=None):
+def unique_groups(W, U, symbols):
     """Exponents Z = W U of the relevance-ordered groups, with descriptors.
 
     Column i of Z defines the group exp(z_i^T log q); the descriptor

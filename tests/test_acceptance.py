@@ -78,7 +78,7 @@ def fd_runs(experiment, pipe_system, pipe_basis):
 @pytest.fixture(scope="module")
 def rs_run(experiment, pipe_system, pipe_basis):
     config = AlgorithmConfig(degree=2, design=1000, holdout=200, quad="tensor:11", seed=0)
-    return algorithm1(experiment, pipe_system, pipe_basis, regime_box("turbulent"), config)
+    return algorithm1(experiment, pipe_system, pipe_basis, regime_box("turbulent"), config)[0]
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +256,7 @@ class TestCriterion9PropertySuite:
         experiment = RidgeExperiment(pipe_basis.w, pipe_basis.W, fn)
         box = regime_box("turbulent")
         config = AlgorithmConfig(degree=2, design=150, holdout=0, quad="tensor:5", seed=1)
-        reference = algorithm1(experiment, pipe_system, pipe_basis, box, config)
+        reference, _ = algorithm1(experiment, pipe_system, pipe_basis, box, config)
         lam = reference.eigenvalues
         assert lam[0] - lam[1] > 1e-3 * lam[0]
         worst = 0.0
@@ -265,7 +265,7 @@ class TestCriterion9PropertySuite:
             Q, R = np.linalg.qr(gen.normal(size=(2, 2)))
             Q = Q * np.sign(np.diag(R))
             rebased = PiBasis(w=pipe_basis.w, W=pipe_basis.W @ Q)
-            result = algorithm1(experiment, pipe_system, rebased, box, config)
+            result, _ = algorithm1(experiment, pipe_system, rebased, box, config)
             worst = max(worst, signed_column_distance(result.Z, reference.Z))
         ok = worst < 1e-6
         assert report("9a (rotation invariance of Z)", ok,

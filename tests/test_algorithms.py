@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     RidgeExperiment,
@@ -20,7 +22,7 @@ from pigroups.algorithms import (
     predict_dependent,
 )
 from pigroups.cli import signed_column_distance
-from pigroups.dimension import PiBasis
+from pigroups.dimension import PiBasis, build_dimension_matrix
 from pigroups.errors import (
     DesignTooSmall,
     ExperimentFailure,
@@ -29,7 +31,7 @@ from pigroups.errors import (
     ShapeMismatch,
 )
 from pigroups.pipeflow import PipeFlowExperiment, regime_box
-from pigroups.quadrature import RegimeBox, latin_hypercube, tensor_rule
+from pigroups.quadrature import RegimeBox, tensor_rule
 from pigroups.subspace import assemble_C, subspace_distance
 from pigroups.surrogate import eval_surface, fit_polynomial
 
@@ -71,13 +73,6 @@ class TestAlgorithmConfig:
 
 
 class TestEvaluateExperiment:
-    def test_scalar_fallback_matches_batch(self):
-        experiment = PipeFlowExperiment()
-        pts = latin_hypercube(BOX, 10, seed=3)
-        batch = evaluate_experiment(experiment, pts)
-        scalar = np.array([experiment(p) for p in pts])
-        assert np.array_equal(batch, scalar)
-
     def test_non_finite_reported_with_index(self):
         class Bad:
             def evaluate_batch(self, Q):
@@ -89,11 +84,12 @@ class TestEvaluateExperiment:
             evaluate_experiment(Bad(), np.ones((5, 2)))
 
     def test_raising_experiment_wrapped(self):
-        def boom(q):
-            raise RuntimeError("kaput")
+        class Boom:
+            def evaluate_batch(self, Q):
+                raise RuntimeError("kaput")
 
         with pytest.raises(ExperimentFailure, match="kaput"):
-            evaluate_experiment(boom, np.ones((2, 2)))
+            evaluate_experiment(Boom(), np.ones((2, 2)))
 
     def test_wrong_length_output(self):
         class Short:
@@ -261,8 +257,8 @@ class TestAlgorithm1:
     def test_linear_g_recovers_analytic_subspace(self, pipe_system, pipe_basis):
         a = np.array([3.0, 1.0])
         experiment = RidgeExperiment(pipe_basis.w, pipe_basis.W, linear_g(a))
-        result = algorithm1(experiment, pipe_system, pipe_basis, BOX,
-                            small_config(degree=1))
+        result, _ = algorithm1(experiment, pipe_system, pipe_basis, BOX,
+                               small_config(degree=1))
         assert result.eigenvalues[0] == pytest.approx(10.0, rel=1e-8)
         assert result.eigenvalues[1] == pytest.approx(0.0, abs=1e-8)
         u1 = result.U[:, 0]
@@ -278,7 +274,7 @@ class TestAlgorithm1:
 
     def test_budget_counts_design_and_holdout(self, pipe_system, pipe_basis):
         counter = CountingExperiment(PipeFlowExperiment())
-        result = algorithm1(counter, pipe_system, pipe_basis, BOX, small_config())
+        result, _ = algorithm1(counter, pipe_system, pipe_basis, BOX, small_config())
         assert counter.count == 60 + 20
         assert result.metadata["evaluations"] == 60
         assert result.metadata["holdout_evaluations"] == 20
@@ -287,7 +283,7 @@ class TestAlgorithm1:
     def test_returned_surface_supports_prediction(self, pipe_system, pipe_basis):
         experiment = PipeFlowExperiment()
         result, surface = algorithm1(experiment, pipe_system, pipe_basis, BOX,
-                                     small_config(design=200), return_surface=True)
+                                     small_config(design=200))
         q = np.array([0.12, 5e-6, 0.75, 1e-3, 3.0])
         pred = predict_dependent(surface, pipe_basis.w, pipe_basis.W, q)
         truth = experiment(q)
@@ -345,6 +341,29 @@ class TestAlgorithm2:
         assert signed_column_distance(r2.U, r1.U) < basis_tol
         assert signed_column_distance(r2.Z, r1.Z) < basis_tol
 
+    @pytest.mark.parametrize("regime", ["laminar", "turbulent", "high_re"])
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    def test_input_units_leave_groups_and_eigenvalues_unchanged(self, pipe_system, pipe_basis,
+                                                                regime, k):
+        # base units (kg, m, s) rescaled by s = 10^k multiply the inputs by
+        # c = exp(D^T log s) and the output by c_out = exp(v^T log s)
+        log_s = np.log(10.0) * np.array(k)
+        c = np.exp(build_dimension_matrix(pipe_system).T @ log_s)
+        c_out = np.exp(pipe_system.dependent.dims.as_array() @ log_s)
+        base = PipeFlowExperiment()
+
+        class Rescaled:
+            def evaluate_batch(self, Q):
+                return c_out * base.evaluate_batch(Q / c)
+
+        box = regime_box(regime)
+        r1 = algorithm2(base, pipe_system, pipe_basis, box, small_config())
+        r2 = algorithm2(Rescaled(), pipe_system, pipe_basis,
+                        RegimeBox(box.lower * c, box.upper * c), small_config())
+        assert signed_column_distance(r2.Z, r1.Z) <= 1e-7
+        assert np.max(np.abs(r2.eigenvalues - r1.eigenvalues)) <= 1e-7 * r1.eigenvalues[0]
+
     def test_monte_carlo_rule_accepted(self, pipe_system, pipe_basis):
         experiment = PipeFlowExperiment()
         result = algorithm2(experiment, pipe_system, pipe_basis, BOX,
@@ -360,8 +379,8 @@ class TestAlgorithmAgreement:
 
     def test_quadratic_g_gives_matching_subspaces(self, pipe_system, pipe_basis):
         experiment = self.quadratic_setup(pipe_basis)
-        r1 = algorithm1(experiment, pipe_system, pipe_basis, BOX,
-                        small_config(design=120, degree=2, quad="tensor:5"))
+        r1, _ = algorithm1(experiment, pipe_system, pipe_basis, BOX,
+                           small_config(design=120, degree=2, quad="tensor:5"))
         r2 = algorithm2(experiment, pipe_system, pipe_basis, BOX,
                         small_config(quad="tensor:5"))
         assert subspace_distance(r1.U, r2.U, 1) < 1e-4
@@ -371,13 +390,13 @@ class TestAlgorithmAgreement:
         # re-basing the null space must not move the unique groups
         experiment = self.quadratic_setup(pipe_basis)
         config = small_config(design=120, degree=2, quad="tensor:5")
-        reference = algorithm1(experiment, pipe_system, pipe_basis, BOX, config)
+        reference, _ = algorithm1(experiment, pipe_system, pipe_basis, BOX, config)
         lam = reference.eigenvalues
         assert lam[0] - lam[1] > 1e-3 * lam[0]
         for seed in range(10):
             Q = random_orthogonal(2, 600 + seed)
             rebased = PiBasis(w=pipe_basis.w, W=pipe_basis.W @ Q)
-            result = algorithm1(experiment, pipe_system, rebased, BOX, config)
+            result, _ = algorithm1(experiment, pipe_system, rebased, BOX, config)
             assert signed_column_distance(result.Z, reference.Z) < 1e-6
 
 
@@ -432,7 +451,7 @@ class TestPredictDependent:
     def test_monomial_law_recovered_in_box(self, pipe_system, pipe_basis):
         experiment = RidgeExperiment(pipe_basis.w, pipe_basis.W, lambda G: np.full(len(G), 2.5))
         _, surface = algorithm1(experiment, pipe_system, pipe_basis, BOX,
-                                small_config(design=100, degree=2), return_surface=True)
+                                small_config(design=100, degree=2))
         gen = np.random.default_rng(6)
         for _ in range(20):
             q = BOX.lower + gen.random(5) * BOX.widths

@@ -346,7 +346,7 @@ class TestAnalyzeCommand:
     def test_algorithm2_outputs_and_budget(self, tmp_path):
         out = tmp_path / "run"
         rc = main([
-            "analyze", "--experiment", "pipe", "--regime", "turbulent",
+            "analyze", "--regime", "turbulent",
             "--algorithm", "2", "--h", "1e-6", "--quad", "tensor:3",
             "--out-dir", str(out),
         ])
@@ -360,6 +360,12 @@ class TestAnalyzeCommand:
         lines = (out / "exponents.csv").read_text().strip().splitlines()
         assert lines[0] == "variable,z_1,z_2"
         assert len(lines) == 7
+
+    def test_removed_experiment_option_is_refused(self, tmp_path, capsys):
+        # not taken as an abbreviation of --experiment-cmd
+        assert main(["analyze", "--experiment", "pipe", "--regime", "turbulent",
+                     "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")]) == 2
+        assert "unrecognized arguments: --experiment pipe" in capsys.readouterr().err
 
     def test_result_json_is_byte_identical_across_runs(self, tmp_path):
         args = ["analyze", "--regime", "turbulent", "--algorithm", "2",
@@ -512,7 +518,18 @@ class TestAnalyzeCommand:
         ("workers", None, "--workers must be at least 1, got None"),
         ("batch_size", "10", "batch size must be at least 1, got 10"),
         ("timeout", "30", "--timeout must be a positive number of seconds, got 30"),
-    ], ids=["null-workers", "string-batch-size", "string-timeout"])
+        ("algorithm", 3, "--algorithm must be 1 or 2, got 3"),
+        ("algorithm", "1", "--algorithm must be 1 or 2, got '1'"),
+        ("pressure_formula", "bogus",
+         "pressure_formula must be 'fanning' or 'darcy', got 'bogus'"),
+        ("h", "1e-6", "--h must be a positive number, got '1e-6'"),
+        ("degree", 2.5, "--degree must be an integer, got 2.5"),
+        ("seed", 1.5, "--seed must be an integer, got 1.5"),
+        ("seed", True, "--seed must be an integer, got True"),
+        ("re_crit", [1], "--re-crit must be a number or 'none', got [1]"),
+    ], ids=["null-workers", "string-batch-size", "string-timeout", "algorithm-3",
+            "string-algorithm", "pressure-formula", "string-h", "float-degree", "float-seed",
+            "boolean-seed", "list-re-crit"])
     def test_mistyped_option_in_config_file_is_config_error(self, tmp_path, capsys, key, value,
                                                             message):
         cfg = tmp_path / "cfg.json"
@@ -524,14 +541,21 @@ class TestAnalyzeCommand:
     def test_null_seed_in_config_file_still_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": None}))
-        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3",
-                     "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 0
+        for algorithm in ("1", "2"):
+            out = tmp_path / algorithm
+            assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3",
+                         "--algorithm", algorithm, "--design", "50", "--holdout", "10",
+                         "--config", str(cfg), "--out-dir", str(out)]) == 0
+            # the seed is drawn once; the manifest and the result record it
+            seed = json.loads((out / "manifest.json").read_text())["seed"]
+            assert isinstance(seed, int) and seed >= 0
+            assert json.loads((out / "result.json").read_text())["metadata"]["seed"] == seed
 
     def test_negative_holdout_is_config_error(self, tmp_path, capsys):
         rc = main(["analyze", "--regime", "turbulent", "--algorithm", "1", "--holdout", "-5",
                    "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
-        assert "hold-out size must be nonnegative, got -5" in capsys.readouterr().err
+        assert "--holdout must be nonnegative, got -5" in capsys.readouterr().err
         assert not (tmp_path / "x" / "manifest.json").exists()
 
     @pytest.mark.parametrize("side,value", [(0, float("nan")), (1, float("inf"))])
@@ -549,7 +573,7 @@ class TestAnalyzeCommand:
     def test_failing_external_experiment_exit_code(self, tmp_path):
         cmd = write_script(tmp_path, "fail.py", FAIL_SCRIPT)
         rc = main(["analyze", "--experiment-cmd", " ".join(cmd),
-                   "--experiment", "pipe", "--regime", "turbulent",
+                   "--regime", "turbulent",
                    "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
         assert rc == 4
 
@@ -561,7 +585,7 @@ class TestAnalyzeCommand:
                                                                  script, message):
         cmd = write_script(tmp_path, "bad.py", script)
         rc = main(["analyze", "--experiment-cmd", " ".join(cmd),
-                   "--experiment", "pipe", "--regime", "turbulent",
+                   "--regime", "turbulent",
                    "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
         assert rc == 4
         assert message in capsys.readouterr().err

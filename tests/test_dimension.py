@@ -14,7 +14,6 @@ from pigroups.dimension import (
     matrix_rank,
     nullspace_basis,
     parse_unit_expr,
-    pi_basis,
     solve_output_exponents,
 )
 from pigroups.errors import (
@@ -264,15 +263,6 @@ class TestPiBasis:
         assert np.max(np.abs(pipe_basis.W.T @ pipe_basis.W - np.eye(2))) < 1e-12
         assert np.max(np.abs(D @ pipe_basis.w - v_q)) < 1e-12
         assert np.array_equal(pipe_basis.w, PIPE_W)  # pinned vector wins
-
-    def test_explicit_w_accepted_when_consistent(self, pipe_system):
-        w = PIPE_W + nullspace_basis(PIPE_D)[:, 0]  # still solves D w = v(q)
-        basis = pi_basis(pipe_system, w=w)
-        assert np.array_equal(basis.w, w)
-
-    def test_explicit_w_rejected_when_inconsistent(self, pipe_system):
-        with pytest.raises(Inconsistent):
-            pi_basis(pipe_system, w=np.zeros(5))
 
     def test_random_integer_systems_satisfy_invariants(self):
         rng = np.random.default_rng(17)

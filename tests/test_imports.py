@@ -10,7 +10,9 @@ syntax tree:
   its first run to raise ``NameError``;
 * every public top-level function or class must be exported by the
   package or referenced by name somewhere in it, so code whose only
-  caller is its own test does not stay behind.
+  caller is its own test does not stay behind;
+* every defaulted parameter of a public function or method must be passed
+  by some call in the package, so no knob stays that only a test turns.
 
 The others check that the package resolves its public names on first use,
 so a process loads only the modules it needs.
@@ -83,6 +85,47 @@ def unreferenced_definitions(sources: dict[str, str], exported) -> list[str]:
     )
 
 
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """``module:function(parameter)`` of each defaulted parameter of a public
+    top-level function, or of a public method or constructor of a public
+    class, that no call in the sources passes by keyword or by position. A
+    call matches a definition by its name alone (a class name for
+    ``__init__``), and a call with ``*`` or ``**`` arguments passes them all."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, tree in trees.items():
+        defs = [(node.name, node, 0) for node in tree.body
+                if isinstance(node, functions) and not node.name.startswith("_")]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                defs += [(cls.name if item.name == "__init__" else item.name, item, 1)
+                         for item in cls.body if isinstance(item, functions)
+                         and (item.name == "__init__" or not item.name.startswith("_"))]
+        for name, node, skip in defs:
+            positional = (node.args.posonlyargs + node.args.args)[skip:]
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(node.args.defaults)]
+            defaulted += [(None, a.arg) for a, d in
+                          zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+            for index, arg in defaulted:
+                if not any(
+                    any(k.arg in (arg, None) for k in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (index is not None and len(call.args) > index)
+                    for call in calls.get(name, [])
+                ):
+                    found.append(f"{module}:{name}({arg})")
+    return sorted(found)
+
+
 def test_checker_finds_unused_names():
     source = "import os\nimport numpy as np\nfrom a.b import c, d\nnp.zeros(c)\n"
     assert unused_imports(source) == ["d", "os"]
@@ -108,6 +151,24 @@ def test_checker_finds_unreferenced_definitions():
                 "def attribute():\n    pass\nclass Spare:\n    pass\n",
     }
     assert unreferenced_definitions(sources, exported=["Shown"]) == ["a.py:spare", "b.py:Spare"]
+
+
+def test_checker_finds_unpassed_defaults():
+    sources = {
+        "a.py": "def f(x, y=1, *, z=2):\n    pass\n"
+                "def g(x, y=1):\n    pass\n"
+                "def _h(x=1):\n    pass\n"
+                "class K:\n    def __init__(self, a=1):\n        pass\n"
+                "    def m(self, b=1, c=2):\n        pass\n",
+        "b.py": "f(0, z=3)\ng(0, **kw)\nK()\nk.m(5)\n",
+    }
+    assert unpassed_defaults(sources) == ["a.py:K(a)", "a.py:f(y)", "a.py:m(c)"]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    sources = {module: (PACKAGE / module).read_text() for module in ALL_MODULES}
+    # the entry point's argv is set by the interpreter's caller, not the package
+    assert [d for d in unpassed_defaults(sources) if d != "cli.py:main(argv)"] == []
 
 
 def test_every_public_definition_is_exported_or_referenced():

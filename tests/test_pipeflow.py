@@ -94,11 +94,29 @@ class TestColebrook:
                            r"point 2 \(Re=100000\.0, rel_rough=1\.5\)$"):
             colebrook(1e5, np.array([[1e-3, 1e-2], [1.5, 1e-3]]))
 
-    def test_nonpositive_logarithm_names_the_point(self):
-        # at Re = 1e-3 the Haaland seed is negative, so a + b t < 0 at once
+    def test_nonpositive_logarithm_names_the_point(self, monkeypatch):
+        # no input leaves the domain; with the log term's slope c = 0, Newton
+        # becomes the fixed-point step t <- -2 log10(a + b t), which at Re = 1
+        # overshoots to t < 0 on its second step
+        monkeypatch.setattr(pipeflow, "_LN10", math.inf)
         with pytest.raises(InvalidArgument, match=r"^logarithm argument became nonpositive "
-                           r"at point 1 \(Re=0\.001, rel_rough=0\.0\)$"):
-            colebrook(np.array([1e5, 1e-3, 1e-3]), 0.0)
+                           r"at point 1 \(Re=1\.0, rel_rough=0\.0\)$"):
+            colebrook(np.array([1e5, 1.0, 1.0]), 0.0)
+
+    @pytest.mark.parametrize("Re", [1e-6, 1e-3, 1.0, 5.0, 6.9])
+    @pytest.mark.parametrize("rel_rough", [0.0, 1e-3])
+    def test_below_the_haaland_range_matches_bisection_on_t(self, Re, rel_rough):
+        # the Haaland seed is not positive here; bisect F(t) = t + 2 log10(a + b t)
+        # on (0, Re/2.51], where F < 0 near 0 and F > 0 at the right end
+        a, b = rel_rough / 3.7, 2.51 / Re
+        lo, hi = 0.0, 1.0 / b
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid + 2.0 * math.log10(a + b * mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        assert colebrook(Re, rel_rough) == pytest.approx(1.0 / lo**2, rel=1e-12)
 
     def test_no_convergence_names_the_point(self, monkeypatch):
         # three steps converge at Re = 1e5 and 1e6 but not at Re = 100
@@ -125,16 +143,18 @@ class TestColebrook:
             friction_factor(np.array([1e5, Re, 1e6]), np.array([1e-3, rel_rough, 1e-3]),
                             re_crit=3000.0)
 
-    def test_branch_failure_names_the_callers_index(self):
+    def test_branch_failure_names_the_callers_index(self, monkeypatch):
         # a non-finite point is rejected on the caller's arrays, before the branch split
         with pytest.raises(InvalidArgument, match=r"must be finite at point 2 "
                            r"\(Re=6000\.0, rel_rough=nan\)$"):
             friction_factor(np.array([500.0, 5e3, 6e3]), np.array([1e-3, 1e-3, np.nan]),
                             re_crit=3000.0)
-        # only point 2 reaches Colebrook, as the first of its branch
-        with pytest.raises(InvalidArgument, match=r"nonpositive at point 2 "
-                           r"\(Re=0\.001, rel_rough=0\.0\)$"):
-            friction_factor(np.array([1e-5, 1e-5, 1e-3]), 0.0, re_crit=1e-4)
+        # only point 2 reaches Colebrook, as the first of its branch, and three
+        # Newton steps do not converge at Re = 100
+        monkeypatch.setattr(pipeflow, "_MAX_ITER", 3)
+        with pytest.raises(NoConvergence, match=r"first unconverged point 2 "
+                           r"\(Re=100\.0, rel_rough=0\.001\)$"):
+            friction_factor(np.array([10.0, 10.0, 100.0]), 1e-3, re_crit=50.0)
 
     def test_vectorized_matches_scalar(self):
         Re = np.array([1e4, 1e5, 1e6])
@@ -388,20 +408,21 @@ class TestEvaluationBlocks:
         assert [len(b) for b in blocks] == [_BLOCK_ROWS, _BLOCK_ROWS, 5]
         assert np.array_equal(experiment.evaluate_batch(Q), np.concatenate(blocks))
 
-    def test_bad_row_in_a_later_block_names_its_global_index(self):
+    def test_bad_row_in_a_later_block_names_its_global_index(self, monkeypatch):
         bad = 2 * _BLOCK_ROWS + 3
         Q = block_points(*COLEBROOK_BLOCKS)
         Q[bad, 3] = np.nan
         with pytest.raises(InvalidArgument, match=rf"must be finite at point {bad} "):
             PipeFlowExperiment().evaluate_batch(Q)
         # with a re_crit, the index passes through the block and the Colebrook subset:
-        # Re = 1e-5 rows take Poiseuille, row bad - 2 (Re = 1e5) converges and row
-        # bad (Re = 1e-3, smooth) gives a negative Newton seed
+        # Re = 1e-5 rows take Poiseuille; in three Newton steps row bad - 2
+        # (Re = 1e5) converges and row bad (Re = 100) does not
+        monkeypatch.setattr(pipeflow, "_MAX_ITER", 3)
         Q = np.tile([1.0, 1.0, 1.0, 0.0, 1e-5], (self.N_ROWS, 1))
         Q[bad - 2, 4] = 1e5
-        Q[bad, 4] = 1e-3
-        with pytest.raises(InvalidArgument, match=rf"nonpositive at point {bad} "
-                           r"\(Re=0\.001, rel_rough=0\.0\)$"):
+        Q[bad, 4] = 100.0
+        with pytest.raises(NoConvergence, match=rf"first unconverged point {bad} "
+                           r"\(Re=100\.0, rel_rough=0\.0\)$"):
             PipeFlowExperiment(re_crit=1e-4).evaluate_batch(Q)
 
     def test_each_row_agrees_with_its_single_evaluation(self):

@@ -166,11 +166,11 @@ class TestUniqueGroups:
 
     def test_rejects_nonorthonormal_w(self):
         with pytest.raises(ValueError):
-            unique_groups(np.ones((4, 2)), np.eye(2))
+            unique_groups(np.ones((4, 2)), np.eye(2), list("abcd"))
 
     def test_shape_mismatch(self, pipe_basis):
         with pytest.raises(ShapeMismatch):
-            unique_groups(pipe_basis.W, np.eye(3))
+            unique_groups(pipe_basis.W, np.eye(3), list("abcde"))
 
 
 class TestExpressInClassical:
