@@ -40,6 +40,7 @@ from .errors import (
     ToolkitError,
 )
 from .quadrature import (
+    GL_MAX_POINTS,
     QuadratureRule,
     RegimeBox,
     latin_hypercube,
@@ -70,7 +71,8 @@ DIMENSIONLESS_TOL = 1e-10
 class AlgorithmConfig:
     """Knobs shared by both algorithms.
 
-    ``quad`` is either ``tensor:<points per dimension>`` or ``mc:<points>``;
+    ``quad`` is either ``tensor:<points per dimension>``, 1 to
+    ``GL_MAX_POINTS``, or ``mc:<points>``, at least 1;
     ``design`` and ``holdout`` only matter for the surface route, ``h``
     only for finite differences.
     """
@@ -99,7 +101,13 @@ class AlgorithmConfig:
         kind, _, arg = str(self.quad).partition(":")
         if kind not in ("tensor", "mc") or not arg.isdigit():
             raise ValueError(f"--quad must be 'tensor:<p>' or 'mc:<N>', got {self.quad!r}")
-        return kind, int(arg)
+        count = int(arg)
+        if count < 1:
+            raise ValueError(f"--quad needs at least one point, got {self.quad!r}")
+        if kind == "tensor" and count > GL_MAX_POINTS:
+            raise ValueError(
+                f"--quad tensor:<p> needs p at most {GL_MAX_POINTS}, got {self.quad!r}")
+        return kind, count
 
 
 def build_rule(box: RegimeBox, config: AlgorithmConfig) -> QuadratureRule:

@@ -39,6 +39,7 @@ from .dimension import (
     solve_output_exponents,
 )
 from .errors import (
+    EXTERNAL_DEFAULTS,
     ExperimentTimeout,
     ExponentOverflow,
     ParseFailure,
@@ -73,9 +74,7 @@ _DEFAULTS = {
     "algorithm": 2,
     **{f.name: f.default for f in fields(AlgorithmConfig)},
     **{f.name: f.default for f in fields(PipeFlowExperiment)},
-    "timeout": None,
-    "batch_size": 20000,
-    "workers": 1,
+    **EXTERNAL_DEFAULTS,
 }
 
 
@@ -172,7 +171,9 @@ def _common_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pressure-formula", choices=("fanning", "darcy"),
                    help="pipe pressure-gradient formula (default fanning)")
     p.add_argument("--timeout", type=float, help="per-batch timeout for external experiments")
-    p.add_argument("--batch-size", type=int, help="rows per external batch")
+    p.add_argument("--batch-size", type=int,
+                   help="most rows per external batch; a larger call is split into "
+                        f"batches of equal size (default {EXTERNAL_DEFAULTS['batch_size']})")
     p.add_argument("--workers", type=int, help="concurrent external processes")
     p.add_argument("--config", help="JSON file of option defaults")
     p.add_argument("--out-dir", default=".", help="directory for result files")

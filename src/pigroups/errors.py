@@ -1,9 +1,9 @@
-"""Exception types shared across the toolkit, and the range check of the
-external-run options.
+"""Exception types shared across the toolkit, and the defaults and range
+check of the external-run options.
 
-The option check lives here, in the one module that every other imports
-and that imports nothing heavy, so the command line can apply it to every
-analysis command without loading ``pigroups.external``.
+The options live here, in the one module that every other imports and
+that imports nothing heavy, so the command line can fill in and check them
+for every analysis command without loading ``pigroups.external``.
 """
 
 import math
@@ -136,6 +136,13 @@ class ParseFailure(ToolkitError):
 
 class ExperimentTimeout(ToolkitError):
     """An external experiment exceeded its time budget."""
+
+
+# defaults of the external-run options, keyed by their config names. A
+# child's peak memory grows with its batch; 2**15 rows is the largest round
+# batch at which the pipe-model child (perfbench/pipe_child.py) peaks below
+# the CLI process that launches it.
+EXTERNAL_DEFAULTS = {"timeout": None, "batch_size": 2**15, "workers": 1}
 
 
 def check_external_options(timeout, batch_size, n_workers) -> None:

@@ -255,9 +255,6 @@ class PipeFlowExperiment:
                 out[s:s + _BLOCK_ROWS] = lam * rho * V**2 / (2.0 * D)
         return out
 
-    def __call__(self, q_vec) -> float:
-        return float(self.evaluate_batch(np.asarray(q_vec, dtype=float)[None, :])[0])
-
 
 def moody_grid(re_crit: float) -> np.ndarray:
     """Rows of (log10 Re, log10 rel_rough, lambda) for plotting the chart."""

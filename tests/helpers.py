@@ -45,8 +45,10 @@ class RidgeExperiment:
         X = np.log(np.atleast_2d(np.asarray(points, dtype=float)))
         return np.exp(X @ self.w) * self.fn(X @ self.W)
 
-    def __call__(self, q_vec):
-        return float(self.evaluate_batch(np.asarray(q_vec, dtype=float)[None, :])[0])
+
+def evaluate_point(experiment, q_vec) -> float:
+    """The experiment's value at one point, evaluated as a batch of one row."""
+    return float(experiment.evaluate_batch(np.asarray(q_vec, dtype=float)[None, :])[0])
 
 
 def linear_g(a, c0=2.0):
@@ -97,7 +99,7 @@ def fd_gradient(experiment, q_vec, pi_base: float, w, W, h: float) -> np.ndarray
     for k in range(n):
         shifted = np.exp(logq + h * W[:, k])
         try:
-            q_shift = float(experiment(shifted))
+            q_shift = evaluate_point(experiment, shifted)
         except Exception as exc:
             raise ExperimentFailure(
                 f"experiment failed at shifted point {shifted.tolist()}: {exc!r}"

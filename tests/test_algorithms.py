@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     RidgeExperiment,
+    evaluate_point,
     exp_g,
     fd_gradient,
     fd_shift_point,
@@ -156,23 +157,24 @@ class TestFdGradient:
         experiment = PipeFlowExperiment()
         q = np.array([0.12, 5e-6, 0.75, 1e-3, 3.0])
         w, W = pipe_basis.w, pipe_basis.W
-        pi0 = experiment(q) * float(np.exp(-w @ np.log(q)))
+        pi0 = evaluate_point(experiment, q) * float(np.exp(-w @ np.log(q)))
         grad = fd_gradient(experiment, q, pi0, w, W, 1e-6)
         step = 1e-7
         for k in range(2):
             up = fd_shift_point(q, W, k, step)
             dn = fd_shift_point(q, W, k, -step)
-            pi_up = experiment(up) * float(np.exp(-w @ np.log(up)))
-            pi_dn = experiment(dn) * float(np.exp(-w @ np.log(dn)))
+            pi_up = evaluate_point(experiment, up) * float(np.exp(-w @ np.log(up)))
+            pi_dn = evaluate_point(experiment, dn) * float(np.exp(-w @ np.log(dn)))
             central = (pi_up - pi_dn) / (2 * step)
             assert grad[k] == pytest.approx(central, rel=5e-6)
 
     def test_failure_carries_the_point(self, pipe_basis):
-        def flaky(q):
-            raise ValueError("sensor died")
+        class Flaky:
+            def evaluate_batch(self, points):
+                raise ValueError("sensor died")
 
         with pytest.raises(ExperimentFailure, match="sensor died"):
-            fd_gradient(flaky, np.ones(5), 1.0, pipe_basis.w, pipe_basis.W, 1e-6)
+            fd_gradient(Flaky(), np.ones(5), 1.0, pipe_basis.w, pipe_basis.W, 1e-6)
 
 
 def fd_tolerance(X, w, values, h):
@@ -209,7 +211,7 @@ class TestSharedForwardDifferences:
         tol = fd_tolerance(X, w, seen["pi"], h)
         assert seen["grads"].shape == (3**5, 2)
         for q, x, pi, grad in zip(seen["points"], X, seen["pi"], seen["grads"]):
-            pi_base = experiment(q) * float(np.exp(-w @ x))
+            pi_base = evaluate_point(experiment, q) * float(np.exp(-w @ x))
             assert abs(pi - pi_base) <= tol * h
             oracle = fd_gradient(experiment, q, pi_base, w, W, h)
             assert np.max(np.abs(grad - oracle)) <= tol
@@ -242,7 +244,7 @@ class TestSharedForwardDifferences:
         h = 1e-4
         rule = tensor_rule(BOX, 3)
         m = BOX.m
-        values = np.array([experiment(q) for q in rule.points])
+        values = np.array([evaluate_point(experiment, q) for q in rule.points])
         G = np.array([
             fd_gradient(experiment, q, f0, np.zeros(m), np.eye(m), h)
             for q, f0 in zip(rule.points, values)
@@ -286,7 +288,7 @@ class TestAlgorithm1:
                                      small_config(design=200))
         q = np.array([0.12, 5e-6, 0.75, 1e-3, 3.0])
         pred = predict_dependent(surface, pipe_basis.w, pipe_basis.W, q)
-        truth = experiment(q)
+        truth = evaluate_point(experiment, q)
         assert pred == pytest.approx(truth, rel=0.05)
 
 
@@ -456,7 +458,7 @@ class TestPredictDependent:
         for _ in range(20):
             q = BOX.lower + gen.random(5) * BOX.widths
             pred = predict_dependent(surface, pipe_basis.w, pipe_basis.W, q)
-            assert pred == pytest.approx(experiment(q), rel=1e-8)
+            assert pred == pytest.approx(evaluate_point(experiment, q), rel=1e-8)
 
     def test_positive_inputs_required(self, pipe_basis):
         surface = fit_polynomial(np.random.default_rng(0).normal(size=(10, 2)),

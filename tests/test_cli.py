@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from pigroups import jsonio
 from pigroups.cli import fit_loglog_slope, main
 from pigroups.dimension import QuantitySystem
 from pigroups.errors import ExperimentTimeout, ParseFailure, SubprocessFailure
-from pigroups.external import ExternalExperiment, _encode_rows
+from pigroups.external import _CHUNK_ROWS, ExternalExperiment, _encode_request, _encode_rows
 from pigroups.pipeflow import (
     SYMBOLS,
     PipeFlowExperiment,
@@ -85,6 +86,26 @@ for line in sys.stdin.read().splitlines()[1:]:
         sys.stdout.buffer.write(b"%r\\n" % first)
     elif sys.argv[1] != "short":
         sys.stdout.buffer.write(reply + b"\\n")
+"""
+
+# appends the row count of each request to the file named by argv[1] and
+# echoes each row's first value, except that the row whose first value is
+# argv[2] gets "nan"
+SIZE_SCRIPT = """\
+import sys
+rows = sys.stdin.read().splitlines()[1:]
+with open(sys.argv[1], "a") as fh:
+    fh.write("%d\\n" % len(rows))
+for line in rows:
+    first = line.split(",")[0]
+    print("nan" if float(first) == float(sys.argv[2]) else first)
+"""
+
+# answers 1 per row without parsing the request
+ONES_SCRIPT = """\
+import sys
+data = sys.stdin.buffer.read()
+sys.stdout.write("1\\n" * (data.count(b"\\n") - 1))
 """
 
 FORM_FEED_SCRIPT = """\
@@ -178,13 +199,52 @@ class TestExternalExperiment:
                    2.0 / 3.0, 123456789.12345679, 1e-300, -2.5e-310, 1e22, 0.0]
         Q = np.concatenate([np.resize(special, (11, 5)),
                             np.random.default_rng(4).lognormal(0.0, 30.0, size=(9, 5))])
-        batch_size = 6
+        # 20 rows in batches of at most 6: four batches of 5
         values = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS,
-                                    batch_size=batch_size).evaluate_batch(Q)
+                                    batch_size=6).evaluate_batch(Q)
         assert np.array_equal(values, np.ones(20))
-        want = "".join(csv_request(SYMBOLS, Q[s:s + batch_size])
-                       for s in range(0, 20, batch_size))
+        want = "".join(csv_request(SYMBOLS, Q[s:s + 5]) for s in range(0, 20, 5))
         assert log.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 15], ids=["1", "B-1", "B", "B+1", "2B+1"])
+    def test_a_call_is_split_into_batches_of_equal_size(self, tmp_path, n):
+        batch_size = 7
+        log = tmp_path / "sizes.txt"
+        Q = np.ones((n, 5))
+        Q[:, 0] = np.arange(n)
+        external = ExternalExperiment(command=tuple(write_script(tmp_path, "sizes.py", SIZE_SCRIPT)
+                                                    + [str(log), "-1"]),
+                                      symbols=SYMBOLS, batch_size=batch_size)
+        assert np.array_equal(external.evaluate_batch(Q), Q[:, 0])
+        sizes = [int(line) for line in log.read_text().split()]
+        assert len(sizes) == -(-n // batch_size)
+        assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+        # the last row fails under its index in the call, in the last batch
+        failing = ExternalExperiment(command=external.command[:-1] + (str(n - 1),),
+                                     symbols=SYMBOLS, batch_size=batch_size)
+        with pytest.raises(ParseFailure, match=f"^row {n - 1}: unparseable output 'nan'$"):
+            failing.evaluate_batch(Q)
+
+    def test_sending_a_batch_allocates_little_on_the_heap(self, tmp_path):
+        # the whole turbulent tensor:9 rule, 59,049 rows, as one batch: a
+        # request of 5.8 MB, written into a memory map that tracemalloc does
+        # not trace. The chunks' temporaries, the reply and the result
+        # measured 1.6 MB traced; encoding the batch in one piece measured
+        # 12.7 MB (its text, the bytes and the temporaries)
+        Q = tensor_rule(regime_box("turbulent"), 9).points
+        external = ExternalExperiment(command=tuple(write_script(tmp_path, "ones.py",
+                                                                 ONES_SCRIPT)),
+                                      symbols=SYMBOLS, batch_size=60000)
+        assert len(_encode_request(SYMBOLS, Q)) > 5 * 2**20
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            values = external.evaluate_batch(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values, np.ones(Q.shape[0]))
+        assert peak - before <= 3 * 2**20
 
     def test_request_is_utf8_whatever_the_locale(self, tmp_path):
         # the parent runs in the C locale with UTF-8 mode off, where the
@@ -234,9 +294,9 @@ class TestExternalExperiment:
 
 
 class TestBatchEncoder:
-    """The batch body matches the per-value encoder on both of its paths: each
-    distinct value formatted once (at most half the values distinct) and
-    each value formatted on its own."""
+    """The request matches the per-value encoder on both of the chunk
+    encoder's paths: each distinct value formatted once (at most half the
+    chunk's values distinct) and each value formatted on its own."""
 
     @staticmethod
     def assert_matches_per_value(Q):
@@ -252,10 +312,10 @@ class TestBatchEncoder:
         runs = [points] + [np.exp(X + 1e-6 * pipe_basis.W[:, k])
                            for k in range(pipe_basis.n)]
         for Q in runs:
-            for s in range(0, Q.shape[0], 20000):
-                batch = Q[s:s + 20000]
-                assert self.distinct_share(batch) <= 0.5
-                self.assert_matches_per_value(batch)
+            for s in range(0, Q.shape[0], _CHUNK_ROWS):
+                chunk = Q[s:s + _CHUNK_ROWS]
+                assert self.distinct_share(chunk) <= 0.5
+                self.assert_matches_per_value(chunk)
 
     def test_monte_carlo_batch(self):
         Q = monte_carlo_rule(regime_box("turbulent"), 20000, seed=5).points
@@ -269,6 +329,22 @@ class TestBatchEncoder:
     def test_zero_and_negative_zero_stay_apart(self, Q):
         assert self.distinct_share(Q) <= 0.5
         self.assert_matches_per_value(Q)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("distinct", ["few", "most"])
+    def test_request_of_chunk_size_and_one_row_either_side(self, extra, distinct):
+        rows = _CHUNK_ROWS + extra
+        if distinct == "few":
+            # each row holds two distinct values, so even a one-row chunk gathers
+            Q = np.resize([0.0, -0.0, 0.0, -0.0, 0.0, 2.5, 1.0 / 3.0, 2.5, 2.5, 1.0 / 3.0],
+                          (rows, 5))
+        else:
+            Q = np.random.default_rng(rows).lognormal(0.0, 30.0, size=(rows, 5))
+            Q[::7, 2] = -0.0
+        for s in range(0, rows, _CHUNK_ROWS):
+            share = self.distinct_share(Q[s:s + _CHUNK_ROWS])
+            assert share <= 0.5 if distinct == "few" else share > 0.5
+        assert bytes(_encode_request(SYMBOLS, Q)) == csv_request(SYMBOLS, Q).encode()
 
     @pytest.mark.parametrize("Q", [
         np.array([[1.0 / 3.0]]),
@@ -536,6 +612,24 @@ class TestAnalyzeCommand:
         cfg.write_text(json.dumps({key: value}))
         assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3",
                      "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("quad,message", [
+        ("mc:0", "--quad needs at least one point, got 'mc:0'"),
+        ("tensor:0", "--quad needs at least one point, got 'tensor:0'"),
+        ("tensor:65", "--quad tensor:<p> needs p at most 64, got 'tensor:65'"),
+    ])
+    def test_quad_point_count_out_of_range_is_config_error(self, tmp_path, capsys, source,
+                                                           quad, message):
+        if source == "flag":
+            options = ["--quad", quad]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"quad": quad}))
+            options = ["--config", str(cfg)]
+        assert main(["analyze", "--regime", "turbulent", *options,
+                     "--out-dir", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
 
     def test_null_seed_in_config_file_still_runs(self, tmp_path):

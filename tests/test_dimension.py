@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import evaluate_point
 from pigroups.dimension import (
     DimensionVector,
     PiBasis,
@@ -182,7 +183,8 @@ class TestNondimOutput:
     def test_pipe_point_equals_half_friction_factor(self):
         from pigroups.pipeflow import RE_CRITICAL, PipeFlowExperiment
         q_vec = np.array([0.12, 5e-6, 0.65, 5e-5, 0.0275])
-        q = PipeFlowExperiment(re_crit=RE_CRITICAL, pressure_formula="darcy")(q_vec)
+        experiment = PipeFlowExperiment(re_crit=RE_CRITICAL, pressure_formula="darcy")
+        q = evaluate_point(experiment, q_vec)
         pi = q * np.exp(-PIPE_W @ np.log(q_vec))
         re = 0.12 * 0.0275 * 0.65 / 5e-6
         lam = 64.0 / re

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import evaluate_point
 from pigroups import pipeflow
 from pigroups.dimension import build_dimension_matrix
 from pigroups.errors import InvalidArgument, NoConvergence, ToolkitError, UnknownRegime
@@ -218,7 +219,7 @@ class TestPressureLoss:
     def test_hand_chain_at_re_429(self):
         q = np.array([0.12, 5e-6, 0.65, 5e-5, 0.0275])
         expected = (64.0 / 429.0) * 0.12 * 0.0275**2 / (2.0 * 0.65)
-        value = TEXTBOOK(q)
+        value = evaluate_point(TEXTBOOK, q)
         assert value == pytest.approx(expected, rel=1e-13)
         assert value == pytest.approx(1.0414e-5, rel=1e-3)
 
@@ -236,7 +237,7 @@ class TestPressureLoss:
         for rho, mu, D, eps, V in ([0.12, 5e-6, 0.65, 5e-5, 0.0275],
                                    [0.12, 5e-6, 0.75, 1e-3, 3.0],
                                    [0.12, 5e-6, 0.75, 0.025, 600.0]):
-            dpdx = TEXTBOOK([rho, mu, D, eps, V])
+            dpdx = evaluate_point(TEXTBOOK, [rho, mu, D, eps, V])
             recovered = dpdx * D / (0.5 * rho * V**2)
             direct = friction_factor(rho * V * D / mu, eps / D)
             assert recovered == pytest.approx(direct, rel=1e-12)
@@ -252,11 +253,12 @@ class TestPressureLoss:
         rho, mu, D = 10.0**log_rho, 10.0**log_mu, 10.0**log_D
         V = 10.0**log_re * mu / (rho * D)
         q = [rho, mu, D, rel_rough * D, V]
-        darcy = TEXTBOOK(q)
+        darcy = evaluate_point(TEXTBOOK, q)
         assert darcy == pytest.approx(32.0 * mu * V / D**2, rel=1e-12, abs=0.0)
         for re_crit in (None, RE_CRITICAL):
-            fanning = PipeFlowExperiment(re_crit=re_crit)(q)
-            assert fanning == 4.0 * PipeFlowExperiment(re_crit, pressure_formula="darcy")(q)
+            fanning = evaluate_point(PipeFlowExperiment(re_crit=re_crit), q)
+            assert fanning == 4.0 * evaluate_point(
+                PipeFlowExperiment(re_crit, pressure_formula="darcy"), q)
 
 
 class TestRegimeBoxes:
@@ -317,19 +319,21 @@ class TestPipeFlowExperiment:
         pts = latin_hypercube(regime_box("turbulent"), 20, seed=1)
         batch = experiment.evaluate_batch(pts)
         for i, row in enumerate(pts):
-            assert experiment(row) == batch[i]
+            assert evaluate_point(experiment, row) == batch[i]
 
     def test_default_uses_colebrook_everywhere(self):
         experiment = PipeFlowExperiment()
         q = np.array([0.12, 5e-6, 0.65, 5e-5, 0.0275])  # Re = 429
         lam = colebrook(429.0, 5e-5 / 0.65)
-        assert experiment(q) == pytest.approx(2.0 * lam * 0.12 * 0.0275**2 / 0.65, rel=1e-12)
+        assert evaluate_point(experiment, q) == pytest.approx(
+            2.0 * lam * 0.12 * 0.0275**2 / 0.65, rel=1e-12)
 
     def test_fanning_is_four_times_darcy(self):
         fanning = PipeFlowExperiment()
         darcy = PipeFlowExperiment(pressure_formula="darcy")
         q = np.array([0.12, 5e-6, 0.75, 1e-3, 3.0])
-        assert fanning(q) == pytest.approx(4.0 * darcy(q), rel=1e-14)
+        assert evaluate_point(fanning, q) == pytest.approx(4.0 * evaluate_point(darcy, q),
+                                                           rel=1e-14)
 
     def test_textbook_variant_matches_pressure_loss(self):
         # one row on each branch: Re = 429 (Poiseuille) and Re = 54,000 (Colebrook)
@@ -347,12 +351,12 @@ class TestPipeFlowExperiment:
             q[column] = 0.0
             with pytest.raises(InvalidArgument, match="Reynolds number must be positive "
                                "at point 0 "):
-                PipeFlowExperiment()(q)
+                evaluate_point(PipeFlowExperiment(), q)
 
     def test_roughness_below_diameter(self):
         with pytest.raises(InvalidArgument, match=r"relative roughness must lie in \[0, 1\) "
                            r"at point 0 \(Re=\S+, rel_rough=1\.0\)$"):
-            PipeFlowExperiment()([0.12, 5e-6, 0.65, 0.65, 0.0275])
+            evaluate_point(PipeFlowExperiment(), [0.12, 5e-6, 0.65, 0.65, 0.0275])
 
     def test_bad_formula_rejected(self):
         with pytest.raises(ToolkitError):
@@ -431,7 +435,7 @@ class TestEvaluationBlocks:
         experiment = PipeFlowExperiment()
         Q = block_points(*COLEBROOK_BLOCKS)
         batch = experiment.evaluate_batch(Q)
-        single = np.array([experiment(row) for row in Q])
+        single = np.array([evaluate_point(experiment, row) for row in Q])
         assert np.allclose(batch, single, rtol=1e-12, atol=0.0)
 
 
