@@ -173,7 +173,8 @@ def _common_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, help="per-batch timeout for external experiments")
     p.add_argument("--batch-size", type=int,
                    help="most rows per external batch; a larger call is split into "
-                        f"batches of equal size (default {EXTERNAL_DEFAULTS['batch_size']})")
+                        "batches whose sizes differ by at most one row "
+                        f"(default {EXTERNAL_DEFAULTS['batch_size']})")
     p.add_argument("--workers", type=int, help="concurrent external processes")
     p.add_argument("--config", help="JSON file of option defaults")
     p.add_argument("--out-dir", default=".", help="directory for result files")

@@ -544,6 +544,11 @@ class TestAnalyzeCommand:
         assert metadata["eigen_gap"] is None
         assert metadata["unique"] is True
 
+    def test_batch_size_default_is_shown_and_shared(self, capsys):
+        assert main(["analyze", "--help"]) == 0
+        assert "(default 32768)" in " ".join(capsys.readouterr().out.split())
+        assert ExternalExperiment(command=("x",), symbols=SYMBOLS).batch_size == 32768
+
     @pytest.mark.parametrize("batch_size", ["-1", "0"])
     def test_batch_size_below_one_is_config_error(self, tmp_path, pipe_system_file, capsys,
                                                   batch_size):
