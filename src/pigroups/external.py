@@ -91,34 +91,25 @@ class ExternalExperiment:
                 f"batch {batch_index}: exit code {proc.returncode}; "
                 f"stderr: {_text(proc.stderr).strip()!r}"
             )
-        # a reply of N finite numbers parses the same from its bytes as from
-        # its text; any other reply is read as text, which names the fault
-        lines = [ln for ln in proc.stdout.split(b"\n") if ln.strip()]
-        if len(lines) == Q.shape[0]:
-            try:
-                values = np.fromiter(map(float, lines), float, len(lines))
-            except ValueError:
-                pass
-            else:
-                if np.isfinite(values).all():
-                    return values
-        return _parse_text_reply(_text(proc.stdout), Q.shape[0], batch_index, row_offset)
+        lines = [ln for ln in _text(proc.stdout).split("\n") if ln.strip()]
+        if len(lines) != Q.shape[0]:
+            raise ParseFailure(
+                f"batch {batch_index}: expected {Q.shape[0]} values, got {len(lines)}"
+            )
+        try:
+            # np.fromiter builds no list of floats (1.8 MB at 59,049 rows)
+            values = np.fromiter(map(float, lines), float, len(lines))
+        except ValueError:
+            values = np.array([_float_or_nan(ln) for ln in lines])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            raise ParseFailure(f"row {row_offset + i}: unparseable output {lines[i].strip()!r}")
+        return values
 
 
 # the helpers below are private, so that a tracer of the public functions
 # counts them in the batch's own (codec) time
-
-def _parse_text_reply(text: str, rows: int, batch_index: int, row_offset: int) -> np.ndarray:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if len(lines) != rows:
-        raise ParseFailure(f"batch {batch_index}: expected {rows} values, got {len(lines)}")
-    values = np.array([_float_or_nan(ln) for ln in lines])
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = int(bad[0])
-        raise ParseFailure(f"row {row_offset + i}: unparseable output {lines[i].strip()!r}")
-    return values
-
 
 def _text(data: bytes) -> str:
     """``data`` as ``subprocess.run`` in text mode reads it: UTF-8 with
