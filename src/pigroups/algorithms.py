@@ -4,7 +4,8 @@ Two routes to the gradient second-moment matrix of the dimensionless
 relationship g(gamma):
 
 * the surface route fits a polynomial to (gamma, pi) pairs from a
-  space-filling design and integrates its analytic gradient;
+  space-filling design and integrates its analytic gradient, one chunk
+  of quadrature points at a time;
 * the finite-difference route perturbs each group coordinate of every
   quadrature point and differences the experiment itself.
 
@@ -195,6 +196,22 @@ def _finalize(system, W, C, extra) -> SubspaceResult:
     return SubspaceResult(C=C, eigenvalues=lam, U=U, Z=Z, metadata=metadata)
 
 
+class _SurfaceGradients:
+    """The surrogate's gradient at the rule's points, computed per slice.
+
+    ``assemble_C`` reads its gradient rows one chunk at a time, so the
+    log-points, groups, features and gradients of the whole rule are never
+    held at once: row r is ``grad_surface(surface, log(points[r]) @ W)``.
+    """
+
+    def __init__(self, surface: ResponseSurface, points: np.ndarray, W: np.ndarray):
+        self.surface, self.points, self.W = surface, points, W
+        self.shape = (points.shape[0], W.shape[1])
+
+    def __getitem__(self, rows):
+        return grad_surface(self.surface, np.log(self.points[rows]) @ self.W)
+
+
 def algorithm1(
     experiment,
     system: QuantitySystem,
@@ -231,8 +248,7 @@ def algorithm1(
         holdout_rmse = float(np.sqrt(np.mean((pred - fresh_pi) ** 2)))
 
     rule = build_rule(box, config)
-    grads = grad_surface(surface, np.log(rule.points) @ W)
-    C = assemble_C(grads, rule.weights)
+    C = assemble_C(_SurfaceGradients(surface, rule.points, W), rule.weights)
     if trace is not None:
         trace(points, pi, grad_surface(surface, gamma))
     return _finalize(system, W, C, {

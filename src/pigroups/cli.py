@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import shlex
 import sys
 import time
@@ -273,6 +274,8 @@ def _write_manifest(out_dir: Path, command: str, args, cfg: dict,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
         "duration_seconds": time.monotonic() - started,
+        # this process's peak resident memory so far; Linux reports KiB
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "evaluations": evaluations,
         **extra,
     }

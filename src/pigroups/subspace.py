@@ -32,23 +32,31 @@ DEGENERATE_FLAG = "degenerate eigenspace - groups not unique"
 def assemble_C(gradients, weights) -> np.ndarray:
     """C = sum_j w_j g_j g_j^T, accumulated chunk by chunk in index order.
 
-    The reduction order is fixed by the chunk size, ``_CHUNK_ROWS``, so
-    concurrent gradient producers cannot change the result; the lower
-    triangle is mirrored at the end to make C exactly symmetric.
+    ``gradients`` is an (N, n) array, or any object with an (N, n)
+    ``shape`` whose row slices are gradient rows; such a source is read
+    one ``_CHUNK_ROWS`` slice at a time, so memory per call is one chunk
+    of whatever builds its rows. The surface route passes one, and its
+    gradients are computed 4,096 rows at a time. Each chunk is checked
+    for finiteness before it is summed, and a failure names the global
+    row. The reduction order is fixed by the chunk size, so concurrent
+    gradient producers cannot change the result; the lower triangle is
+    mirrored at the end to make C exactly symmetric.
     """
-    G = np.atleast_2d(np.asarray(gradients, dtype=float))
+    G = gradients
+    if isinstance(G, np.ndarray) or not hasattr(G, "shape"):
+        G = np.atleast_2d(np.asarray(G, dtype=float))
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if G.shape[0] != w.shape[0]:
-        raise ShapeMismatch(f"{G.shape[0]} gradient rows vs {w.shape[0]} weights")
+    rows, n = G.shape
+    if rows != w.shape[0]:
+        raise ShapeMismatch(f"{rows} gradient rows vs {w.shape[0]} weights")
     if abs(w.sum() - 1.0) > 1e-10:
         raise ToolkitError(f"weights sum to {w.sum()!r}, expected 1 +/- 1e-10")
-    if not np.all(np.isfinite(G)):
-        bad = int(np.argwhere(~np.isfinite(G))[0, 0])
-        raise NonFinite(f"gradient row {bad} contains a non-finite entry")
-    n = G.shape[1]
     C = np.zeros((n, n))
-    for start in range(0, G.shape[0], _CHUNK_ROWS):
-        Gc = G[start:start + _CHUNK_ROWS]
+    for start in range(0, rows, _CHUNK_ROWS):
+        Gc = np.asarray(G[start:start + _CHUNK_ROWS], dtype=float)
+        if not np.all(np.isfinite(Gc)):
+            bad = start + int(np.argwhere(~np.isfinite(Gc))[0, 0])
+            raise NonFinite(f"gradient row {bad} contains a non-finite entry")
         wc = w[start:start + _CHUNK_ROWS]
         C += Gc.T @ (wc[:, None] * Gc)
     return np.tril(C) + np.tril(C, -1).T

@@ -7,6 +7,8 @@ algorithm differentiates the surrogate instead of the experiment. The
 monomials are built by running products, and the gradient comes from the
 coefficients differentiated once into the degree d - 1 basis, so a
 gradient over any number of points is one feature build and one matmul.
+Memory per call is rows x T floats; the surface route passes its rule
+4,096 rows at a time.
 """
 
 from __future__ import annotations
@@ -185,9 +187,11 @@ def grad_surface(surface: ResponseSurface, gamma):
     The polynomial is differentiated once, in coefficient space: the term
     c_alpha x^alpha puts c_alpha * alpha_j on monomial alpha - e_j of the
     degree d - 1 basis, in column j of ``dcoef``. The gradient at every
-    point is then one feature build and one matmul. As for
-    ``eval_surface``, a point's gradient may differ in the last bits with
-    the batch it comes in (gemv against gemm).
+    point is then one feature build and one matmul, over a (rows, T)
+    feature matrix: memory per call is rows x T floats, which is why the
+    surface route calls it on 4,096-row chunks. As for ``eval_surface``, a
+    point's gradient may differ in the last bits with the batch it comes
+    in (gemv against gemm).
     """
     G, single = _as_batch(surface, gamma)
     Xs = (G - surface.center) / surface.scale

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from helpers import (
     linear_g,
     quadratic_g,
 )
+from pigroups import algorithms, subspace
 from pigroups.algorithms import (
     AlgorithmConfig,
     CountingExperiment,
@@ -32,9 +35,9 @@ from pigroups.errors import (
     ShapeMismatch,
 )
 from pigroups.pipeflow import PipeFlowExperiment, regime_box
-from pigroups.quadrature import RegimeBox, tensor_rule
+from pigroups.quadrature import QuadratureRule, RegimeBox, tensor_rule
 from pigroups.subspace import assemble_C, subspace_distance
-from pigroups.surrogate import eval_surface, fit_polynomial
+from pigroups.surrogate import eval_surface, fit_polynomial, grad_surface
 
 
 BOX = regime_box("turbulent")
@@ -290,6 +293,49 @@ class TestAlgorithm1:
         pred = predict_dependent(surface, pipe_basis.w, pipe_basis.W, q)
         truth = evaluate_point(experiment, q)
         assert pred == pytest.approx(truth, rel=0.05)
+
+
+class TestSurfaceIntegration:
+    """algorithm1 computes the surrogate gradient inside assemble_C's chunks."""
+
+    # tensor:6 is 7,776 rows and mc:10000 three chunks: both end in a partial chunk
+    @pytest.mark.parametrize("quad", ["tensor:6", "mc:10000"])
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_chunked_C_equals_the_one_piece_C(self, pipe_system, pipe_basis, quad, degree):
+        config = small_config(quad=quad, degree=degree, design=200)
+        result, surface = algorithm1(PipeFlowExperiment(), pipe_system, pipe_basis, BOX, config)
+        rule = build_rule(BOX, config)
+        assert len(rule) > subspace._CHUNK_ROWS and len(rule) % subspace._CHUNK_ROWS
+        grads = grad_surface(surface, np.log(rule.points) @ pipe_basis.W)
+        assert np.array_equal(result.C, assemble_C(grads, rule.weights))
+
+    def test_turbulent_tensor11_allocates_little_on_the_heap(self, pipe_system, pipe_basis):
+        # the 161,051-point rule is 7.7 MB of points and weights; the
+        # integration adds one 4,096-row chunk of groups, features and
+        # gradients (8.2 MB traced in all). Building them for the whole
+        # rule at once traced 33.3 MB.
+        config = AlgorithmConfig(degree=5, quad="tensor:11")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            algorithm1(PipeFlowExperiment(), pipe_system, pipe_basis, BOX, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 12 * 2**20
+
+    def test_non_finite_gradient_in_a_later_chunk_names_its_row(
+            self, pipe_system, pipe_basis, monkeypatch):
+        def rule_with_a_bad_point(box, config):
+            rule = build_rule(box, config)
+            points = rule.points.copy()
+            points[5000, 2] = np.nan
+            return QuadratureRule(points, rule.weights)
+
+        monkeypatch.setattr(algorithms, "build_rule", rule_with_a_bad_point)
+        with pytest.raises(NonFinite, match="^gradient row 5000 contains"):
+            algorithm1(PipeFlowExperiment(), pipe_system, pipe_basis, BOX,
+                       small_config(quad="tensor:6"))
 
 
 class TestAlgorithm2:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -696,6 +697,14 @@ class TestAnalyzeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["python"] == "%d.%d.%d" % sys.version_info[:3]
         assert manifest["numpy"] == np.__version__
+
+    def test_manifest_records_the_peak_resident_memory(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3",
+                     "--out-dir", str(out)]) == 0
+        peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        # the same process's peak, in MB: it can only have grown since
+        assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 class TestSweepCommands:
