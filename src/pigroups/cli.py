@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
 import shlex
 import sys
 import time
@@ -263,6 +262,10 @@ def _prepare(args):
 
 def _write_manifest(out_dir: Path, command: str, args, cfg: dict,
                     evaluations: int, started: float, **extra) -> None:
+    # imported after the work, so that loading it (about 50 KB resident)
+    # adds to neither a command's start-up nor its peak memory
+    import resource
+
     doc = {
         "command": command,
         "config_paths": [p for p in (getattr(args, "config", None),

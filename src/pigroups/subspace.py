@@ -33,14 +33,13 @@ def assemble_C(gradients, weights) -> np.ndarray:
     """C = sum_j w_j g_j g_j^T, accumulated chunk by chunk in index order.
 
     ``gradients`` is an (N, n) array, or any object with an (N, n)
-    ``shape`` whose row slices are gradient rows; such a source is read
-    one ``_CHUNK_ROWS`` slice at a time, so memory per call is one chunk
-    of whatever builds its rows. The surface route passes one, and its
-    gradients are computed 4,096 rows at a time. Each chunk is checked
-    for finiteness before it is summed, and a failure names the global
-    row. The reduction order is fixed by the chunk size, so concurrent
-    gradient producers cannot change the result; the lower triangle is
-    mirrored at the end to make C exactly symmetric.
+    ``shape`` whose row slices are gradient rows. Either is read one
+    ``_CHUNK_ROWS`` slice at a time, so a source that builds its rows on
+    slicing, as the surface route's does, holds 4,096 rows at once. Each
+    chunk is checked for finiteness before it is summed, and a failure
+    names the global row. The reduction order is fixed by the chunk size,
+    so concurrent gradient producers cannot change the result; the lower
+    triangle is mirrored at the end to make C exactly symmetric.
     """
     G = gradients
     if isinstance(G, np.ndarray) or not hasattr(G, "shape"):
