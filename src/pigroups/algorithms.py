@@ -149,11 +149,20 @@ class CountingExperiment:
         return self.experiment.evaluate_batch(points)
 
 
-def _pi(experiment, points, X, w) -> np.ndarray:
-    """pi = q exp(-w^T x) at the points, with X = log(points). w^T x is an
+def _weight(X, w) -> np.ndarray:
+    """exp(-w^T x) at the log-points X, in a fresh N-vector. w^T x is an
     einsum, not X @ w: OpenBLAS threads that thin (N, m) product, and on a
     small host its idle workers keep spinning through the runs that follow."""
-    return evaluate_experiment(experiment, points) * np.exp(-np.einsum("ij,j->i", X, w))
+    weight = np.einsum("ij,j->i", X, w)
+    np.negative(weight, out=weight)
+    return np.exp(weight, out=weight)
+
+
+def _pi(experiment, points, X, w) -> np.ndarray:
+    """pi = q exp(-w^T x) at the points, with X = log(points)."""
+    pi = _weight(X, w)
+    pi *= evaluate_experiment(experiment, points)
+    return pi
 
 
 def _forward_differences(experiment, points, w, W, h: float):
@@ -162,18 +171,26 @@ def _forward_differences(experiment, points, w, W, h: float):
     With x = log q, each shifted run moves x by h W[:, k], so one base run
     plus one run per column gives the (N, n) gradient estimate; w = 0 and
     W = I difference the raw map in every log-variable.
+
+    Memory per run: one (N, m) array beside the caller's points (the base
+    run's log-points, or the shifted copy that becomes a run's points),
+    plus N-vectors: the weight, which becomes the difference, and the
+    experiment's reply. The (N, n) gradients are the output.
     """
-    X = np.log(points)
-    pi0 = _pi(experiment, points, X, w)
-    grads = np.empty((X.shape[0], W.shape[1]))
+    pi0 = _pi(experiment, points, np.log(points), w)
+    grads = np.empty((points.shape[0], W.shape[1]))
     for k in range(W.shape[1]):
-        # _pi's weight; then the shifted log-points become the points in place,
-        # a fresh array because the experiment may keep a reference to it
-        Q = X + h * W[:, k]
-        weight = np.exp(-np.einsum("ij,j->i", Q, w))
-        pik = evaluate_experiment(experiment, np.exp(Q, out=Q)) * weight
-        grads[:, k] = (pik - pi0) / h
+        # the shifted log-points become the run's points in place: a fresh
+        # array each run, because the experiment may keep a reference to it
+        Q = np.log(points)
+        Q += h * W[:, k]
+        diff = _weight(Q, w)
+        # the reply may be an array the experiment keeps: it is only read
+        diff *= evaluate_experiment(experiment, np.exp(Q, out=Q))
         del Q  # free these points before the next run allocates its own
+        diff -= pi0
+        diff /= h
+        grads[:, k] = diff
     return pi0, grads
 
 

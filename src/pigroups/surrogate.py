@@ -14,6 +14,7 @@ Memory per call is rows x T floats; the surface route passes its rule
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -83,6 +84,18 @@ class ResponseSurface:
         if not np.all(self.scale > 0.0):
             raise ValueError("surface scale must be strictly positive")
 
+    @cached_property
+    def _dcoef(self) -> np.ndarray:
+        """The coefficients differentiated once, built on first use: column j
+        holds d/dx_j on the degree d - 1 basis (see ``grad_surface``)."""
+        alphas, lowerings, _ = _basis(self.n, self.degree)
+        # graded order: the degree d - 1 basis is a prefix of the degree d one
+        dcoef = np.zeros((n_coefficients(self.n, max(self.degree - 1, 0)), self.n))
+        for t, j, s in lowerings:
+            dcoef[s, j] = self.coefficients[t] * alphas[t, j]
+        dcoef.flags.writeable = False
+        return dcoef
+
     def to_dict(self) -> dict:
         return {
             "degree": self.degree,
@@ -105,17 +118,32 @@ class ResponseSurface:
         )
 
 
-def _features(X: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Monomials of the rows of X (N, n), one column per exponent row: (N, T).
+@lru_cache(maxsize=None)
+def _basis(n: int, degree: int):
+    """The degree-``degree`` basis in n variables, built once per (n, degree).
 
-    In graded order every row of ``alphas`` after the constant is an
-    earlier row plus one unit exponent, so each column is an earlier column
-    times one coordinate (the row's last nonzero one).
+    Returns the read-only exponent rows, their ``_lowerings`` and each
+    row's parent (t, s, j) in the running-product build of ``_features``.
     """
+    alphas = multi_indices(n, degree)
+    alphas.flags.writeable = False
+    lowerings = tuple(_lowerings(alphas))
+    parents = {t: (s, j) for t, j, s in lowerings}
+    return alphas, lowerings, tuple((t, s, j) for t, (s, j) in parents.items())
+
+
+def _features(X: np.ndarray, degree: int) -> np.ndarray:
+    """Monomials of total degree <= degree of the rows of X (N, n), one
+    column per row of ``multi_indices(n, degree)``: (N, T).
+
+    In graded order every exponent row after the constant is an earlier
+    row plus one unit exponent, so each column is an earlier column times
+    one coordinate (the row's last nonzero one).
+    """
+    alphas, _, parents = _basis(X.shape[1], degree)
     A = np.empty((X.shape[0], alphas.shape[0]))
     A[:, 0] = 1.0
-    parents = {t: (s, j) for t, j, s in _lowerings(alphas)}
-    for t, (s, j) in parents.items():
+    for t, s, j in parents:
         np.multiply(A[:, s], X[:, j], out=A[:, t])
     return A
 
@@ -154,8 +182,7 @@ def fit_polynomial(designs, targets, degree: int) -> ResponseSurface:
     scale = X.std(axis=0)
     scale = np.where(scale > 0.0, scale, 1.0)
     Xs = (X - center) / scale
-    alphas = multi_indices(n, degree)
-    A = _features(Xs, alphas)
+    A = _features(Xs, degree)
     coeffs, _, _, sv = np.linalg.lstsq(A, y, rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
     if cond > CONDITION_LIMIT:
@@ -177,7 +204,7 @@ def eval_surface(surface: ResponseSurface, gamma):
     """
     G, single = _as_batch(surface, gamma)
     Xs = (G - surface.center) / surface.scale
-    vals = _features(Xs, multi_indices(surface.n, surface.degree)) @ surface.coefficients
+    vals = _features(Xs, surface.degree) @ surface.coefficients
     return float(vals[0]) if single else vals
 
 
@@ -186,8 +213,10 @@ def grad_surface(surface: ResponseSurface, gamma):
 
     The polynomial is differentiated once, in coefficient space: the term
     c_alpha x^alpha puts c_alpha * alpha_j on monomial alpha - e_j of the
-    degree d - 1 basis, in column j of ``dcoef``. The gradient at every
-    point is then one feature build and one matmul, over a (rows, T)
+    degree d - 1 basis, in column j of ``surface._dcoef``, which is built
+    on the first call and kept; the basis is built once per (n, degree).
+    The gradient at every point is then one feature build and one matmul,
+    over a (rows, T)
     feature matrix: memory per call is rows x T floats, which is why the
     surface route calls it on 4,096-row chunks. As for ``eval_surface``, a
     point's gradient may differ in the last bits with the batch it comes
@@ -195,13 +224,7 @@ def grad_surface(surface: ResponseSurface, gamma):
     """
     G, single = _as_batch(surface, gamma)
     Xs = (G - surface.center) / surface.scale
-    alphas = multi_indices(surface.n, surface.degree)
-    # graded order: the degree d - 1 basis is a prefix of the degree d one
-    lower = alphas[:n_coefficients(surface.n, max(surface.degree - 1, 0))]
-    dcoef = np.zeros((lower.shape[0], surface.n))
-    for t, j, s in _lowerings(alphas):
-        dcoef[s, j] = surface.coefficients[t] * alphas[t, j]
-    out = _features(Xs, lower) @ dcoef / surface.scale
+    out = _features(Xs, max(surface.degree - 1, 0)) @ surface._dcoef / surface.scale
     return out[0] if single else out
 
 

@@ -241,6 +241,62 @@ class TestSharedForwardDifferences:
             assert np.array_equal(kept, want)
             assert not any(np.shares_memory(kept, other) for other in keeper.kept[i + 1:])
 
+    def test_a_reply_the_experiment_keeps_is_left_unchanged(self, pipe_system, pipe_basis):
+        class ReplyKeeper:
+            """Returns the very array it keeps, as a caching experiment might."""
+
+            def __init__(self):
+                self.inner, self.replies, self.copies = PipeFlowExperiment(), [], []
+
+            def evaluate_batch(self, points):
+                values = self.inner.evaluate_batch(points)
+                self.replies.append(values)
+                self.copies.append(values.copy())
+                return values
+
+        keeper = ReplyKeeper()
+        algorithm2(keeper, pipe_system, pipe_basis, BOX, small_config(h=1e-3))
+        assert len(keeper.replies) == 3
+        for reply, copy in zip(keeper.replies, keeper.copies):
+            assert reply.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("regime", ["laminar", "turbulent", "high_re"])
+    @pytest.mark.parametrize("quad", ["tensor:6", "mc:5000"])
+    @pytest.mark.parametrize("space", ["groups", "full"])
+    def test_loop_equals_the_log_points_formula_bit_for_bit(self, pipe_basis, regime, quad,
+                                                            space):
+        m = BOX.m
+        w, W = (pipe_basis.w, pipe_basis.W) if space == "groups" else (np.zeros(m), np.eye(m))
+        points = build_rule(regime_box(regime), small_config(quad=quad)).points
+        experiment = PipeFlowExperiment()
+        h = 1e-6
+        # pi = q exp(-w^T x) from the whole rule's log-points X, shifted by h W[:, k]
+        X = np.log(points)
+        pi0 = experiment.evaluate_batch(points) * np.exp(-np.einsum("ij,j->i", X, w))
+        want = np.empty((len(points), W.shape[1]))
+        for k in range(W.shape[1]):
+            Q = X + h * W[:, k]
+            pik = experiment.evaluate_batch(np.exp(Q)) * np.exp(-np.einsum("ij,j->i", Q, w))
+            want[:, k] = (pik - pi0) / h
+        got_pi0, got = algorithms._forward_differences(experiment, points, w, W, h)
+        assert got_pi0.tobytes() == pi0.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    def test_turbulent_tensor11_allocates_little_on_the_heap(self, pipe_basis):
+        # beside the caller's 6.1 MB of points, a run holds one shifted
+        # copy (6.1 MB), the (N, 2) gradients and four N-vectors: 13.0 MB
+        # traced. Keeping the log-points of the whole rule traced 20.9 MB.
+        points = tensor_rule(BOX, 11).points
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            algorithms._forward_differences(PipeFlowExperiment(), points, pipe_basis.w,
+                                            pipe_basis.W, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 15 * 2**20
+
     @pytest.mark.parametrize("kind", ["ridge", "pipe"])
     def test_full_space_C_is_the_loop_with_identity_basis(self, pipe_basis, kind):
         experiment = fd_experiment(kind, pipe_basis)
@@ -446,6 +502,36 @@ class TestAlgorithmAgreement:
             rebased = PiBasis(w=pipe_basis.w, W=pipe_basis.W @ Q)
             result, _ = algorithm1(experiment, pipe_system, rebased, BOX, config)
             assert signed_column_distance(result.Z, reference.Z) < 1e-6
+
+
+class TestFdRotationInvariance:
+    # A forward difference along a unit direction d errs by (h/2) d^T H d.
+    # Where g is close to exp(a^T gamma), H = g a a^T, so the slope along d
+    # is off by the factor 1 + (h/2) a^T d, and C = E[grad g grad g^T] by a
+    # relative h |a| at most in either basis. On the three pipe boxes
+    # |a| = |grad log g| <= 1, so the two Cs differ by at most 2 h lambda_1:
+    # that bounds the eigenvalue change (Weyl) and, over a gap above
+    # 0.95 lambda_1, the eigenvector turn, and so Z = W U (Davis-Kahan).
+    # The tolerance doubles 2 h for the curvature of log g; measured at
+    # tensor:3 and tensor:5 for h from 1e-6 to 1e-3: |dZ| <= 0.65 h,
+    # |d lambda| <= 2.4 h lambda_1.
+    TOL_PER_H = 4.0
+
+    @pytest.mark.parametrize("regime", ["laminar", "turbulent", "high_re"])
+    @settings(max_examples=20, deadline=None)
+    @given(angle=st.floats(0.0, 2.0 * np.pi), reflect=st.booleans())
+    def test_rotating_W_leaves_Z_and_eigenvalues_unchanged_to_order_h(
+            self, pipe_system, pipe_basis, regime, angle, reflect):
+        c, s = np.cos(angle), np.sin(angle)
+        Q = np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0 if reflect else 1.0])
+        box, config = regime_box(regime), small_config()
+        reference = algorithm2(PipeFlowExperiment(), pipe_system, pipe_basis, box, config)
+        rotated = algorithm2(PipeFlowExperiment(), pipe_system,
+                             PiBasis(w=pipe_basis.w, W=pipe_basis.W @ Q), box, config)
+        tol = self.TOL_PER_H * config.h
+        lam = reference.eigenvalues
+        assert signed_column_distance(rotated.Z, reference.Z) <= tol
+        assert np.max(np.abs(rotated.eigenvalues - lam)) <= tol * lam[0]
 
 
 class TestFullSpaceC:

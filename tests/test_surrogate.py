@@ -145,7 +145,7 @@ class TestKernelsAgainstDirectFormulas:
         X = 2.0 * gen.normal(size=(200, n))
         alphas = multi_indices(n, degree)
         want = monomials(X, alphas)
-        got = _features(X, alphas)
+        got = _features(X, degree)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 2 * (degree + 3 * n) * EPS * np.abs(want))
 
@@ -181,7 +181,7 @@ class TestBatchDependence:
                             center=gen.normal(size=n), scale=gen.uniform(0.5, 2.0, size=n),
                             train_rmse=0.0)
         G = s.center + 2.0 * s.scale * gen.normal(size=(37, n))
-        A = _features((G - s.center) / s.scale, multi_indices(n, degree))
+        A = _features((G - s.center) / s.scale, degree)
         value_size = np.abs(A) @ np.abs(s.coefficients)
         grad_size = np.stack([np.abs(t).sum(axis=1) for t in surface_gradient_terms(s, G)],
                              axis=1) / s.scale
