@@ -123,13 +123,13 @@ def _basis(n: int, degree: int):
     """The degree-``degree`` basis in n variables, built once per (n, degree).
 
     Returns the read-only exponent rows, their ``_lowerings`` and each
-    row's parent (t, s, j) in the running-product build of ``_features``.
+    row's parent, (t, (s, j)), in the running-product build of ``_features``.
     """
     alphas = multi_indices(n, degree)
     alphas.flags.writeable = False
     lowerings = tuple(_lowerings(alphas))
     parents = {t: (s, j) for t, j, s in lowerings}
-    return alphas, lowerings, tuple((t, s, j) for t, (s, j) in parents.items())
+    return alphas, lowerings, tuple(parents.items())
 
 
 def _features(X: np.ndarray, degree: int) -> np.ndarray:
@@ -143,7 +143,7 @@ def _features(X: np.ndarray, degree: int) -> np.ndarray:
     alphas, _, parents = _basis(X.shape[1], degree)
     A = np.empty((X.shape[0], alphas.shape[0]))
     A[:, 0] = 1.0
-    for t, s, j in parents:
+    for t, (s, j) in parents:
         np.multiply(A[:, s], X[:, j], out=A[:, t])
     return A
 
@@ -216,9 +216,8 @@ def grad_surface(surface: ResponseSurface, gamma):
     degree d - 1 basis, in column j of ``surface._dcoef``, which is built
     on the first call and kept; the basis is built once per (n, degree).
     The gradient at every point is then one feature build and one matmul,
-    over a (rows, T)
-    feature matrix: memory per call is rows x T floats, which is why the
-    surface route calls it on 4,096-row chunks. As for ``eval_surface``, a
+    over a (rows, T) feature matrix: memory per call is rows x T floats,
+    which is why the surface route calls it on 4,096-row chunks. As for ``eval_surface``, a
     point's gradient may differ in the last bits with the batch it comes
     in (gemv against gemm).
     """
