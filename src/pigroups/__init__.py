@@ -25,8 +25,8 @@ _MODULE_NAMES = {
                   "build_dimension_matrix", "check_dimensionless", "nullspace_basis",
                   "parse_unit_expr", "pi_basis", "solve_output_exponents"),
     "external": ("ExternalExperiment",),
-    "pipeflow": ("PipeFlowExperiment", "colebrook", "friction_factor",
-                 "pipe_quantity_system", "poiseuille", "regime_box"),
+    "pipeflow": ("PipeFlowExperiment", "friction_factor", "pipe_quantity_system",
+                 "regime_box"),
     "quadrature": ("QuadratureRule", "RegimeBox", "gauss_legendre_1d", "latin_hypercube",
                    "monte_carlo_rule", "tensor_rule"),
     "subspace": ("SubspaceResult", "assemble_C", "eigendecompose", "rotation_angle",

@@ -370,9 +370,17 @@ def _make_trace(out_dir: Path, system, n: int):
 
 
 def _parse_sweep(text: str) -> list[float]:
+    """The steps of ``--h-sweep``, largest first: at least two, each finite,
+    positive and given once. A zero step divides by zero, and a repeated
+    one gives a zero error, to which no slope can be fitted."""
     hs = [float(tok) for tok in text.split(",") if tok.strip()]
     if len(hs) < 2:
-        raise ValueError("the step-size sweep needs at least two values")
+        raise ValueError("--h-sweep needs at least two values")
+    for i, h in enumerate(hs):
+        if not (np.isfinite(h) and h > 0.0):
+            raise ValueError(f"--h-sweep values must be finite and positive, got {h!r}")
+        if h in hs[:i]:
+            raise ValueError(f"--h-sweep repeats the value {h!r}")
     return sorted(hs, reverse=True)
 
 
@@ -384,8 +392,8 @@ def fit_loglog_slope(hs, values) -> float:
 
 def _cmd_ridge_check(args) -> int:
     started = time.monotonic()
-    cfg, system, box, basis, experiment, out_dir = _prepare(args)
     hs = _parse_sweep(args.h_sweep)
+    cfg, system, box, basis, experiment, out_dir = _prepare(args)
     rule = build_rule(box, _algorithm_config(cfg))
     m = system.m
     rows = []
@@ -420,8 +428,8 @@ def _cmd_ridge_check(args) -> int:
 
 def _cmd_fd_convergence(args) -> int:
     started = time.monotonic()
-    cfg, system, box, basis, experiment, out_dir = _prepare(args)
     hs = _parse_sweep(args.h_sweep)
+    cfg, system, box, basis, experiment, out_dir = _prepare(args)
     config = _algorithm_config(cfg)
     results = {}
     for h in hs:

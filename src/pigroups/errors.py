@@ -150,7 +150,7 @@ def check_external_options(timeout, batch_size, n_workers) -> None:
     number of seconds and ``batch_size`` and ``n_workers`` are integers of
     at least 1. Messages name the command-line options."""
     if not (isinstance(batch_size, Integral) and batch_size >= 1):
-        raise ValueError(f"batch size must be at least 1, got {batch_size}")
+        raise ValueError(f"--batch-size must be at least 1, got {batch_size}")
     if timeout is not None and not (
             isinstance(timeout, Real) and math.isfinite(timeout) and timeout > 0):
         raise ValueError(f"--timeout must be a positive number of seconds, got {timeout}")

@@ -9,7 +9,8 @@ replacement characters, so it fails the same way. Batching amortizes
 process start-up across large designs: a call of N rows goes out as
 ceil(N / batch_size) batches whose sizes differ by at most one row. With
 several workers, disjoint batches go to separate processes and land in
-preallocated slots, so the result is identical for any worker count.
+preallocated slots, so the result is identical for any worker count. The
+first failure stops the run: batches still queued are not launched.
 
 A request is encoded ``_CHUNK_ROWS`` rows at a time into one buffer, so
 the encoder's temporaries are the size of a chunk and only the request
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 import mmap
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -65,12 +67,25 @@ class ExternalExperiment:
         if self.n_workers <= 1 or len(batches) <= 1:
             for b, (s, e) in enumerate(batches):
                 out[s:e] = self._run_batch(Q[s:e], b, s)
-        else:
-            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                futures = [pool.submit(self._run_batch, Q[s:e], b, s)
-                           for b, (s, e) in enumerate(batches)]
-                for (s, e), fut in zip(batches, futures):
-                    out[s:e] = fut.result()
+            return out
+        failed = threading.Event()
+
+        def run(b, s, e):
+            # set by the failing worker itself, so a batch dequeued after the
+            # first failure is never launched, however late the caller looks;
+            # that failure comes earlier in batch order and is the one raised
+            if failed.is_set():
+                raise CancelledError
+            try:
+                return self._run_batch(Q[s:e], b, s)
+            except BaseException:
+                failed.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
+            futures = [pool.submit(run, b, s, e) for b, (s, e) in enumerate(batches)]
+            for (s, e), fut in zip(batches, futures):
+                out[s:e] = fut.result()
         return out
 
     def _run_batch(self, Q: np.ndarray, batch_index: int, row_offset: int) -> np.ndarray:

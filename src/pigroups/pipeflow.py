@@ -6,6 +6,10 @@ and the implicit Colebrook correlation above it. Independent variables,
 in order: fluid density rho [kg/m^3], viscosity mu [kg/(m s)],
 pipe diameter D [m], wall roughness eps [m], bulk velocity V [m/s].
 
+``friction_factor`` (Colebrook everywhere with ``re_crit=None``) and
+``PipeFlowExperiment.evaluate_batch`` share one checked path on flat
+arrays, which names a failing point by its index in the caller's batch.
+
 ``PipeFlowExperiment`` is the one pressure-loss model. Its defaults are
 the reference configuration that the bundled regime tables were produced
 with: the Colebrook correlation across the full Reynolds range and the
@@ -64,15 +68,36 @@ _REGIMES = {
 }
 
 
-def poiseuille(Re):
-    """Laminar friction factor 64/Re."""
-    return 64.0 / np.asarray(Re, dtype=float)
+def _friction(Re_a, rr_a, re_crit, rows):
+    """The friction factor of 1-D float arrays: Poiseuille's 64/Re below
+    ``re_crit``, Colebrook at and above it (everywhere when it is None).
+
+    Every point must be finite and lie in the Colebrook domain (Re > 0,
+    0 <= rel_rough < 1), whichever branch it takes. ``rows`` holds each
+    point's index in the caller's batch; a failure names the first
+    offending point by it, as ``_first_point`` does.
+    """
+    for message, bad in (
+        ("Reynolds number and relative roughness must be finite",
+         ~(np.isfinite(Re_a) & np.isfinite(rr_a))),
+        ("Reynolds number must be positive", Re_a <= 0.0),
+        ("relative roughness must lie in [0, 1)", (rr_a < 0.0) | (rr_a >= 1.0)),
+    ):
+        if bad.any():
+            raise InvalidArgument(f"{message} at {_first_point(bad, Re_a, rr_a, rows)}")
+    if re_crit is None:
+        return _newton(Re_a, rr_a, rows)
+    lam = 64.0 / Re_a
+    high = ~(Re_a < re_crit)
+    if high.any():
+        lam[high] = _newton(Re_a[high], rr_a[high], rows[high])
+    return lam
 
 
-def _newton(Re_a, rr_a, within=None, offset=0):
+def _newton(Re_a, rr_a, rows):
     """Colebrook, 1/sqrt(lambda) = -2 log10(rel_rough/3.7 + 2.51/(Re sqrt(lambda))),
     by Newton on t = 1/sqrt(lambda) from the explicit Haaland-style estimate,
-    on checked arrays; a failure names its point as ``_first_point`` does.
+    on checked 1-D arrays; a failure names its point as ``_first_point`` does.
 
     Below Re of about 6.9 that estimate is not positive. Such rows start at
     t = Re/2.51, where a + b t >= 1 and so F > 0, and halve t until F <= 0:
@@ -93,89 +118,45 @@ def _newton(Re_a, rr_a, within=None, offset=0):
         if (arg <= 0.0).any():
             raise InvalidArgument(
                 "logarithm argument became nonpositive at "
-                f"{_first_point(arg <= 0.0, Re_a, rr_a, within, offset)}"
+                f"{_first_point(arg <= 0.0, Re_a, rr_a, rows)}"
             )
         F = t + 2.0 * np.log10(arg)
-        residual = float(np.abs(F).max())
+        residual = float(np.abs(F).max(initial=0.0))  # an empty batch has converged
         if residual < _TOL:
             break
         t = t - F / (1.0 + c / arg)
     else:
         raise NoConvergence(
             f"Newton stalled at residual {residual:.3e} > {_TOL:.0e}; first unconverged "
-            f"{_first_point(~(np.abs(F) < _TOL), Re_a, rr_a, within, offset)}"
+            f"{_first_point(~(np.abs(F) < _TOL), Re_a, rr_a, rows)}"
         )
     return 1.0 / (t * t)
 
 
-def _checked_arrays(Re, rel_rough, offset=0):
-    """Both arguments as broadcast float arrays (at least 1-D) inside the
-    Colebrook domain, and whether both were scalars. A failure names its
-    point as ``_first_point`` does with ``offset``."""
-    Re_a = np.asarray(Re, dtype=float)
-    rr_a = np.asarray(rel_rough, dtype=float)
-    scalar = Re_a.ndim == 0 and rr_a.ndim == 0
-    Re_a, rr_a = np.broadcast_arrays(np.atleast_1d(Re_a), np.atleast_1d(rr_a))
-    finite = np.isfinite(Re_a) & np.isfinite(rr_a)
-    if not finite.all():
-        raise InvalidArgument(
-            "Reynolds number and relative roughness must be finite at "
-            f"{_first_point(~finite, Re_a, rr_a, offset=offset)}"
-        )
-    if (Re_a <= 0.0).any():
-        raise InvalidArgument(
-            "Reynolds number must be positive at "
-            f"{_first_point(Re_a <= 0.0, Re_a, rr_a, offset=offset)}"
-        )
-    bad = (rr_a < 0.0) | (rr_a >= 1.0)
-    if bad.any():
-        raise InvalidArgument(
-            "relative roughness must lie in [0, 1) at "
-            f"{_first_point(bad, Re_a, rr_a, offset=offset)}"
-        )
-    return Re_a, rr_a, scalar
-
-
-def _first_point(mask, Re_a, rr_a, within=None, offset=0) -> str:
-    """The first point where ``mask`` holds, as flat index and (Re, rel_rough).
-    ``within`` is the caller's mask that selected these points, which maps
-    the index back to the caller's array; ``offset`` is then added, so a
-    block of a larger batch names the batch's row."""
+def _first_point(mask, Re_a, rr_a, rows) -> str:
+    """The first point where ``mask`` holds, as its index in ``rows`` and
+    its (Re, rel_rough)."""
     i = int(np.argmax(mask))
-    index = offset + (i if within is None else int(np.flatnonzero(within)[i]))
-    return f"point {index} (Re={float(Re_a.flat[i])!r}, rel_rough={float(rr_a.flat[i])!r})"
+    return f"point {int(rows[i])} (Re={float(Re_a[i])!r}, rel_rough={float(rr_a[i])!r})"
 
 
 def friction_factor(Re, rel_rough, re_crit: float | None = RE_CRITICAL):
-    """Piecewise friction factor: Poiseuille below re_crit, Colebrook above.
+    """Piecewise friction factor: Poiseuille's 64/Re below re_crit,
+    Colebrook at and above it.
 
     The branch switch is a genuine discontinuity of the model;
     ``re_crit=None`` applies Colebrook at every Reynolds number. Every
     point must be finite and lie in the Colebrook domain (Re > 0,
     0 <= rel_rough < 1), whichever branch it takes. Scalar in, scalar out;
-    arrays broadcast. A failure names the first offending point by its flat
-    index in the broadcast arguments and its (Re, rel_rough).
+    arrays broadcast, and the broadcast points are solved as one flat
+    batch, so a result does not depend on the arguments' shapes. A failure
+    names the first offending point by its flat index in the broadcast
+    arguments and its (Re, rel_rough).
     """
-    Re_a, rr_a, scalar = _checked_arrays(Re, rel_rough)
-    lam = _friction(Re_a, rr_a, re_crit)
-    return float(lam[0]) if scalar else lam
-
-
-def colebrook(Re, rel_rough):
-    """Friction factor from the implicit Colebrook correlation at every
-    Reynolds number: ``friction_factor`` with ``re_crit=None``."""
-    return friction_factor(Re, rel_rough, re_crit=None)
-
-
-def _friction(Re_a, rr_a, re_crit, offset=0):
-    """``friction_factor`` on checked arrays; a failure names point ``offset`` + i."""
-    if re_crit is None:
-        return _newton(Re_a, rr_a, offset=offset)
-    lam = poiseuille(Re_a)
-    high = ~(Re_a < re_crit)
-    if high.any():
-        lam[high] = _newton(Re_a[high], rr_a[high], within=high, offset=offset)
-    return lam
+    Re_a, rr_a = np.broadcast_arrays(np.asarray(Re, dtype=float),
+                                     np.asarray(rel_rough, dtype=float))
+    lam = _friction(Re_a.ravel(), rr_a.ravel(), re_crit, np.arange(Re_a.size))
+    return float(lam[0]) if Re_a.ndim == 0 else lam.reshape(Re_a.shape)
 
 
 def regime_box(name: str) -> RegimeBox:
@@ -247,8 +228,8 @@ class PipeFlowExperiment:
         out = np.empty(Q.shape[0])
         for s in range(0, Q.shape[0], _BLOCK_ROWS):
             rho, mu, D, eps, V = Q[s:s + _BLOCK_ROWS].T
-            Re_a, rr_a, _ = _checked_arrays(rho * V * D / mu, eps / D, offset=s)
-            lam = _friction(Re_a, rr_a, self.re_crit, offset=s)
+            lam = _friction(rho * V * D / mu, eps / D, self.re_crit,
+                            np.arange(s, s + rho.size))
             if self.pressure_formula == "fanning":
                 out[s:s + _BLOCK_ROWS] = 2.0 * lam * rho * V**2 / D
             else:

@@ -75,10 +75,6 @@ class RegimeBox:
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, points) -> bool:
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        return bool(np.all(P > self.lower) and np.all(P < self.upper))
-
 
 @dataclass(frozen=True)
 class QuadratureRule:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -27,25 +28,6 @@ CONDITION_LIMIT = 1e12
 def n_coefficients(n: int, degree: int) -> int:
     """Number of monomials of total degree <= degree in n variables."""
     return comb(n + degree, degree)
-
-
-def multi_indices(n: int, degree: int) -> np.ndarray:
-    """Exponent rows in graded lexicographic order, constant term first."""
-    rows = []
-    for total in range(degree + 1):
-        block = [idx for idx in _compositions(total, n)]
-        block.sort(reverse=True)
-        rows.extend(block)
-    return np.array(rows, dtype=int).reshape(len(rows), n)
-
-
-def _compositions(total, n):
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, n - 1):
-            yield (head,) + tail
 
 
 @dataclass(frozen=True)
@@ -88,11 +70,10 @@ class ResponseSurface:
     def _dcoef(self) -> np.ndarray:
         """The coefficients differentiated once, built on first use: column j
         holds d/dx_j on the degree d - 1 basis (see ``grad_surface``)."""
-        alphas, lowerings, _ = _basis(self.n, self.degree)
         # graded order: the degree d - 1 basis is a prefix of the degree d one
         dcoef = np.zeros((n_coefficients(self.n, max(self.degree - 1, 0)), self.n))
-        for t, j, s in lowerings:
-            dcoef[s, j] = self.coefficients[t] * alphas[t, j]
+        for t, j, s, e in _basis(self.n, self.degree)[1]:
+            dcoef[s, j] = self.coefficients[t] * e
         dcoef.flags.writeable = False
         return dcoef
 
@@ -122,41 +103,39 @@ class ResponseSurface:
 def _basis(n: int, degree: int):
     """The degree-``degree`` basis in n variables, built once per (n, degree).
 
-    Returns the read-only exponent rows, their ``_lowerings`` and each
-    row's parent, (t, (s, j)), in the running-product build of ``_features``.
+    A monomial is the sorted tuple of its variables' indices, one per unit
+    of exponent; ``combinations_with_replacement`` lists them degree by
+    degree in graded lexicographic order (descending exponent rows within
+    a degree). Returns each monomial's parent in the running-product build
+    of ``_features``, (t, (s, j)) with s the tuple without its last index
+    j, and its lowerings (t, j, s, e), one per distinct index j, which
+    monomial t holds e times and monomial s holds once less.
     """
-    alphas = multi_indices(n, degree)
-    alphas.flags.writeable = False
-    lowerings = tuple(_lowerings(alphas))
-    parents = {t: (s, j) for t, j, s in lowerings}
-    return alphas, lowerings, tuple(parents.items())
+    monomials = [m for total in range(degree + 1)
+                 for m in combinations_with_replacement(range(n), total)]
+    index = {m: t for t, m in enumerate(monomials)}
+    parents = tuple((t, (index[m[:-1]], m[-1])) for t, m in enumerate(monomials) if m)
+    lowerings = []
+    for t, m in enumerate(monomials):
+        for j in dict.fromkeys(m):
+            k = m.index(j)
+            lowerings.append((t, j, index[m[:k] + m[k + 1:]], m.count(j)))
+    return parents, tuple(lowerings)
 
 
 def _features(X: np.ndarray, degree: int) -> np.ndarray:
     """Monomials of total degree <= degree of the rows of X (N, n), one
-    column per row of ``multi_indices(n, degree)``: (N, T).
+    column per monomial of ``_basis(n, degree)``: (N, T).
 
-    In graded order every exponent row after the constant is an earlier
-    row plus one unit exponent, so each column is an earlier column times
-    one coordinate (the row's last nonzero one).
+    Each column after the constant is an earlier column times one
+    coordinate (the monomial's last index).
     """
-    alphas, _, parents = _basis(X.shape[1], degree)
-    A = np.empty((X.shape[0], alphas.shape[0]))
+    parents, _ = _basis(X.shape[1], degree)
+    A = np.empty((X.shape[0], len(parents) + 1))
     A[:, 0] = 1.0
     for t, (s, j) in parents:
         np.multiply(A[:, s], X[:, j], out=A[:, t])
     return A
-
-
-def _lowerings(alphas: np.ndarray):
-    """(t, j, s) for each alphas[t, j] > 0, where row s is alphas[t] - e_j."""
-    index = {row: s for s, row in enumerate(map(tuple, alphas.tolist()))}
-    for t, row in enumerate(alphas.tolist()):
-        for j, e in enumerate(row):
-            if e:
-                row[j] -= 1
-                yield t, j, index[tuple(row)]
-                row[j] += 1
 
 
 def fit_polynomial(designs, targets, degree: int) -> ResponseSurface:

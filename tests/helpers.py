@@ -1,13 +1,15 @@
 """Shared test utilities: synthetic ridge experiments, the per-point
-forward-difference oracle for algorithm 2's batched loop, the direct
-monomial and per-term gradient oracles for the response-surface kernels,
-the per-value CSV encoder that the external batch formatter must match,
-and the classical-basis coordinates of group exponents (criterion 5)."""
+forward-difference oracle for algorithm 2's batched loop, the graded
+monomial order and the direct monomial and per-term gradient oracles for
+the response-surface kernels, the per-value CSV encoder that the external
+batch formatter must match, and the classical-basis coordinates of group
+exponents (criterion 5)."""
+
+from itertools import product
 
 import numpy as np
 
 from pigroups.errors import ExperimentFailure, NonPositiveInput, ShapeMismatch, ToolkitError
-from pigroups.surrogate import multi_indices
 
 
 class SpanMismatch(ToolkitError):
@@ -107,6 +109,14 @@ def fd_gradient(experiment, q_vec, pi_base: float, w, W, h: float) -> np.ndarray
         pi_shift = q_shift * np.exp(-np.dot(w, np.log(shifted)))
         grad[k] = (pi_shift - pi_base) / h
     return grad
+
+
+def multi_indices(n: int, degree: int) -> np.ndarray:
+    """Exponent rows of the surrogate's basis in graded lexicographic order:
+    by total degree, then by descending rows; the constant term first."""
+    rows = sorted((a for a in product(range(degree + 1), repeat=n) if sum(a) <= degree),
+                  key=lambda a: (sum(a), [-e for e in a]))
+    return np.array(rows, dtype=int).reshape(len(rows), n)
 
 
 def monomials(X, alphas) -> np.ndarray:

@@ -25,7 +25,7 @@ from pigroups.algorithms import (
 )
 from pigroups.cli import fit_loglog_slope, signed_column_distance
 from pigroups.dimension import PiBasis, build_dimension_matrix, check_dimensionless
-from pigroups.pipeflow import PipeFlowExperiment, colebrook, regime_box
+from pigroups.pipeflow import PipeFlowExperiment, friction_factor, regime_box
 from pigroups.quadrature import RegimeBox, gauss_legendre_1d, tensor_rule
 from pigroups.subspace import (
     assemble_C,
@@ -337,7 +337,8 @@ class TestCriterion9PropertySuite:
         worst = 0.0
         for Re in np.logspace(4, 8, 20):
             for rr in np.linspace(0.0, 0.05, 20):
-                worst = max(worst, abs(colebrook(float(Re), float(rr)) - bisect(Re, rr)))
+                lam = friction_factor(float(Re), float(rr), re_crit=None)
+                worst = max(worst, abs(lam - bisect(Re, rr)))
         ok = worst < 1e-10
         assert report("9d (Colebrook vs bisection)", ok,
                       f"max |dlambda| on 20x20 grid {worst:.1e} (tol 1e-10)")

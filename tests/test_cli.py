@@ -102,6 +102,14 @@ for line in rows:
     print("nan" if float(first) == float(sys.argv[2]) else first)
 """
 
+# appends a line to the file named by argv[1], then fails
+LOGGED_FAIL_SCRIPT = """\
+import sys
+with open(sys.argv[1], "a") as fh:
+    fh.write("launched\\n")
+sys.exit(1)
+"""
+
 # answers 1 per row without parsing the request
 ONES_SCRIPT = """\
 import sys
@@ -285,6 +293,17 @@ class TestExternalExperiment:
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS)
         with pytest.raises(ParseFailure, match=r"^row 3: unparseable output '1\\x0c5'$"):
             external.evaluate_batch(np.ones((6, 5)))
+
+    def test_a_failure_launches_no_queued_batch(self, tmp_path):
+        # ten batches on two workers, each failing: only the batches running
+        # when the first one fails finish, and the queued ones never launch
+        log = tmp_path / "launches.txt"
+        cmd = write_script(tmp_path, "fail.py", LOGGED_FAIL_SCRIPT) + [str(log)]
+        external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=10,
+                                      n_workers=2)
+        with pytest.raises(SubprocessFailure, match="^batch 0: exit code 1"):
+            external.evaluate_batch(np.ones((100, 5)))
+        assert 1 <= len(log.read_text().split()) <= 2
 
     def test_child_that_exits_without_reading_a_large_batch(self, tmp_path):
         # 50,000 rows are far more than a pipe buffer holds
@@ -558,7 +577,7 @@ class TestAnalyzeCommand:
                    "--regime", "turbulent", "--quad", "tensor:3", "--batch-size", batch_size,
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
-        assert f"batch size must be at least 1, got {batch_size}" in capsys.readouterr().err
+        assert f"--batch-size must be at least 1, got {batch_size}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,message", [
         (["--timeout", "0"], "--timeout must be a positive number of seconds, got 0.0"),
@@ -582,7 +601,7 @@ class TestAnalyzeCommand:
         ("analyze", ["--workers", "-2"], "--workers must be at least 1, got -2"),
         ("analyze", ["--timeout", "-1"],
          "--timeout must be a positive number of seconds, got -1.0"),
-        ("analyze", ["--batch-size", "0"], "batch size must be at least 1, got 0"),
+        ("analyze", ["--batch-size", "0"], "--batch-size must be at least 1, got 0"),
         ("ridge-check", ["--workers", "0"], "--workers must be at least 1, got 0"),
         ("fd-convergence", ["--timeout", "inf"],
          "--timeout must be a positive number of seconds, got inf"),
@@ -598,7 +617,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("key,value,message", [
         ("workers", None, "--workers must be at least 1, got None"),
-        ("batch_size", "10", "batch size must be at least 1, got 10"),
+        ("batch_size", "10", "--batch-size must be at least 1, got 10"),
         ("timeout", "30", "--timeout must be a positive number of seconds, got 30"),
         ("algorithm", 3, "--algorithm must be 1 or 2, got 3"),
         ("algorithm", "1", "--algorithm must be 1 or 2, got '1'"),
@@ -746,6 +765,21 @@ class TestSweepCommands:
             return (out / "ridge.csv").read_bytes()
 
         assert run(3) != run(4)
+
+    @pytest.mark.parametrize("command", ["ridge-check", "fd-convergence"])
+    @pytest.mark.parametrize("sweep,message", [
+        ("0,1e-3", "--h-sweep values must be finite and positive, got 0.0"),
+        ("nan,1e-3", "--h-sweep values must be finite and positive, got nan"),
+        ("1e-3,1e-3", "--h-sweep repeats the value 0.001"),
+    ], ids=["zero", "nan", "repeated"])
+    def test_bad_sweep_is_rejected_before_any_work(self, tmp_path, capsys, command, sweep,
+                                                   message):
+        out = tmp_path / "x"
+        rc = main([command, "--regime", "turbulent", "--quad", "tensor:3",
+                   "--h-sweep", sweep, "--out-dir", str(out)])
+        assert rc == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
 
     def test_points_per_dim_is_not_an_option(self, tmp_path):
         rc = main(["ridge-check", "--regime", "turbulent", "--points-per-dim", "3",

@@ -9,8 +9,9 @@ syntax tree:
   or be ``__file__``, so a call into a forgotten import cannot wait for
   its first run to raise ``NameError``;
 * every public top-level function or class must be exported by the
-  package or referenced by name somewhere in it, so code whose only
-  caller is its own test does not stay behind;
+  package or referenced by name somewhere in it, and every public method
+  or property of a public class named as an attribute somewhere in it,
+  so code whose only caller is its own test does not stay behind;
 * every defaulted parameter of a public function or method must be passed
   by some call in the package, so no knob stays that only a test turns.
 
@@ -68,21 +69,32 @@ def unbound_names(source: str) -> list[str]:
 def unreferenced_definitions(sources: dict[str, str], exported) -> list[str]:
     """``module:name`` of each public top-level function or class of the
     sources that is not in ``exported`` and that no source names, as a
-    variable or as an attribute."""
+    variable or as an attribute; and ``module:Class.name`` of each public
+    method or property of a public top-level class that no source names
+    as an attribute. A match is by name alone."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     named = set(exported)
+    attributes = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-    return sorted(
-        f"{module}:{node.name}"
-        for module, tree in trees.items() for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_") and node.name not in named
-    )
+                attributes.add(node.attr)
+    named |= attributes
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, definitions) or node.name.startswith("_"):
+                continue
+            if node.name not in named:
+                found.append(f"{module}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{module}:{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, definitions[:2])
+                          and not item.name.startswith("_") and item.name not in attributes]
+    return sorted(found)
 
 
 def unpassed_defaults(sources: dict[str, str]) -> list[str]:
@@ -146,11 +158,17 @@ def test_checker_finds_unbound_names():
 def test_checker_finds_unreferenced_definitions():
     sources = {
         "a.py": "def used():\n    pass\ndef spare():\n    pass\ndef _private():\n    pass\n"
-                "class Shown:\n    def method(self):\n        pass\n",
-        "b.py": "from .a import used\nimport x\nused()\nx.attribute\n"
-                "def attribute():\n    pass\nclass Spare:\n    pass\n",
+                "class Shown:\n    def method(self):\n        pass\n"
+                "    def unused(self):\n        pass\n"
+                "    @property\n    def size(self):\n        pass\n"
+                "    def _helper(self):\n        pass\n",
+        "b.py": "from .a import used\nimport x\nused()\nx.attribute\nx.method()\n"
+                "def attribute():\n    pass\nclass Spare:\n    pass\n"
+                "size = 1\n",
     }
-    assert unreferenced_definitions(sources, exported=["Shown"]) == ["a.py:spare", "b.py:Spare"]
+    # a method counts as referenced only as an attribute: `size = 1` does not
+    assert unreferenced_definitions(sources, exported=["Shown"]) == [
+        "a.py:Shown.size", "a.py:Shown.unused", "a.py:spare", "b.py:Spare"]
 
 
 def test_checker_finds_unpassed_defaults():
@@ -192,7 +210,7 @@ PUBLIC_NAMES = (
     "predict_dependent", "DimensionVector", "PiBasis", "Quantity", "QuantitySystem",
     "build_dimension_matrix", "check_dimensionless", "nullspace_basis", "parse_unit_expr",
     "pi_basis", "solve_output_exponents", "ExternalExperiment", "PipeFlowExperiment",
-    "colebrook", "friction_factor", "pipe_quantity_system", "poiseuille", "regime_box",
+    "friction_factor", "pipe_quantity_system", "regime_box",
     "QuadratureRule", "RegimeBox", "gauss_legendre_1d", "latin_hypercube",
     "monte_carlo_rule", "tensor_rule", "SubspaceResult", "assemble_C", "eigendecompose",
     "rotation_angle", "sensitivity_metrics", "subspace_distance", "unique_groups",

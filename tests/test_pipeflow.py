@@ -15,11 +15,9 @@ from pigroups.pipeflow import (
     RE_CRITICAL,
     SYMBOLS,
     PipeFlowExperiment,
-    colebrook,
     friction_factor,
     moody_grid,
     pipe_quantity_system,
-    poiseuille,
     regime_box,
 )
 from pigroups.quadrature import latin_hypercube
@@ -46,29 +44,30 @@ def bisect_colebrook(Re, rr):
 
 class TestPoiseuille:
     def test_values(self):
-        assert poiseuille(64.0) == 1.0
-        assert poiseuille(6400.0) == pytest.approx(0.01, rel=1e-15)
-        assert poiseuille(429.0) == pytest.approx(64.0 / 429.0, rel=1e-15)
+        assert friction_factor(64.0, 0.0) == 1.0
+        assert friction_factor(6400.0, 0.0, re_crit=1e4) == pytest.approx(0.01, rel=1e-15)
+        assert friction_factor(429.0, 0.0) == pytest.approx(64.0 / 429.0, rel=1e-15)
 
 
 class TestColebrook:
     def test_matches_bisection_oracle(self):
-        lam = colebrook(1e5, 1e-3)
+        lam = friction_factor(1e5, 1e-3, re_crit=None)
         assert lam == pytest.approx(bisect_colebrook(1e5, 1e-3), abs=1e-10)
 
     def test_oracle_grid(self):
         for Re in np.logspace(4, 8, 20):
             for rr in np.linspace(0.0, 0.05, 20):
-                assert colebrook(Re, rr) == pytest.approx(
+                assert friction_factor(Re, rr, re_crit=None) == pytest.approx(
                     bisect_colebrook(Re, rr), abs=1e-10
                 )
 
     def test_smooth_pipe_friction_decreases_with_re(self):
-        assert colebrook(1e6, 0.0) > colebrook(1e8, 0.0)
+        smooth = friction_factor(1e6, 0.0, re_crit=None)
+        assert smooth > friction_factor(1e8, 0.0, re_crit=None)
 
     def test_fully_rough_limit(self):
         t = -2.0 * math.log10(0.02 / 3.7)
-        assert colebrook(1e9, 0.02) == pytest.approx(1.0 / t**2, rel=0.01)
+        assert friction_factor(1e9, 0.02, re_crit=None) == pytest.approx(1.0 / t**2, rel=0.01)
 
     def test_residual_below_tolerance_on_all_regime_boxes(self):
         for name in ("laminar", "turbulent", "high_re"):
@@ -77,23 +76,23 @@ class TestColebrook:
             rho, mu, D, eps, V = pts.T
             Re = rho * V * D / mu
             rr = eps / D
-            lam = colebrook(Re, rr)
+            lam = friction_factor(Re, rr, re_crit=None)
             res = 1.0 / np.sqrt(lam) + 2.0 * np.log10(rr / 3.7 + 2.51 / (Re * np.sqrt(lam)))
             assert np.max(np.abs(res)) < 1e-12
 
     def test_domain_checks(self):
         with pytest.raises(InvalidArgument):
-            colebrook(-1.0, 0.0)
+            friction_factor(-1.0, 0.0, re_crit=None)
         with pytest.raises(InvalidArgument):
-            colebrook(1e5, 1.0)
+            friction_factor(1e5, 1.0, re_crit=None)
 
     def test_domain_errors_name_the_first_offending_point(self):
         with pytest.raises(InvalidArgument, match=r"^Reynolds number must be positive at "
                            r"point 2 \(Re=-1\.0, rel_rough=0\.001\)$"):
-            colebrook(np.array([1e5, 2e5, -1.0, -2.0]), 1e-3)
+            friction_factor(np.array([1e5, 2e5, -1.0, -2.0]), 1e-3, re_crit=None)
         with pytest.raises(InvalidArgument, match=r"^relative roughness must lie in \[0, 1\) at "
                            r"point 2 \(Re=100000\.0, rel_rough=1\.5\)$"):
-            colebrook(1e5, np.array([[1e-3, 1e-2], [1.5, 1e-3]]))
+            friction_factor(1e5, np.array([[1e-3, 1e-2], [1.5, 1e-3]]), re_crit=None)
 
     def test_nonpositive_logarithm_names_the_point(self, monkeypatch):
         # no input leaves the domain; with the log term's slope c = 0, Newton
@@ -102,7 +101,7 @@ class TestColebrook:
         monkeypatch.setattr(pipeflow, "_LN10", math.inf)
         with pytest.raises(InvalidArgument, match=r"^logarithm argument became nonpositive "
                            r"at point 1 \(Re=1\.0, rel_rough=0\.0\)$"):
-            colebrook(np.array([1e5, 1.0, 1.0]), 0.0)
+            friction_factor(np.array([1e5, 1.0, 1.0]), 0.0, re_crit=None)
 
     @pytest.mark.parametrize("Re", [1e-6, 1e-3, 1.0, 5.0, 6.9])
     @pytest.mark.parametrize("rel_rough", [0.0, 1e-3])
@@ -117,14 +116,15 @@ class TestColebrook:
                 hi = mid
             else:
                 lo = mid
-        assert colebrook(Re, rel_rough) == pytest.approx(1.0 / lo**2, rel=1e-12)
+        lam = friction_factor(Re, rel_rough, re_crit=None)
+        assert lam == pytest.approx(1.0 / lo**2, rel=1e-12)
 
     def test_no_convergence_names_the_point(self, monkeypatch):
         # three steps converge at Re = 1e5 and 1e6 but not at Re = 100
         monkeypatch.setattr(pipeflow, "_MAX_ITER", 3)
         with pytest.raises(NoConvergence, match=r"first unconverged point 1 "
                            r"\(Re=100\.0, rel_rough=0\.001\)$"):
-            colebrook(np.array([1e5, 100.0, 1e6]), 1e-3)
+            friction_factor(np.array([1e5, 100.0, 1e6]), 1e-3, re_crit=None)
 
     @pytest.mark.parametrize("Re,rel_rough,shown", [
         (np.nan, 1e-3, "Re=nan, rel_rough=0.001"),
@@ -139,7 +139,8 @@ class TestColebrook:
         monkeypatch.setattr(pipeflow, "_newton", no_newton)
         message = rf"must be finite at point 1 \({re.escape(shown)}\)$"
         with pytest.raises(InvalidArgument, match=message):
-            colebrook(np.array([1e5, Re, 1e6]), np.array([1e-3, rel_rough, 1e-3]))
+            friction_factor(np.array([1e5, Re, 1e6]), np.array([1e-3, rel_rough, 1e-3]),
+                            re_crit=None)
         with pytest.raises(InvalidArgument, match=message):
             friction_factor(np.array([1e5, Re, 1e6]), np.array([1e-3, rel_rough, 1e-3]),
                             re_crit=3000.0)
@@ -157,17 +158,50 @@ class TestColebrook:
                            r"\(Re=100\.0, rel_rough=0\.001\)$"):
             friction_factor(np.array([10.0, 10.0, 100.0]), 1e-3, re_crit=50.0)
 
+    @pytest.mark.parametrize("re_crit", [None, RE_CRITICAL])
+    def test_empty_input_gives_an_empty_result(self, re_crit):
+        assert friction_factor(np.empty((0, 3)), 1e-3, re_crit=re_crit).shape == (0, 3)
+
     def test_vectorized_matches_scalar(self):
         Re = np.array([1e4, 1e5, 1e6])
         rr = np.array([1e-4, 1e-3, 1e-2])
-        vec = colebrook(Re, rr)
+        vec = friction_factor(Re, rr, re_crit=None)
         for i in range(3):
-            assert vec[i] == colebrook(float(Re[i]), float(rr[i]))
+            assert vec[i] == friction_factor(float(Re[i]), float(rr[i]), re_crit=None)
 
     def test_scalar_reynolds_broadcasts_over_roughness(self):
         rr = np.array([1e-4, 1e-3, 1e-2])
-        assert np.array_equal(colebrook(1e5, rr), colebrook(np.full(3, 1e5), rr))
-        assert colebrook(np.array([[1e4], [1e6]]), rr).shape == (2, 3)
+        assert np.array_equal(friction_factor(1e5, rr, re_crit=None),
+                              friction_factor(np.full(3, 1e5), rr, re_crit=None))
+        assert friction_factor(np.array([[1e4], [1e6]]), rr, re_crit=None).shape == (2, 3)
+
+    @pytest.mark.parametrize("Re", [[[5.0, 1e5], [1e5, 1e5]], [[1e5, 1e5], [1e5, 5.0]]],
+                             ids=["first", "last"])
+    def test_low_reynolds_seed_on_a_2d_array(self, Re):
+        # the rows seeded at t = Re/2.51 are found by their flat index
+        lam = friction_factor(np.array(Re), 0.0, re_crit=None)
+        assert np.array_equal(lam.ravel(), friction_factor(np.ravel(Re), 0.0, re_crit=None))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           re_cols=st.booleans(), rr_rows=st.booleans(),
+           re_crit=st.sampled_from([None, RE_CRITICAL, 10.0]), data=st.data())
+    def test_broadcast_equals_the_flat_evaluation(self, shape, re_cols, rr_rows, re_crit,
+                                                  data):
+        # Re of shape (r, c) or (r, 1), rel_rough of shape (r, c) or (1, c);
+        # log10 Re from -3 covers the rows below Re = 9 that start at Re/2.51
+        re_shape = shape if re_cols else (shape[0], 1)
+        rr_shape = (1, shape[1]) if rr_rows else shape
+        log_re = data.draw(st.lists(st.floats(-3.0, 8.0), min_size=math.prod(re_shape),
+                                    max_size=math.prod(re_shape)))
+        rr = data.draw(st.lists(st.floats(0.0, 0.05), min_size=math.prod(rr_shape),
+                                max_size=math.prod(rr_shape)))
+        Re = 10.0 ** np.reshape(log_re, re_shape)
+        rr = np.reshape(rr, rr_shape)
+        lam = friction_factor(Re, rr, re_crit=re_crit)
+        flat_re, flat_rr = (a.ravel() for a in np.broadcast_arrays(Re, rr))
+        assert lam.shape == shape
+        assert np.array_equal(lam, friction_factor(flat_re, flat_rr, re_crit).reshape(shape))
 
 
 class TestFrictionFactor:
@@ -199,8 +233,11 @@ class TestFrictionFactor:
         assert friction_factor(5000.0, 0.0, re_crit=1e4) == pytest.approx(64.0 / 5000.0)
 
     def test_no_critical_reynolds_is_colebrook(self):
+        # below RE_CRITICAL too, the value is Colebrook's, not 64/Re
         Re = np.array([500.0, 5e3, 5e5])
-        assert np.array_equal(friction_factor(Re, 1e-3, re_crit=None), colebrook(Re, 1e-3))
+        lam = friction_factor(Re, 1e-3, re_crit=None)
+        assert lam[0] != pytest.approx(64.0 / Re[0], rel=0.01)
+        assert lam == pytest.approx([bisect_colebrook(r, 1e-3) for r in Re], abs=1e-10)
 
     def test_domain_checked_on_the_laminar_branch(self):
         with pytest.raises(InvalidArgument, match="relative roughness"):
@@ -324,7 +361,7 @@ class TestPipeFlowExperiment:
     def test_default_uses_colebrook_everywhere(self):
         experiment = PipeFlowExperiment()
         q = np.array([0.12, 5e-6, 0.65, 5e-5, 0.0275])  # Re = 429
-        lam = colebrook(429.0, 5e-5 / 0.65)
+        lam = friction_factor(429.0, 5e-5 / 0.65, re_crit=None)
         assert evaluate_point(experiment, q) == pytest.approx(
             2.0 * lam * 0.12 * 0.0275**2 / 0.65, rel=1e-12)
 
@@ -341,7 +378,7 @@ class TestPipeFlowExperiment:
                       [0.12, 5e-6, 0.75, 1e-3, 3.0]])
         rho, mu, D, eps, V = Q.T
         Re = rho * V * D / mu
-        lam = np.array([poiseuille(Re[0]), colebrook(Re[1], eps[1] / D[1])])
+        lam = np.array([64.0 / Re[0], friction_factor(Re[1], eps[1] / D[1], re_crit=None)])
         want = lam * rho * V**2 / (2.0 * D)
         assert np.allclose(TEXTBOOK.evaluate_batch(Q), want, rtol=1e-14, atol=0.0)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import monomials, surface_gradient_per_term, surface_gradient_terms
+from helpers import monomials, multi_indices, surface_gradient_per_term, surface_gradient_terms
 from pigroups import jsonio
 from pigroups.errors import IllConditioned, ShapeMismatch, Underdetermined
 from pigroups.pipeflow import PipeFlowExperiment, regime_box
@@ -14,7 +14,6 @@ from pigroups.surrogate import (
     eval_surface,
     fit_polynomial,
     grad_surface,
-    multi_indices,
     n_coefficients,
 )
 
