@@ -32,14 +32,7 @@ from .dimension import (
     build_dimension_matrix,
     check_dimensionless,
 )
-from .errors import (
-    DesignTooSmall,
-    ExperimentFailure,
-    NonFinite,
-    NonPositiveInput,
-    ShapeMismatch,
-    ToolkitError,
-)
+from .errors import ToolkitError
 from .quadrature import (
     GL_MAX_POINTS,
     QuadratureRule,
@@ -126,14 +119,14 @@ def evaluate_experiment(experiment, points: np.ndarray) -> np.ndarray:
     except ToolkitError:
         raise
     except Exception as exc:
-        raise ExperimentFailure(f"experiment raised {exc!r}") from exc
+        raise ToolkitError(f"experiment raised {exc!r}") from exc
     if values.shape[0] != points.shape[0]:
-        raise ShapeMismatch(
+        raise ToolkitError(
             f"experiment returned {values.shape[0]} values for {points.shape[0]} points"
         )
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise NonFinite(f"experiment returned {values[bad]!r} at point index {bad}")
+        raise ToolkitError(f"experiment returned {values[bad]!r} at point index {bad}")
     return values
 
 
@@ -247,9 +240,7 @@ def algorithm1(
     n = W.shape[1]
     needed = n_coefficients(n, config.degree)
     if config.design < needed:
-        raise DesignTooSmall(
-            f"design of {config.design} cannot fit {needed} surrogate coefficients"
-        )
+        raise ToolkitError(f"design of {config.design} cannot fit {needed} surrogate coefficients")
     points = latin_hypercube(box, config.design, config.seed)
     logq = np.log(points)
     pi = _pi(experiment, points, logq, w)
@@ -344,7 +335,7 @@ def predict_dependent(surface: ResponseSurface, w, W, q_vec) -> float:
     """
     q_vec = np.asarray(q_vec, dtype=float)
     if np.any(q_vec <= 0.0):
-        raise NonPositiveInput("prediction requires strictly positive inputs")
+        raise ToolkitError("prediction requires strictly positive inputs")
     logq = np.log(q_vec)
     w = np.asarray(w, dtype=float)
     W = np.asarray(W, dtype=float)

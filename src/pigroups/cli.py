@@ -2,16 +2,20 @@
 
 Commands: ``pi-basis``, ``analyze``, ``ridge-check``, ``fd-convergence``,
 ``moody-data``, ``predict``. Options merge as defaults < config file <
-flags. Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 subprocess failure. Every analysis writes a manifest next to its
-results; with a fixed seed and config the result JSON is byte-identical
-across runs and worker counts.
+flags. Exit codes: 0 success, 2 configuration error (``ConfigError``, or
+an option or file the command cannot use), 3 numerical failure
+(``ToolkitError``), 4 subprocess failure (``ExternalError``). Every
+analysis writes a manifest next to its results; with a fixed seed and
+config the result JSON is byte-identical across runs and worker counts.
+
+A command imports the analysis modules it runs when it runs, so
+``pi-basis`` loads neither the drivers nor the quadrature, subspace and
+surrogate modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import shlex
 import sys
 import time
@@ -22,15 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, jsonio
-from .algorithms import (
-    AlgorithmConfig,
-    CountingExperiment,
-    algorithm1,
-    algorithm2,
-    build_rule,
-    full_space_C,
-    predict_dependent,
-)
 from .dimension import (
     QuantitySystem,
     build_dimension_matrix,
@@ -40,14 +35,9 @@ from .dimension import (
 )
 from .errors import (
     EXTERNAL_DEFAULTS,
-    ExperimentTimeout,
-    ExponentOverflow,
-    ParseFailure,
-    SubprocessFailure,
+    ConfigError,
+    ExternalError,
     ToolkitError,
-    UnitSyntaxError,
-    UnknownBaseUnit,
-    UnknownRegime,
     check_external_options,
 )
 from .pipeflow import (
@@ -58,24 +48,11 @@ from .pipeflow import (
     regime_box,
     regime_names,
 )
-from .quadrature import RegimeBox
-from .subspace import result_to_csv, rotation_angle
-from .surrogate import ResponseSurface
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_SUBPROCESS = 4
-
-_CONFIG_ERRORS = (UnknownBaseUnit, UnitSyntaxError, ExponentOverflow, UnknownRegime)
-_SUBPROCESS_ERRORS = (SubprocessFailure, ParseFailure, ExperimentTimeout)
-
-_DEFAULTS = {
-    "algorithm": 2,
-    **{f.name: f.default for f in fields(AlgorithmConfig)},
-    **{f.name: f.default for f in fields(PipeFlowExperiment)},
-    **EXTERNAL_DEFAULTS,
-}
 
 
 def entry() -> None:
@@ -93,16 +70,16 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except _SUBPROCESS_ERRORS as exc:
+    except ExternalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SUBPROCESS
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -180,11 +157,23 @@ def _common_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="directory for result files")
 
 
+def _defaults() -> dict:
+    """Every analysis option's default, read from the fields that declare it."""
+    from .algorithms import AlgorithmConfig
+
+    return {
+        "algorithm": 2,
+        **{f.name: f.default for f in fields(AlgorithmConfig)},
+        **{f.name: f.default for f in fields(PipeFlowExperiment)},
+        **EXTERNAL_DEFAULTS,
+    }
+
+
 def _merge_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
+    defaults = _defaults()
+    cfg = dict(defaults)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        file_cfg = jsonio.load(args.config, dict)
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -200,7 +189,7 @@ def _merge_config(args) -> dict:
         except (TypeError, ValueError):
             raise ValueError(f"--re-crit must be a number or 'none', got {re_crit!r}") from None
     if cfg.get("quad") is None:
-        cfg["quad"] = _DEFAULTS["quad"]
+        cfg["quad"] = defaults["quad"]
     if not (type(cfg["algorithm"]) is int and cfg["algorithm"] in (1, 2)):
         raise ValueError(f"--algorithm must be 1 or 2, got {cfg['algorithm']!r}")
     if cfg["seed"] is None:  # a null seed in a config file draws one, for the manifest
@@ -209,6 +198,8 @@ def _merge_config(args) -> dict:
 
 
 def _algorithm_config(cfg: dict) -> AlgorithmConfig:
+    from .algorithms import AlgorithmConfig
+
     return AlgorithmConfig(**{f.name: cfg[f.name] for f in fields(AlgorithmConfig)})
 
 
@@ -220,6 +211,8 @@ def _load_system(args) -> QuantitySystem:
 
 def _load_box(args, system: QuantitySystem) -> RegimeBox:
     if getattr(args, "box", None):
+        from .quadrature import RegimeBox
+
         return RegimeBox.from_file(args.box, symbols=system.symbols)
     if getattr(args, "regime", None):
         return regime_box(args.regime)
@@ -248,6 +241,8 @@ def _make_experiment(args, cfg, system: QuantitySystem):
 def _prepare(args):
     """Setup shared by the analysis commands: merged options, system, box,
     basis, a counting experiment and the output directory."""
+    from .algorithms import CountingExperiment
+
     cfg = _merge_config(args)
     # the built-in experiment ignores these, but an out-of-range value is an error
     check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
@@ -315,6 +310,9 @@ def _cmd_pi_basis(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .algorithms import algorithm1, algorithm2
+    from .subspace import result_to_csv
+
     started = time.monotonic()
     cfg, system, box, basis, experiment, out_dir = _prepare(args)
     config = _algorithm_config(cfg)
@@ -344,6 +342,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _print_result(system, result) -> None:
+    from .subspace import rotation_angle
+
     n = result.Z.shape[1]
     header = "variable  " + "  ".join(f"{f'z_{j + 1}':>8s}" for j in range(n))
     print(header)
@@ -373,7 +373,7 @@ def _parse_sweep(text: str) -> list[float]:
     """The steps of ``--h-sweep``, largest first: at least two, each finite,
     positive and given once. A zero step divides by zero, and a repeated
     one gives a zero error, to which no slope can be fitted."""
-    hs = [float(tok) for tok in text.split(",") if tok.strip()]
+    hs = _numbers("--h-sweep", [tok for tok in text.split(",") if tok.strip()])
     if len(hs) < 2:
         raise ValueError("--h-sweep needs at least two values")
     for i, h in enumerate(hs):
@@ -384,6 +384,17 @@ def _parse_sweep(text: str) -> list[float]:
     return sorted(hs, reverse=True)
 
 
+def _numbers(option: str, tokens) -> list[float]:
+    """The tokens as floats; a token that is not a number names ``option``."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{option} values must be numbers, got {tok!r}") from None
+    return values
+
+
 def fit_loglog_slope(hs, values) -> float:
     """Least-squares slope of log|value| against log h."""
     y = np.log(np.maximum(np.abs(np.asarray(values, dtype=float)), 1e-300))
@@ -391,6 +402,8 @@ def fit_loglog_slope(hs, values) -> float:
 
 
 def _cmd_ridge_check(args) -> int:
+    from .algorithms import build_rule, full_space_C
+
     started = time.monotonic()
     hs = _parse_sweep(args.h_sweep)
     cfg, system, box, basis, experiment, out_dir = _prepare(args)
@@ -427,6 +440,8 @@ def _cmd_ridge_check(args) -> int:
 
 
 def _cmd_fd_convergence(args) -> int:
+    from .algorithms import algorithm2
+
     started = time.monotonic()
     hs = _parse_sweep(args.h_sweep)
     cfg, system, box, basis, experiment, out_dir = _prepare(args)
@@ -470,12 +485,15 @@ def _cmd_moody_data(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    with open(args.surface) as fh:
-        doc = json.load(fh)
-    surface = ResponseSurface.from_dict(doc["surface"])
-    w = np.asarray(doc["w"], dtype=float)
-    W = np.asarray(doc["W"], dtype=float)
-    point = np.array([float(tok) for tok in args.point.split(",")])
+    from .algorithms import predict_dependent
+    from .surrogate import ResponseSurface
+
+    surface, w, W = jsonio.load(args.surface, lambda doc: (
+        ResponseSurface.from_dict(doc["surface"]),
+        np.asarray(doc["w"], dtype=float),
+        np.asarray(doc["W"], dtype=float),
+    ))
+    point = np.array(_numbers("--point", args.point.split(",")))
     if point.shape[0] != W.shape[0]:
         raise ValueError(f"point has {point.shape[0]} entries, expected {W.shape[0]}")
     value = predict_dependent(surface, w, W, point)

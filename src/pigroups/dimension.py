@@ -13,23 +13,14 @@ Exponents are kept as exact rationals until linear algebra needs floats.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ExponentOverflow,
-    Inconsistent,
-    NoNullSpace,
-    RankDeficient,
-    ShapeMismatch,
-    ToolkitError,
-    UnitSyntaxError,
-    UnknownBaseUnit,
-)
+from . import jsonio
+from .errors import ConfigError, ToolkitError
 
 MAX_EXPONENT = 64
 RANK_RTOL = 1e-10       # singular values above RANK_RTOL * sigma_max count toward rank
@@ -81,26 +72,26 @@ def parse_unit_expr(text: str, base_units) -> DimensionVector:
         if expect_term:
             m = _TERM_RE.match(text, pos)
             if m is None:
-                raise UnitSyntaxError(f"expected a term at position {pos} in {text!r}")
+                raise ConfigError(f"expected a term at position {pos} in {text!r}")
             name, power = m.group(1), m.group(2)
             exponent = 1 if power is None else int(power)
             if abs(exponent) > MAX_EXPONENT:
-                raise ExponentOverflow(f"exponent {exponent} exceeds |{MAX_EXPONENT}|")
+                raise ConfigError(f"exponent {exponent} exceeds |{MAX_EXPONENT}|")
             if name != "1":
                 if name not in index:
-                    raise UnknownBaseUnit(f"base unit {name!r} not declared")
+                    raise ConfigError(f"base unit {name!r} not declared")
                 exps[index[name]] += sign * exponent
             pos = m.end()
             expect_term = False
         else:
             m = _OP_RE.match(text, pos)
             if m is None:
-                raise UnitSyntaxError(f"expected '*' or '/' at position {pos} in {text!r}")
+                raise ConfigError(f"expected '*' or '/' at position {pos} in {text!r}")
             sign = 1 if m.group(1) == "*" else -1
             pos = m.end()
             expect_term = True
     if expect_term:
-        raise UnitSyntaxError(f"expression {text!r} ends on an operator or is empty")
+        raise ConfigError(f"expression {text!r} ends on an operator or is empty")
     return DimensionVector(tuple(exps))
 
 
@@ -136,7 +127,7 @@ class QuantitySystem:
             raise ToolkitError("quantity symbols must be unique")
         for q in list(self.independents) + [self.dependent]:
             if len(q.dims) != k:
-                raise ShapeMismatch(
+                raise ToolkitError(
                     f"quantity {q.symbol!r} has {len(q.dims)} exponents, expected {k}"
                 )
         if self.dependent.dims.is_zero():
@@ -144,13 +135,13 @@ class QuantitySystem:
         D = build_dimension_matrix(self)
         r = matrix_rank(D)
         if r < k:
-            raise RankDeficient(_rank_message(D, self.base_units, r))
+            raise ToolkitError(_rank_message(D, self.base_units, r))
         if self.pinned_w is not None:
             if len(self.pinned_w) != m:
-                raise ShapeMismatch("pinned w must have one entry per independent")
+                raise ToolkitError("pinned w must have one entry per independent")
             res = _max_abs(D @ np.asarray(self.pinned_w) - self.dependent.dims.as_array())
             if res > BASIS_TOL:
-                raise Inconsistent(f"pinned w violates D w = v(q): residual {res:.3e}")
+                raise ToolkitError(f"pinned w violates D w = v(q): residual {res:.3e}")
 
     @property
     def k(self) -> int:
@@ -174,8 +165,7 @@ class QuantitySystem:
 
     @classmethod
     def from_file(cls, path) -> "QuantitySystem":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return jsonio.load(path, cls.from_dict)
 
     def to_dict(self) -> dict:
         doc = {
@@ -192,7 +182,7 @@ def _quantity_from_dict(d: dict, base_units) -> Quantity:
     if "dims" in d:
         dims = DimensionVector.of(d["dims"])
         if len(dims) != len(base_units):
-            raise ShapeMismatch(f"quantity {d.get('symbol')!r}: wrong dims length")
+            raise ToolkitError(f"quantity {d.get('symbol')!r}: wrong dims length")
     elif "unit" in d:
         dims = parse_unit_expr(d["unit"], base_units)
     else:
@@ -240,11 +230,11 @@ def solve_output_exponents(D: np.ndarray, v_q: np.ndarray) -> np.ndarray:
     D = np.asarray(D, dtype=float)
     v = np.asarray(v_q, dtype=float).reshape(-1)
     if v.shape[0] != D.shape[0]:
-        raise ShapeMismatch(f"v(q) has length {v.shape[0]}, D has {D.shape[0]} rows")
+        raise ToolkitError(f"v(q) has length {v.shape[0]}, D has {D.shape[0]} rows")
     w, *_ = np.linalg.lstsq(D, v, rcond=None)
     res = _max_abs(D @ w - v)
     if res > BASIS_TOL:
-        raise Inconsistent(f"no exponent vector solves D w = v(q); residual {res:.3e}")
+        raise ToolkitError(f"no exponent vector solves D w = v(q); residual {res:.3e}")
     return w
 
 
@@ -277,9 +267,9 @@ def nullspace_basis(D: np.ndarray) -> np.ndarray:
     k, m = D.shape
     r = matrix_rank(D)
     if r < k:
-        raise RankDeficient(f"dimension matrix has rank {r} < {k}")
+        raise ToolkitError(f"dimension matrix has rank {r} < {k}")
     if m == r:
-        raise NoNullSpace(f"no dimensionless groups exist (m = k = {m})")
+        raise ToolkitError(f"no dimensionless groups exist (m = k = {m})")
     _, _, Vt = np.linalg.svd(D)
     W = normalize_column_signs(Vt[r:, :].T)
     W.flags.writeable = False
@@ -291,7 +281,7 @@ def check_dimensionless(D: np.ndarray, z) -> float:
     D = np.atleast_2d(np.asarray(D, dtype=float))
     z = np.asarray(z, dtype=float)
     if z.shape[0] != D.shape[1]:
-        raise ShapeMismatch(f"z has length {z.shape[0]}, D has {D.shape[1]} columns")
+        raise ToolkitError(f"z has length {z.shape[0]}, D has {D.shape[1]} columns")
     return _max_abs(D @ z)
 
 

@@ -1,9 +1,20 @@
-"""Exception types shared across the toolkit, and the defaults and range
-check of the external-run options.
+"""The toolkit's three exception classes, and the defaults and range check
+of the external-run options.
 
-The options live here, in the one module that every other imports and
-that imports nothing heavy, so the command line can fill in and check them
-for every analysis command without loading ``pigroups.external``.
+A caller tells failures apart by class alone; the command line maps each
+class to its exit code:
+
+* ``ToolkitError``, a numerical failure: exit 3;
+* ``ConfigError``, a configuration error (a unit expression, an exponent
+  or a regime name the toolkit cannot read): exit 2;
+* ``ExternalError``, an external experiment that fails, times out or
+  answers unparseably: exit 4.
+
+Both subclasses derive from ``ToolkitError``, so one ``except
+ToolkitError`` catches every toolkit failure. The options live here, in the
+one module that every other imports and that imports nothing heavy, so the
+command line can fill in and check them for every analysis command without
+loading ``pigroups.external``.
 """
 
 import math
@@ -11,131 +22,15 @@ from numbers import Integral, Real
 
 
 class ToolkitError(Exception):
-    """Base class for every toolkit-specific failure."""
+    """A numerical failure, and the base class of every toolkit failure."""
 
 
-# ---------------------------------------------------------------------------
-# dimensional analysis
-# ---------------------------------------------------------------------------
-
-class UnknownBaseUnit(ToolkitError):
-    """A unit expression names a base unit that was never declared."""
+class ConfigError(ToolkitError):
+    """The toolkit's input cannot be read as a configuration."""
 
 
-class UnitSyntaxError(ToolkitError):
-    """A unit expression does not follow the expr/term grammar."""
-
-
-class ExponentOverflow(ToolkitError):
-    """A unit exponent magnitude exceeds the supported limit of 64."""
-
-
-class RankDeficient(ToolkitError):
-    """The dimension matrix has rank below the number of base units."""
-
-
-class Inconsistent(ToolkitError):
-    """The output-exponent system has no solution."""
-
-
-class NoNullSpace(ToolkitError):
-    """As many base units as quantities: no dimensionless groups exist."""
-
-
-class NonPositiveInput(ToolkitError):
-    """Log-space operations require strictly positive quantity values."""
-
-
-class ShapeMismatch(ToolkitError):
-    """Array arguments do not conform."""
-
-
-# ---------------------------------------------------------------------------
-# quadrature and designs
-# ---------------------------------------------------------------------------
-
-class OutOfRange(ToolkitError):
-    """A rule parameter lies outside its supported range."""
-
-
-class TooManyPoints(ToolkitError):
-    """A tensor rule would exceed the point-count guard."""
-
-
-# ---------------------------------------------------------------------------
-# response surfaces
-# ---------------------------------------------------------------------------
-
-class Underdetermined(ToolkitError):
-    """Fewer samples than polynomial coefficients."""
-
-
-class IllConditioned(ToolkitError):
-    """The least-squares feature matrix is numerically singular."""
-
-
-# ---------------------------------------------------------------------------
-# subspaces
-# ---------------------------------------------------------------------------
-
-class NotSymmetric(ToolkitError):
-    """A matrix expected to be symmetric is not."""
-
-
-class NotPositiveSemidefinite(ToolkitError):
-    """An eigenvalue is negative beyond round-off."""
-
-
-class WrongDimension(ToolkitError):
-    """Operation defined only for a specific matrix size."""
-
-
-class NonFinite(ToolkitError):
-    """A NaN or infinity appeared where a finite value is required."""
-
-
-# ---------------------------------------------------------------------------
-# algorithm drivers
-# ---------------------------------------------------------------------------
-
-class DesignTooSmall(ToolkitError):
-    """The experimental design cannot support the requested surrogate."""
-
-
-class ExperimentFailure(ToolkitError):
-    """An experiment evaluation raised or returned garbage."""
-
-
-# ---------------------------------------------------------------------------
-# pipe-flow model
-# ---------------------------------------------------------------------------
-
-class NoConvergence(ToolkitError):
-    """An iterative solver did not reach its residual target."""
-
-
-class InvalidArgument(ToolkitError):
-    """A model function received an argument outside its domain."""
-
-
-class UnknownRegime(ToolkitError):
-    """No bounds table is registered under the requested name."""
-
-
-# ---------------------------------------------------------------------------
-# external experiments
-# ---------------------------------------------------------------------------
-
-class SubprocessFailure(ToolkitError):
-    """An external experiment process exited abnormally."""
-
-
-class ParseFailure(ToolkitError):
-    """An external experiment produced unparseable output."""
-
-
-class ExperimentTimeout(ToolkitError):
-    """An external experiment exceeded its time budget."""
+class ExternalError(ToolkitError):
+    """An external experiment process failed, timed out or answered garbage."""
 
 
 # defaults of the external-run options, keyed by their config names. A

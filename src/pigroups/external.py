@@ -33,13 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    EXTERNAL_DEFAULTS,
-    ExperimentTimeout,
-    ParseFailure,
-    SubprocessFailure,
-    check_external_options,
-)
+from .errors import EXTERNAL_DEFAULTS, ExternalError, check_external_options
 
 # rows encoded at a time into a request
 _CHUNK_ROWS = 4096
@@ -95,20 +89,20 @@ class ExternalExperiment:
                 list(self.command), input=request, capture_output=True, timeout=self.timeout,
             )
         except subprocess.TimeoutExpired as exc:
-            raise ExperimentTimeout(
+            raise ExternalError(
                 f"batch {batch_index}: no reply within {self.timeout}s"
             ) from exc
         except OSError as exc:
-            raise SubprocessFailure(f"cannot launch {self.command[0]!r}: {exc}") from exc
+            raise ExternalError(f"cannot launch {self.command[0]!r}: {exc}") from exc
         del request
         if proc.returncode != 0:
-            raise SubprocessFailure(
+            raise ExternalError(
                 f"batch {batch_index}: exit code {proc.returncode}; "
                 f"stderr: {_text(proc.stderr).strip()!r}"
             )
         lines = [ln for ln in _text(proc.stdout).split("\n") if ln.strip()]
         if len(lines) != Q.shape[0]:
-            raise ParseFailure(
+            raise ExternalError(
                 f"batch {batch_index}: expected {Q.shape[0]} values, got {len(lines)}"
             )
         try:
@@ -119,7 +113,7 @@ class ExternalExperiment:
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             i = int(bad[0])
-            raise ParseFailure(f"row {row_offset + i}: unparseable output {lines[i].strip()!r}")
+            raise ExternalError(f"row {row_offset + i}: unparseable output {lines[i].strip()!r}")
         return values
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NoConvergence, ToolkitError, UnknownRegime
+from .errors import ConfigError, ToolkitError
 
 RE_CRITICAL = 3000.0
 SYMBOLS = ("rho", "mu", "D", "eps", "V")
@@ -84,7 +84,7 @@ def _friction(Re_a, rr_a, re_crit, rows):
         ("relative roughness must lie in [0, 1)", (rr_a < 0.0) | (rr_a >= 1.0)),
     ):
         if bad.any():
-            raise InvalidArgument(f"{message} at {_first_point(bad, Re_a, rr_a, rows)}")
+            raise ToolkitError(f"{message} at {_first_point(bad, Re_a, rr_a, rows)}")
     if re_crit is None:
         return _newton(Re_a, rr_a, rows)
     lam = 64.0 / Re_a
@@ -116,7 +116,7 @@ def _newton(Re_a, rr_a, rows):
     for _ in range(_MAX_ITER):
         arg = a + b * t
         if (arg <= 0.0).any():
-            raise InvalidArgument(
+            raise ToolkitError(
                 "logarithm argument became nonpositive at "
                 f"{_first_point(arg <= 0.0, Re_a, rr_a, rows)}"
             )
@@ -126,7 +126,7 @@ def _newton(Re_a, rr_a, rows):
             break
         t = t - F / (1.0 + c / arg)
     else:
-        raise NoConvergence(
+        raise ToolkitError(
             f"Newton stalled at residual {residual:.3e} > {_TOL:.0e}; first unconverged "
             f"{_first_point(~(np.abs(F) < _TOL), Re_a, rr_a, rows)}"
         )
@@ -169,7 +169,7 @@ def regime_box(name: str) -> RegimeBox:
         bounds = _REGIMES[name]
     except KeyError:
         known = ", ".join(sorted(_REGIMES))
-        raise UnknownRegime(f"no regime named {name!r}; known: {known}") from None
+        raise ConfigError(f"no regime named {name!r}; known: {known}") from None
     return RegimeBox.from_pairs([bounds[s] for s in SYMBOLS])
 
 

@@ -8,12 +8,12 @@ identical points on every platform and schedule.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, ShapeMismatch, TooManyPoints, ToolkitError
+from . import jsonio
+from .errors import ToolkitError
 
 MAX_TENSOR_POINTS = 10**7
 GL_MAX_POINTS = 64
@@ -30,7 +30,7 @@ class RegimeBox:
         lo = np.asarray(self.lower, dtype=float).reshape(-1)
         hi = np.asarray(self.upper, dtype=float).reshape(-1)
         if lo.shape != hi.shape:
-            raise ShapeMismatch("lower and upper bounds must have equal length")
+            raise ToolkitError("lower and upper bounds must have equal length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ToolkitError("bounds must be finite")
         if np.any(lo <= 0.0) or np.any(hi <= lo):
@@ -64,8 +64,7 @@ class RegimeBox:
 
     @classmethod
     def from_file(cls, path, symbols=None) -> "RegimeBox":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh), symbols=symbols)
+        return jsonio.load(path, lambda doc: cls.from_dict(doc, symbols=symbols))
 
     @property
     def m(self) -> int:
@@ -87,7 +86,7 @@ class QuadratureRule:
         P = np.atleast_2d(np.asarray(self.points, dtype=float))
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if P.shape[0] != w.shape[0]:
-            raise ShapeMismatch("one weight per point required")
+            raise ToolkitError("one weight per point required")
         if abs(w.sum() - 1.0) > 1e-10:
             raise ToolkitError(f"weights sum to {w.sum()!r}, expected 1")
         P.flags.writeable = False
@@ -106,7 +105,7 @@ def gauss_legendre_1d(p: int):
     to 2 and the rule integrates polynomials of degree <= 2p - 1 exactly.
     """
     if not isinstance(p, (int, np.integer)) or not 1 <= p <= GL_MAX_POINTS:
-        raise OutOfRange(f"point count {p} outside [1, {GL_MAX_POINTS}]")
+        raise ToolkitError(f"point count {p} outside [1, {GL_MAX_POINTS}]")
     x, w = np.polynomial.legendre.leggauss(p)
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
@@ -121,7 +120,7 @@ def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
     density so they sum to one. The point count p**m is capped at 1e7.
     """
     if p ** box.m > MAX_TENSOR_POINTS:
-        raise TooManyPoints(f"{p}^{box.m} exceeds the {MAX_TENSOR_POINTS:.0e} point guard")
+        raise ToolkitError(f"{p}^{box.m} exceeds the {MAX_TENSOR_POINTS:.0e} point guard")
     x, w = gauss_legendre_1d(p)
     m = box.m
     # row-major layout: column j of the (p, ..., p, m) grid varies along axis j
@@ -139,7 +138,7 @@ def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
 def monte_carlo_rule(box: RegimeBox, N: int, seed: int) -> QuadratureRule:
     """N i.i.d. uniform draws from the box, each with weight 1/N."""
     if N < 1:
-        raise OutOfRange(f"need at least one point, got {N}")
+        raise ToolkitError(f"need at least one point, got {N}")
     gen = np.random.Generator(np.random.Philox(seed))
     u = gen.random((N, box.m))
     points = box.lower + u * box.widths
@@ -154,7 +153,7 @@ def latin_hypercube(box: RegimeBox, N: int, seed: int) -> np.ndarray:
     jitter places the point inside its stratum.
     """
     if N < 1:
-        raise OutOfRange(f"need at least one sample, got {N}")
+        raise ToolkitError(f"need at least one sample, got {N}")
     gen = np.random.Generator(np.random.Philox(seed))
     points = np.empty((N, box.m))
     for j in range(box.m):

@@ -15,14 +15,7 @@ import numpy as np
 
 from . import jsonio
 from .dimension import normalize_column_signs
-from .errors import (
-    NonFinite,
-    NotPositiveSemidefinite,
-    NotSymmetric,
-    ShapeMismatch,
-    ToolkitError,
-    WrongDimension,
-)
+from .errors import ToolkitError
 
 _CHUNK_ROWS = 4096      # rows per step of the sum in assemble_C
 EIGEN_GAP_RTOL = 1e-3   # below this gap the relevance ordering is ambiguous
@@ -47,7 +40,7 @@ def assemble_C(gradients, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     rows, n = G.shape
     if rows != w.shape[0]:
-        raise ShapeMismatch(f"{rows} gradient rows vs {w.shape[0]} weights")
+        raise ToolkitError(f"{rows} gradient rows vs {w.shape[0]} weights")
     if abs(w.sum() - 1.0) > 1e-10:
         raise ToolkitError(f"weights sum to {w.sum()!r}, expected 1 +/- 1e-10")
     C = np.zeros((n, n))
@@ -55,7 +48,7 @@ def assemble_C(gradients, weights) -> np.ndarray:
         Gc = np.asarray(G[start:start + _CHUNK_ROWS], dtype=float)
         if not np.all(np.isfinite(Gc)):
             bad = start + int(np.argwhere(~np.isfinite(Gc))[0, 0])
-            raise NonFinite(f"gradient row {bad} contains a non-finite entry")
+            raise ToolkitError(f"gradient row {bad} contains a non-finite entry")
         wc = w[start:start + _CHUNK_ROWS]
         C += Gc.T @ (wc[:, None] * Gc)
     return np.tril(C) + np.tril(C, -1).T
@@ -64,10 +57,10 @@ def assemble_C(gradients, weights) -> np.ndarray:
 def _check_symmetric(C) -> np.ndarray:
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape[0] != C.shape[1]:
-        raise ShapeMismatch(f"matrix is {C.shape[0]} x {C.shape[1]}, expected square")
+        raise ToolkitError(f"matrix is {C.shape[0]} x {C.shape[1]}, expected square")
     scale = max(1.0, float(np.max(np.abs(C))) if C.size else 1.0)
     if float(np.max(np.abs(C - C.T))) > 1e-10 * scale:
-        raise NotSymmetric("matrix is not symmetric to 1e-10")
+        raise ToolkitError("matrix is not symmetric to 1e-10")
     return C
 
 
@@ -84,9 +77,7 @@ def eigendecompose(C):
     U = U[:, ::-1]
     clamp = max(1e-12, 1e-12 * max(lam[0], 0.0))
     if lam[-1] < -clamp:
-        raise NotPositiveSemidefinite(
-            f"eigenvalue {lam[-1]:.6e} below -{clamp:.1e}; matrix is not PSD"
-        )
+        raise ToolkitError(f"eigenvalue {lam[-1]:.6e} below -{clamp:.1e}; matrix is not PSD")
     np.clip(lam, 0.0, None, out=lam)
     return lam, normalize_column_signs(U)
 
@@ -105,7 +96,7 @@ def unique_groups(W, U, symbols):
     W = np.atleast_2d(np.asarray(W, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if W.shape[1] != U.shape[0] or U.shape[0] != U.shape[1]:
-        raise ShapeMismatch(f"W is {W.shape}, U is {U.shape}")
+        raise ToolkitError(f"W is {W.shape}, U is {U.shape}")
     n = W.shape[1]
     if float(np.max(np.abs(W.T @ W - np.eye(n)))) > 1e-8:
         raise ValueError("W must have orthonormal columns")
@@ -132,7 +123,7 @@ def rotation_angle(U) -> float:
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape != (2, 2):
-        raise WrongDimension(f"rotation angle needs a 2x2 matrix, got {U.shape}")
+        raise ToolkitError(f"rotation angle needs a 2x2 matrix, got {U.shape}")
     if float(np.max(np.abs(U.T @ U - np.eye(2)))) > 1e-8:
         raise ValueError("U must be orthogonal")
     return float(np.degrees(np.arccos(np.clip(U[0, 0], -1.0, 1.0))))
@@ -143,9 +134,9 @@ def subspace_distance(U1, U2, k: int) -> float:
     U1 = np.atleast_2d(np.asarray(U1, dtype=float))
     U2 = np.atleast_2d(np.asarray(U2, dtype=float))
     if U1.shape != U2.shape:
-        raise ShapeMismatch(f"bases differ in shape: {U1.shape} vs {U2.shape}")
+        raise ToolkitError(f"bases differ in shape: {U1.shape} vs {U2.shape}")
     if not 1 <= k <= U1.shape[1]:
-        raise ShapeMismatch(f"k = {k} outside [1, {U1.shape[1]}]")
+        raise ToolkitError(f"k = {k} outside [1, {U1.shape[1]}]")
     P1 = U1[:, :k] @ U1[:, :k].T
     P2 = U2[:, :k] @ U2[:, :k].T
     return float(np.linalg.norm(P1 - P2, 2))
@@ -193,7 +184,7 @@ def result_to_csv(result: SubspaceResult, symbols, path) -> None:
     an eigenvalue row; exponents carry 3 decimals."""
     Z = result.Z
     if len(symbols) != Z.shape[0]:
-        raise ShapeMismatch(f"{len(symbols)} symbols for {Z.shape[0]} exponent rows")
+        raise ToolkitError(f"{len(symbols)} symbols for {Z.shape[0]} exponent rows")
     cols = ",".join(f"z_{j + 1}" for j in range(Z.shape[1]))
     lines = [f"variable,{cols}"]
     for sym, row in zip(symbols, Z):

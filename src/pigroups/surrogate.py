@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import IllConditioned, ShapeMismatch, NonFinite, Underdetermined
+from .errors import ToolkitError
 
 CONDITION_LIMIT = 1e12
 
@@ -148,15 +148,15 @@ def fit_polynomial(designs, targets, degree: int) -> ResponseSurface:
     X = np.atleast_2d(np.asarray(designs, dtype=float))
     y = np.asarray(targets, dtype=float).reshape(-1)
     if X.shape[0] != y.shape[0]:
-        raise ShapeMismatch(f"{X.shape[0]} design rows vs {y.shape[0]} targets")
+        raise ToolkitError(f"{X.shape[0]} design rows vs {y.shape[0]} targets")
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
-        raise NonFinite("designs and targets must be finite")
+        raise ToolkitError("designs and targets must be finite")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     N, n = X.shape
     T = n_coefficients(n, degree)
     if N < T:
-        raise Underdetermined(f"{N} samples cannot determine {T} coefficients")
+        raise ToolkitError(f"{N} samples cannot determine {T} coefficients")
     center = X.mean(axis=0)
     scale = X.std(axis=0)
     scale = np.where(scale > 0.0, scale, 1.0)
@@ -165,7 +165,7 @@ def fit_polynomial(designs, targets, degree: int) -> ResponseSurface:
     coeffs, _, _, sv = np.linalg.lstsq(A, y, rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
     if cond > CONDITION_LIMIT:
-        raise IllConditioned(f"feature matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
+        raise ToolkitError(f"feature matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
     rmse = float(np.sqrt(np.mean((A @ coeffs - y) ** 2)))
     coeffs.flags.writeable = False
     return ResponseSurface(
@@ -211,5 +211,5 @@ def _as_batch(surface: ResponseSurface, gamma):
     single = G.ndim == 1
     G = np.atleast_2d(G)
     if G.shape[1] != surface.n:
-        raise ShapeMismatch(f"surface expects {surface.n} inputs, got {G.shape[1]}")
+        raise ToolkitError(f"surface expects {surface.n} inputs, got {G.shape[1]}")
     return G, single

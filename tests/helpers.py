@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 
-from pigroups.errors import ExperimentFailure, NonPositiveInput, ShapeMismatch, ToolkitError
+from pigroups.errors import ToolkitError
 
 
 class SpanMismatch(ToolkitError):
@@ -25,7 +25,7 @@ def express_in_classical(Z, W_classical):
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Wc = np.atleast_2d(np.asarray(W_classical, dtype=float))
     if Z.shape[0] != Wc.shape[0]:
-        raise ShapeMismatch(f"Z has {Z.shape[0]} rows, classical basis has {Wc.shape[0]}")
+        raise ToolkitError(f"Z has {Z.shape[0]} rows, classical basis has {Wc.shape[0]}")
     E, *_ = np.linalg.lstsq(Wc, Z, rcond=None)
     residual = float(np.max(np.abs(Wc @ E - Z)))
     if residual > 1e-6:
@@ -78,9 +78,9 @@ def fd_shift_point(q_vec, W, k: int, h: float) -> np.ndarray:
     q_vec = np.asarray(q_vec, dtype=float)
     W = np.asarray(W, dtype=float)
     if not 0 <= k < W.shape[1]:
-        raise ShapeMismatch(f"group index {k} outside [0, {W.shape[1] - 1}]")
+        raise ToolkitError(f"group index {k} outside [0, {W.shape[1] - 1}]")
     if np.any(q_vec <= 0.0):
-        raise NonPositiveInput("q_vec must be strictly positive")
+        raise ToolkitError("q_vec must be strictly positive")
     logq = np.log(q_vec)
     shifted = np.exp(logq + h * W[:, k])
     target = W.T @ logq
@@ -103,7 +103,7 @@ def fd_gradient(experiment, q_vec, pi_base: float, w, W, h: float) -> np.ndarray
         try:
             q_shift = evaluate_point(experiment, shifted)
         except Exception as exc:
-            raise ExperimentFailure(
+            raise ToolkitError(
                 f"experiment failed at shifted point {shifted.tolist()}: {exc!r}"
             ) from exc
         pi_shift = q_shift * np.exp(-np.dot(w, np.log(shifted)))

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -16,6 +16,7 @@ from helpers import (
 )
 from pigroups import algorithms, subspace
 from pigroups.algorithms import (
+    DIMENSIONLESS_TOL,
     AlgorithmConfig,
     CountingExperiment,
     algorithm1,
@@ -26,14 +27,17 @@ from pigroups.algorithms import (
     predict_dependent,
 )
 from pigroups.cli import signed_column_distance
-from pigroups.dimension import PiBasis, build_dimension_matrix
-from pigroups.errors import (
-    DesignTooSmall,
-    ExperimentFailure,
-    NonFinite,
-    NonPositiveInput,
-    ShapeMismatch,
+from pigroups.dimension import (
+    DimensionVector,
+    PiBasis,
+    Quantity,
+    QuantitySystem,
+    build_dimension_matrix,
+    check_dimensionless,
+    matrix_rank,
+    pi_basis,
 )
+from pigroups.errors import ToolkitError
 from pigroups.pipeflow import PipeFlowExperiment, regime_box
 from pigroups.quadrature import QuadratureRule, RegimeBox, tensor_rule
 from pigroups.subspace import assemble_C, subspace_distance
@@ -84,7 +88,7 @@ class TestEvaluateExperiment:
                 out[3] = np.inf
                 return out
 
-        with pytest.raises(NonFinite, match="index 3"):
+        with pytest.raises(ToolkitError, match="^experiment returned .*inf.* at point index 3$"):
             evaluate_experiment(Bad(), np.ones((5, 2)))
 
     def test_raising_experiment_wrapped(self):
@@ -92,7 +96,7 @@ class TestEvaluateExperiment:
             def evaluate_batch(self, Q):
                 raise RuntimeError("kaput")
 
-        with pytest.raises(ExperimentFailure, match="kaput"):
+        with pytest.raises(ToolkitError, match=r"^experiment raised RuntimeError\('kaput'\)$"):
             evaluate_experiment(Boom(), np.ones((2, 2)))
 
     def test_wrong_length_output(self):
@@ -100,7 +104,7 @@ class TestEvaluateExperiment:
             def evaluate_batch(self, Q):
                 return np.ones(len(Q) - 1)
 
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ToolkitError, match="^experiment returned 3 values for 4 points$"):
             evaluate_experiment(Short(), np.ones((4, 2)))
 
 
@@ -132,7 +136,7 @@ class TestFdShiftPoint:
         assert after[1] == pytest.approx(before[1], abs=1e-12)
 
     def test_bad_index(self, pipe_basis):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ToolkitError, match=r"^group index 2 outside \[0, 1\]$"):
             fd_shift_point(np.ones(5), pipe_basis.W, 2, 1e-6)
 
 
@@ -176,7 +180,7 @@ class TestFdGradient:
             def evaluate_batch(self, points):
                 raise ValueError("sensor died")
 
-        with pytest.raises(ExperimentFailure, match="sensor died"):
+        with pytest.raises(ToolkitError, match="^experiment failed at shifted point .*sensor died"):
             fd_gradient(Flaky(), np.ones(5), 1.0, pipe_basis.w, pipe_basis.W, 1e-6)
 
 
@@ -329,7 +333,7 @@ class TestAlgorithm1:
 
     def test_design_too_small(self, pipe_system, pipe_basis):
         experiment = PipeFlowExperiment()
-        with pytest.raises(DesignTooSmall):
+        with pytest.raises(ToolkitError, match="^design of 5 cannot fit 6 surrogate coefficients$"):
             algorithm1(experiment, pipe_system, pipe_basis, BOX,
                        small_config(design=5, degree=2))
 
@@ -389,7 +393,7 @@ class TestSurfaceIntegration:
             return QuadratureRule(points, rule.weights)
 
         monkeypatch.setattr(algorithms, "build_rule", rule_with_a_bad_point)
-        with pytest.raises(NonFinite, match="^gradient row 5000 contains"):
+        with pytest.raises(ToolkitError, match="^gradient row 5000 contains a non-finite entry$"):
             algorithm1(PipeFlowExperiment(), pipe_system, pipe_basis, BOX,
                        small_config(quad="tensor:6"))
 
@@ -534,6 +538,33 @@ class TestFdRotationInvariance:
         assert np.max(np.abs(rotated.eigenvalues - lam)) <= tol * lam[0]
 
 
+class TestDimensionlessGroups:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_groups_are_dimensionless_for_random_full_rank_systems(self, data):
+        k = data.draw(st.integers(1, 3), label="base units")
+        m = data.draw(st.integers(k + 1, 5), label="independents")
+        exponent = st.integers(-3, 3)
+        D = data.draw(st.lists(st.lists(exponent, min_size=m, max_size=m),
+                               min_size=k, max_size=k), label="D")
+        v = data.draw(st.lists(exponent, min_size=k, max_size=k), label="v(q)")
+        assume(matrix_rank(np.array(D, dtype=float)) == k and any(v))
+        system = QuantitySystem(
+            tuple(f"u{i}" for i in range(k)),
+            tuple(Quantity(f"q{j}", f"q{j}", DimensionVector.of([row[j] for row in D]))
+                  for j in range(m)),
+            Quantity("out", "out", DimensionVector.of(v)),
+        )
+        basis = pi_basis(system)
+        a = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=basis.n, max_size=basis.n),
+                      label="a")
+        experiment = RidgeExperiment(basis.w, basis.W, exp_g(a))
+        box = RegimeBox.from_pairs([(1.0, 3.0)] * m)
+        result = algorithm2(experiment, system, basis, box, small_config(quad="tensor:2"))
+        D = build_dimension_matrix(system)
+        assert max(check_dimensionless(D, z) for z in result.Z.T) < DIMENSIONLESS_TOL
+
+
 class TestFullSpaceC:
     def test_monomial_law_is_rank_one(self, pipe_basis):
         w = pipe_basis.w
@@ -595,6 +626,6 @@ class TestPredictDependent:
     def test_positive_inputs_required(self, pipe_basis):
         surface = fit_polynomial(np.random.default_rng(0).normal(size=(10, 2)),
                                  np.ones(10), 1)
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(ToolkitError, match="^prediction requires strictly positive inputs$"):
             predict_dependent(surface, pipe_basis.w, pipe_basis.W,
                               np.array([1.0, -1.0, 1.0, 1.0, 1.0]))

@@ -16,7 +16,7 @@ from helpers import csv_request
 from pigroups import jsonio
 from pigroups.cli import fit_loglog_slope, main
 from pigroups.dimension import QuantitySystem
-from pigroups.errors import ExperimentTimeout, ParseFailure, SubprocessFailure
+from pigroups.errors import ExternalError
 from pigroups.external import _CHUNK_ROWS, ExternalExperiment, _encode_request, _encode_rows
 from pigroups.pipeflow import (
     SYMBOLS,
@@ -183,20 +183,20 @@ class TestExternalExperiment:
     def test_nan_output_names_the_row(self, tmp_path):
         cmd = write_script(tmp_path, "nan.py", NAN_SCRIPT)
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS)
-        with pytest.raises(ParseFailure, match="row 0"):
+        with pytest.raises(ExternalError, match="^row 0: unparseable output 'nan'$"):
             external.evaluate_batch(np.ones((3, 5)))
 
     def test_nonzero_exit_carries_stderr(self, tmp_path):
         cmd = write_script(tmp_path, "fail.py", FAIL_SCRIPT)
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS)
-        with pytest.raises(SubprocessFailure, match="boom"):
+        with pytest.raises(ExternalError, match="^batch 0: exit code 1; stderr: .*boom"):
             external.evaluate_batch(np.ones((2, 5)))
 
     def test_timeout(self, tmp_path):
         cmd = write_script(tmp_path, "slow.py", SLOW_SCRIPT)
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, timeout=0.5)
         started = time.monotonic()
-        with pytest.raises(ExperimentTimeout):
+        with pytest.raises(ExternalError, match=r"^batch 0: no reply within 0\.5s$"):
             external.evaluate_batch(np.ones((2, 5)))
         # the child sleeps 30 s: returning early means it was killed and reaped
         assert time.monotonic() - started < 2.0
@@ -231,7 +231,7 @@ class TestExternalExperiment:
         # the last row fails under its index in the call, in the last batch
         failing = ExternalExperiment(command=external.command[:-1] + (str(n - 1),),
                                      symbols=SYMBOLS, batch_size=batch_size)
-        with pytest.raises(ParseFailure, match=f"^row {n - 1}: unparseable output 'nan'$"):
+        with pytest.raises(ExternalError, match=f"^row {n - 1}: unparseable output 'nan'$"):
             failing.evaluate_batch(Q)
 
     def test_sending_a_batch_allocates_little_on_the_heap(self, tmp_path):
@@ -284,14 +284,14 @@ class TestExternalExperiment:
         Q = np.ones((20, 5))
         Q[:, 0] = np.arange(20)
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=7)
-        with pytest.raises(ParseFailure, match=message):
+        with pytest.raises(ExternalError, match=message):
             external.evaluate_batch(Q)
 
     def test_reply_is_split_at_newlines_only(self, tmp_path):
         # a form feed inside a value is not a line break: the row fails as itself
         cmd = write_script(tmp_path, "formfeed.py", FORM_FEED_SCRIPT)
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS)
-        with pytest.raises(ParseFailure, match=r"^row 3: unparseable output '1\\x0c5'$"):
+        with pytest.raises(ExternalError, match=r"^row 3: unparseable output '1\\x0c5'$"):
             external.evaluate_batch(np.ones((6, 5)))
 
     def test_a_failure_launches_no_queued_batch(self, tmp_path):
@@ -301,7 +301,7 @@ class TestExternalExperiment:
         cmd = write_script(tmp_path, "fail.py", LOGGED_FAIL_SCRIPT) + [str(log)]
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=10,
                                       n_workers=2)
-        with pytest.raises(SubprocessFailure, match="^batch 0: exit code 1"):
+        with pytest.raises(ExternalError, match="^batch 0: exit code 1"):
             external.evaluate_batch(np.ones((100, 5)))
         assert 1 <= len(log.read_text().split()) <= 2
 
@@ -309,7 +309,7 @@ class TestExternalExperiment:
         # 50,000 rows are far more than a pipe buffer holds
         cmd = write_script(tmp_path, "fail.py", FAIL_SCRIPT)
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=50000)
-        with pytest.raises(SubprocessFailure, match="batch 0: exit code 1; .*boom"):
+        with pytest.raises(ExternalError, match="^batch 0: exit code 1; stderr: .*boom"):
             external.evaluate_batch(np.full((50000, 5), 1.0 / 3.0))
 
 
@@ -373,6 +373,35 @@ class TestBatchEncoder:
     ], ids=["1x1", "1x5-one-value", "1x5"])
     def test_single_row(self, Q):
         self.assert_matches_per_value(Q)
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("option,doc,message", [
+        ("config", [1, 2], "must hold a JSON object"),
+        ("config", "abc", "must hold a JSON object"),
+        ("system", [1, 2], "must hold a JSON object"),
+        ("system", {**pipe_quantity_system().to_dict(), "independents": 3},
+         "has a value of the wrong type: "),
+        ("box", {"bounds": 5}, "has a value of the wrong type: "),
+        ("surface", {"surface": 1}, "has a value of the wrong type: "),
+    ], ids=["config-array", "config-string", "system-array", "system-independents",
+            "box-bounds", "surface"])
+    def test_wrongly_shaped_json_is_config_error_naming_the_file(self, tmp_path, capsys,
+                                                                 option, doc, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        argv = {
+            "config": ["analyze", "--regime", "turbulent", "--config", str(path)],
+            "system": ["pi-basis", str(path)],
+            "box": ["analyze", "--box", str(path)],
+            "surface": ["predict", "--surface", str(path), "--point", "1,2,3,4,5"],
+        }[option]
+        if argv[0] == "analyze":
+            argv += ["--quad", "tensor:3", "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} {message}")
+        assert not out.exists()
 
 
 class TestPiBasisCommand:
@@ -781,6 +810,15 @@ class TestSweepCommands:
         assert f"error: {message}\n" == capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ridge-check", "fd-convergence"])
+    def test_non_numeric_sweep_token_names_the_option(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        rc = main([command, "--regime", "turbulent", "--quad", "tensor:3",
+                   "--h-sweep", "1e-2,abc", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --h-sweep values must be numbers, got 'abc'\n"
+        assert not out.exists()
+
     def test_points_per_dim_is_not_an_option(self, tmp_path):
         rc = main(["ridge-check", "--regime", "turbulent", "--points-per-dim", "3",
                    "--out-dir", str(tmp_path)])
@@ -846,6 +884,15 @@ class TestMoodyAndPredict:
         assert rc == 2
         assert captured.out == ""
         assert message in captured.err
+
+    def test_non_numeric_point_token_names_the_option(self, tmp_path, capsys, pipe_basis):
+        gen = np.random.default_rng(5)
+        surface = fit_polynomial(gen.normal(size=(20, 2)), gen.normal(size=20), 2)
+        path = tmp_path / "surface.json"
+        jsonio.dump({"surface": surface.to_dict(), "w": pipe_basis.w, "W": pipe_basis.W}, path)
+        rc = main(["predict", "--surface", str(path), "--point", "0.12,5e-6,abc,1e-3,3.0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --point values must be numbers, got 'abc'\n"
 
     def test_predict_wrong_point_length(self, tmp_path):
         out = tmp_path / "run1"

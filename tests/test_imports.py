@@ -280,3 +280,14 @@ def test_builtin_analyze_never_loads_the_external_module(tmp_path):
     assert "pigroups.algorithms" in loaded
     assert "pigroups.external" not in loaded
     assert "concurrent.futures" not in loaded
+
+
+def test_pi_basis_loads_no_analysis_module(tmp_path):
+    system = tmp_path / "pipe.json"
+    system.write_text(json.dumps(pigroups.pipe_quantity_system().to_dict()))
+    loaded = loaded_modules(
+        "import sys\nfrom pigroups.cli import main\nassert main(sys.argv[1:]) == 0",
+        "pi-basis", str(system))
+    assert "pigroups.dimension" in loaded
+    for name in ("algorithms", "quadrature", "subspace", "surrogate", "external"):
+        assert f"pigroups.{name}" not in loaded

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pigroups import jsonio
-from pigroups.errors import NonFinite
+from pigroups.errors import ToolkitError
 
 
 @pytest.mark.parametrize("value", [
@@ -17,7 +17,8 @@ from pigroups.errors import NonFinite
     {"C": np.array([[1.0, 2.0], [np.inf, 3.0]])},
 ])
 def test_non_finite_values_are_refused(value):
-    with pytest.raises(NonFinite):
+    with pytest.raises(ToolkitError, match="^cannot serialize: Out of range float values "
+                                           "are not JSON compliant"):
         jsonio.dumps(value)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pigroups.errors import OutOfRange, ShapeMismatch, TooManyPoints, ToolkitError
+from pigroups.errors import ToolkitError
 from pigroups.pipeflow import regime_box
 from pigroups.quadrature import (
     QuadratureRule,
@@ -25,11 +25,12 @@ def in_box(box, points) -> bool:
 
 class TestRegimeBox:
     def test_bounds_must_be_positive_and_ordered(self):
-        with pytest.raises(ToolkitError):
+        ordered = "^bounds must satisfy 0 < lower < upper per variable$"
+        with pytest.raises(ToolkitError, match=ordered):
             RegimeBox.from_pairs([(0.0, 1.0)])
-        with pytest.raises(ToolkitError):
+        with pytest.raises(ToolkitError, match=ordered):
             RegimeBox.from_pairs([(2.0, 1.0)])
-        with pytest.raises(ToolkitError):
+        with pytest.raises(ToolkitError, match=ordered):
             RegimeBox.from_pairs([(-1.0, 1.0)])
 
     def test_symbol_keyed_dict(self):
@@ -40,7 +41,7 @@ class TestRegimeBox:
         assert np.array_equal(box.upper, [4.0, 2.0])
 
     def test_dict_missing_symbol(self):
-        with pytest.raises(ToolkitError, match="missing"):
+        with pytest.raises(ToolkitError, match="^bounds missing for: b$"):
             RegimeBox.from_dict({"bounds": {"a": [1, 2]}}, symbols=("a", "b"))
 
     def test_contains(self):
@@ -86,7 +87,7 @@ class TestGaussLegendre1d:
 
     @pytest.mark.parametrize("p", [0, -1, 65])
     def test_out_of_range(self, p):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ToolkitError, match=rf"^point count {p} outside \[1, 64\]$"):
             gauss_legendre_1d(p)
 
 
@@ -126,7 +127,7 @@ class TestTensorRule:
 
     def test_point_guard(self):
         box = RegimeBox.from_pairs([(1.0, 2.0)] * 8)
-        with pytest.raises(TooManyPoints):
+        with pytest.raises(ToolkitError, match=r"^11\^8 exceeds the 1e\+07 point guard$"):
             tensor_rule(box, 11)
 
     def test_points_inside_box(self):
@@ -164,7 +165,7 @@ class TestMonteCarloRule:
         assert in_box(box, rule.points)
 
     def test_needs_at_least_one_point(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ToolkitError, match="^need at least one point, got 0$"):
             monte_carlo_rule(box2(), 0, seed=1)
 
 
@@ -201,9 +202,9 @@ class TestLatinHypercube:
 
 class TestQuadratureRuleInvariants:
     def test_weight_count_must_match(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ToolkitError, match="^one weight per point required$"):
             QuadratureRule(points=np.ones((3, 2)), weights=np.array([0.5, 0.5]))
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ToolkitError, match="weights sum to"):
+        with pytest.raises(ToolkitError, match=r"^weights sum to \S*0\.8\S*, expected 1$"):
             QuadratureRule(points=np.array([[1.0], [2.0]]), weights=np.array([0.4, 0.4]))

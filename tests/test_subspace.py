@@ -2,18 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SpanMismatch, express_in_classical
 from pigroups import subspace
 from pigroups.algorithms import _finalize
-from pigroups.errors import (
-    NonFinite,
-    NotPositiveSemidefinite,
-    NotSymmetric,
-    ShapeMismatch,
-    ToolkitError,
-    WrongDimension,
-)
+from pigroups.errors import ToolkitError
 from pigroups.subspace import (
     DEGENERATE_FLAG,
     SubspaceResult,
@@ -81,13 +76,14 @@ class TestAssembleC:
         assert np.max(np.abs(C1 - C2)) < 1e-14 * max(1.0, np.max(np.abs(C1)))
 
     def test_rejects_unnormalized_weights(self):
-        with pytest.raises(ToolkitError):
+        with pytest.raises(ToolkitError,
+                           match=r"^weights sum to \S*1\.2\S*, expected 1 \+/- 1e-10$"):
             assemble_C(np.ones((4, 2)), np.full(4, 0.3))
 
     def test_rejects_non_finite_gradients(self):
         G = np.ones((4, 2))
         G[2, 1] = np.nan
-        with pytest.raises(NonFinite, match="row 2"):
+        with pytest.raises(ToolkitError, match="^gradient row 2 contains a non-finite entry$"):
             assemble_C(G, np.full(4, 0.25))
 
 
@@ -105,7 +101,7 @@ class TestEigendecompose:
         assert np.max(np.abs(U[:, 0] - np.array([0.6, 0.8]))) < 1e-14
 
     def test_not_symmetric(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(ToolkitError, match="^matrix is not symmetric to 1e-10$"):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_descending_order_and_reconstruction(self):
@@ -122,8 +118,24 @@ class TestEigendecompose:
         lam, _ = eigendecompose(0.5 * (C + C.T))
         assert np.all(lam >= 0.0)
 
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_eigenvalues_descend_for_random_psd_matrices(self, data):
+        # C = A A^T is PSD for any A; a narrow A gives a rank-deficient C
+        n = data.draw(st.integers(1, 6), label="size")
+        r = data.draw(st.integers(1, n), label="rank at most")
+        A = np.array(data.draw(st.lists(st.lists(st.floats(-10.0, 10.0), min_size=r, max_size=r),
+                                        min_size=n, max_size=n), label="A"))
+        C = A @ A.T
+        lam, U = eigendecompose(C)
+        assert np.all(np.diff(lam) <= 0.0)
+        assert np.all(lam >= 0.0)
+        scale = max(1.0, float(np.max(np.abs(C))))
+        assert np.max(np.abs(U @ np.diag(lam) @ U.T - C)) <= 1e-10 * scale
+
     def test_genuinely_negative_raises(self):
-        with pytest.raises(NotPositiveSemidefinite):
+        with pytest.raises(ToolkitError, match=r"^eigenvalue -1\.000000e-06 below -1\.0e-12; "
+                                               "matrix is not PSD$"):
             eigendecompose(np.diag([1.0, -1e-6]))
 
     def test_sign_rule(self):
@@ -148,7 +160,7 @@ class TestSensitivityMetrics:
             assert np.max(np.abs(nu - lam)) < 1e-10
 
     def test_requires_symmetry(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(ToolkitError, match="^matrix is not symmetric to 1e-10$"):
             sensitivity_metrics(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
@@ -169,7 +181,7 @@ class TestUniqueGroups:
             unique_groups(np.ones((4, 2)), np.eye(2), list("abcd"))
 
     def test_shape_mismatch(self, pipe_basis):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ToolkitError, match=r"^W is \(5, 2\), U is \(3, 3\)$"):
             unique_groups(pipe_basis.W, np.eye(3), list("abcde"))
 
 
@@ -202,7 +214,8 @@ class TestRotationAngle:
         assert rotation_angle(U) == pytest.approx(90.0, rel=1e-12)
 
     def test_wrong_dimension(self):
-        with pytest.raises(WrongDimension):
+        with pytest.raises(ToolkitError,
+                           match=r"^rotation angle needs a 2x2 matrix, got \(3, 3\)$"):
             rotation_angle(np.eye(3))
 
     def test_requires_orthogonal(self):
@@ -227,7 +240,7 @@ class TestSubspaceDistance:
 
     def test_bad_k(self):
         U = random_orthogonal(3, 4)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ToolkitError, match=r"^k = 4 outside \[1, 3\]$"):
             subspace_distance(U, U, 4)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import monomials, multi_indices, surface_gradient_per_term, surface_gradient_terms
 from pigroups import jsonio
-from pigroups.errors import IllConditioned, ShapeMismatch, Underdetermined
+from pigroups.errors import ToolkitError
 from pigroups.pipeflow import PipeFlowExperiment, regime_box
 from pigroups.quadrature import latin_hypercube
 from pigroups.surrogate import (
@@ -74,12 +74,12 @@ class TestFitPolynomial:
 
     def test_underdetermined(self):
         X = rng().normal(size=(5, 2))
-        with pytest.raises(Underdetermined):
+        with pytest.raises(ToolkitError, match="^5 samples cannot determine 6 coefficients$"):
             fit_polynomial(X, np.zeros(5), 2)
 
     def test_ill_conditioned_on_collapsed_design(self):
         X = np.ones((10, 2))  # a single repeated point
-        with pytest.raises(IllConditioned):
+        with pytest.raises(ToolkitError, match=r"^feature matrix condition \S+ exceeds 1e\+12$"):
             fit_polynomial(X, np.arange(10.0), 1)
 
     @pytest.mark.parametrize("n,degree", [(2, 2), (2, 3), (3, 2)])
@@ -206,7 +206,7 @@ class TestInvariances:
 
     def test_shape_mismatch(self):
         s = fit_polynomial(rng().normal(size=(20, 2)), np.zeros(20), 1)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ToolkitError, match="^surface expects 2 inputs, got 3$"):
             eval_surface(s, np.zeros(3))
 
 
