@@ -1,12 +1,12 @@
 """The toolkit's three exception classes, and the defaults and range check
 of the external-run options.
 
-A caller tells failures apart by class alone; the command line maps each
-class to its exit code:
+Callers tell failures apart by these classes alone, and the command line
+maps each one to its exit code:
 
 * ``ToolkitError``, a numerical failure: exit 3;
-* ``ConfigError``, a configuration error (a unit expression, an exponent
-  or a regime name the toolkit cannot read): exit 2;
+* ``ConfigError``, a unit expression, exponent, regime name or input file
+  the toolkit cannot read: exit 2;
 * ``ExternalError``, an external experiment that fails, times out or
   answers unparseably: exit 4.
 
@@ -26,7 +26,7 @@ class ToolkitError(Exception):
 
 
 class ConfigError(ToolkitError):
-    """The toolkit's input cannot be read as a configuration."""
+    """A unit expression, exponent, regime name or input file the toolkit cannot read."""
 
 
 class ExternalError(ToolkitError):
