@@ -30,7 +30,7 @@ _MODULE_NAMES = {
     "quadrature": ("QuadratureRule", "RegimeBox", "gauss_legendre_1d", "latin_hypercube",
                    "monte_carlo_rule", "tensor_rule"),
     "subspace": ("SubspaceResult", "assemble_C", "eigendecompose", "rotation_angle",
-                 "sensitivity_metrics", "subspace_distance", "unique_groups"),
+                 "unique_groups"),
     "surrogate": ("ResponseSurface", "eval_surface", "fit_polynomial", "grad_surface",
                   "n_coefficients"),
 }

@@ -167,16 +167,6 @@ class QuantitySystem:
     def from_file(cls, path) -> "QuantitySystem":
         return jsonio.load(path, cls.from_dict)
 
-    def to_dict(self) -> dict:
-        doc = {
-            "base_units": list(self.base_units),
-            "independents": [_quantity_to_dict(q, self.base_units) for q in self.independents],
-            "dependent": _quantity_to_dict(self.dependent, self.base_units),
-        }
-        if self.pinned_w is not None:
-            doc["w"] = list(self.pinned_w)
-        return doc
-
 
 def _quantity_from_dict(d: dict, base_units) -> Quantity:
     if "dims" in d:
@@ -188,10 +178,6 @@ def _quantity_from_dict(d: dict, base_units) -> Quantity:
     else:
         raise ToolkitError(f"quantity {d.get('symbol')!r} needs a 'unit' or 'dims' field")
     return Quantity(name=d["name"], symbol=d["symbol"], dims=dims)
-
-
-def _quantity_to_dict(q: Quantity, base_units) -> dict:
-    return {"name": q.name, "symbol": q.symbol, "dims": [float(e) for e in q.dims.exponents]}
 
 
 def _max_abs(a) -> float:

@@ -217,7 +217,7 @@ class PipeFlowExperiment:
 
     def __post_init__(self):
         if self.pressure_formula not in ("fanning", "darcy"):
-            raise ToolkitError(
+            raise ConfigError(
                 f"pressure_formula must be 'fanning' or 'darcy', got {self.pressure_formula!r}"
             )
 

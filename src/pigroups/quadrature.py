@@ -8,6 +8,7 @@ identical points on every platform and schedule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,15 +124,11 @@ def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
         raise ToolkitError(f"{p}^{box.m} exceeds the {MAX_TENSOR_POINTS:.0e} point guard")
     x, w = gauss_legendre_1d(p)
     m = box.m
+    axes = [lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)]
     # row-major layout: column j of the (p, ..., p, m) grid varies along axis j
-    points = np.empty((p,) * m + (m,))
-    for j, (lo, hi) in enumerate(zip(box.lower, box.upper)):
-        points[..., j] = (lo + (x + 1.0) * 0.5 * (hi - lo)).reshape((p,) + (1,) * (m - 1 - j))
+    points = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
     # w sums to 2 on [-1,1]; halving makes each axis integrate its uniform density
-    axis_w = [0.5 * w] * m
-    weights = np.ones(1)
-    for aw in axis_w:
-        weights = np.multiply.outer(weights, aw)
+    weights = functools.reduce(np.multiply.outer, [np.ones(1)] + [0.5 * w] * m)
     return QuadratureRule(points=points.reshape(-1, m), weights=weights.reshape(-1))
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jsonio
 from .dimension import normalize_column_signs
 from .errors import ToolkitError
 
@@ -82,11 +81,6 @@ def eigendecompose(C):
     return lam, normalize_column_signs(U)
 
 
-def sensitivity_metrics(C) -> np.ndarray:
-    """Mean squared partial derivatives per coordinate: the diagonal of C."""
-    return np.diag(_check_symmetric(C)).copy()
-
-
 def unique_groups(W, U, symbols):
     """Exponents Z = W U of the relevance-ordered groups, with descriptors.
 
@@ -103,8 +97,6 @@ def unique_groups(W, U, symbols):
     if float(np.max(np.abs(U.T @ U - np.eye(n)))) > 1e-8:
         raise ValueError("U must be orthogonal")
     Z = W @ U
-    if symbols is None:
-        symbols = [f"q{i + 1}" for i in range(W.shape[0])]
     descriptors = [group_descriptor(Z[:, j], symbols) for j in range(n)]
     return Z, descriptors
 
@@ -129,19 +121,6 @@ def rotation_angle(U) -> float:
     return float(np.degrees(np.arccos(np.clip(U[0, 0], -1.0, 1.0))))
 
 
-def subspace_distance(U1, U2, k: int) -> float:
-    """Spectral norm of the difference of the two rank-k projectors; in [0, 1]."""
-    U1 = np.atleast_2d(np.asarray(U1, dtype=float))
-    U2 = np.atleast_2d(np.asarray(U2, dtype=float))
-    if U1.shape != U2.shape:
-        raise ToolkitError(f"bases differ in shape: {U1.shape} vs {U2.shape}")
-    if not 1 <= k <= U1.shape[1]:
-        raise ToolkitError(f"k = {k} outside [1, {U1.shape[1]}]")
-    P1 = U1[:, :k] @ U1[:, :k].T
-    P2 = U2[:, :k] @ U2[:, :k].T
-    return float(np.linalg.norm(P1 - P2, 2))
-
-
 def eigen_gap(eigenvalues) -> float | None:
     """Smallest consecutive gap, relative to the leading eigenvalue.
 
@@ -158,7 +137,13 @@ def eigen_gap(eigenvalues) -> float | None:
 
 @dataclass(frozen=True)
 class SubspaceResult:
-    """Eigen-structure of C plus the unique-group exponents Z = W U."""
+    """Eigen-structure of C plus the unique-group exponents Z = W U.
+
+    Eigenvalue j is entry j of the diagonal of U^T C U: the mean squared
+    derivative of the relationship along group j, which is that group's
+    derivative-based global sensitivity measure (the DGSM of Sobol' and
+    Kucherenko). The groups are ranked by it.
+    """
 
     C: np.ndarray
     eigenvalues: np.ndarray
@@ -174,9 +159,6 @@ class SubspaceResult:
             "Z": self.Z,
             "metadata": self.metadata,
         }
-
-    def to_json(self) -> str:
-        return jsonio.dumps(self.to_dict())
 
 
 def result_to_csv(result: SubspaceResult, symbols, path) -> None:

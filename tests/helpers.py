@@ -1,4 +1,5 @@
-"""Shared test utilities: synthetic ridge experiments, the per-point
+"""Shared test utilities: the pipe system's JSON document, synthetic
+ridge experiments, the per-point
 forward-difference oracle for algorithm 2's batched loop, the graded
 monomial order and the direct monomial and per-term gradient oracles for
 the response-surface kernels, the per-value CSV encoder that the external
@@ -10,6 +11,21 @@ from itertools import product
 import numpy as np
 
 from pigroups.errors import ToolkitError
+
+
+# the pipe system as a quantity-system file holds it
+PIPE_SYSTEM_DOC = {
+    "base_units": ["kg", "m", "s"],
+    "independents": [
+        {"name": "fluid density", "symbol": "rho", "dims": [1, -3, 0]},
+        {"name": "fluid viscosity", "symbol": "mu", "dims": [1, -1, -1]},
+        {"name": "pipe diameter", "symbol": "D", "dims": [0, 1, 0]},
+        {"name": "pipe roughness", "symbol": "eps", "dims": [0, 1, 0]},
+        {"name": "fluid velocity", "symbol": "V", "dims": [0, 1, -1]},
+    ],
+    "dependent": {"name": "pressure loss", "symbol": "dpdx", "dims": [1, -2, -2]},
+    "w": [1.0, 0.0, -1.0, 0.0, 2.0],
+}
 
 
 class SpanMismatch(ToolkitError):

@@ -14,7 +14,7 @@ from helpers import (
     linear_g,
     quadratic_g,
 )
-from pigroups import algorithms, subspace
+from pigroups import algorithms, jsonio, subspace
 from pigroups.algorithms import (
     DIMENSIONLESS_TOL,
     AlgorithmConfig,
@@ -40,7 +40,7 @@ from pigroups.dimension import (
 from pigroups.errors import ToolkitError
 from pigroups.pipeflow import PipeFlowExperiment, regime_box
 from pigroups.quadrature import QuadratureRule, RegimeBox, tensor_rule
-from pigroups.subspace import assemble_C, subspace_distance
+from pigroups.subspace import assemble_C
 from pigroups.surrogate import eval_surface, fit_polynomial, grad_surface
 
 
@@ -426,7 +426,7 @@ class TestAlgorithm2:
         experiment = PipeFlowExperiment()
         r1 = algorithm2(experiment, pipe_system, pipe_basis, BOX, small_config())
         r2 = algorithm2(experiment, pipe_system, pipe_basis, BOX, small_config())
-        assert r1.to_json() == r2.to_json()
+        assert jsonio.dumps(r1.to_dict()) == jsonio.dumps(r2.to_dict())
 
     @pytest.mark.parametrize("scale,ratio_tol,basis_tol", [
         # a power-of-two scale commutes exactly with the float arithmetic
@@ -491,7 +491,9 @@ class TestAlgorithmAgreement:
                            small_config(design=120, degree=2, quad="tensor:5"))
         r2 = algorithm2(experiment, pipe_system, pipe_basis, BOX,
                         small_config(quad="tensor:5"))
-        assert subspace_distance(r1.U, r2.U, 1) < 1e-4
+        # spectral norm of the difference of the leading eigenvectors' projectors
+        u1, u2 = r1.U[:, :1], r2.U[:, :1]
+        assert np.linalg.norm(u1 @ u1.T - u2 @ u2.T, 2) < 1e-4
         assert signed_column_distance(r1.Z, r2.Z) < 1e-4
 
     def test_rotation_invariance_of_z(self, pipe_system, pipe_basis):

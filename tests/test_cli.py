@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pigroups
-from helpers import csv_request
+from helpers import PIPE_SYSTEM_DOC, csv_request
 from pigroups import jsonio
 from pigroups.cli import fit_loglog_slope, main
 from pigroups.dimension import QuantitySystem
@@ -22,7 +22,6 @@ from pigroups.pipeflow import (
     SYMBOLS,
     PipeFlowExperiment,
     friction_factor,
-    pipe_quantity_system,
     regime_box,
 )
 from pigroups.quadrature import latin_hypercube, monte_carlo_rule, tensor_rule
@@ -32,7 +31,7 @@ from pigroups.surrogate import fit_polynomial
 @pytest.fixture()
 def pipe_system_file(tmp_path):
     path = tmp_path / "pipe.json"
-    jsonio.dump(pipe_quantity_system().to_dict(), path)
+    jsonio.dump(PIPE_SYSTEM_DOC, path)
     return str(path)
 
 
@@ -380,7 +379,7 @@ class TestInputFiles:
         ("config", [1, 2], "must hold a JSON object"),
         ("config", "abc", "must hold a JSON object"),
         ("system", [1, 2], "must hold a JSON object"),
-        ("system", {**pipe_quantity_system().to_dict(), "independents": 3},
+        ("system", {**PIPE_SYSTEM_DOC, "independents": 3},
          "has a value of the wrong type: "),
         ("box", {"bounds": 5}, "has a value of the wrong type: "),
         ("surface", {"surface": 1}, "has a value of the wrong type: "),

@@ -399,7 +399,7 @@ class TestPipeFlowExperiment:
             evaluate_point(PipeFlowExperiment(), [0.12, 5e-6, 0.65, 0.65, 0.0275])
 
     def test_bad_formula_rejected(self):
-        with pytest.raises(ToolkitError, match="^pressure_formula must be 'fanning' or "
+        with pytest.raises(ConfigError, match="^pressure_formula must be 'fanning' or "
                                                "'darcy', got 'blasius'$"):
             PipeFlowExperiment(pressure_formula="blasius")
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SpanMismatch, express_in_classical
-from pigroups import subspace
+from pigroups import jsonio, subspace
 from pigroups.algorithms import _finalize
 from pigroups.errors import ToolkitError
 from pigroups.subspace import (
@@ -18,8 +18,6 @@ from pigroups.subspace import (
     group_descriptor,
     result_to_csv,
     rotation_angle,
-    sensitivity_metrics,
-    subspace_distance,
     unique_groups,
 )
 
@@ -147,23 +145,6 @@ class TestEigendecompose:
                 assert U[lead, j] > 0
 
 
-class TestSensitivityMetrics:
-    def test_diagonal_of_c(self):
-        C = np.diag([0.5, 0.5])
-        assert np.array_equal(sensitivity_metrics(C), [0.5, 0.5])
-
-    def test_rotated_coordinates_reproduce_eigenvalues(self):
-        for seed in range(100):
-            C = random_psd(4, 5000 + seed)
-            lam, U = eigendecompose(C)
-            nu = sensitivity_metrics(U.T @ C @ U)
-            assert np.max(np.abs(nu - lam)) < 1e-10
-
-    def test_requires_symmetry(self):
-        with pytest.raises(ToolkitError, match="^matrix is not symmetric to 1e-10$"):
-            sensitivity_metrics(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
 class TestUniqueGroups:
     def test_identity_rotation_returns_w(self, pipe_basis):
         Z, descriptors = unique_groups(pipe_basis.W, np.eye(2), symbols=list("abcde"))
@@ -223,27 +204,6 @@ class TestRotationAngle:
             rotation_angle(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-class TestSubspaceDistance:
-    def test_identical_bases(self):
-        U = random_orthogonal(4, 2)
-        assert subspace_distance(U, U, 2) == pytest.approx(0.0, abs=1e-14)
-
-    def test_orthogonal_complements(self):
-        U1 = np.eye(4)
-        U2 = np.eye(4)[:, [2, 3, 0, 1]]
-        assert subspace_distance(U1, U2, 2) == pytest.approx(1.0, rel=1e-12)
-
-    def test_sign_invariance(self):
-        U = random_orthogonal(3, 4)
-        flipped = U * np.array([-1.0, 1.0, -1.0])
-        assert subspace_distance(U, flipped, 2) < 1e-14
-
-    def test_bad_k(self):
-        U = random_orthogonal(3, 4)
-        with pytest.raises(ToolkitError, match=r"^k = 4 outside \[1, 3\]$"):
-            subspace_distance(U, U, 4)
-
-
 class TestRidgeRankBound:
     def test_rank_r_gradients_give_rank_r_c(self):
         # gradients of a ridge with rank-r inner structure live in a rank-r subspace
@@ -267,7 +227,7 @@ class TestSubspaceResult:
 
     def test_json_round_trip(self, pipe_basis):
         result = self.make(pipe_basis)
-        doc = json.loads(result.to_json())
+        doc = json.loads(jsonio.dumps(result.to_dict()))
         assert np.array_equal(doc["C"], result.C)
         assert np.array_equal(doc["Z"], result.Z)
         assert doc["metadata"]["h"] == 1e-6
