@@ -32,7 +32,8 @@ RE_CRITICAL = 3000.0
 SYMBOLS = ("rho", "mu", "D", "eps", "V")
 
 _LN10 = math.log(10.0)
-# Newton's stop rule: the largest residual falls below _TOL within _MAX_ITER steps
+# Newton's stop rule: each row stops once its own residual falls below _TOL,
+# and every row must within _MAX_ITER steps
 _TOL = 1e-12
 _MAX_ITER = 100
 # Rows per block of PipeFlowExperiment.evaluate_batch: each float64
@@ -102,7 +103,10 @@ def _newton(Re_a, rr_a, rows):
     Below Re of about 6.9 that estimate is not positive. Such rows start at
     t = Re/2.51, where a + b t >= 1 and so F > 0, and halve t until F <= 0:
     F(t) = t + 2 log10(a + b t) increases and is concave, so Newton then
-    climbs to the root without leaving the logarithm's domain."""
+    climbs to the root without leaving the logarithm's domain.
+
+    A row stops stepping once its own |F| < _TOL, so its value does not
+    depend on the rows it is solved with."""
     a = rr_a / 3.7
     b = 2.51 / Re_a
     c = (2.0 / _LN10) * b
@@ -112,7 +116,6 @@ def _newton(Re_a, rr_a, rows):
     while low.size:
         low = low[t[low] + 2.0 * np.log10(a[low] + b[low] * t[low]) > 0.0]
         t[low] *= 0.5
-    residual = np.inf
     for _ in range(_MAX_ITER):
         arg = a + b * t
         if (arg <= 0.0).any():
@@ -121,14 +124,15 @@ def _newton(Re_a, rr_a, rows):
                 f"{_first_point(arg <= 0.0, Re_a, rr_a, rows)}"
             )
         F = t + 2.0 * np.log10(arg)
-        residual = float(np.abs(F).max(initial=0.0))  # an empty batch has converged
-        if residual < _TOL:
+        # a converged row keeps its t, and so its F: it stays converged
+        active = ~(np.abs(F) < _TOL)
+        if not active.any():
             break
-        t = t - F / (1.0 + c / arg)
+        t = np.where(active, t - F / (1.0 + c / arg), t)
     else:
         raise ToolkitError(
-            f"Newton stalled at residual {residual:.3e} > {_TOL:.0e}; first unconverged "
-            f"{_first_point(~(np.abs(F) < _TOL), Re_a, rr_a, rows)}"
+            f"Newton stalled at residual {float(np.abs(F).max()):.3e} > {_TOL:.0e}; "
+            f"first unconverged {_first_point(active, Re_a, rr_a, rows)}"
         )
     return 1.0 / (t * t)
 
@@ -206,10 +210,10 @@ class PipeFlowExperiment:
     concurrently.
 
     ``evaluate_batch`` works through its rows in blocks of ``_BLOCK_ROWS``.
-    Newton stops on a block's largest residual, as an external child stops
-    on its batch's, so a row's value can differ in the last bits from the
-    same row evaluated alone. A failure names the row by its index in the
-    whole batch.
+    Newton stops each row on its own residual, so a row's value is the same
+    to the last bit whatever block or external batch it comes in, and
+    evaluated alone. A failure names the row by its index in the whole
+    batch.
     """
 
     re_crit: float | None = None

@@ -170,6 +170,20 @@ class TestExternalExperiment:
         want = PipeFlowExperiment().evaluate_batch(pts)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_mixed_regime_values_do_not_depend_on_the_batch_size(self, tmp_path):
+        # rows of the three regimes, shuffled, need different Newton step
+        # counts; each stops on its own residual, so any batching of the
+        # rows gives the built-in model's values to the bit
+        cmd = write_script(tmp_path, "wrapper.py", WRAPPER)
+        pts = np.vstack([latin_hypercube(regime_box(name), 20, seed=5)
+                         for name in ("laminar", "turbulent", "high_re")])
+        pts = pts[np.random.default_rng(6).permutation(len(pts))]
+        want = PipeFlowExperiment().evaluate_batch(pts)
+        for batch_size in (1, 7, 60):
+            got = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS,
+                                     batch_size=batch_size).evaluate_batch(pts)
+            assert np.array_equal(got, want), batch_size
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         cmd = write_script(tmp_path, "wrapper.py", WRAPPER)
         pts = latin_hypercube(regime_box("turbulent"), 60, seed=3)

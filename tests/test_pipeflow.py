@@ -424,9 +424,10 @@ def block_points(*block_regimes):
     return Q
 
 
-# Newton needs fewer steps on the middle block than on the others, so a
-# whole-batch solve differs from the blocked one in the last bits. With
-# re_crit = 3000 every block holds laminar rows on both branches.
+# Newton needs fewer steps on the middle block's rows than on the others';
+# each row stops on its own residual, so neither its block nor the whole
+# batch moves its value. With re_crit = 3000 every block holds laminar rows
+# on both branches.
 COLEBROOK_BLOCKS = (("laminar", "turbulent"), ("turbulent", "high_re"), ("high_re", "laminar"))
 BRANCH_BLOCKS = (("laminar", "high_re"), ("laminar", "turbulent"), ("laminar", "high_re"))
 
@@ -471,13 +472,12 @@ class TestEvaluationBlocks:
             PipeFlowExperiment(re_crit=1e-4).evaluate_batch(Q)
 
     def test_each_row_agrees_with_its_single_evaluation(self):
-        # Newton stops on each block's largest residual, so agreement is to
-        # the solver tolerance, not to the bit
+        # Newton stops each row on its own residual: agreement is to the bit
         experiment = PipeFlowExperiment()
         Q = block_points(*COLEBROOK_BLOCKS)
         batch = experiment.evaluate_batch(Q)
         single = np.array([evaluate_point(experiment, row) for row in Q])
-        assert np.allclose(batch, single, rtol=1e-12, atol=0.0)
+        assert np.array_equal(batch, single)
 
 
 class TestMoodyGrid:
