@@ -10,7 +10,8 @@ process start-up across large designs: a call of N rows goes out as
 ceil(N / batch_size) batches whose sizes differ by at most one row. With
 several workers, disjoint batches go to separate processes and land in
 preallocated slots, so the result is identical for any worker count. The
-first failure stops the run: batches still queued are not launched.
+first failure, or an interrupt of the caller, stops the run: batches still
+queued are not launched.
 
 A request is encoded ``_CHUNK_ROWS`` rows at a time into one buffer, so
 the encoder's temporaries are the size of a chunk and only the request
@@ -67,7 +68,8 @@ class ExternalExperiment:
         def run(b, s, e):
             # set by the failing worker itself, so a batch dequeued after the
             # first failure is never launched, however late the caller looks;
-            # that failure comes earlier in batch order and is the one raised
+            # that failure comes earlier in batch order and is the one raised.
+            # The caller sets it too, when it is interrupted while it waits
             if failed.is_set():
                 raise CancelledError
             try:
@@ -77,9 +79,13 @@ class ExternalExperiment:
                 raise
 
         with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = [pool.submit(run, b, s, e) for b, (s, e) in enumerate(batches)]
-            for (s, e), fut in zip(batches, futures):
-                out[s:e] = fut.result()
+            try:
+                futures = [pool.submit(run, b, s, e) for b, (s, e) in enumerate(batches)]
+                for (s, e), fut in zip(batches, futures):
+                    out[s:e] = fut.result()
+            except BaseException:
+                failed.set()
+                raise
         return out
 
     def _run_batch(self, Q: np.ndarray, batch_index: int, row_offset: int) -> np.ndarray:

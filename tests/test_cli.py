@@ -1,3 +1,4 @@
+import _thread
 import json
 import os
 import resource
@@ -317,6 +318,28 @@ class TestExternalExperiment:
         with pytest.raises(ExternalError, match="^batch 0: exit code 1"):
             external.evaluate_batch(np.ones((100, 5)))
         assert 1 <= len(log.read_text().split()) <= 2
+
+    def test_an_interrupt_launches_no_queued_batch(self, tmp_path, monkeypatch):
+        # ten batches on two workers, each launch 0.2 s late; the first one
+        # interrupts the caller, which stops the batches still queued: only
+        # those dequeued before the caller handles the interrupt launch
+        launches = []
+        run = subprocess.run
+
+        def interrupting_run(*args, **kwargs):
+            launches.append(args)
+            time.sleep(0.2)
+            if launches[0] is args:
+                _thread.interrupt_main()
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", interrupting_run)
+        cmd = write_script(tmp_path, "ones.py", ONES_SCRIPT)
+        external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=10,
+                                      n_workers=2)
+        with pytest.raises(KeyboardInterrupt):
+            external.evaluate_batch(np.ones((100, 5)))
+        assert 1 <= len(launches) <= 4
 
     def test_child_that_exits_without_reading_a_large_batch(self, tmp_path):
         # 50,000 rows are far more than a pipe buffer holds
