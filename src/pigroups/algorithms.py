@@ -126,7 +126,7 @@ def evaluate_experiment(experiment, points: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise ToolkitError(f"experiment returned {values[bad]!r} at point index {bad}")
+        raise ToolkitError(f"experiment returned {float(values[bad])!r} at point index {bad}")
     return values
 
 

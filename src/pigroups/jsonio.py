@@ -35,9 +35,10 @@ def dump(obj, path) -> None:
 def load(path, parse):
     """``parse`` applied to the JSON object held by the file at ``path``.
 
-    A file that holds anything but an object, or whose values have a type
-    ``parse`` cannot use (it raises ``TypeError`` or ``AttributeError``),
-    raises ``ConfigError`` naming the file.
+    A file that holds anything but an object, that lacks a key ``parse``
+    reads (it raises ``KeyError``), or whose values have a type ``parse``
+    cannot use (it raises ``TypeError`` or ``AttributeError``), raises
+    ``ConfigError`` naming the file.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -45,5 +46,7 @@ def load(path, parse):
         raise ConfigError(f"{path} must hold a JSON object")
     try:
         return parse(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{path} lacks the key {exc.args[0]!r}") from None
     except (TypeError, AttributeError) as exc:
         raise ConfigError(f"{path} has a value of the wrong type: {exc}") from None

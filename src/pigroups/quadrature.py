@@ -89,7 +89,7 @@ class QuadratureRule:
         if P.shape[0] != w.shape[0]:
             raise ToolkitError("one weight per point required")
         if abs(w.sum() - 1.0) > 1e-10:
-            raise ToolkitError(f"weights sum to {w.sum()!r}, expected 1")
+            raise ToolkitError(f"weights sum to {float(w.sum())!r}, expected 1")
         P.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "points", P)

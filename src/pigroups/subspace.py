@@ -41,7 +41,7 @@ def assemble_C(gradients, weights) -> np.ndarray:
     if rows != w.shape[0]:
         raise ToolkitError(f"{rows} gradient rows vs {w.shape[0]} weights")
     if abs(w.sum() - 1.0) > 1e-10:
-        raise ToolkitError(f"weights sum to {w.sum()!r}, expected 1 +/- 1e-10")
+        raise ToolkitError(f"weights sum to {float(w.sum())!r}, expected 1 +/- 1e-10")
     C = np.zeros((n, n))
     for start in range(0, rows, _CHUNK_ROWS):
         Gc = np.asarray(G[start:start + _CHUNK_ROWS], dtype=float)

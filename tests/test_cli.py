@@ -420,8 +420,14 @@ class TestInputFiles:
          "has a value of the wrong type: "),
         ("box", {"bounds": 5}, "has a value of the wrong type: "),
         ("surface", {"surface": 1}, "has a value of the wrong type: "),
+        ("system", {"base_units": ["kg"]}, "lacks the key 'independents'"),
+        ("system", {**PIPE_SYSTEM_DOC, "dependent": {"symbol": "dpdx", "dims": [1, -2, -2]}},
+         "lacks the key 'name'"),
+        ("box", {}, "lacks the key 'bounds'"),
+        ("surface", {"surface": {"degree": 2}}, "lacks the key 'n'"),
     ], ids=["config-array", "config-string", "system-array", "system-independents",
-            "box-bounds", "surface"])
+            "box-bounds", "surface", "system-no-independents", "system-no-name",
+            "box-no-bounds", "surface-no-n"])
     def test_wrongly_shaped_json_is_config_error_naming_the_file(self, tmp_path, capsys,
                                                                  option, doc, message):
         path = tmp_path / "input.json"

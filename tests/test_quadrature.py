@@ -206,5 +206,5 @@ class TestQuadratureRuleInvariants:
             QuadratureRule(points=np.ones((3, 2)), weights=np.array([0.5, 0.5]))
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ToolkitError, match=r"^weights sum to \S*0\.8\S*, expected 1$"):
+        with pytest.raises(ToolkitError, match=r"^weights sum to 0\.8, expected 1$"):
             QuadratureRule(points=np.array([[1.0], [2.0]]), weights=np.array([0.4, 0.4]))
