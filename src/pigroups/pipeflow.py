@@ -32,8 +32,7 @@ RE_CRITICAL = 3000.0
 SYMBOLS = ("rho", "mu", "D", "eps", "V")
 
 _LN10 = math.log(10.0)
-# Newton's stop rule: each row stops once its own residual falls below _TOL,
-# and every row must within _MAX_ITER steps
+# Newton's stop rule: each row's own residual falls below _TOL within _MAX_ITER steps
 _TOL = 1e-12
 _MAX_ITER = 100
 # Rows per block of PipeFlowExperiment.evaluate_batch: each float64
