@@ -1,10 +1,9 @@
 """Shared test utilities: the pipe system's JSON document, synthetic
-ridge experiments, the per-point
-forward-difference oracle for algorithm 2's batched loop, the graded
-monomial order and the direct monomial and per-term gradient oracles for
-the response-surface kernels, the per-value CSV encoder that the external
-batch formatter must match, and the classical-basis coordinates of group
-exponents (criterion 5)."""
+ridge experiments, the per-point forward-difference oracle for algorithm
+2's batched loop, the graded monomial order and the direct monomial and
+per-term gradient oracles for the response-surface kernels, the
+per-value CSV encoder that the external batch formatter must match, and
+the classical-basis coordinates of group exponents (criterion 5)."""
 
 from itertools import product
 
