@@ -110,6 +110,14 @@ class TestEigendecompose:
             recon = U @ np.diag(lam) @ U.T
             assert np.max(np.abs(C - recon)) < 1e-10 * (1.0 + lam[0])
 
+    def test_rotated_coordinates_reproduce_eigenvalues(self):
+        # diag(U^T C U) is the derivative-based sensitivity of each rotated
+        # coordinate; it must equal the eigenvalue reported for that group
+        for seed in range(100):
+            C = random_psd(4, 5000 + seed)
+            lam, U = eigendecompose(C)
+            assert np.max(np.abs(np.diag(U.T @ C @ U) - lam)) < 1e-10
+
     def test_roundoff_negatives_clamped(self):
         Q = random_orthogonal(3, 1)
         C = Q @ np.diag([1.0, 1e-16, -1e-16]) @ Q.T
