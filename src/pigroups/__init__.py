@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 _MODULE_NAMES = {
     "algorithms": ("AlgorithmConfig", "CountingExperiment", "algorithm1", "algorithm2",
                    "full_space_C", "predict_dependent"),
-    "dimension": ("DimensionVector", "PiBasis", "Quantity", "QuantitySystem",
-                  "build_dimension_matrix", "check_dimensionless", "nullspace_basis",
-                  "parse_unit_expr", "pi_basis", "solve_output_exponents"),
+    "dimension": ("PiBasis", "Quantity", "QuantitySystem", "build_dimension_matrix",
+                  "check_dimensionless", "nullspace_basis", "parse_unit_expr", "pi_basis",
+                  "solve_output_exponents"),
     "external": ("ExternalExperiment",),
     "pipeflow": ("PipeFlowExperiment", "friction_factor", "pipe_quantity_system",
                  "regime_box"),

@@ -32,7 +32,7 @@ from .dimension import (
     build_dimension_matrix,
     check_dimensionless,
 )
-from .errors import ToolkitError
+from .errors import ConfigError, ToolkitError
 from .quadrature import (
     GL_MAX_POINTS,
     QuadratureRule,
@@ -80,26 +80,26 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         # a config file can hold any JSON value, so types are checked too
-        if isinstance(self.h, bool) or not (isinstance(self.h, Real) and self.h > 0):
-            raise ValueError(f"--h must be a positive number, got {self.h!r}")
+        if isinstance(self.h, bool) or not (isinstance(self.h, Real) and 0 < self.h < np.inf):
+            raise ConfigError(f"--h must be a positive number, got {self.h!r}")
         for option, value, low in (("--degree", self.degree, 1), ("--design", self.design, 1),
                                    ("--holdout", self.holdout, 0), ("--seed", self.seed, 0)):
             if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{option} must be an integer, got {value!r}")
+                raise ConfigError(f"{option} must be an integer, got {value!r}")
             if value < low:
                 bound = "nonnegative" if low == 0 else f"at least {low}"
-                raise ValueError(f"{option} must be {bound}, got {value}")
+                raise ConfigError(f"{option} must be {bound}, got {value}")
         self.parse_quad()
 
     def parse_quad(self):
         kind, _, arg = str(self.quad).partition(":")
         if kind not in ("tensor", "mc") or not arg.isdigit():
-            raise ValueError(f"--quad must be 'tensor:<p>' or 'mc:<N>', got {self.quad!r}")
+            raise ConfigError(f"--quad must be 'tensor:<p>' or 'mc:<N>', got {self.quad!r}")
         count = int(arg)
         if count < 1:
-            raise ValueError(f"--quad needs at least one point, got {self.quad!r}")
+            raise ConfigError(f"--quad needs at least one point, got {self.quad!r}")
         if kind == "tensor" and count > GL_MAX_POINTS:
-            raise ValueError(
+            raise ConfigError(
                 f"--quad tensor:<p> needs p at most {GL_MAX_POINTS}, got {self.quad!r}")
         return kind, count
 

@@ -2,11 +2,11 @@
 
 Commands: ``pi-basis``, ``analyze``, ``ridge-check``, ``fd-convergence``,
 ``moody-data``, ``predict``. Options merge as defaults < config file <
-flags. Exit codes: 0 success, 2 configuration error (``ConfigError``, or
-an option or file the command cannot use), 3 numerical failure
-(``ToolkitError``), 4 subprocess failure (``ExternalError``). Every
-analysis writes a manifest next to its results; with a fixed seed and
-config the result JSON is byte-identical across runs and worker counts.
+flags. Exit codes: 0 success, else the ``exit_code`` of the failure's class
+in ``pigroups.errors``; exit 2 is a ``ConfigError``, or an ``OSError`` from a
+file the command cannot open or write. Any other exception is a bug and
+ends in a traceback. Every analysis writes a manifest next to its results;
+with a fixed seed and config the result JSON is byte-identical across runs and worker counts.
 
 A command imports the analysis modules it runs when it runs, so
 ``pi-basis`` loads neither the drivers nor the quadrature, subspace and
@@ -27,13 +27,7 @@ import numpy as np
 
 from . import __version__, jsonio
 from .dimension import QuantitySystem, build_dimension_matrix, pi_basis, solve_output_exponents
-from .errors import (
-    EXTERNAL_DEFAULTS,
-    ConfigError,
-    ExternalError,
-    ToolkitError,
-    check_external_options,
-)
+from .errors import EXTERNAL_DEFAULTS, ConfigError, ToolkitError, check_external_options
 from .pipeflow import (
     RE_CRITICAL,
     PipeFlowExperiment,
@@ -42,12 +36,6 @@ from .pipeflow import (
     regime_box,
     regime_names,
 )
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_SUBPROCESS = 4
-
 
 def entry() -> None:
     sys.exit(main())
@@ -61,21 +49,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if args.command is None:
         parser.print_help()
-        return EXIT_CONFIG
+        return ConfigError.exit_code
     try:
         return args.func(args)
-    except ExternalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SUBPROCESS
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (OSError, KeyError, ValueError) as exc:  # ValueError covers bad JSON
+        return exc.exit_code
+    except OSError as exc:  # a file the command cannot open or write
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -170,7 +152,7 @@ def _merge_config(args) -> dict:
         file_cfg = jsonio.load(args.config, dict)
         unknown = set(file_cfg) - set(cfg)
         if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         cfg.update(file_cfg)
     for key in cfg:
         val = getattr(args, key, None)
@@ -181,11 +163,11 @@ def _merge_config(args) -> dict:
         try:
             cfg["re_crit"] = None if str(re_crit).lower() == "none" else float(re_crit)
         except (TypeError, ValueError):
-            raise ValueError(f"--re-crit must be a number or 'none', got {re_crit!r}") from None
+            raise ConfigError(f"--re-crit must be a number or 'none', got {re_crit!r}") from None
     if cfg.get("quad") is None:
         cfg["quad"] = defaults["quad"]
     if not (type(cfg["algorithm"]) is int and cfg["algorithm"] in (1, 2)):
-        raise ValueError(f"--algorithm must be 1 or 2, got {cfg['algorithm']!r}")
+        raise ConfigError(f"--algorithm must be 1 or 2, got {cfg['algorithm']!r}")
     if cfg["seed"] is None:  # a null seed in a config file draws one, for the manifest
         cfg["seed"] = int(np.random.default_rng().integers(2**32))
     return cfg
@@ -210,7 +192,7 @@ def _load_box(args, system: QuantitySystem) -> RegimeBox:
         return RegimeBox.from_file(args.box, symbols=system.symbols)
     if getattr(args, "regime", None):
         return regime_box(args.regime)
-    raise ValueError("either --box or --regime is required")
+    raise ConfigError("either --box or --regime is required")
 
 
 def _make_experiment(args, cfg, system: QuantitySystem):
@@ -274,7 +256,7 @@ def _write_manifest(out_dir: Path, command: str, args, cfg: dict,
 def _cmd_pi_basis(args) -> int:
     system = QuantitySystem.from_file(args.system)
     D = build_dimension_matrix(system)
-    w_min = solve_output_exponents(D, system.dependent.dims.as_array())
+    w_min = solve_output_exponents(D, np.array(system.dependent.dims))
     W = pi_basis(system).W
 
     print(f"base units: {', '.join(system.base_units)}")
@@ -297,7 +279,7 @@ def _cmd_pi_basis(args) -> int:
             "pinned_w": list(system.pinned_w) if system.pinned_w else None,
             "W": W,
         }, args.json_out)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_analyze(args) -> int:
@@ -329,7 +311,7 @@ def _cmd_analyze(args) -> int:
         holdout_evaluations=holdout, total_experiment_calls=experiment.count,
     )
     _print_result(system, result)
-    return EXIT_OK
+    return 0
 
 
 def _print_result(system, result) -> None:
@@ -366,12 +348,12 @@ def _parse_sweep(text: str) -> list[float]:
     one gives a zero error, to which no slope can be fitted."""
     hs = _numbers("--h-sweep", [tok for tok in text.split(",") if tok.strip()])
     if len(hs) < 2:
-        raise ValueError("--h-sweep needs at least two values")
+        raise ConfigError("--h-sweep needs at least two values")
     for i, h in enumerate(hs):
         if not (np.isfinite(h) and h > 0.0):
-            raise ValueError(f"--h-sweep values must be finite and positive, got {h!r}")
+            raise ConfigError(f"--h-sweep values must be finite and positive, got {h!r}")
         if h in hs[:i]:
-            raise ValueError(f"--h-sweep repeats the value {h!r}")
+            raise ConfigError(f"--h-sweep repeats the value {h!r}")
     return sorted(hs, reverse=True)
 
 
@@ -382,7 +364,7 @@ def _numbers(option: str, tokens) -> list[float]:
         try:
             values.append(float(tok))
         except ValueError:
-            raise ValueError(f"{option} values must be numbers, got {tok!r}") from None
+            raise ConfigError(f"{option} values must be numbers, got {tok!r}") from None
     return values
 
 
@@ -427,7 +409,7 @@ def _cmd_ridge_check(args) -> int:
     _write_manifest(out_dir, "ridge-check", args, cfg,
                     evaluations=experiment.count, started=started,
                     decay_slopes=slopes)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_fd_convergence(args) -> int:
@@ -453,7 +435,7 @@ def _cmd_fd_convergence(args) -> int:
     _write_manifest(out_dir, "fd-convergence", args, cfg,
                     evaluations=experiment.count, started=started,
                     error_slope=slope)
-    return EXIT_OK
+    return 0
 
 
 def signed_column_distance(Z: np.ndarray, reference: np.ndarray) -> float:
@@ -472,21 +454,30 @@ def _cmd_moody_data(args) -> int:
     np.savetxt(args.out, grid, delimiter=",",
                header="log10_re,log10_rel_rough,lambda", comments="", fmt="%.17g")
     print(f"wrote {grid.shape[0]} rows to {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_predict(args) -> int:
     from .algorithms import predict_dependent
-    from .surrogate import ResponseSurface
 
-    surface, w, W = jsonio.load(args.surface, lambda doc: (
-        ResponseSurface.from_dict(doc["surface"]),
-        np.asarray(doc["w"], dtype=float),
-        np.asarray(doc["W"], dtype=float),
-    ))
+    surface, w, W = jsonio.load(args.surface, _read_model)
     point = np.array(_numbers("--point", args.point.split(",")))
     if point.shape[0] != W.shape[0]:
-        raise ValueError(f"point has {point.shape[0]} entries, expected {W.shape[0]}")
+        raise ConfigError(f"point has {point.shape[0]} entries, expected {W.shape[0]}")
     value = predict_dependent(surface, w, W, point)
     print("%.17g" % value)
-    return EXIT_OK
+    return 0
+
+
+def _read_model(doc: dict):
+    """The surface, w and W held by a ``surface.json`` that ``analyze`` wrote."""
+    from .surrogate import ResponseSurface
+
+    surface = ResponseSurface.from_dict(doc["surface"])
+    w, W = (np.asarray(doc[key], dtype=float) for key in ("w", "W"))
+    if W.ndim != 2 or W.shape[1] != surface.n or w.shape != W.shape[:1]:
+        raise ConfigError(f"w and W have shapes {w.shape} and {W.shape}; W needs "
+                          f"{surface.n} columns and w one entry per row of W")
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(W))):
+        raise ConfigError("w and W must be finite")
+    return surface, w, W

@@ -6,16 +6,14 @@ powers of the base units. Stacking the independent variables' dimension
 vectors column-wise gives the k-by-m dimension matrix D; the exponents of
 all dimensionless products of the independents form the null space of D.
 This module builds those objects and the output-exponent vector w that
-makes the dependent variable dimensionless.
-
-Exponents are kept as exact rationals until linear algebra needs floats.
+makes the dependent variable dimensionless. A dimension vector is a tuple
+of floats.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,34 +27,11 @@ BASIS_TOL = 1e-12       # residual bound on D W = 0, W^T W = I and D w = v(q)
 MISSING_QUANTITY_HINT = "this may indicate some missing quantities"
 
 
-@dataclass(frozen=True)
-class DimensionVector:
-    """Exponents of a quantity over the declared base units.
-
-    The all-zero vector denotes a dimensionless quantity.
-    """
-
-    exponents: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, values) -> "DimensionVector":
-        return cls(tuple(Fraction(v) for v in values))
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(e) for e in self.exponents])
-
-
 _TERM_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|1)\s*(?:\^\s*([+-]?\d+))?\s*")
 _OP_RE = re.compile(r"([*/])")
 
 
-def parse_unit_expr(text: str, base_units) -> DimensionVector:
+def parse_unit_expr(text: str, base_units) -> tuple[float, ...]:
     """Parse ``base ('^' int)?`` terms joined by ``*`` or ``/``.
 
     The literal ``1`` stands for a dimensionless factor; ``/`` negates the
@@ -64,7 +39,7 @@ def parse_unit_expr(text: str, base_units) -> DimensionVector:
     """
     base_units = list(base_units)
     index = {name: i for i, name in enumerate(base_units)}
-    exps = [Fraction(0)] * len(base_units)
+    exps = [0.0] * len(base_units)
     pos = 0
     sign = 1
     expect_term = True
@@ -92,22 +67,28 @@ def parse_unit_expr(text: str, base_units) -> DimensionVector:
             expect_term = True
     if expect_term:
         raise ConfigError(f"expression {text!r} ends on an operator or is empty")
-    return DimensionVector(tuple(exps))
+    return tuple(exps)
 
 
 @dataclass(frozen=True)
 class Quantity:
+    """A named quantity and its exponents over the base units, kept as floats."""
+
     name: str
     symbol: str
-    dims: DimensionVector
+    dims: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(float(e) for e in self.dims))
 
 
 @dataclass(frozen=True)
 class QuantitySystem:
     """Declared base units, m independent quantities and one dependent.
 
-    Construction validates name uniqueness, dimension-vector lengths and
-    that the dimension matrix of the independents has full row rank.
+    Construction validates that base units and symbols are strings, name
+    uniqueness, that dimension vectors are finite and of length k, and that
+    the dimension matrix of the independents has full row rank.
     """
 
     base_units: tuple[str, ...]
@@ -117,12 +98,14 @@ class QuantitySystem:
 
     def __post_init__(self):
         k, m = len(self.base_units), len(self.independents)
+        symbols = [q.symbol for q in self.independents] + [self.dependent.symbol]
+        if not all(isinstance(s, str) for s in (*self.base_units, *symbols)):
+            raise ToolkitError("base units and quantity symbols must be strings")
         if len(set(self.base_units)) != k:
             raise ToolkitError("base-unit names must be unique")
         names = [q.name for q in self.independents] + [self.dependent.name]
         if len(set(names)) != len(names):
             raise ToolkitError("quantity names must be unique")
-        symbols = [q.symbol for q in self.independents] + [self.dependent.symbol]
         if len(set(symbols)) != len(symbols):
             raise ToolkitError("quantity symbols must be unique")
         for q in list(self.independents) + [self.dependent]:
@@ -130,16 +113,18 @@ class QuantitySystem:
                 raise ToolkitError(
                     f"quantity {q.symbol!r} has {len(q.dims)} exponents, expected {k}"
                 )
-        if self.dependent.dims.is_zero():
+            if not np.all(np.isfinite(q.dims)):
+                raise ToolkitError(f"quantity {q.symbol!r} has a non-finite exponent")
+        if not any(self.dependent.dims):
             raise ToolkitError("the dependent quantity must not be dimensionless")
         D = build_dimension_matrix(self)
         r = matrix_rank(D)
         if r < k:
             raise ToolkitError(_rank_message(D, self.base_units, r))
         if self.pinned_w is not None:
-            if len(self.pinned_w) != m:
-                raise ToolkitError("pinned w must have one entry per independent")
-            res = _max_abs(D @ np.asarray(self.pinned_w) - self.dependent.dims.as_array())
+            if len(self.pinned_w) != m or not np.all(np.isfinite(self.pinned_w)):
+                raise ToolkitError("pinned w must have one finite entry per independent")
+            res = _max_abs(D @ np.asarray(self.pinned_w) - np.array(self.dependent.dims))
             if res > BASIS_TOL:
                 raise ToolkitError(f"pinned w violates D w = v(q): residual {res:.3e}")
 
@@ -169,14 +154,9 @@ class QuantitySystem:
 
 
 def _quantity_from_dict(d: dict, base_units) -> Quantity:
-    if "dims" in d:
-        dims = DimensionVector.of(d["dims"])
-        if len(dims) != len(base_units):
-            raise ToolkitError(f"quantity {d.get('symbol')!r}: wrong dims length")
-    elif "unit" in d:
-        dims = parse_unit_expr(d["unit"], base_units)
-    else:
+    if "dims" not in d and "unit" not in d:
         raise ToolkitError(f"quantity {d.get('symbol')!r} needs a 'unit' or 'dims' field")
+    dims = d["dims"] if "dims" in d else parse_unit_expr(d["unit"], base_units)
     return Quantity(name=d["name"], symbol=d["symbol"], dims=dims)
 
 
@@ -208,7 +188,7 @@ def _rank_message(D, base_units, r) -> str:
 def build_dimension_matrix(system: QuantitySystem) -> np.ndarray:
     """Column i is the dimension vector of the i-th independent quantity; its
     rank is k, since a QuantitySystem of lower rank fails to construct."""
-    return np.column_stack([q.dims.as_array() for q in system.independents])
+    return np.column_stack([np.array(q.dims) for q in system.independents])
 
 
 def solve_output_exponents(D: np.ndarray, v_q: np.ndarray) -> np.ndarray:
@@ -293,7 +273,7 @@ def pi_basis(system: QuantitySystem) -> PiBasis:
     if system.pinned_w is not None:
         w = np.array(system.pinned_w, dtype=float)
     else:
-        w = solve_output_exponents(D, system.dependent.dims.as_array())
+        w = solve_output_exponents(D, np.array(system.dependent.dims))
     W = nullspace_basis(D)
     res_null = _max_abs(D @ W)
     res_orth = _max_abs(W.T @ W - np.eye(W.shape[1]))

@@ -35,13 +35,15 @@ def dump(obj, path) -> None:
 def load(path, parse):
     """``parse`` applied to the JSON object held by the file at ``path``.
 
-    A file that holds anything but an object, that lacks a key ``parse``
-    reads (it raises ``KeyError``), or whose values have a type ``parse``
-    cannot use (it raises ``TypeError`` or ``AttributeError``), raises
-    ``ConfigError`` naming the file.
+    A file that is not JSON, holds anything but an object, or that ``parse``
+    refuses raises ``ConfigError`` whose message starts with the path and
+    ends with the refusal's own text; a missing key is named.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # includes a file that is not UTF-8
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     try:
@@ -50,3 +52,5 @@ def load(path, parse):
         raise ConfigError(f"{path} lacks the key {exc.args[0]!r}") from None
     except (TypeError, AttributeError) as exc:
         raise ConfigError(f"{path} has a value of the wrong type: {exc}") from None
+    except (ToolkitError, ValueError, ArithmeticError, LookupError) as exc:
+        raise ConfigError(f"{path} is refused: {exc}") from None

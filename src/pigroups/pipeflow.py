@@ -182,18 +182,17 @@ def regime_names() -> tuple[str, ...]:
 
 def pipe_quantity_system() -> QuantitySystem:
     """The pipe system over (kg, m, s), with the output exponents pinned."""
-    from .dimension import DimensionVector, Quantity, QuantitySystem
+    from .dimension import Quantity, QuantitySystem
 
     base = ("kg", "m", "s")
-    mk = DimensionVector.of
     independents = (
-        Quantity("fluid density", "rho", mk([1, -3, 0])),
-        Quantity("fluid viscosity", "mu", mk([1, -1, -1])),
-        Quantity("pipe diameter", "D", mk([0, 1, 0])),
-        Quantity("pipe roughness", "eps", mk([0, 1, 0])),
-        Quantity("fluid velocity", "V", mk([0, 1, -1])),
+        Quantity("fluid density", "rho", (1, -3, 0)),
+        Quantity("fluid viscosity", "mu", (1, -1, -1)),
+        Quantity("pipe diameter", "D", (0, 1, 0)),
+        Quantity("pipe roughness", "eps", (0, 1, 0)),
+        Quantity("fluid velocity", "V", (0, 1, -1)),
     )
-    dependent = Quantity("pressure loss", "dpdx", mk([1, -2, -2]))
+    dependent = Quantity("pressure loss", "dpdx", (1, -2, -2))
     return QuantitySystem(base, independents, dependent, pinned_w=(1.0, 0.0, -1.0, 0.0, 2.0))
 
 

@@ -43,11 +43,10 @@ class RegimeBox:
 
     @classmethod
     def from_pairs(cls, pairs) -> "RegimeBox":
-        pairs = list(pairs)
-        return cls(
-            lower=np.array([p[0] for p in pairs], dtype=float),
-            upper=np.array([p[1] for p in pairs], dtype=float),
-        )
+        bounds = np.array(list(pairs), dtype=float)
+        if bounds.ndim != 2 or bounds.shape[1] != 2:
+            raise ToolkitError("bounds must be [lower, upper] pairs")
+        return cls(lower=bounds[:, 0], upper=bounds[:, 1])
 
     @classmethod
     def from_dict(cls, doc: dict, symbols=None) -> "RegimeBox":
@@ -60,7 +59,9 @@ class RegimeBox:
                 raise ToolkitError(f"bounds missing for: {', '.join(missing)}")
             pairs = [bounds[s] for s in symbols]
         else:
-            pairs = bounds
+            pairs = list(bounds)
+            if symbols is not None and len(pairs) != len(symbols):
+                raise ToolkitError(f"bounds has {len(pairs)} pairs for {len(symbols)} symbols")
         return cls.from_pairs(pairs)
 
     @classmethod

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -34,9 +35,10 @@ def n_coefficients(n: int, degree: int) -> int:
 class ResponseSurface:
     """Fitted polynomial in standardized coordinates.
 
-    Construction checks the shapes against ``n`` and ``degree``, that every
-    value is finite and that the scale is positive, so a tampered or
-    truncated ``surface.json`` fails with a ``ValueError`` naming the field.
+    Construction checks that ``n`` and ``degree`` are integers, the shapes
+    against them, that every value is finite and that the scale is positive,
+    so a tampered or truncated ``surface.json`` fails with a ``ValueError``
+    naming the field.
     """
 
     degree: int
@@ -47,10 +49,10 @@ class ResponseSurface:
     train_rmse: float
 
     def __post_init__(self):
-        if self.n < 1 or self.degree < 0:
-            raise ValueError(
-                f"surface n must be >= 1 and degree >= 0, got n={self.n}, degree={self.degree}"
-            )
+        if not (isinstance(self.n, Integral) and self.n >= 1
+                and isinstance(self.degree, Integral) and self.degree >= 0):
+            raise ValueError(f"surface n must be an integer >= 1 and degree an integer >= 0, "
+                             f"got n={self.n!r}, degree={self.degree!r}")
         sizes = {"coefficients": n_coefficients(self.n, self.degree),
                  "center": self.n, "scale": self.n}
         for name, size in sizes.items():
@@ -90,8 +92,8 @@ class ResponseSurface:
     @classmethod
     def from_dict(cls, doc: dict) -> "ResponseSurface":
         return cls(
-            degree=int(doc["degree"]),
-            n=int(doc["n"]),
+            degree=doc["degree"],
+            n=doc["n"],
             coefficients=np.asarray(doc["coefficients"], dtype=float),
             center=np.asarray(doc["center"], dtype=float),
             scale=np.asarray(doc["scale"], dtype=float),

@@ -411,8 +411,22 @@ class TestBatchEncoder:
         self.assert_matches_per_value(Q)
 
 
+def surface_file(**changes):
+    """A surface file as ``analyze`` writes one for a two-group system, with
+    ``changes`` to its top-level keys."""
+    gen = np.random.default_rng(5)
+    surface = fit_polynomial(gen.normal(size=(20, 2)), gen.normal(size=20), 2)
+    doc = {"surface": surface.to_dict(), "w": [1.0, 0.0, -1.0, 0.0, 2.0], "W": np.eye(5, 2)}
+    return {**json.loads(jsonio.dumps(doc)), **changes}
+
+
+TURBULENT_PAIRS = [list(pair) for pair in zip(regime_box("turbulent").lower.tolist(),
+                                              regime_box("turbulent").upper.tolist())]
+
+
 class TestInputFiles:
     @pytest.mark.parametrize("option,doc,message", [
+        ("config", b"quad: tensor:3", "is not JSON: Expecting value: line 1 column 1"),
         ("config", [1, 2], "must hold a JSON object"),
         ("config", "abc", "must hold a JSON object"),
         ("system", [1, 2], "must hold a JSON object"),
@@ -425,21 +439,47 @@ class TestInputFiles:
          "lacks the key 'name'"),
         ("box", {}, "lacks the key 'bounds'"),
         ("surface", {"surface": {"degree": 2}}, "lacks the key 'n'"),
-    ], ids=["config-array", "config-string", "system-array", "system-independents",
-            "box-bounds", "surface", "system-no-independents", "system-no-name",
-            "box-no-bounds", "surface-no-n"])
+        ("box", {"bounds": TURBULENT_PAIRS[:2]}, "is refused: bounds has 2 pairs for 5 symbols"),
+        ("box-ridge-check", {"bounds": TURBULENT_PAIRS[:2]},
+         "is refused: bounds has 2 pairs for 5 symbols"),
+        ("box", {"bounds": {**dict(zip(SYMBOLS, TURBULENT_PAIRS)), "rho": []}},
+         "is refused: setting an array element with a sequence"),
+        ("system", {**PIPE_SYSTEM_DOC, "base_units": [None, "m", "s"]},
+         "is refused: base units and quantity symbols must be strings"),
+        ("system", {**PIPE_SYSTEM_DOC, "dependent": {
+            "name": "pressure loss", "symbol": "dpdx", "dims": [1, -2, float("inf")]}},
+         "is refused: quantity 'dpdx' has a non-finite exponent"),
+        ("surface", surface_file(w=[1.0, 0.0]),
+         "is refused: w and W have shapes (2,) and (5, 2); W needs 2 columns"),
+        ("surface", surface_file(W=[[1.0]] * 5),
+         "is refused: w and W have shapes (5,) and (5, 1); W needs 2 columns"),
+        ("surface", surface_file(W=None), "is refused: w and W have shapes (5,) and ();"),
+        ("surface", surface_file(w=[None, 0.0, -1.0, 0.0, 2.0]),
+         "is refused: w and W must be finite"),
+        ("surface", surface_file(surface={**surface_file()["surface"], "degree": 2.5}),
+         "is refused: surface n must be an integer >= 1 and degree an integer >= 0"),
+    ], ids=["config-not-json", "config-array", "config-string", "system-array",
+            "system-independents", "box-bounds", "surface", "system-no-independents",
+            "system-no-name", "box-no-bounds", "surface-no-n", "box-two-pairs",
+            "ridge-check-box-two-pairs", "box-empty-pair", "system-null-base-unit",
+            "system-infinite-dim", "surface-short-w", "surface-one-W-column",
+            "surface-null-W", "surface-null-in-w", "surface-fractional-degree"])
     def test_wrongly_shaped_json_is_config_error_naming_the_file(self, tmp_path, capsys,
                                                                  option, doc, message):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(json.dumps(doc))  # writes Infinity
         out = tmp_path / "x"
         argv = {
             "config": ["analyze", "--regime", "turbulent", "--config", str(path)],
             "system": ["pi-basis", str(path)],
             "box": ["analyze", "--box", str(path)],
+            "box-ridge-check": ["ridge-check", "--box", str(path)],
             "surface": ["predict", "--surface", str(path), "--point", "1,2,3,4,5"],
         }[option]
-        if argv[0] == "analyze":
+        if argv[0] in ("analyze", "ridge-check"):
             argv += ["--quad", "tensor:3", "--out-dir", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {path} {message}")
@@ -485,7 +525,7 @@ class TestPiBasisCommand:
         }
         path = tmp_path / "deficient.json"
         path.write_text(json.dumps(doc))
-        assert main(["pi-basis", str(path)]) == 3
+        assert main(["pi-basis", str(path)]) == 2
         assert "missing quantities" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self):
@@ -699,16 +739,21 @@ class TestAnalyzeCommand:
         ("seed", 1.5, "--seed must be an integer, got 1.5"),
         ("seed", True, "--seed must be an integer, got True"),
         ("re_crit", [1], "--re-crit must be a number or 'none', got [1]"),
+        ("h", float("inf"), "--h must be a positive number, got inf"),
+        ("--h", "inf", "--h must be a positive number, got inf"),
     ], ids=["null-workers", "string-batch-size", "string-timeout", "algorithm-3",
             "string-algorithm", "pressure-formula", "string-h", "float-degree", "float-seed",
-            "boolean-seed", "list-re-crit"])
+            "boolean-seed", "list-re-crit", "infinite-h", "infinite-h-flag"])
     def test_mistyped_option_in_config_file_is_config_error(self, tmp_path, capsys, key, value,
                                                             message):
+        # a key that starts with "--" is given as a flag instead
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3",
+        cfg.write_text(json.dumps({} if key.startswith("--") else {key: value}))
+        flags = [key, value] if key.startswith("--") else []
+        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3", *flags,
                      "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("quad,message", [
@@ -757,7 +802,7 @@ class TestAnalyzeCommand:
         box_path.write_text(json.dumps({"bounds": bounds}))  # writes NaN / Infinity
         rc = main(["analyze", "--box", str(box_path), "--algorithm", "2",
                    "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
-        assert rc == 3
+        assert rc == 2
         assert "bounds must be finite" in capsys.readouterr().err
 
     def test_failing_external_experiment_exit_code(self, tmp_path):

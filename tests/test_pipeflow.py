@@ -339,10 +339,10 @@ class TestRegimeBoxes:
 class TestPipeQuantitySystem:
     def test_dimension_vectors(self, pipe_system):
         by_symbol = {q.symbol: q for q in pipe_system.independents}
-        assert [int(e) for e in by_symbol["V"].dims.exponents] == [0, 1, -1]
-        assert [int(e) for e in by_symbol["rho"].dims.exponents] == [1, -3, 0]
-        assert [int(e) for e in by_symbol["mu"].dims.exponents] == [1, -1, -1]
-        assert [int(e) for e in pipe_system.dependent.dims.exponents] == [1, -2, -2]
+        assert [int(e) for e in by_symbol["V"].dims] == [0, 1, -1]
+        assert [int(e) for e in by_symbol["rho"].dims] == [1, -3, 0]
+        assert [int(e) for e in by_symbol["mu"].dims] == [1, -1, -1]
+        assert [int(e) for e in pipe_system.dependent.dims] == [1, -2, -2]
 
     def test_pinned_w_solves_integer_system(self, pipe_system):
         D = build_dimension_matrix(pipe_system)
