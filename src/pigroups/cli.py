@@ -99,7 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("moody-data", help="friction-factor grid for external plotting")
     p.add_argument("--out", default="moody.csv")
-    p.add_argument("--re-crit", type=float, default=RE_CRITICAL)
+    p.add_argument("--re-crit", default=RE_CRITICAL,
+                   help="pipe branch switch Reynolds number, or 'none' for Colebrook "
+                        f"everywhere (default {RE_CRITICAL:g})")
     p.set_defaults(func=_cmd_moody_data)
 
     p = add_parser("predict", help="evaluate a saved semi-empirical model at a point")
@@ -158,12 +160,7 @@ def _merge_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    re_crit = cfg["re_crit"]
-    if re_crit is not None:
-        try:
-            cfg["re_crit"] = None if str(re_crit).lower() == "none" else float(re_crit)
-        except (TypeError, ValueError):
-            raise ConfigError(f"--re-crit must be a number or 'none', got {re_crit!r}") from None
+    cfg["re_crit"] = _parse_re_crit(cfg["re_crit"])
     if cfg.get("quad") is None:
         cfg["quad"] = defaults["quad"]
     if not (type(cfg["algorithm"]) is int and cfg["algorithm"] in (1, 2)):
@@ -171,6 +168,19 @@ def _merge_config(args) -> dict:
     if cfg["seed"] is None:  # a null seed in a config file draws one, for the manifest
         cfg["seed"] = int(np.random.default_rng().integers(2**32))
     return cfg
+
+
+def _parse_re_crit(value) -> float | None:
+    """``--re-crit`` as a number, or None (Colebrook everywhere) for ``none``."""
+    if value is None or str(value).lower() == "none":
+        return None
+    try:
+        re_crit = float(value)
+    except (TypeError, ValueError):
+        re_crit = np.nan
+    if isinstance(value, bool) or np.isnan(re_crit):
+        raise ConfigError(f"--re-crit must be a number or 'none', got {value!r}")
+    return re_crit
 
 
 def _algorithm_config(cfg: dict) -> AlgorithmConfig:
@@ -196,13 +206,19 @@ def _load_box(args, system: QuantitySystem) -> RegimeBox:
 
 
 def _make_experiment(args, cfg, system: QuantitySystem):
-    if getattr(args, "experiment_cmd", None):
+    if getattr(args, "experiment_cmd", None) is not None:
         # imported here: a built-in run needs neither the module nor its
         # subprocess and thread-pool imports
         from .external import ExternalExperiment
 
+        try:
+            command = tuple(shlex.split(args.experiment_cmd))
+        except ValueError as exc:
+            raise ConfigError(f"--experiment-cmd cannot be split into words: {exc}") from None
+        if not command:
+            raise ConfigError("--experiment-cmd names no program")
         return ExternalExperiment(
-            command=tuple(shlex.split(args.experiment_cmd)),
+            command=command,
             symbols=system.symbols,
             timeout=cfg["timeout"],
             batch_size=cfg["batch_size"],
@@ -450,7 +466,7 @@ def signed_column_distance(Z: np.ndarray, reference: np.ndarray) -> float:
 
 
 def _cmd_moody_data(args) -> int:
-    grid = moody_grid(re_crit=args.re_crit)
+    grid = moody_grid(re_crit=_parse_re_crit(args.re_crit))
     np.savetxt(args.out, grid, delimiter=",",
                header="log10_re,log10_rel_rough,lambda", comments="", fmt="%.17g")
     print(f"wrote {grid.shape[0]} rows to {args.out}")

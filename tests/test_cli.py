@@ -755,6 +755,28 @@ class TestAnalyzeCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command,message", [
+        ("", "--experiment-cmd names no program"),
+        (" ", "--experiment-cmd names no program"),
+        ("'abc", "--experiment-cmd cannot be split into words: No closing quotation"),
+    ], ids=["empty", "blank", "open-quote"])
+    def test_experiment_command_that_cannot_run_is_config_error(self, tmp_path, capsys,
+                                                                command, message):
+        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3",
+                     "--experiment-cmd", command, "--out-dir", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("exc", [ValueError("a bug"), KeyError("a bug")],
+                             ids=["ValueError", "KeyError"])
+    def test_an_exception_of_no_toolkit_class_is_not_an_exit_code(self, monkeypatch, exc):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr("pigroups.cli._cmd_analyze", broken)
+        with pytest.raises(type(exc)):
+            main(["analyze", "--regime", "turbulent"])
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("quad,message", [
         ("mc:0", "--quad needs at least one point, got 'mc:0'"),
@@ -914,6 +936,23 @@ class TestMoodyAndPredict:
         assert table[i, 2] == pytest.approx(
             friction_factor(10 ** table[i, 0], 10 ** table[i, 1]), rel=1e-12
         )
+
+    def test_moody_data_takes_re_crit_none(self, tmp_path):
+        out = tmp_path / "moody.csv"
+        assert main(["moody-data", "--re-crit", "none", "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        lam = friction_factor(10 ** table[:, 0], 10 ** table[:, 1], re_crit=None)
+        assert np.array_equal(table[:, 2], lam)
+
+    @pytest.mark.parametrize("argv", [
+        ["moody-data", "--out", "{out}/moody.csv"],
+        ["analyze", "--regime", "turbulent", "--quad", "tensor:3", "--out-dir", "{out}"],
+    ], ids=["moody-data", "analyze"])
+    def test_nan_re_crit_is_config_error(self, tmp_path, capsys, argv):
+        argv = [arg.format(out=tmp_path / "x") for arg in argv]
+        assert main([*argv, "--re-crit", "nan"]) == 2
+        assert capsys.readouterr().err == "error: --re-crit must be a number or 'none', got 'nan'\n"
+        assert not (tmp_path / "x").exists()
 
     def test_predict_round_trips_saved_surface(self, tmp_path):
         out = tmp_path / "run1"
