@@ -1,15 +1,18 @@
-"""Shared test utilities: the pipe system's JSON document, synthetic
-ridge experiments, the per-point forward-difference oracle for algorithm
-2's batched loop, the graded monomial order and the direct monomial and
-per-term gradient oracles for the response-surface kernels, the
-per-value CSV encoder that the external batch formatter must match, and
-the classical-basis coordinates of group exponents (criterion 5)."""
+"""Shared test utilities: the pipe system's JSON document, a surface file,
+synthetic ridge experiments, the per-point forward-difference oracle for
+algorithm 2's batched loop, the graded monomial order and the direct
+monomial and per-term gradient oracles for the response-surface kernels,
+the per-value CSV encoder that the external batch formatter must match,
+and the classical-basis coordinates of group exponents (criterion 5)."""
 
+import json
 from itertools import product
 
 import numpy as np
 
+from pigroups import jsonio
 from pigroups.errors import ToolkitError
+from pigroups.surrogate import fit_polynomial
 
 
 # the pipe system as a quantity-system file holds it
@@ -25,6 +28,15 @@ PIPE_SYSTEM_DOC = {
     "dependent": {"name": "pressure loss", "symbol": "dpdx", "dims": [1, -2, -2]},
     "w": [1.0, 0.0, -1.0, 0.0, 2.0],
 }
+
+
+def surface_file(**changes):
+    """A surface file as ``analyze`` writes one for a two-group system of
+    five quantities, with ``changes`` to its top-level keys."""
+    gen = np.random.default_rng(5)
+    surface = fit_polynomial(gen.normal(size=(20, 2)), gen.normal(size=20), 2)
+    doc = {"surface": surface.to_dict(), "w": [1.0, 0.0, -1.0, 0.0, 2.0], "W": np.eye(5, 2)}
+    return {**json.loads(jsonio.dumps(doc)), **changes}
 
 
 class SpanMismatch(ToolkitError):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pigroups
-from helpers import PIPE_SYSTEM_DOC, csv_request
+from helpers import PIPE_SYSTEM_DOC, csv_request, surface_file
 from pigroups import jsonio
 from pigroups.cli import fit_loglog_slope, main
 from pigroups.dimension import QuantitySystem
@@ -409,15 +409,6 @@ class TestBatchEncoder:
     ], ids=["1x1", "1x5-one-value", "1x5"])
     def test_single_row(self, Q):
         self.assert_matches_per_value(Q)
-
-
-def surface_file(**changes):
-    """A surface file as ``analyze`` writes one for a two-group system, with
-    ``changes`` to its top-level keys."""
-    gen = np.random.default_rng(5)
-    surface = fit_polynomial(gen.normal(size=(20, 2)), gen.normal(size=20), 2)
-    doc = {"surface": surface.to_dict(), "w": [1.0, 0.0, -1.0, 0.0, 2.0], "W": np.eye(5, 2)}
-    return {**json.loads(jsonio.dumps(doc)), **changes}
 
 
 TURBULENT_PAIRS = [list(pair) for pair in zip(regime_box("turbulent").lower.tolist(),

@@ -10,13 +10,9 @@ config file is either used or refused as a configuration error.
 
 import json
 
-import numpy as np
-
-from helpers import PIPE_SYSTEM_DOC
-from pigroups import jsonio
+from helpers import PIPE_SYSTEM_DOC, surface_file
 from pigroups.cli import main
 from pigroups.pipeflow import SYMBOLS, regime_box
-from pigroups.surrogate import fit_polynomial
 
 VALUES = (None, "x", [], {}, -1, 0, 2.5, True, [1], ["x"], float("inf"), float("nan"))
 
@@ -33,13 +29,6 @@ def box_doc():
     box = regime_box("turbulent")
     return {"bounds": {s: [lo, hi] for s, lo, hi in zip(SYMBOLS, box.lower.tolist(),
                                                          box.upper.tolist())}}
-
-
-def surface_doc(pipe_basis):
-    gen = np.random.default_rng(5)
-    surface = fit_polynomial(gen.normal(size=(20, 2)), gen.normal(size=20), 2)
-    return json.loads(jsonio.dumps(
-        {"surface": surface.to_dict(), "w": pipe_basis.w, "W": pipe_basis.W}))
 
 
 def node_paths(node, path=()):
@@ -70,9 +59,9 @@ def mutants(doc):
             yield path, value, mutant
 
 
-def run_mutants(tmp_path, capsys, doc, argv, allowed_codes):
+def run_mutants(tmp_path, capsys, doc, argv, codes=(0, 2, 3), named=True):
     """The mutants of ``doc`` that raise out of ``main``, exit with a code
-    outside ``allowed_codes``, or exit 2 without naming the file first."""
+    outside ``codes``, or, if ``named``, exit 2 without naming the file first."""
     path = tmp_path / "input.json"
     faults = []
     for where, value, mutant in mutants(doc):
@@ -83,40 +72,39 @@ def run_mutants(tmp_path, capsys, doc, argv, allowed_codes):
             faults.append((where, value, f"raised {exc!r}"))
             continue
         err = capsys.readouterr().err
-        if code not in allowed_codes:
+        if code not in codes:
             faults.append((where, value, f"exit {code}: {err.strip()}"))
-        elif code == 2 and allowed_codes != (0, 2) and not err.startswith(f"error: {path} "):
+        elif code == 2 and named and not err.startswith(f"error: {path} "):
             faults.append((where, value, f"exit 2 without the file: {err.strip()}"))
     return faults
 
 
 def test_system_file_mutants(tmp_path, capsys):
-    faults = run_mutants(tmp_path, capsys, PIPE_SYSTEM_DOC,
-                         lambda path: ["pi-basis", path], (0, 2, 3))
+    faults = run_mutants(tmp_path, capsys, PIPE_SYSTEM_DOC, lambda path: ["pi-basis", path])
     assert faults == []
 
 
 def test_box_file_mutants(tmp_path, capsys):
     out = str(tmp_path / "out")
     faults = run_mutants(tmp_path, capsys, box_doc(), lambda path: [
-        "analyze", "--box", path, "--quad", "tensor:3", "--out-dir", out], (0, 2, 3))
+        "analyze", "--box", path, "--quad", "tensor:3", "--out-dir", out])
     assert faults == []
 
 
-def test_surface_file_mutants(tmp_path, capsys, pipe_basis):
-    faults = run_mutants(tmp_path, capsys, surface_doc(pipe_basis),
-                         lambda path: ["predict", "--surface", path, "--point", POINT],
-                         (0, 2, 3))
+def test_surface_file_mutants(tmp_path, capsys):
+    faults = run_mutants(tmp_path, capsys, surface_file(),
+                         lambda path: ["predict", "--surface", path, "--point", POINT])
     assert faults == []
 
 
 def test_config_file_mutants(tmp_path, capsys):
     out = str(tmp_path / "out")
     faults = run_mutants(tmp_path, capsys, CONFIG_DOC, lambda path: [
-        "analyze", "--regime", "turbulent", "--config", path, "--out-dir", out], (0, 2))
+        "analyze", "--regime", "turbulent", "--config", path, "--out-dir", out],
+        codes=(0, 2), named=False)
     assert faults == []
 
 
-def test_the_four_documents_have_124_nodes(pipe_basis):
-    docs = (PIPE_SYSTEM_DOC, box_doc(), surface_doc(pipe_basis), CONFIG_DOC)
+def test_the_four_documents_have_124_nodes():
+    docs = (PIPE_SYSTEM_DOC, box_doc(), surface_file(), CONFIG_DOC)
     assert [len(list(node_paths(doc))) for doc in docs] == [54, 17, 40, 13]
