@@ -21,7 +21,6 @@ of points, one run per row, to the N dependent values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +31,7 @@ from .dimension import (
     build_dimension_matrix,
     check_dimensionless,
 )
-from .errors import ConfigError, ToolkitError
+from .errors import MAX_POINTS, ConfigError, ToolkitError, check_count, check_positive
 from .quadrature import (
     GL_MAX_POINTS,
     QuadratureRule,
@@ -63,12 +62,14 @@ DIMENSIONLESS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    """Knobs shared by both algorithms.
+    """Knobs shared by both algorithms, checked on construction.
 
-    ``quad`` is either ``tensor:<points per dimension>``, 1 to
-    ``GL_MAX_POINTS``, or ``mc:<points>``, at least 1;
-    ``design`` and ``holdout`` only matter for the surface route, ``h``
-    only for finite differences.
+    ``quad`` is ``tensor:<p>``, p in [1, ``GL_MAX_POINTS``], or ``mc:<N>``, N
+    in [1, ``MAX_POINTS``]; ``h`` is finite and positive (kept as a float);
+    the integers ``degree`` >= 1, ``seed`` >= 0, ``design`` in [1,
+    ``MAX_POINTS``] and ``holdout`` in [0, ``MAX_POINTS``]. ``design`` and
+    ``holdout`` only matter for the surface route, ``h`` only for finite
+    differences.
     """
 
     h: float = 1e-6
@@ -80,28 +81,20 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         # a config file can hold any JSON value, so types are checked too
-        if isinstance(self.h, bool) or not (isinstance(self.h, Real) and 0 < self.h < np.inf):
-            raise ConfigError(f"--h must be a positive number, got {self.h!r}")
-        for option, value, low in (("--degree", self.degree, 1), ("--design", self.design, 1),
-                                   ("--holdout", self.holdout, 0), ("--seed", self.seed, 0)):
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(f"{option} must be an integer, got {value!r}")
-            if value < low:
-                bound = "nonnegative" if low == 0 else f"at least {low}"
-                raise ConfigError(f"{option} must be {bound}, got {value}")
+        object.__setattr__(self, "h", check_positive("--h", self.h))
+        check_count("--degree", self.degree, 1)
+        check_count("--design", self.design, 1, MAX_POINTS)
+        check_count("--holdout", self.holdout, 0, MAX_POINTS)
+        check_count("--seed", self.seed, 0)
         self.parse_quad()
 
     def parse_quad(self):
         kind, _, arg = str(self.quad).partition(":")
-        if kind not in ("tensor", "mc") or not arg.isdigit():
+        if kind not in ("tensor", "mc") or not arg.isdecimal():
             raise ConfigError(f"--quad must be 'tensor:<p>' or 'mc:<N>', got {self.quad!r}")
-        count = int(arg)
-        if count < 1:
-            raise ConfigError(f"--quad needs at least one point, got {self.quad!r}")
-        if kind == "tensor" and count > GL_MAX_POINTS:
-            raise ConfigError(
-                f"--quad tensor:<p> needs p at most {GL_MAX_POINTS}, got {self.quad!r}")
-        return kind, count
+        if kind == "tensor":
+            return kind, check_count("--quad tensor:<p>", int(arg), 1, GL_MAX_POINTS)
+        return kind, check_count("--quad mc:<N>", int(arg), 1, MAX_POINTS)
 
 
 def build_rule(box: RegimeBox, config: AlgorithmConfig) -> QuadratureRule:
@@ -240,7 +233,7 @@ def algorithm1(
     n = W.shape[1]
     needed = n_coefficients(n, config.degree)
     if config.design < needed:
-        raise ToolkitError(f"design of {config.design} cannot fit {needed} surrogate coefficients")
+        raise ConfigError(f"design of {config.design} cannot fit {needed} surrogate coefficients")
     points = latin_hypercube(box, config.design, config.seed)
     logq = np.log(points)
     pi = _pi(experiment, points, logq, w)

@@ -5,8 +5,10 @@ Commands: ``pi-basis``, ``analyze``, ``ridge-check``, ``fd-convergence``,
 flags. Exit codes: 0 success, else the ``exit_code`` of the failure's class
 in ``pigroups.errors``; exit 2 is a ``ConfigError``, or an ``OSError`` from a
 file the command cannot open or write. Any other exception is a bug and
-ends in a traceback. Every analysis writes a manifest next to its results;
-with a fixed seed and config the result JSON is byte-identical across runs and worker counts.
+ends in a traceback. An analysis command checks every option value before it
+makes its output directory, so a refused value writes nothing. Every analysis
+writes a manifest next to its results; with a fixed seed and config the result
+JSON is byte-identical across runs and worker counts.
 
 A command imports the analysis modules it runs when it runs, so
 ``pi-basis`` loads neither the drivers nor the quadrature, subspace and
@@ -27,7 +29,14 @@ import numpy as np
 
 from . import __version__, jsonio
 from .dimension import QuantitySystem, build_dimension_matrix, pi_basis, solve_output_exponents
-from .errors import EXTERNAL_DEFAULTS, ConfigError, ToolkitError, check_external_options
+from .errors import (
+    EXTERNAL_DEFAULTS,
+    ConfigError,
+    ToolkitError,
+    check_count,
+    check_external_options,
+    check_positive,
+)
 from .pipeflow import (
     RE_CRITICAL,
     PipeFlowExperiment,
@@ -163,8 +172,7 @@ def _merge_config(args) -> dict:
     cfg["re_crit"] = _parse_re_crit(cfg["re_crit"])
     if cfg.get("quad") is None:
         cfg["quad"] = defaults["quad"]
-    if not (type(cfg["algorithm"]) is int and cfg["algorithm"] in (1, 2)):
-        raise ConfigError(f"--algorithm must be 1 or 2, got {cfg['algorithm']!r}")
+    check_count("--algorithm", cfg["algorithm"], 1, 2)
     if cfg["seed"] is None:  # a null seed in a config file draws one, for the manifest
         cfg["seed"] = int(np.random.default_rng().integers(2**32))
     return cfg
@@ -174,19 +182,7 @@ def _parse_re_crit(value) -> float | None:
     """``--re-crit`` as a number, or None (Colebrook everywhere) for ``none``."""
     if value is None or str(value).lower() == "none":
         return None
-    try:
-        re_crit = float(value)
-    except (TypeError, ValueError):
-        re_crit = np.nan
-    if isinstance(value, bool) or np.isnan(re_crit):
-        raise ConfigError(f"--re-crit must be a number or 'none', got {value!r}")
-    return re_crit
-
-
-def _algorithm_config(cfg: dict) -> AlgorithmConfig:
-    from .algorithms import AlgorithmConfig
-
-    return AlgorithmConfig(**{f.name: cfg[f.name] for f in fields(AlgorithmConfig)})
+    return check_positive("--re-crit", value)
 
 
 def _load_system(args) -> QuantitySystem:
@@ -228,20 +224,25 @@ def _make_experiment(args, cfg, system: QuantitySystem):
 
 
 def _prepare(args):
-    """Setup shared by the analysis commands: merged options, system, box,
-    basis, a counting experiment and the output directory."""
-    from .algorithms import CountingExperiment
+    """Setup shared by the analysis commands: merged options, algorithm config, system,
+    box, basis, a counting experiment and, once all are accepted, the output directory."""
+    from .algorithms import AlgorithmConfig, CountingExperiment
+    from .quadrature import tensor_size
 
     cfg = _merge_config(args)
+    config = AlgorithmConfig(**{f.name: cfg[f.name] for f in fields(AlgorithmConfig)})
     # the built-in experiment ignores these, but an out-of-range value is an error
-    check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
+    cfg["timeout"] = check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
     system = _load_system(args)
     box = _load_box(args, system)
+    kind, count = config.parse_quad()
+    if kind == "tensor":
+        tensor_size(count, box.m)
     basis = pi_basis(system)
     experiment = CountingExperiment(_make_experiment(args, cfg, system))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, system, box, basis, experiment, out_dir
+    return cfg, config, system, box, basis, experiment, out_dir
 
 
 def _write_manifest(out_dir: Path, command: str, args, cfg: dict,
@@ -303,8 +304,7 @@ def _cmd_analyze(args) -> int:
     from .subspace import result_to_csv
 
     started = time.monotonic()
-    cfg, system, box, basis, experiment, out_dir = _prepare(args)
-    config = _algorithm_config(cfg)
+    cfg, config, system, box, basis, experiment, out_dir = _prepare(args)
     trace_cb = _make_trace(out_dir, system, basis.n) if args.trace else None
 
     surface = None
@@ -362,26 +362,13 @@ def _parse_sweep(text: str) -> list[float]:
     """The steps of ``--h-sweep``, largest first: at least two, each finite,
     positive and given once. A zero step divides by zero, and a repeated
     one gives a zero error, to which no slope can be fitted."""
-    hs = _numbers("--h-sweep", [tok for tok in text.split(",") if tok.strip()])
+    hs = [check_positive("--h-sweep", tok) for tok in text.split(",") if tok.strip()]
     if len(hs) < 2:
         raise ConfigError("--h-sweep needs at least two values")
     for i, h in enumerate(hs):
-        if not (np.isfinite(h) and h > 0.0):
-            raise ConfigError(f"--h-sweep values must be finite and positive, got {h!r}")
         if h in hs[:i]:
             raise ConfigError(f"--h-sweep repeats the value {h!r}")
     return sorted(hs, reverse=True)
-
-
-def _numbers(option: str, tokens) -> list[float]:
-    """The tokens as floats; a token that is not a number names ``option``."""
-    values = []
-    for tok in tokens:
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ConfigError(f"{option} values must be numbers, got {tok!r}") from None
-    return values
 
 
 def fit_loglog_slope(hs, values) -> float:
@@ -395,8 +382,8 @@ def _cmd_ridge_check(args) -> int:
 
     started = time.monotonic()
     hs = _parse_sweep(args.h_sweep)
-    cfg, system, box, basis, experiment, out_dir = _prepare(args)
-    rule = build_rule(box, _algorithm_config(cfg))
+    cfg, config, system, box, basis, experiment, out_dir = _prepare(args)
+    rule = build_rule(box, config)
     m = system.m
     rows = []
     for h in hs:
@@ -433,8 +420,7 @@ def _cmd_fd_convergence(args) -> int:
 
     started = time.monotonic()
     hs = _parse_sweep(args.h_sweep)
-    cfg, system, box, basis, experiment, out_dir = _prepare(args)
-    config = _algorithm_config(cfg)
+    cfg, config, system, box, basis, experiment, out_dir = _prepare(args)
     results = {}
     for h in hs:
         results[h] = algorithm2(experiment, system, basis, box, replace(config, h=h))
@@ -477,7 +463,7 @@ def _cmd_predict(args) -> int:
     from .algorithms import predict_dependent
 
     surface, w, W = jsonio.load(args.surface, _read_model)
-    point = np.array(_numbers("--point", args.point.split(",")))
+    point = np.array([check_positive("--point", tok) for tok in args.point.split(",")])
     if point.shape[0] != W.shape[0]:
         raise ConfigError(f"point has {point.shape[0]} entries, expected {W.shape[0]}")
     value = predict_dependent(surface, w, W, point)

@@ -118,7 +118,7 @@ class QuantitySystem:
         if not any(self.dependent.dims):
             raise ToolkitError("the dependent quantity must not be dimensionless")
         D = build_dimension_matrix(self)
-        r = matrix_rank(D)
+        r = np.linalg.matrix_rank(D, rtol=RANK_RTOL)
         if r < k:
             raise ToolkitError(_rank_message(D, self.base_units, r))
         if self.pinned_w is not None:
@@ -165,19 +165,11 @@ def _max_abs(a) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
-def matrix_rank(D: np.ndarray) -> int:
-    """Rank by singular values above RANK_RTOL times the largest."""
-    s = np.linalg.svd(np.atleast_2d(np.asarray(D, dtype=float)), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
-
-
 def _rank_message(D, base_units, r) -> str:
     redundant = []
     for i in range(D.shape[0]):
         rest = np.delete(D, i, axis=0)
-        if matrix_rank(rest) == r:
+        if np.linalg.matrix_rank(rest, rtol=RANK_RTOL) == r:
             redundant.append(base_units[i])
     msg = f"dimension matrix has rank {r} < {D.shape[0]}; {MISSING_QUANTITY_HINT}"
     if redundant:
@@ -231,7 +223,7 @@ def nullspace_basis(D: np.ndarray) -> np.ndarray:
     """
     D = np.atleast_2d(np.asarray(D, dtype=float))
     k, m = D.shape
-    r = matrix_rank(D)
+    r = np.linalg.matrix_rank(D, rtol=RANK_RTOL)
     if r < k:
         raise ToolkitError(f"dimension matrix has rank {r} < {k}")
     if m == r:

@@ -49,7 +49,8 @@ class ExternalExperiment:
     n_workers: int = EXTERNAL_DEFAULTS["workers"]
 
     def __post_init__(self):
-        check_external_options(self.timeout, self.batch_size, self.n_workers)
+        object.__setattr__(self, "timeout", check_external_options(
+            self.timeout, self.batch_size, self.n_workers))
 
     def evaluate_batch(self, points) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(points, dtype=float))

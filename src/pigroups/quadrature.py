@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import ToolkitError
+from .errors import MAX_POINTS, ToolkitError, check_count
 
-MAX_TENSOR_POINTS = 10**7
 GL_MAX_POINTS = 64
 
 
@@ -114,15 +113,20 @@ def gauss_legendre_1d(p: int):
     return x, w
 
 
+def tensor_size(p: int, m: int) -> int:
+    """p**m, the point count of the p-point tensor rule in m dimensions;
+    ``ConfigError`` naming ``--quad`` if it exceeds ``MAX_POINTS``."""
+    return check_count(f"the point count {p}^{m} of --quad tensor:{p}", p ** m, 1, MAX_POINTS)
+
+
 def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
     """Tensor-product Gauss-Legendre rule over the box, p points per dimension.
 
     The 1-D rule is mapped affinely onto each interval and the product is
     laid out in row-major dimension order; weights absorb the uniform
-    density so they sum to one. The point count p**m is capped at 1e7.
+    density so they sum to one. ``tensor_size`` caps the point count p**m.
     """
-    if p ** box.m > MAX_TENSOR_POINTS:
-        raise ToolkitError(f"{p}^{box.m} exceeds the {MAX_TENSOR_POINTS:.0e} point guard")
+    tensor_size(p, box.m)
     x, w = gauss_legendre_1d(p)
     m = box.m
     axes = [lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)]

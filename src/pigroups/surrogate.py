@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import ToolkitError, check_count
 
 CONDITION_LIMIT = 1e12
 
@@ -35,10 +34,10 @@ def n_coefficients(n: int, degree: int) -> int:
 class ResponseSurface:
     """Fitted polynomial in standardized coordinates.
 
-    Construction checks that ``n`` and ``degree`` are integers, the shapes
-    against them, that every value is finite and that the scale is positive,
-    so a tampered or truncated ``surface.json`` fails with a ``ValueError``
-    naming the field.
+    Construction checks that ``n`` >= 1 and ``degree`` >= 0 are integers
+    (``ConfigError``), then the shapes against them, that every value is finite
+    and that the scale is positive (``ValueError``), so a tampered or truncated
+    ``surface.json`` fails naming the field.
     """
 
     degree: int
@@ -49,10 +48,8 @@ class ResponseSurface:
     train_rmse: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, Integral) and self.n >= 1
-                and isinstance(self.degree, Integral) and self.degree >= 0):
-            raise ValueError(f"surface n must be an integer >= 1 and degree an integer >= 0, "
-                             f"got n={self.n!r}, degree={self.degree!r}")
+        check_count("surface n", self.n, 1)
+        check_count("surface degree", self.degree, 0)
         sizes = {"coefficients": n_coefficients(self.n, self.degree),
                  "center": self.n, "scale": self.n}
         for name, size in sizes.items():

@@ -448,7 +448,7 @@ class TestInputFiles:
         ("surface", surface_file(w=[None, 0.0, -1.0, 0.0, 2.0]),
          "is refused: w and W must be finite"),
         ("surface", surface_file(surface={**surface_file()["surface"], "degree": 2.5}),
-         "is refused: surface n must be an integer >= 1 and degree an integer >= 0"),
+         "is refused: surface degree must be an integer, got 2.5"),
     ], ids=["config-not-json", "config-array", "config-string", "system-array",
             "system-independents", "box-bounds", "surface", "system-no-independents",
             "system-no-name", "box-no-bounds", "surface-no-n", "box-two-pairs",
@@ -682,9 +682,9 @@ class TestAnalyzeCommand:
         assert f"--batch-size must be at least 1, got {batch_size}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags,message", [
-        (["--timeout", "0"], "--timeout must be a positive number of seconds, got 0.0"),
-        (["--timeout", "-1"], "--timeout must be a positive number of seconds, got -1.0"),
-        (["--timeout", "nan"], "--timeout must be a positive number of seconds, got nan"),
+        (["--timeout", "0"], "--timeout must be a positive number, got 0.0"),
+        (["--timeout", "-1"], "--timeout must be a positive number, got -1.0"),
+        (["--timeout", "nan"], "--timeout must be a positive number, got nan"),
         (["--workers", "-2"], "--workers must be at least 1, got -2"),
         (["--design", "-5"], "--design must be at least 1, got -5"),
         (["--seed", "-1"], "--seed must be nonnegative, got -1"),
@@ -702,11 +702,11 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("command,flags,message", [
         ("analyze", ["--workers", "-2"], "--workers must be at least 1, got -2"),
         ("analyze", ["--timeout", "-1"],
-         "--timeout must be a positive number of seconds, got -1.0"),
+         "--timeout must be a positive number, got -1.0"),
         ("analyze", ["--batch-size", "0"], "--batch-size must be at least 1, got 0"),
         ("ridge-check", ["--workers", "0"], "--workers must be at least 1, got 0"),
         ("fd-convergence", ["--timeout", "inf"],
-         "--timeout must be a positive number of seconds, got inf"),
+         "--timeout must be a positive number, got inf"),
     ], ids=["analyze-workers", "analyze-timeout", "analyze-batch-size", "ridge-check-workers",
             "fd-convergence-timeout"])
     def test_external_options_are_checked_for_the_builtin_experiment(
@@ -718,23 +718,33 @@ class TestAnalyzeCommand:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("key,value,message", [
-        ("workers", None, "--workers must be at least 1, got None"),
-        ("batch_size", "10", "--batch-size must be at least 1, got 10"),
-        ("timeout", "30", "--timeout must be a positive number of seconds, got 30"),
-        ("algorithm", 3, "--algorithm must be 1 or 2, got 3"),
-        ("algorithm", "1", "--algorithm must be 1 or 2, got '1'"),
+        ("workers", None, "--workers must be an integer, got None"),
+        ("batch_size", "10", "--batch-size must be an integer, got '10'"),
+        ("timeout", "30s", "--timeout must be a positive number, got '30s'"),
+        ("algorithm", 3, "--algorithm must be at most 2, got 3"),
+        ("algorithm", "1", "--algorithm must be an integer, got '1'"),
         ("pressure_formula", "bogus",
          "pressure_formula must be 'fanning' or 'darcy', got 'bogus'"),
-        ("h", "1e-6", "--h must be a positive number, got '1e-6'"),
+        ("h", "1e-6x", "--h must be a positive number, got '1e-6x'"),
         ("degree", 2.5, "--degree must be an integer, got 2.5"),
         ("seed", 1.5, "--seed must be an integer, got 1.5"),
         ("seed", True, "--seed must be an integer, got True"),
-        ("re_crit", [1], "--re-crit must be a number or 'none', got [1]"),
+        ("re_crit", [1], "--re-crit must be a positive number, got [1]"),
         ("h", float("inf"), "--h must be a positive number, got inf"),
         ("--h", "inf", "--h must be a positive number, got inf"),
+        ("workers", True, "--workers must be an integer, got True"),
+        ("timeout", True, "--timeout must be a positive number, got True"),
+        ("batch_size", True, "--batch-size must be an integer, got True"),
+        ("batch_size", 2.0, "--batch-size must be an integer, got 2.0"),
+        ("h", 10**400, f"--h must be a positive number, got {10**400}"),
+        ("timeout", 10**400, f"--timeout must be a positive number, got {10**400}"),
+        ("re_crit", 10**400, f"--re-crit must be a positive number, got {10**400}"),
+        ("design", 10**30, f"--design must be at most 10000000, got {10**30}"),
     ], ids=["null-workers", "string-batch-size", "string-timeout", "algorithm-3",
             "string-algorithm", "pressure-formula", "string-h", "float-degree", "float-seed",
-            "boolean-seed", "list-re-crit", "infinite-h", "infinite-h-flag"])
+            "boolean-seed", "list-re-crit", "infinite-h", "infinite-h-flag", "boolean-workers",
+            "boolean-timeout", "boolean-batch-size", "float-batch-size", "huge-h",
+            "huge-timeout", "huge-re-crit", "huge-design"])
     def test_mistyped_option_in_config_file_is_config_error(self, tmp_path, capsys, key, value,
                                                             message):
         # a key that starts with "--" is given as a flag instead
@@ -744,7 +754,44 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3", *flags,
                      "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "x" / "manifest.json").exists()
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key", ["h", "timeout", "re_crit"])
+    def test_numeric_string_in_config_file_is_a_number(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "3e-6"}))
+        out = tmp_path / "x"
+        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:2",
+                     "--config", str(cfg), "--out-dir", str(out)]) == 0
+        h = json.loads((out / "result.json").read_text())["metadata"]["h"]
+        assert h == (3e-6 if key == "h" else 1e-6)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--h", "-1"], "--h must be a positive number, got -1.0"),
+        (["--quad", "bogus"], "--quad must be 'tensor:<p>' or 'mc:<N>', got 'bogus'"),
+        (["--quad", "tensor:30"],
+         "the point count 30^5 of --quad tensor:30 must be at most 10000000, got 24300000"),
+        (["--quad", "mc:100000000000000"],
+         "--quad mc:<N> must be at most 10000000, got 100000000000000"),
+        (["--degree", "0"], "--degree must be at least 1, got 0"),
+        (["--algorithm", "1", "--holdout", "100000000000000"],
+         "--holdout must be at most 10000000, got 100000000000000"),
+    ], ids=["negative-h", "bogus-quad", "tensor-30", "huge-mc", "zero-degree", "huge-holdout"])
+    def test_refused_option_runs_nothing_and_writes_nothing(self, tmp_path, capsys,
+                                                            monkeypatch, flags, message):
+        calls = []
+        monkeypatch.setattr(PipeFlowExperiment, "evaluate_batch", calls.append)
+        out = tmp_path / "x"
+        assert main(["analyze", "--regime", "turbulent", *flags, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+        assert not out.exists()
+
+    def test_design_too_small_for_the_surrogate_is_config_error(self, tmp_path, capsys):
+        assert main(["analyze", "--regime", "turbulent", "--algorithm", "1", "--design", "5",
+                     "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "error: design of 5 cannot fit 6 surrogate coefficients\n")
 
     @pytest.mark.parametrize("command,message", [
         ("", "--experiment-cmd names no program"),
@@ -770,9 +817,9 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("quad,message", [
-        ("mc:0", "--quad needs at least one point, got 'mc:0'"),
-        ("tensor:0", "--quad needs at least one point, got 'tensor:0'"),
-        ("tensor:65", "--quad tensor:<p> needs p at most 64, got 'tensor:65'"),
+        ("mc:0", "--quad mc:<N> must be at least 1, got 0"),
+        ("tensor:0", "--quad tensor:<p> must be at least 1, got 0"),
+        ("tensor:65", "--quad tensor:<p> must be at most 64, got 65"),
     ])
     def test_quad_point_count_out_of_range_is_config_error(self, tmp_path, capsys, source,
                                                            quad, message):
@@ -897,10 +944,10 @@ class TestSweepCommands:
 
     @pytest.mark.parametrize("command", ["ridge-check", "fd-convergence"])
     @pytest.mark.parametrize("sweep,message", [
-        ("0,1e-3", "--h-sweep values must be finite and positive, got 0.0"),
-        ("nan,1e-3", "--h-sweep values must be finite and positive, got nan"),
+        ("0,1e-3", "--h-sweep must be a positive number, got '0'"),
+        ("nan,1e-3", "--h-sweep must be a positive number, got 'nan'"),
         ("1e-3,1e-3", "--h-sweep repeats the value 0.001"),
-        ("1e-2,abc", "--h-sweep values must be numbers, got 'abc'"),
+        ("1e-2,abc", "--h-sweep must be a positive number, got 'abc'"),
     ], ids=["zero", "nan", "repeated", "non-numeric"])
     def test_bad_sweep_is_rejected_before_any_work(self, tmp_path, capsys, command, sweep,
                                                    message):
@@ -942,7 +989,7 @@ class TestMoodyAndPredict:
     def test_nan_re_crit_is_config_error(self, tmp_path, capsys, argv):
         argv = [arg.format(out=tmp_path / "x") for arg in argv]
         assert main([*argv, "--re-crit", "nan"]) == 2
-        assert capsys.readouterr().err == "error: --re-crit must be a number or 'none', got 'nan'\n"
+        assert capsys.readouterr().err == "error: --re-crit must be a positive number, got 'nan'\n"
         assert not (tmp_path / "x").exists()
 
     def test_predict_round_trips_saved_surface(self, tmp_path):
@@ -1001,7 +1048,18 @@ class TestMoodyAndPredict:
         jsonio.dump({"surface": surface.to_dict(), "w": pipe_basis.w, "W": pipe_basis.W}, path)
         rc = main(["predict", "--surface", str(path), "--point", "0.12,5e-6,abc,1e-3,3.0"])
         assert rc == 2
-        assert capsys.readouterr().err == "error: --point values must be numbers, got 'abc'\n"
+        assert capsys.readouterr().err == "error: --point must be a positive number, got 'abc'\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_point_value_that_is_not_positive_and_finite_names_the_option(
+            self, tmp_path, capsys, value):
+        path = tmp_path / "surface.json"
+        jsonio.dump(surface_file(), path)
+        rc = main(["predict", "--surface", str(path), "--point", f"0.12,5e-6,{value},1e-3,3.0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --point must be a positive number, got {value!r}\n"
 
     def test_predict_wrong_point_length(self, tmp_path):
         out = tmp_path / "run1"

@@ -187,6 +187,23 @@ def test_checker_finds_unpassed_defaults():
     assert unpassed_defaults(sources) == ["a.py:K(a)", "a.py:f(y)", "a.py:m(c)"]
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that ``source`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_the_errors_module_imports_numbers():
+    # every option value is checked by errors.check_count or check_positive
+    assert [module for module in ALL_MODULES
+            if "numbers" in imported_modules((PACKAGE / module).read_text())] == ["errors.py"]
+
+
 def test_every_defaulted_parameter_is_passed_by_some_caller():
     sources = {module: (PACKAGE / module).read_text() for module in ALL_MODULES}
     # the entry point's argv is set by the interpreter's caller, not the package

@@ -14,7 +14,7 @@ from helpers import PIPE_SYSTEM_DOC, surface_file
 from pigroups.cli import main
 from pigroups.pipeflow import SYMBOLS, regime_box
 
-VALUES = (None, "x", [], {}, -1, 0, 2.5, True, [1], ["x"], float("inf"), float("nan"))
+VALUES = (None, "x", [], {}, -1, 0, 2.5, True, [1], ["x"], float("inf"), float("nan"), 10**400)
 
 POINT = "0.12,5e-6,0.75,1e-3,3.0"
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pigroups.errors import ToolkitError
+from pigroups.errors import ConfigError, ToolkitError
 from pigroups.pipeflow import regime_box
 from pigroups.quadrature import (
     QuadratureRule,
@@ -127,7 +127,8 @@ class TestTensorRule:
 
     def test_point_guard(self):
         box = RegimeBox.from_pairs([(1.0, 2.0)] * 8)
-        with pytest.raises(ToolkitError, match=r"^11\^8 exceeds the 1e\+07 point guard$"):
+        with pytest.raises(ConfigError, match=r"^the point count 11\^8 of --quad tensor:11 must "
+                                              r"be at most 10000000, got 214358881$"):
             tensor_rule(box, 11)
 
     def test_points_inside_box(self):
