@@ -232,7 +232,7 @@ def _prepare(args):
     cfg = _merge_config(args)
     config = AlgorithmConfig(**{f.name: cfg[f.name] for f in fields(AlgorithmConfig)})
     # the built-in experiment ignores these, but an out-of-range value is an error
-    cfg["timeout"] = check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
+    check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
     system = _load_system(args)
     box = _load_box(args, system)
     kind, count = config.parse_quad()

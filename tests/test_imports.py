@@ -16,8 +16,10 @@ syntax tree:
 * every defaulted parameter of a public function or method must be passed
   by some call in the package, so no knob stays that only a test turns.
 
-The others check that the package resolves its public names on first use,
-so a process loads only the modules it needs.
+One checks that only ``errors.py`` imports ``numbers``: an option value's
+type is decided there, by ``check_count`` or ``check_positive``. The others
+check that the package resolves its public names on first use, so a process
+loads only the modules it needs.
 """
 
 import ast
@@ -199,7 +201,6 @@ def imported_modules(source: str) -> set[str]:
 
 
 def test_only_the_errors_module_imports_numbers():
-    # every option value is checked by errors.check_count or check_positive
     assert [module for module in ALL_MODULES
             if "numbers" in imported_modules((PACKAGE / module).read_text())] == ["errors.py"]
 
