@@ -39,6 +39,7 @@ from .quadrature import (
     latin_hypercube,
     monte_carlo_rule,
     tensor_rule,
+    tensor_size,
 )
 from .subspace import (
     DEGENERATE_FLAG,
@@ -95,6 +96,15 @@ class AlgorithmConfig:
         if kind == "tensor":
             return kind, check_count("--quad tensor:<p>", int(arg), 1, GL_MAX_POINTS)
         return kind, check_count("--quad mc:<N>", int(arg), 1, MAX_POINTS)
+
+    def check_sizes(self, m: int, n: int | None = None) -> None:
+        """``ConfigError`` unless the rule over m variables and the design for n groups fit."""
+        kind, count = self.parse_quad()
+        if kind == "tensor":
+            tensor_size(count, m)
+        needed = 0 if n is None else n_coefficients(n, self.degree)
+        if self.design < needed:
+            raise ConfigError(f"design of {self.design} cannot fit {needed} surrogate coefficients")
 
 
 def build_rule(box: RegimeBox, config: AlgorithmConfig) -> QuadratureRule:
@@ -230,10 +240,7 @@ def algorithm1(
     hold-out error; the integration phase evaluates only the surrogate.
     """
     w, W = basis.w, basis.W
-    n = W.shape[1]
-    needed = n_coefficients(n, config.degree)
-    if config.design < needed:
-        raise ConfigError(f"design of {config.design} cannot fit {needed} surrogate coefficients")
+    config.check_sizes(box.m, W.shape[1])
     points = latin_hypercube(box, config.design, config.seed)
     logq = np.log(points)
     pi = _pi(experiment, points, logq, w)
@@ -255,7 +262,7 @@ def algorithm1(
     return _finalize(system, W, C, {
         "algorithm": "surface",
         "degree": config.degree,
-        "quadrature": _describe_rule(config, len(rule)),
+        "quadrature": f"{config.quad} (N={len(rule)})",
         "w": w,
         "evaluations": int(config.design),
         "holdout_evaluations": int(config.holdout),
@@ -278,7 +285,6 @@ def algorithm2(
     Exactly N (n + 1) experiment evaluations for an N-point rule.
     """
     w, W = basis.w, basis.W
-    n = W.shape[1]
     h = config.h
     rule = build_rule(box, config)
     pi0, grads = _forward_differences(experiment, rule.points, w, W, h)
@@ -288,9 +294,9 @@ def algorithm2(
     return _finalize(system, W, C, {
         "algorithm": "finite_difference",
         "h": h,
-        "quadrature": _describe_rule(config, len(rule)),
+        "quadrature": f"{config.quad} (N={len(rule)})",
         "w": w,
-        "evaluations": int(len(rule) * (n + 1)),
+        "evaluations": int(len(rule) * (basis.n + 1)),
         "seed": config.seed,
     })
 
@@ -333,7 +339,3 @@ def predict_dependent(surface: ResponseSurface, w, W, q_vec) -> float:
     w = np.asarray(w, dtype=float)
     W = np.asarray(W, dtype=float)
     return float(np.exp(logq @ w) * eval_surface(surface, W.T @ logq))
-
-
-def _describe_rule(config: AlgorithmConfig, size: int) -> str:
-    return f"{config.quad} (N={size})"

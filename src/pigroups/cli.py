@@ -220,6 +220,8 @@ def _make_experiment(args, cfg, system: QuantitySystem):
             batch_size=cfg["batch_size"],
             n_workers=cfg["workers"],
         )
+    # the built-in experiment ignores these, but an out-of-range value is an error
+    check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
     return PipeFlowExperiment(**{f.name: cfg[f.name] for f in fields(PipeFlowExperiment)})
 
 
@@ -227,19 +229,16 @@ def _prepare(args):
     """Setup shared by the analysis commands: merged options, algorithm config, system,
     box, basis, a counting experiment and, once all are accepted, the output directory."""
     from .algorithms import AlgorithmConfig, CountingExperiment
-    from .quadrature import tensor_size
 
     cfg = _merge_config(args)
     config = AlgorithmConfig(**{f.name: cfg[f.name] for f in fields(AlgorithmConfig)})
-    # the built-in experiment ignores these, but an out-of-range value is an error
-    check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
     system = _load_system(args)
     box = _load_box(args, system)
-    kind, count = config.parse_quad()
-    if kind == "tensor":
-        tensor_size(count, box.m)
     basis = pi_basis(system)
     experiment = CountingExperiment(_make_experiment(args, cfg, system))
+    # checked again where used; here only so that a refused size makes no directory
+    surface = args.command == "analyze" and cfg["algorithm"] == 1
+    config.check_sizes(box.m, basis.n if surface else None)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, config, system, box, basis, experiment, out_dir

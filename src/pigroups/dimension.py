@@ -161,8 +161,7 @@ def _quantity_from_dict(d: dict, base_units) -> Quantity:
 
 
 def _max_abs(a) -> float:
-    a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 def _rank_message(D, base_units, r) -> str:

@@ -792,6 +792,13 @@ class TestAnalyzeCommand:
                      "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == (
             "error: design of 5 cannot fit 6 surrogate coefficients\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_design_is_checked_for_the_surface_route_only(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"algorithm": 1, "design": 5}))
+        assert main(["ridge-check", "--regime", "turbulent", "--quad", "tensor:2",
+                     "--config", str(config), "--out-dir", str(tmp_path / "x")]) == 0
 
     @pytest.mark.parametrize("command,message", [
         ("", "--experiment-cmd names no program"),

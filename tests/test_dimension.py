@@ -121,6 +121,17 @@ class TestDimensionMatrix:
                 Quantity("c", "c", (1, 0)),
             )
 
+    def test_rank_deficient_single_unit_names_its_row(self):
+        # dropping the only row leaves a 0 x m matrix, whose rank is 0
+        with pytest.raises(ToolkitError, match=r"^dimension matrix has rank 0 < 1; .*"
+                                               r"\(dependent base-unit row\(s\): u\)$"):
+            QuantitySystem(
+                ("u",),
+                (Quantity("a", "a", (0,)),
+                 Quantity("b", "b", (0,))),
+                Quantity("c", "c", (1,)),
+            )
+
 
 class TestOutputExponents:
     def test_pinned_pipe_vector_solves_the_system(self):
