@@ -7,7 +7,9 @@ relationship g(gamma):
   space-filling design and integrates its analytic gradient, one chunk
   of quadrature points at a time;
 * the finite-difference route perturbs each group coordinate of every
-  quadrature point and differences the experiment itself.
+  quadrature point and differences the experiment itself, one run of at
+  most 2**15 points and their shifted copies per experiment call, so its
+  memory does not grow with the rule.
 
 Both integrate in the original variables, where the uniform product
 density is exactly what the tensor rule integrates; the induced density
@@ -20,6 +22,7 @@ of points, one run per row, to the N dependent values.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,7 +34,14 @@ from .dimension import (
     build_dimension_matrix,
     check_dimensionless,
 )
-from .errors import MAX_POINTS, ConfigError, ToolkitError, check_count, check_positive
+from .errors import (
+    EXTERNAL_DEFAULTS,
+    MAX_POINTS,
+    ConfigError,
+    ToolkitError,
+    check_count,
+    check_positive,
+)
 from .quadrature import (
     GL_MAX_POINTS,
     QuadratureRule,
@@ -59,6 +69,10 @@ from .surrogate import (
 )
 
 DIMENSIONLESS_TOL = 1e-10
+# most rule points per run of the finite-difference route: the default
+# external batch, so that a run and its n shifted copies go out as n + 1
+# batches of the run's size
+_RUN_ROWS = EXTERNAL_DEFAULTS["batch_size"]
 
 
 @dataclass(frozen=True)
@@ -93,9 +107,15 @@ class AlgorithmConfig:
         kind, _, arg = str(self.quad).partition(":")
         if kind not in ("tensor", "mc") or not arg.isdecimal():
             raise ConfigError(f"--quad must be 'tensor:<p>' or 'mc:<N>', got {self.quad!r}")
-        if kind == "tensor":
-            return kind, check_count("--quad tensor:<p>", int(arg), 1, GL_MAX_POINTS)
-        return kind, check_count("--quad mc:<N>", int(arg), 1, MAX_POINTS)
+        option, high = (("--quad tensor:<p>", GL_MAX_POINTS) if kind == "tensor"
+                        else ("--quad mc:<N>", MAX_POINTS))
+        # int() refuses a string of over 4,300 digits, leading zeros too: they
+        # are dropped, and a count with more digits than MAX_POINTS is refused
+        digits = arg[next((i for i, c in enumerate(arg) if int(c)), len(arg) - 1):]
+        if len(digits) > len(str(MAX_POINTS)):
+            shown = digits if len(digits) <= 20 else f"{len(digits)} digits"
+            raise ConfigError(f"{option} must be at most {high}, got {shown}")
+        return kind, check_count(option, int(digits), 1, high)
 
     def check_sizes(self, m: int, n: int | None = None) -> None:
         """``ConfigError`` unless the rule over m variables and the design for n groups fit."""
@@ -114,8 +134,11 @@ def build_rule(box: RegimeBox, config: AlgorithmConfig) -> QuadratureRule:
     return monte_carlo_rule(box, count, config.seed)
 
 
-def evaluate_experiment(experiment, points: np.ndarray) -> np.ndarray:
-    """One ``evaluate_batch`` call at the (N, m) points, checked for N finite values."""
+def evaluate_experiment(experiment, points: np.ndarray, where=None) -> np.ndarray:
+    """One ``evaluate_batch`` call at the (N, m) points, checked for N finite values.
+
+    A non-finite value is reported at ``where(i)`` for its row i, by
+    default at "point index i"."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     try:
         values = np.asarray(experiment.evaluate_batch(points), dtype=float).reshape(-1)
@@ -129,7 +152,8 @@ def evaluate_experiment(experiment, points: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise ToolkitError(f"experiment returned {float(values[bad])!r} at point index {bad}")
+        at = f"point index {bad}" if where is None else where(bad)
+        raise ToolkitError(f"experiment returned {float(values[bad])!r} at {at}")
     return values
 
 
@@ -145,11 +169,11 @@ class CountingExperiment:
         return self.experiment.evaluate_batch(points)
 
 
-def _weight(X, w) -> np.ndarray:
-    """exp(-w^T x) at the log-points X, in a fresh N-vector. w^T x is an
-    einsum, not X @ w: OpenBLAS threads that thin (N, m) product, and on a
-    small host its idle workers keep spinning through the runs that follow."""
-    weight = np.einsum("ij,j->i", X, w)
+def _weight(X, w, out=None) -> np.ndarray:
+    """exp(-w^T x) at the log-points X, in ``out`` or a fresh N-vector. w^T x
+    is an einsum, not X @ w: OpenBLAS threads that thin (N, m) product, and on
+    a small host its idle workers keep spinning through the runs that follow."""
+    weight = np.einsum("ij,j->i", X, w, out=out)
     np.negative(weight, out=weight)
     return np.exp(weight, out=weight)
 
@@ -161,33 +185,81 @@ def _pi(experiment, points, X, w) -> np.ndarray:
     return pi
 
 
-def _forward_differences(experiment, points, w, W, h: float):
-    """Forward differences of pi = q exp(-w^T x) along each column of W.
+class _ForwardDifferences:
+    """Forward differences of pi = q exp(-w^T x) along each column of W at
+    the rule's points, as (N, n) gradient rows made run by run.
 
-    With x = log q, each shifted run moves x by h W[:, k], so one base run
-    plus one run per column gives the (N, n) gradient estimate; w = 0 and
-    W = I difference the raw map in every log-variable.
+    With x = log q, the k-th shifted copy of a point moves x by h W[:, k];
+    w = 0 and W = I difference the raw map in every log-variable. The rule
+    is split into ceil(N / ``_RUN_ROWS``) runs whose sizes differ by at most
+    one point, as an external experiment splits a call into batches. A run
+    of r points is one experiment call: the r points, then their n shifted
+    copies, r rows each. ``assemble_C`` slices the rows in order; a slice
+    evaluates the runs it reaches, and one that crosses the end of a run
+    joins the rows of both, so C is summed exactly as from a whole (N, n)
+    array. ``trace``, if given, receives each run's points, pi and
+    gradients once they are made.
 
-    Memory per run: one (N, m) array beside the caller's points (the base
-    run's log-points, or the shifted copy that becomes a run's points),
-    plus N-vectors: the weight, which becomes the difference, and the
-    experiment's reply. The (N, n) gradients are the output.
+    Memory, whatever N: the current run's (n + 1) r x m call, its r x m
+    log-points, (n + 1) r weights and replies, and its r x n gradients,
+    with r <= ``_RUN_ROWS``. The rule hands out the run's points, so a
+    tensor rule's whole point array is never built.
     """
-    pi0 = _pi(experiment, points, np.log(points), w)
-    grads = np.empty((points.shape[0], W.shape[1]))
-    for k in range(W.shape[1]):
-        # the shifted log-points become the run's points in place: a fresh
-        # array each run, because the experiment may keep a reference to it
-        Q = np.log(points)
-        Q += h * W[:, k]
-        diff = _weight(Q, w)
+
+    def __init__(self, experiment, rule: QuadratureRule, w, W, h: float, trace=None):
+        N = len(rule)
+        count = -(-N // _RUN_ROWS)
+        self.edges = [N * b // count for b in range(count + 1)]
+        self.experiment, self.rule, self.w, self.W, self.h = experiment, rule, w, W, h
+        self.trace = trace
+        self.shape = (N, W.shape[1])
+        self.run = (0, 0, None)  # first row, end and gradients of the current run
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        pieces = []
+        while start < stop:
+            first, end, grads = self.run
+            if not first <= start < end:
+                b = bisect.bisect_right(self.edges, start) - 1
+                first, end = self.edges[b], self.edges[b + 1]
+                grads = self._evaluate(first, end)
+                self.run = first, end, grads
+            take = min(stop, end)
+            pieces.append(grads[start - first:take - first])
+            start = take
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+    def _evaluate(self, first: int, end: int) -> np.ndarray:
+        w, W, h = self.w, self.W, self.h
+        r, (m, n) = end - first, W.shape
+        Q = np.empty(((n + 1) * r, m))
+        Q[:r] = self.rule.rows(first, end)
+        X = np.log(Q[:r])
+        shifted = Q[r:]
+        np.add(X, (h * W.T)[:, None, :], out=shifted.reshape(n, r, m))
+        pi = np.empty((n + 1) * r)
+        _weight(X, w, out=pi[:r])
+        del X
+        _weight(shifted, w, out=pi[r:])
+        # the shifted log-points become the copies' points in place: a
+        # fresh call array each run, because the experiment may keep it
+        np.exp(shifted, out=shifted)
+
+        def where(i):
+            point, copy = first + i % r, i // r
+            return f"point index {point}" + (f" shifted by h W[:, {copy - 1}]" if copy else "")
+
         # the reply may be an array the experiment keeps: it is only read
-        diff *= evaluate_experiment(experiment, np.exp(Q, out=Q))
-        del Q  # free these points before the next run allocates its own
-        diff -= pi0
-        diff /= h
-        grads[:, k] = diff
-    return pi0, grads
+        pi *= evaluate_experiment(self.experiment, Q, where)
+        pi0 = pi[:r]
+        diffs = pi[r:].reshape(n, r)
+        diffs -= pi0
+        diffs /= h
+        grads = diffs.T.copy()
+        if self.trace is not None:
+            self.trace(Q[:r], pi0, grads)
+        return grads
 
 
 def _finalize(system, W, C, extra) -> SubspaceResult:
@@ -280,17 +352,16 @@ def algorithm2(
     config: AlgorithmConfig,
     trace: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> SubspaceResult:
-    """Finite-difference route: N base runs plus N shifted runs per group.
+    """Finite-difference route: N base points plus N shifted points per group.
 
-    Exactly N (n + 1) experiment evaluations for an N-point rule.
+    Exactly N (n + 1) experiment evaluations for an N-point rule, one call
+    per run of at most ``_RUN_ROWS`` points; ``trace`` receives each run's
+    points, pi and gradients, in rule order.
     """
     w, W = basis.w, basis.W
     h = config.h
     rule = build_rule(box, config)
-    pi0, grads = _forward_differences(experiment, rule.points, w, W, h)
-    C = assemble_C(grads, rule.weights)
-    if trace is not None:
-        trace(rule.points, pi0, grads)
+    C = assemble_C(_ForwardDifferences(experiment, rule, w, W, h, trace), rule.weights)
     return _finalize(system, W, C, {
         "algorithm": "finite_difference",
         "h": h,
@@ -315,9 +386,9 @@ def full_space_C(experiment, rule: QuadratureRule, h: float) -> SubspaceResult:
     so those trailing eigenvalues fall at second order in h, down to the
     eigensolver's round-off floor near m * eps * lambda_1.
     """
-    m = rule.points.shape[1]
-    _, grads = _forward_differences(experiment, rule.points, np.zeros(m), np.eye(m), h)
-    C = assemble_C(grads, rule.weights)
+    m = rule.m
+    C = assemble_C(_ForwardDifferences(experiment, rule, np.zeros(m), np.eye(m), h),
+                   rule.weights)
     lam, U = eigendecompose(C)
     return SubspaceResult(C=C, eigenvalues=lam, U=U, Z=U, metadata={
         "algorithm": "full_space",

@@ -347,12 +347,20 @@ def _print_result(system, result) -> None:
 
 
 def _make_trace(out_dir: Path, system, n: int):
+    """A trace callback: its first call writes ``trace.csv`` with a header,
+    and each later call (the next run of the finite-difference route)
+    appends its rows."""
     path = out_dir / "trace.csv"
+    header = ",".join(list(system.symbols) + ["pi"] + [f"g_{j + 1}" for j in range(n)])
+    calls = 0
 
     def write(points, pi, grads):
-        header = ",".join(list(system.symbols) + ["pi"] + [f"g_{j + 1}" for j in range(n)])
+        nonlocal calls
         data = np.column_stack([points, pi, grads])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        with open(path, "a" if calls else "w") as fh:
+            np.savetxt(fh, data, delimiter=",", header="" if calls else header,
+                       comments="", fmt="%.17g")
+        calls += 1
 
     return write
 

@@ -4,6 +4,11 @@ All rules integrate against the uniform product density on the box, so
 weights always sum to one; the box volume never appears at call sites.
 Random rules use a counter-based generator (Philox) so a fixed seed gives
 identical points on every platform and schedule.
+
+A rule hands out its points by row range, so a caller that works through
+it in pieces holds one piece at a time. A tensor rule keeps only its 1-D
+axes and computes a range from the digits of the row indices; its whole
+(N, m) point array is built only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -76,27 +81,71 @@ class RegimeBox:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
-    """Points (N x m) with positive weights summing to one."""
+    """Points (N x m) with positive weights summing to one.
 
-    points: np.ndarray
-    weights: np.ndarray
+    ``rows(start, stop)`` gives the points of rows start to stop - 1;
+    ``points`` is the whole read-only (N, m) array.
+    """
 
-    def __post_init__(self):
-        P = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if P.shape[0] != w.shape[0]:
-            raise ToolkitError("one weight per point required")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ToolkitError(f"weights sum to {float(w.sum())!r}, expected 1")
+    def __init__(self, points, weights):
+        P = np.atleast_2d(np.asarray(points, dtype=float))
         P.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "points", P)
-        object.__setattr__(self, "weights", w)
+        self.points = P
+        self.weights = _checked_weights(weights, P.shape[0])
+
+    @property
+    def m(self) -> int:
+        return self.points.shape[1]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        return self.points[start:stop]
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return self.weights.shape[0]
+
+
+class _TensorRule(QuadratureRule):
+    """Row-major tensor product of 1-D rules: row i takes from axis j the
+    node whose index is digit j of i in base p, the first digit most
+    significant. ``axes`` is the (m, p) array of the mapped nodes."""
+
+    def __init__(self, axes: np.ndarray, weights):
+        axes.flags.writeable = False
+        self.axes = axes
+        self.weights = _checked_weights(weights, axes.shape[1] ** axes.shape[0])
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        # column j of the (p, ..., p, m) grid varies along axis j
+        grid = np.stack(np.meshgrid(*self.axes, indexing="ij", copy=False), axis=-1)
+        P = grid.reshape(-1, self.m)
+        P.flags.writeable = False
+        return P
+
+    @property
+    def m(self) -> int:
+        return self.axes.shape[0]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        # the same node values the grid copies, so the same bits as points[start:stop]
+        index = np.arange(start, stop)
+        out = np.empty((index.size, self.m))
+        for j in range(self.m - 1, -1, -1):
+            index, digit = np.divmod(index, self.axes.shape[1])
+            out[:, j] = self.axes[j, digit]
+        return out
+
+
+def _checked_weights(weights, count: int) -> np.ndarray:
+    """The weights as a read-only vector, once there are ``count`` and they sum to one."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape[0] != count:
+        raise ToolkitError("one weight per point required")
+    if abs(w.sum() - 1.0) > 1e-10:
+        raise ToolkitError(f"weights sum to {float(w.sum())!r}, expected 1")
+    w.flags.writeable = False
+    return w
 
 
 def gauss_legendre_1d(p: int):
@@ -128,13 +177,10 @@ def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
     """
     tensor_size(p, box.m)
     x, w = gauss_legendre_1d(p)
-    m = box.m
-    axes = [lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)]
-    # row-major layout: column j of the (p, ..., p, m) grid varies along axis j
-    points = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+    axes = np.array([lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)])
     # w sums to 2 on [-1,1]; halving makes each axis integrate its uniform density
-    weights = functools.reduce(np.multiply.outer, [np.ones(1)] + [0.5 * w] * m)
-    return QuadratureRule(points=points.reshape(-1, m), weights=weights.reshape(-1))
+    weights = functools.reduce(np.multiply.outer, [np.ones(1)] + [0.5 * w] * box.m)
+    return _TensorRule(axes, weights)
 
 
 def monte_carlo_rule(box: RegimeBox, N: int, seed: int) -> QuadratureRule:
@@ -142,8 +188,10 @@ def monte_carlo_rule(box: RegimeBox, N: int, seed: int) -> QuadratureRule:
     if N < 1:
         raise ToolkitError(f"need at least one point, got {N}")
     gen = np.random.Generator(np.random.Philox(seed))
-    u = gen.random((N, box.m))
-    points = box.lower + u * box.widths
+    # lower + u * widths, scaled and shifted in place: no (N, m) temporaries
+    points = gen.random((N, box.m))
+    points *= box.widths
+    points += box.lower
     return QuadratureRule(points=points, weights=np.full(N, 1.0 / N))
 
 

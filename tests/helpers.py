@@ -1,6 +1,7 @@
 """Shared test utilities: the pipe system's JSON document, a surface file,
 synthetic ridge experiments, the per-point forward-difference oracle for
-algorithm 2's batched loop, the graded monomial order and the direct
+algorithm 2's batched loop, the whole-rule forward differences and trace
+file that its runs must reproduce bit for bit, the graded monomial order and the direct
 monomial and per-term gradient oracles for the response-surface kernels,
 the per-value CSV encoder that the external batch formatter must match,
 and the classical-basis coordinates of group exponents (criterion 5)."""
@@ -136,6 +137,33 @@ def fd_gradient(experiment, q_vec, pi_base: float, w, W, h: float) -> np.ndarray
         pi_shift = q_shift * np.exp(-np.dot(w, np.log(shifted)))
         grad[k] = (pi_shift - pi_base) / h
     return grad
+
+
+def fd_whole_rule(experiment, points, w, W, h: float):
+    """pi = q exp(-w^T x) and its forward differences along each column of
+    W at all the points at once, from the whole rule's log-points X, one
+    experiment call per shifted copy. Returns pi and the (N, n) gradients."""
+    X = np.log(points)
+    pi0 = experiment.evaluate_batch(points) * np.exp(-np.einsum("ij,j->i", X, w))
+    grads = np.empty((len(points), W.shape[1]))
+    for k in range(W.shape[1]):
+        Q = X + h * W[:, k]
+        pik = experiment.evaluate_batch(np.exp(Q)) * np.exp(-np.einsum("ij,j->i", Q, w))
+        grads[:, k] = (pik - pi0) / h
+    return pi0, grads
+
+
+def fd_copies(points, W, h: float) -> list:
+    """The points, then their copies shifted by h W[:, k] in log space."""
+    X = np.log(points)
+    return [points] + [np.exp(X + h * W[:, k]) for k in range(W.shape[1])]
+
+
+def whole_trace(path, symbols, points, pi, grads) -> None:
+    """``trace.csv`` written in one piece from the whole rule's arrays."""
+    header = ",".join(list(symbols) + ["pi"] + [f"g_{j + 1}" for j in range(grads.shape[1])])
+    np.savetxt(path, np.column_stack([points, pi, grads]), delimiter=",", header=header,
+               comments="", fmt="%.17g")
 
 
 def multi_indices(n: int, degree: int) -> np.ndarray:

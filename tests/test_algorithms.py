@@ -1,3 +1,5 @@
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -9,10 +11,13 @@ from helpers import (
     RidgeExperiment,
     evaluate_point,
     exp_g,
+    fd_copies,
     fd_gradient,
     fd_shift_point,
+    fd_whole_rule,
     linear_g,
     quadratic_g,
+    whole_trace,
 )
 from pigroups import algorithms, jsonio, subspace
 from pigroups.algorithms import (
@@ -26,7 +31,7 @@ from pigroups.algorithms import (
     full_space_C,
     predict_dependent,
 )
-from pigroups.cli import signed_column_distance
+from pigroups.cli import main, signed_column_distance
 from pigroups.dimension import (
     RANK_RTOL,
     PiBasis,
@@ -62,6 +67,7 @@ class TestAlgorithmConfig:
     def test_quad_parsing(self):
         assert AlgorithmConfig(quad="tensor:11").parse_quad() == ("tensor", 11)
         assert AlgorithmConfig(quad="mc:5000").parse_quad() == ("mc", 5000)
+        assert AlgorithmConfig(quad="mc:" + "0" * 5000 + "7").parse_quad() == ("mc", 7)
 
     @pytest.mark.parametrize("bad", ["tensor", "grid:3", "mc:-1", "tensor:abc"])
     def test_bad_quad_spec(self, bad):
@@ -222,7 +228,7 @@ class TestSharedForwardDifferences:
             oracle = fd_gradient(experiment, q, pi_base, w, W, h)
             assert np.max(np.abs(grad - oracle)) <= tol
 
-    def test_each_run_gets_its_own_points(self, pipe_system, pipe_basis):
+    def test_each_run_gets_its_own_points(self, pipe_system, pipe_basis, monkeypatch):
         class Keeper:
             """Keeps every array it is given, as a caching experiment might."""
 
@@ -233,18 +239,21 @@ class TestSharedForwardDifferences:
                 self.kept.append(points)
                 return self.inner.evaluate_batch(points)
 
+        # 243 points in runs of 81, 81 and 81: one call per run, holding
+        # the run's points and then its two shifted copies
+        monkeypatch.setattr(algorithms, "_RUN_ROWS", 100)
         keeper = Keeper()
         h = 1e-3
         algorithm2(keeper, pipe_system, pipe_basis, BOX, small_config(h=h))
-        P = tensor_rule(BOX, 3).points
-        X = np.log(P)
-        expected = [P] + [np.exp(X + h * pipe_basis.W[:, k]) for k in range(2)]
+        copies = fd_copies(tensor_rule(BOX, 3).points, pipe_basis.W, h)
         assert len(keeper.kept) == 3
-        for i, (kept, want) in enumerate(zip(keeper.kept, expected)):
+        for i, kept in enumerate(keeper.kept):
+            want = np.concatenate([Q[81 * i:81 * (i + 1)] for Q in copies])
             assert np.array_equal(kept, want)
             assert not any(np.shares_memory(kept, other) for other in keeper.kept[i + 1:])
 
-    def test_a_reply_the_experiment_keeps_is_left_unchanged(self, pipe_system, pipe_basis):
+    def test_a_reply_the_experiment_keeps_is_left_unchanged(self, pipe_system, pipe_basis,
+                                                            monkeypatch):
         class ReplyKeeper:
             """Returns the very array it keeps, as a caching experiment might."""
 
@@ -257,6 +266,7 @@ class TestSharedForwardDifferences:
                 self.copies.append(values.copy())
                 return values
 
+        monkeypatch.setattr(algorithms, "_RUN_ROWS", 100)
         keeper = ReplyKeeper()
         algorithm2(keeper, pipe_system, pipe_basis, BOX, small_config(h=1e-3))
         assert len(keeper.replies) == 3
@@ -270,35 +280,33 @@ class TestSharedForwardDifferences:
                                                             space):
         m = BOX.m
         w, W = (pipe_basis.w, pipe_basis.W) if space == "groups" else (np.zeros(m), np.eye(m))
-        points = build_rule(regime_box(regime), small_config(quad=quad)).points
+        rule = build_rule(regime_box(regime), small_config(quad=quad))
         experiment = PipeFlowExperiment()
         h = 1e-6
-        # pi = q exp(-w^T x) from the whole rule's log-points X, shifted by h W[:, k]
-        X = np.log(points)
-        pi0 = experiment.evaluate_batch(points) * np.exp(-np.einsum("ij,j->i", X, w))
-        want = np.empty((len(points), W.shape[1]))
-        for k in range(W.shape[1]):
-            Q = X + h * W[:, k]
-            pik = experiment.evaluate_batch(np.exp(Q)) * np.exp(-np.einsum("ij,j->i", Q, w))
-            want[:, k] = (pik - pi0) / h
-        got_pi0, got = algorithms._forward_differences(experiment, points, w, W, h)
-        assert got_pi0.tobytes() == pi0.tobytes()
+        pi0, want = fd_whole_rule(experiment, rule.points, w, W, h)
+        seen = []
+        source = algorithms._ForwardDifferences(experiment, rule, w, W, h,
+                                                lambda points, pi, grads: seen.append(pi))
+        got = source[0:len(rule)]
+        assert len(seen) == 1 and seen[0].tobytes() == pi0.tobytes()
         assert got.tobytes() == want.tobytes()
 
     def test_turbulent_tensor11_allocates_little_on_the_heap(self, pipe_basis):
-        # beside the caller's 6.1 MB of points, a run holds one shifted
-        # copy (6.1 MB), the (N, 2) gradients and four N-vectors: 13.0 MB
-        # traced. Keeping the log-points of the whole rule traced 20.9 MB.
-        points = tensor_rule(BOX, 11).points
+        # the rule itself: its weights (1.3 MB) and 1-D axes. One run of
+        # 32,211 points at a time: its call array of three copies (3.9 MB),
+        # log-points (1.3 MB), pi and the reply (0.8 MB each) and the
+        # gradients (0.5 MB): 8.3 MiB traced at the peak. Building the
+        # rule's point array and differencing it whole traced 21.1 MiB.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            algorithms._forward_differences(PipeFlowExperiment(), points, pipe_basis.w,
-                                            pipe_basis.W, 1e-6)
+            rule = tensor_rule(BOX, 11)
+            assemble_C(algorithms._ForwardDifferences(PipeFlowExperiment(), rule, pipe_basis.w,
+                                                      pipe_basis.W, 1e-6), rule.weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before < 15 * 2**20
+        assert peak - before < 11 * 2**20
 
     @pytest.mark.parametrize("kind", ["ridge", "pipe"])
     def test_full_space_C_is_the_loop_with_identity_basis(self, pipe_basis, kind):
@@ -315,6 +323,77 @@ class TestSharedForwardDifferences:
         result = full_space_C(experiment, rule, h)
         C = assemble_C(G, rule.weights)
         assert np.max(np.abs(result.C - C)) <= 2.0 * np.abs(G).max() * tol_g
+
+
+class TestRuns:
+    """The finite-difference route in runs of at most ``_RUN_ROWS`` points:
+    at tensor:7 (16,807 points) runs of at most 5,000 points end at 4,201,
+    8,403 and 12,605, inside ``assemble_C``'s 4,096-row slices, so those
+    slices join two runs."""
+
+    QUAD, RUN_ROWS, EDGES = "tensor:7", 5000, (4201, 8403, 12605)
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "_RUN_ROWS", self.RUN_ROWS)
+        assert all(edge % subspace._CHUNK_ROWS for edge in self.EDGES)
+
+    def test_algorithm2_C_equals_the_whole_rule_C(self, pipe_system, pipe_basis, runs):
+        class CallSizes(CountingExperiment):
+            def evaluate_batch(self, points):
+                self.sizes.append(len(points))
+                return super().evaluate_batch(points)
+
+        experiment = CallSizes(PipeFlowExperiment())
+        experiment.sizes = []
+        config = small_config(quad=self.QUAD)
+        result = algorithm2(experiment, pipe_system, pipe_basis, BOX, config)
+        rule = build_rule(BOX, config)
+        _, grads = fd_whole_rule(PipeFlowExperiment(), rule.points, pipe_basis.w,
+                                 pipe_basis.W, config.h)
+        assert result.C.tobytes() == assemble_C(grads, rule.weights).tobytes()
+        # one call per run: its points and their two shifted copies
+        assert experiment.sizes == [3 * 4201, 3 * 4202, 3 * 4202, 3 * 4202]
+        assert experiment.count == result.metadata["evaluations"] == 3 * 7**5
+
+    def test_full_space_C_equals_the_whole_rule_C(self, runs):
+        rule = build_rule(BOX, small_config(quad=self.QUAD))
+        m, h = BOX.m, 1e-5
+        result = full_space_C(PipeFlowExperiment(), rule, h)
+        _, grads = fd_whole_rule(PipeFlowExperiment(), rule.points, np.zeros(m), np.eye(m), h)
+        assert result.C.tobytes() == assemble_C(grads, rule.weights).tobytes()
+
+    def test_trace_equals_the_whole_rule_trace(self, pipe_system, pipe_basis, runs, tmp_path):
+        out = tmp_path / "run"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", "--algorithm", "2", "--regime", "turbulent",
+                         "--quad", self.QUAD, "--trace", "--out-dir", str(out)]) == 0
+        rule = build_rule(BOX, small_config(quad=self.QUAD))
+        pi, grads = fd_whole_rule(PipeFlowExperiment(), rule.points, pipe_basis.w,
+                                  pipe_basis.W, AlgorithmConfig().h)
+        whole_trace(tmp_path / "whole.csv", pipe_system.symbols, rule.points, pi, grads)
+        assert (out / "trace.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_non_finite_shifted_value_names_its_point_and_copy(self, pipe_system, pipe_basis,
+                                                               runs):
+        class NanInSecondRun:
+            """The pipe model, with a NaN for the first shifted copy of the
+            second run's 100th point."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def evaluate_batch(self, Q):
+                values = PipeFlowExperiment().evaluate_batch(Q)
+                self.calls += 1
+                if self.calls == 2:
+                    values[len(Q) // 3 + 99] = np.nan
+                return values
+
+        with pytest.raises(ToolkitError, match=r"^experiment returned nan at point index 4300 "
+                                               r"shifted by h W\[:, 0\]$"):
+            algorithm2(NanInSecondRun(), pipe_system, pipe_basis, BOX,
+                       small_config(quad=self.QUAD))
 
 
 class TestAlgorithm1:

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import pigroups
-from helpers import PIPE_SYSTEM_DOC, csv_request, surface_file
+from helpers import PIPE_SYSTEM_DOC, csv_request, fd_copies, surface_file
 from pigroups import jsonio
+from pigroups.algorithms import AlgorithmConfig, algorithm2
 from pigroups.cli import fit_loglog_slope, main
 from pigroups.dimension import QuantitySystem
 from pigroups.errors import ExternalError
@@ -87,6 +88,21 @@ for line in sys.stdin.read().splitlines()[1:]:
         sys.stdout.buffer.write(b"%r\\n" % first)
     elif sys.argv[1] != "short":
         sys.stdout.buffer.write(reply + b"\\n")
+"""
+
+# answers 1 per row, but only once the requests marked in the directory
+# argv[1] number a multiple of 3: each batch waits for the other two of its
+# run, and fails if they do not come while it waits
+BARRIER_SCRIPT = """\
+import os, sys, tempfile, time
+data = sys.stdin.buffer.read()
+tempfile.mkstemp(dir=sys.argv[1])
+deadline = time.monotonic() + 30
+while len(os.listdir(sys.argv[1])) % 3:
+    if time.monotonic() > deadline:
+        sys.exit("the other batches of the run never came")
+    time.sleep(0.01)
+sys.stdout.write("1\\n" * (data.count(b"\\n") - 1))
 """
 
 # appends the row count of each request to the file named by argv[1] and
@@ -347,6 +363,40 @@ class TestExternalExperiment:
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=50000)
         with pytest.raises(ExternalError, match="^batch 0: exit code 1; stderr: .*boom"):
             external.evaluate_batch(np.full((50000, 5), 1.0 / 3.0))
+
+
+class TestFiniteDifferenceRuns:
+    """Turbulent tensor:9, 59,049 points, is two runs of 29,524 and 29,525
+    points. Each run is one call of the points and their two shifted
+    copies, which the default batch size splits into three batches of the
+    run's size."""
+
+    def test_the_child_gets_the_batches_of_a_call_per_copy(self, tmp_path, pipe_system,
+                                                           pipe_basis):
+        # the same six requests as one call per copy, each in two batches
+        log = tmp_path / "requests.csv"
+        cmd = write_script(tmp_path, "echo.py", ECHO_SCRIPT) + [str(log)]
+        config = AlgorithmConfig(quad="tensor:9")
+        algorithm2(ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS), pipe_system,
+                   pipe_basis, regime_box("turbulent"), config)
+        header = (",".join(SYMBOLS) + "\n").encode()
+        requests = [header + body for body in log.read_bytes().split(header)[1:]]
+        points = tensor_rule(regime_box("turbulent"), 9).points
+        want = [csv_request(SYMBOLS, Q[s:e]).encode()
+                for Q in fd_copies(points, pipe_basis.W, config.h)
+                for s, e in ((0, 29524), (29524, 59049))]
+        assert sorted(requests) == sorted(want)
+
+    def test_workers_run_the_batches_of_a_run_at_once(self, tmp_path, pipe_system,
+                                                      pipe_basis):
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        cmd = write_script(tmp_path, "barrier.py", BARRIER_SCRIPT) + [str(marks)]
+        external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, n_workers=3,
+                                      timeout=60)
+        algorithm2(external, pipe_system, pipe_basis, regime_box("turbulent"),
+                   AlgorithmConfig(quad="tensor:9"))
+        assert len(list(marks.iterdir())) == 6
 
 
 class TestBatchEncoder:
@@ -839,6 +889,27 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--regime", "turbulent", *options,
                      "--out-dir", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("kind,high", [("mc", "<N> must be at most 10000000"),
+                                           ("tensor", "<p> must be at most 64")])
+    def test_quad_count_of_more_digits_than_int_reads_is_config_error(self, tmp_path, capsys,
+                                                                      kind, high):
+        # int() refuses over 4,300 digits; the leading zeros do not count
+        quad = f"{kind}:" + "0" * 9 + "1" * 4301
+        assert main(["analyze", "--regime", "turbulent", "--quad", quad,
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        assert f"--quad {kind}:{high}, got 4301 digits" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("quad,points", [("mc:00000000001", 1),
+                                             ("tensor:" + "0" * 5000 + "2", 32)],
+                             ids=["mc", "tensor"])
+    def test_leading_zeros_of_a_quad_count_are_dropped(self, tmp_path, quad, points):
+        out = tmp_path / "x"
+        assert main(["analyze", "--regime", "turbulent", "--quad", quad,
+                     "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["evaluations"] == 3 * points
 
     def test_null_seed_in_config_file_still_runs(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -136,6 +136,25 @@ class TestTensorRule:
         rule = tensor_rule(box, 7)
         assert in_box(box, rule.points)
 
+    @pytest.mark.parametrize("p,m", [(1, 3), (2, 1), (3, 5), (7, 2), (11, 4), (4, 6)])
+    def test_rows_equal_the_meshgrid_rows_bit_for_bit(self, p, m):
+        gen = np.random.default_rng(10 * p + m)
+        lower = gen.uniform(0.1, 2.0, m)
+        box = RegimeBox(lower, lower + gen.uniform(0.1, 3.0, m))
+        x, _ = gauss_legendre_1d(p)
+        axes = [lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+        rule = tensor_rule(box, p)
+        N = p ** m
+        assert rule.m == m and len(rule) == N
+        ranges = [(0, N), (0, 1), (N - 1, N), (N // 2, N // 2)]
+        ranges += [tuple(sorted(gen.integers(0, N + 1, 2))) for _ in range(5)]
+        for start, stop in ranges:
+            assert rule.rows(start, stop).tobytes() == grid[start:stop].tobytes()
+        assert rule.points.tobytes() == grid.tobytes()
+        assert not rule.points.flags.writeable
+
+
 
 class TestMonteCarloRule:
     def test_single_point(self):
@@ -168,6 +187,14 @@ class TestMonteCarloRule:
     def test_needs_at_least_one_point(self):
         with pytest.raises(ToolkitError, match="^need at least one point, got 0$"):
             monte_carlo_rule(box2(), 0, seed=1)
+
+    def test_points_are_the_scaled_draws_bit_for_bit(self):
+        box = regime_box("turbulent")
+        rule = monte_carlo_rule(box, 1000, seed=3)
+        u = np.random.Generator(np.random.Philox(3)).random((1000, box.m))
+        assert rule.points.tobytes() == (box.lower + u * box.widths).tobytes()
+        assert rule.rows(10, 20).tobytes() == rule.points[10:20].tobytes()
+        assert rule.m == box.m
 
 
 class TestLatinHypercube:
