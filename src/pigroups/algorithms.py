@@ -9,7 +9,7 @@ relationship g(gamma):
 * the finite-difference route perturbs each group coordinate of every
   quadrature point and differences the experiment itself, one run of at
   most 2**15 points and their shifted copies per experiment call, so its
-  memory does not grow with the rule.
+  working arrays do not grow with the rule.
 
 Both integrate in the original variables, where the uniform product
 density is exactly what the tensor rule integrates; the induced density
