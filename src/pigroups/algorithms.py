@@ -198,7 +198,9 @@ class _ForwardDifferences:
     evaluates the runs it reaches, and one that crosses the end of a run
     joins the rows of both, so C is summed exactly as from a whole (N, n)
     array. ``trace``, if given, receives each run's points, pi and
-    gradients once they are made.
+    gradients once they are made. A non-finite reply is named by its rule
+    point and copy; a failure the experiment raises itself indexes the rows
+    of the run's call.
 
     Memory, whatever N: the current run's (n + 1) r x m call, its r x m
     log-points, (n + 1) r weights and replies, and its r x n gradients,

@@ -414,10 +414,7 @@ class TestBatchEncoder:
 
     def test_tensor_batches_and_their_shifted_batches(self, pipe_basis):
         points = tensor_rule(regime_box("turbulent"), 9).points
-        X = np.log(points)
-        runs = [points] + [np.exp(X + 1e-6 * pipe_basis.W[:, k])
-                           for k in range(pipe_basis.n)]
-        for Q in runs:
+        for Q in fd_copies(points, pipe_basis.W, 1e-6):
             for s in range(0, Q.shape[0], _CHUNK_ROWS):
                 chunk = Q[s:s + _CHUNK_ROWS]
                 assert self.distinct_share(chunk) <= 0.5
