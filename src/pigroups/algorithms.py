@@ -11,10 +11,12 @@ relationship g(gamma):
   most 2**15 points and their shifted copies per experiment call, so its
   working arrays do not grow with the rule.
 
-Both integrate in the original variables, where the uniform product
-density is exactly what the tensor rule integrates; the induced density
-on gamma is never materialized. A full-space variant differences all m
-log-variables to expose the ridge structure of the raw input-output map.
+Both read the rule's points by row range, so neither holds the rule's
+whole (N, m) point array. Both integrate in the original variables,
+where the uniform product density is exactly what the tensor rule
+integrates; the induced density on gamma is never materialized. A
+full-space variant differences all m log-variables to expose the ridge
+structure of the raw input-output map.
 
 An experiment is any object whose ``evaluate_batch`` maps an (N, m) array
 of points, one run per row, to the N dependent values.
@@ -134,18 +136,23 @@ def build_rule(box: RegimeBox, config: AlgorithmConfig) -> QuadratureRule:
     return monte_carlo_rule(box, count, config.seed)
 
 
-def evaluate_experiment(experiment, points: np.ndarray, where=None) -> np.ndarray:
+def evaluate_experiment(experiment, points: np.ndarray, where=None, layout=None) -> np.ndarray:
     """One ``evaluate_batch`` call at the (N, m) points, checked for N finite values.
 
     A non-finite value is reported at ``where(i)`` for its row i, by
-    default at "point index i"."""
+    default at "point index i". A failure the experiment raises itself
+    indexes the rows of the call; ``layout``, if given, says what those
+    rows hold, ahead of the message and in an error of the same class."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     try:
         values = np.asarray(experiment.evaluate_batch(points), dtype=float).reshape(-1)
-    except ToolkitError:
-        raise
+    except ToolkitError as exc:
+        if layout is None:
+            raise
+        raise type(exc)(f"{layout}: {exc}") from exc
     except Exception as exc:
-        raise ToolkitError(f"experiment raised {exc!r}") from exc
+        ahead = "" if layout is None else f"{layout}: "
+        raise ToolkitError(f"{ahead}experiment raised {exc!r}") from exc
     if values.shape[0] != points.shape[0]:
         raise ToolkitError(
             f"experiment returned {values.shape[0]} values for {points.shape[0]} points"
@@ -178,10 +185,11 @@ def _weight(X, w, out=None) -> np.ndarray:
     return np.exp(weight, out=weight)
 
 
-def _pi(experiment, points, X, w) -> np.ndarray:
-    """pi = q exp(-w^T x) at the points, with X = log(points)."""
+def _pi(experiment, points, X, w, where) -> np.ndarray:
+    """pi = q exp(-w^T x) at the points, with X = log(points); a non-finite
+    value of the experiment is reported at ``where(i)`` for its row i."""
     pi = _weight(X, w)
-    pi *= evaluate_experiment(experiment, points)
+    pi *= evaluate_experiment(experiment, points, where)
     return pi
 
 
@@ -200,12 +208,13 @@ class _ForwardDifferences:
     array. ``trace``, if given, receives each run's points, pi and
     gradients once they are made. A non-finite reply is named by its rule
     point and copy; a failure the experiment raises itself indexes the rows
-    of the run's call.
+    of the run's call, so it is raised again, as the same class, after the
+    run's rule points and how the call's rows map onto them.
 
     Memory, whatever N: the current run's (n + 1) r x m call, its r x m
     log-points, (n + 1) r weights and replies, and its r x n gradients,
-    with r <= ``_RUN_ROWS``. The rule hands out the run's points, so a
-    tensor rule's whole point array is never built.
+    with r <= ``_RUN_ROWS``. The rule hands out the run's points, so its
+    whole point array is never built.
     """
 
     def __init__(self, experiment, rule: QuadratureRule, w, W, h: float, trace=None):
@@ -252,8 +261,10 @@ class _ForwardDifferences:
             point, copy = first + i % r, i // r
             return f"point index {point}" + (f" shifted by h W[:, {copy - 1}]" if copy else "")
 
+        layout = (f"rule points {first} to {end - 1}, where call row i is point {first} + i mod "
+                  f"{r} in copy i div {r} (copy k > 0 is shifted by h W[:, k - 1])")
         # the reply may be an array the experiment keeps: it is only read
-        pi *= evaluate_experiment(self.experiment, Q, where)
+        pi *= evaluate_experiment(self.experiment, Q, where, layout)
         pi0 = pi[:r]
         diffs = pi[r:].reshape(n, r)
         diffs -= pi0
@@ -286,17 +297,19 @@ def _finalize(system, W, C, extra) -> SubspaceResult:
 class _SurfaceGradients:
     """The surrogate's gradient at the rule's points, computed per slice.
 
-    ``assemble_C`` reads its gradient rows one chunk at a time, so the
-    log-points, groups, features and gradients of the whole rule are never
-    held at once: row r is ``grad_surface(surface, log(points[r]) @ W)``.
+    ``assemble_C`` reads its gradient rows one chunk at a time, and a slice
+    asks the rule for just its rows, so the points, log-points, groups,
+    features and gradients of the whole rule are never held at once: row r
+    is ``grad_surface(surface, log(rule.rows(r, r + 1)) @ W)``.
     """
 
-    def __init__(self, surface: ResponseSurface, points: np.ndarray, W: np.ndarray):
-        self.surface, self.points, self.W = surface, points, W
-        self.shape = (points.shape[0], W.shape[1])
+    def __init__(self, surface: ResponseSurface, rule: QuadratureRule, W: np.ndarray):
+        self.surface, self.rule, self.W = surface, rule, W
+        self.shape = (len(rule), W.shape[1])
 
-    def __getitem__(self, rows):
-        return grad_surface(self.surface, np.log(self.points[rows]) @ self.W)
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        return grad_surface(self.surface, np.log(self.rule.rows(start, stop)) @ self.W)
 
 
 def algorithm1(
@@ -317,7 +330,7 @@ def algorithm1(
     config.check_sizes(box.m, W.shape[1])
     points = latin_hypercube(box, config.design, config.seed)
     logq = np.log(points)
-    pi = _pi(experiment, points, logq, w)
+    pi = _pi(experiment, points, logq, w, lambda i: f"design point {i}")
     gamma = logq @ W
     surface = fit_polynomial(gamma, pi, config.degree)
 
@@ -325,12 +338,12 @@ def algorithm1(
     if config.holdout > 0:
         fresh = latin_hypercube(box, config.holdout, config.seed + 1)
         fresh_log = np.log(fresh)
-        fresh_pi = _pi(experiment, fresh, fresh_log, w)
+        fresh_pi = _pi(experiment, fresh, fresh_log, w, lambda i: f"hold-out point {i}")
         pred = eval_surface(surface, fresh_log @ W)
         holdout_rmse = float(np.sqrt(np.mean((pred - fresh_pi) ** 2)))
 
     rule = build_rule(box, config)
-    C = assemble_C(_SurfaceGradients(surface, rule.points, W), rule.weights)
+    C = assemble_C(_SurfaceGradients(surface, rule, W), rule.weights)
     if trace is not None:
         trace(points, pi, grad_surface(surface, gamma))
     return _finalize(system, W, C, {

@@ -6,9 +6,10 @@ Random rules use a counter-based generator (Philox) so a fixed seed gives
 identical points on every platform and schedule.
 
 A rule hands out its points by row range, so a caller that works through
-it in pieces holds one piece at a time. A tensor rule keeps only its 1-D
-axes and computes a range from the digits of the row indices; its whole
-(N, m) point array is built only when a caller asks for it.
+it in pieces holds one piece at a time, and no rule holds or builds its
+whole (N, m) point array. A tensor rule keeps only its 1-D axes and
+computes a range from the digits of the row indices; a Monte Carlo rule
+keeps its seed and draws a range from the generator's place for it.
 """
 
 from __future__ import annotations
@@ -82,24 +83,20 @@ class RegimeBox:
 
 
 class QuadratureRule:
-    """Points (N x m) with positive weights summing to one.
+    """N points in m dimensions with positive weights summing to one.
 
-    ``rows(start, stop)`` gives the points of rows start to stop - 1;
-    ``points`` is the whole read-only (N, m) array.
+    ``rows(start, stop)`` makes the points of rows start to stop - 1 as a
+    fresh (stop - start, m) array; the points exist only as such ranges.
+    Each kind of rule says how it makes them, and passes its m and its
+    point count N, which the weights must match, to this constructor.
     """
 
-    def __init__(self, points, weights):
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        P.flags.writeable = False
-        self.points = P
-        self.weights = _checked_weights(weights, P.shape[0])
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[1]
+    def __init__(self, m: int, weights, count: int):
+        self.m = m
+        self.weights = _checked_weights(weights, count)
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        return self.points[start:stop]
+        raise NotImplementedError
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -113,27 +110,38 @@ class _TensorRule(QuadratureRule):
     def __init__(self, axes: np.ndarray, weights):
         axes.flags.writeable = False
         self.axes = axes
-        self.weights = _checked_weights(weights, axes.shape[1] ** axes.shape[0])
-
-    @functools.cached_property
-    def points(self) -> np.ndarray:
-        # column j of the (p, ..., p, m) grid varies along axis j
-        grid = np.stack(np.meshgrid(*self.axes, indexing="ij", copy=False), axis=-1)
-        P = grid.reshape(-1, self.m)
-        P.flags.writeable = False
-        return P
-
-    @property
-    def m(self) -> int:
-        return self.axes.shape[0]
+        super().__init__(axes.shape[0], weights, axes.shape[1] ** axes.shape[0])
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        # the same node values the grid copies, so the same bits as points[start:stop]
+        # the node values themselves: the same bits as the rows of the meshgrid
         index = np.arange(start, stop)
         out = np.empty((index.size, self.m))
         for j in range(self.m - 1, -1, -1):
             index, digit = np.divmod(index, self.axes.shape[1])
             out[:, j] = self.axes[j, digit]
+        return out
+
+
+class _MonteCarloRule(QuadratureRule):
+    """N uniform draws from the box: row i is lower + u * widths, with u
+    the m doubles that follow the first i * m of a fresh Philox(seed)."""
+
+    def __init__(self, box: RegimeBox, N: int, seed: int):
+        self.box, self.seed = box, seed
+        super().__init__(box.m, np.full(N, 1.0 / N), N)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        # Philox makes four doubles per counter step: skip whole steps,
+        # then throw away the draws of the step that the range starts in
+        skip = int(start) * self.m
+        bits = np.random.Philox(self.seed)
+        bits.advance(skip // 4)
+        gen = np.random.Generator(bits)
+        gen.random(skip % 4)
+        # scaled and shifted in place: no (stop - start, m) temporaries
+        out = gen.random((stop - start, self.m))
+        out *= self.box.widths
+        out += self.box.lower
         return out
 
 
@@ -184,15 +192,11 @@ def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
 
 
 def monte_carlo_rule(box: RegimeBox, N: int, seed: int) -> QuadratureRule:
-    """N i.i.d. uniform draws from the box, each with weight 1/N."""
+    """N i.i.d. uniform draws from the box, each with weight 1/N: the
+    first N * m doubles of Philox(seed), row by row."""
     if N < 1:
         raise ToolkitError(f"need at least one point, got {N}")
-    gen = np.random.Generator(np.random.Philox(seed))
-    # lower + u * widths, scaled and shifted in place: no (N, m) temporaries
-    points = gen.random((N, box.m))
-    points *= box.widths
-    points += box.lower
-    return QuadratureRule(points=points, weights=np.full(N, 1.0 / N))
+    return _MonteCarloRule(box, N, seed)
 
 
 def latin_hypercube(box: RegimeBox, N: int, seed: int) -> np.ndarray:

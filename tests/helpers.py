@@ -4,7 +4,8 @@ algorithm 2's batched loop, the whole-rule forward differences and trace
 file that its runs must reproduce bit for bit, the graded monomial order and the direct
 monomial and per-term gradient oracles for the response-surface kernels,
 the per-value CSV encoder that the external batch formatter must match,
-and the classical-basis coordinates of group exponents (criterion 5)."""
+the classical-basis coordinates of group exponents (criterion 5) and a
+rule over points given in full."""
 
 import json
 from itertools import product
@@ -13,6 +14,7 @@ import numpy as np
 
 from pigroups import jsonio
 from pigroups.errors import ToolkitError
+from pigroups.quadrature import QuadratureRule
 from pigroups.surrogate import fit_polynomial
 
 
@@ -203,6 +205,17 @@ def surface_gradient_per_term(surface, gamma) -> np.ndarray:
     """Gradient of a response surface, (N, n): the term sums over scale."""
     terms = surface_gradient_terms(surface, gamma)
     return np.stack([t.sum(axis=1) for t in terms], axis=1) / surface.scale
+
+
+class PointsRule(QuadratureRule):
+    """A quadrature rule over the rows of an (N, m) array given in full."""
+
+    def __init__(self, points, weights):
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        super().__init__(self.points.shape[1], weights, self.points.shape[0])
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        return self.points[start:stop].copy()
 
 
 def csv_request(symbols, Q) -> str:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    PointsRule,
     RidgeExperiment,
     evaluate_point,
     exp_g,
@@ -41,9 +42,9 @@ from pigroups.dimension import (
     check_dimensionless,
     pi_basis,
 )
-from pigroups.errors import ConfigError, ToolkitError
+from pigroups.errors import ConfigError, ExternalError, ToolkitError
 from pigroups.pipeflow import PipeFlowExperiment, regime_box
-from pigroups.quadrature import QuadratureRule, RegimeBox, tensor_rule
+from pigroups.quadrature import RegimeBox, tensor_rule
 from pigroups.subspace import assemble_C
 from pigroups.surrogate import eval_surface, fit_polynomial, grad_surface
 
@@ -245,7 +246,8 @@ class TestSharedForwardDifferences:
         keeper = Keeper()
         h = 1e-3
         algorithm2(keeper, pipe_system, pipe_basis, BOX, small_config(h=h))
-        copies = fd_copies(tensor_rule(BOX, 3).points, pipe_basis.W, h)
+        rule = tensor_rule(BOX, 3)
+        copies = fd_copies(rule.rows(0, len(rule)), pipe_basis.W, h)
         assert len(keeper.kept) == 3
         for i, kept in enumerate(keeper.kept):
             want = np.concatenate([Q[81 * i:81 * (i + 1)] for Q in copies])
@@ -283,7 +285,7 @@ class TestSharedForwardDifferences:
         rule = build_rule(regime_box(regime), small_config(quad=quad))
         experiment = PipeFlowExperiment()
         h = 1e-6
-        pi0, want = fd_whole_rule(experiment, rule.points, w, W, h)
+        pi0, want = fd_whole_rule(experiment, rule.rows(0, len(rule)), w, W, h)
         seen = []
         source = algorithms._ForwardDifferences(experiment, rule, w, W, h,
                                                 lambda points, pi, grads: seen.append(pi))
@@ -308,18 +310,35 @@ class TestSharedForwardDifferences:
             tracemalloc.stop()
         assert peak - before < 11 * 2**20
 
+    def test_monte_carlo_rule_allocates_little_on_the_heap(self, pipe_basis):
+        # the rule keeps its seed and weights (1.6 MB) and draws each run's
+        # points as the run is made. Seven runs of 28,571 or 28,572 points:
+        # one run's arrays at a time, 7.3 MiB traced at the peak. Drawing
+        # the 200,000 x 5 points up front traced 14.9 MiB.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rule = build_rule(BOX, AlgorithmConfig(quad="mc:200000"))
+            assemble_C(algorithms._ForwardDifferences(PipeFlowExperiment(), rule, pipe_basis.w,
+                                                      pipe_basis.W, 1e-6), rule.weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 10 * 2**20
+
     @pytest.mark.parametrize("kind", ["ridge", "pipe"])
     def test_full_space_C_is_the_loop_with_identity_basis(self, pipe_basis, kind):
         experiment = fd_experiment(kind, pipe_basis)
         h = 1e-4
         rule = tensor_rule(BOX, 3)
         m = BOX.m
-        values = np.array([evaluate_point(experiment, q) for q in rule.points])
+        points = rule.rows(0, len(rule))
+        values = np.array([evaluate_point(experiment, q) for q in points])
         G = np.array([
             fd_gradient(experiment, q, f0, np.zeros(m), np.eye(m), h)
-            for q, f0 in zip(rule.points, values)
+            for q, f0 in zip(points, values)
         ])
-        tol_g = fd_tolerance(np.log(rule.points), pipe_basis.w, values, h)
+        tol_g = fd_tolerance(np.log(points), pipe_basis.w, values, h)
         result = full_space_C(experiment, rule, h)
         C = assemble_C(G, rule.weights)
         assert np.max(np.abs(result.C - C)) <= 2.0 * np.abs(G).max() * tol_g
@@ -349,7 +368,7 @@ class TestRuns:
         config = small_config(quad=self.QUAD)
         result = algorithm2(experiment, pipe_system, pipe_basis, BOX, config)
         rule = build_rule(BOX, config)
-        _, grads = fd_whole_rule(PipeFlowExperiment(), rule.points, pipe_basis.w,
+        _, grads = fd_whole_rule(PipeFlowExperiment(), rule.rows(0, len(rule)), pipe_basis.w,
                                  pipe_basis.W, config.h)
         assert result.C.tobytes() == assemble_C(grads, rule.weights).tobytes()
         # one call per run: its points and their two shifted copies
@@ -360,7 +379,8 @@ class TestRuns:
         rule = build_rule(BOX, small_config(quad=self.QUAD))
         m, h = BOX.m, 1e-5
         result = full_space_C(PipeFlowExperiment(), rule, h)
-        _, grads = fd_whole_rule(PipeFlowExperiment(), rule.points, np.zeros(m), np.eye(m), h)
+        _, grads = fd_whole_rule(PipeFlowExperiment(), rule.rows(0, len(rule)), np.zeros(m),
+                                 np.eye(m), h)
         assert result.C.tobytes() == assemble_C(grads, rule.weights).tobytes()
 
     def test_trace_equals_the_whole_rule_trace(self, pipe_system, pipe_basis, runs, tmp_path):
@@ -369,9 +389,10 @@ class TestRuns:
             assert main(["analyze", "--algorithm", "2", "--regime", "turbulent",
                          "--quad", self.QUAD, "--trace", "--out-dir", str(out)]) == 0
         rule = build_rule(BOX, small_config(quad=self.QUAD))
-        pi, grads = fd_whole_rule(PipeFlowExperiment(), rule.points, pipe_basis.w,
+        points = rule.rows(0, len(rule))
+        pi, grads = fd_whole_rule(PipeFlowExperiment(), points, pipe_basis.w,
                                   pipe_basis.W, AlgorithmConfig().h)
-        whole_trace(tmp_path / "whole.csv", pipe_system.symbols, rule.points, pi, grads)
+        whole_trace(tmp_path / "whole.csv", pipe_system.symbols, points, pi, grads)
         assert (out / "trace.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_non_finite_shifted_value_names_its_point_and_copy(self, pipe_system, pipe_basis,
@@ -394,6 +415,36 @@ class TestRuns:
                                                r"shifted by h W\[:, 0\]$"):
             algorithm2(NanInSecondRun(), pipe_system, pipe_basis, BOX,
                        small_config(quad=self.QUAD))
+
+    @pytest.mark.parametrize("raised,caught,message", [
+        (ToolkitError("at point 4301"), ToolkitError, "at point 4301"),
+        (ExternalError("row 4301: unparseable output 'x'"), ExternalError,
+         "row 4301: unparseable output 'x'"),
+        (RuntimeError("kaput"), ToolkitError, r"experiment raised RuntimeError\('kaput'\)"),
+    ], ids=["numerical", "external", "other"])
+    def test_a_failure_the_experiment_raises_names_the_run_and_its_rows(
+            self, pipe_system, pipe_basis, runs, raised, caught, message):
+        class FailsInSecondRun:
+            """The pipe model, failing on its own in the second run's call."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def evaluate_batch(self, Q):
+                self.calls += 1
+                if self.calls == 2:
+                    raise raised
+                return PipeFlowExperiment().evaluate_batch(Q)
+
+        # the second run holds rule points 4,201 to 8,402: call row 4,301
+        # is point 4,300's first shifted copy
+        with pytest.raises(caught, match=r"^rule points 4201 to 8402, where call row i is point "
+                                         r"4201 \+ i mod 4202 in copy i div 4202 \(copy k > 0 "
+                                         r"is shifted by h W\[:, k - 1\]\): " + message + "$"
+                           ) as failure:
+            algorithm2(FailsInSecondRun(), pipe_system, pipe_basis, BOX,
+                       small_config(quad=self.QUAD))
+        assert type(failure.value) is caught and failure.value.__cause__ is raised
 
 
 class TestAlgorithm1:
@@ -423,6 +474,26 @@ class TestAlgorithm1:
         assert result.metadata["holdout_evaluations"] == 20
         assert result.metadata["holdout_rmse"] is not None
 
+    @pytest.mark.parametrize("call,where", [(1, "design point 7"), (2, "hold-out point 7")])
+    def test_non_finite_value_names_the_design_it_is_in(self, pipe_system, pipe_basis, call,
+                                                        where):
+        class NanAtRow7:
+            """The pipe model, with a NaN at row 7 of one call: the design's
+            (the first call) or the hold-out design's (the second)."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def evaluate_batch(self, Q):
+                values = PipeFlowExperiment().evaluate_batch(Q)
+                self.calls += 1
+                if self.calls == call:
+                    values[7] = np.nan
+                return values
+
+        with pytest.raises(ToolkitError, match=f"^experiment returned nan at {where}$"):
+            algorithm1(NanAtRow7(), pipe_system, pipe_basis, BOX, small_config())
+
     def test_returned_surface_supports_prediction(self, pipe_system, pipe_basis):
         experiment = PipeFlowExperiment()
         result, surface = algorithm1(experiment, pipe_system, pipe_basis, BOX,
@@ -444,14 +515,15 @@ class TestSurfaceIntegration:
         result, surface = algorithm1(PipeFlowExperiment(), pipe_system, pipe_basis, BOX, config)
         rule = build_rule(BOX, config)
         assert len(rule) > subspace._CHUNK_ROWS and len(rule) % subspace._CHUNK_ROWS
-        grads = grad_surface(surface, np.log(rule.points) @ pipe_basis.W)
+        grads = grad_surface(surface, np.log(rule.rows(0, len(rule))) @ pipe_basis.W)
         assert np.array_equal(result.C, assemble_C(grads, rule.weights))
 
     def test_turbulent_tensor11_allocates_little_on_the_heap(self, pipe_system, pipe_basis):
-        # the 161,051-point rule is 7.7 MB of points and weights; the
-        # integration adds one 4,096-row chunk of groups, features and
-        # gradients (8.2 MB traced in all). Building them for the whole
-        # rule at once traced 33.3 MB.
+        # the 161,051-point rule keeps its weights (1.3 MB) and 1-D axes; the
+        # integration makes one 4,096-row chunk of points, log-points, groups,
+        # features and gradients at a time (3.5 MiB traced in all). Slicing
+        # the chunks from the rule's whole point array traced 9.6 MiB, and
+        # building the chunk's arrays for the whole rule at once 33.3 MB.
         config = AlgorithmConfig(degree=5, quad="tensor:11")
         tracemalloc.start()
         try:
@@ -460,15 +532,15 @@ class TestSurfaceIntegration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before < 12 * 2**20
+        assert peak - before < 5 * 2**20
 
     def test_non_finite_gradient_in_a_later_chunk_names_its_row(
             self, pipe_system, pipe_basis, monkeypatch):
         def rule_with_a_bad_point(box, config):
             rule = build_rule(box, config)
-            points = rule.points.copy()
+            points = rule.rows(0, len(rule))
             points[5000, 2] = np.nan
-            return QuadratureRule(points, rule.weights)
+            return PointsRule(points, rule.weights)
 
         monkeypatch.setattr(algorithms, "build_rule", rule_with_a_bad_point)
         with pytest.raises(ToolkitError, match="^gradient row 5000 contains a non-finite entry$"):

@@ -1,6 +1,7 @@
 import _thread
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -270,7 +271,8 @@ class TestExternalExperiment:
         # not trace. The chunks' temporaries, the reply and the result
         # measured 1.6 MB traced; encoding the batch in one piece measured
         # 12.7 MB (its text, the bytes and the temporaries)
-        Q = tensor_rule(regime_box("turbulent"), 9).points
+        rule = tensor_rule(regime_box("turbulent"), 9)
+        Q = rule.rows(0, len(rule))
         external = ExternalExperiment(command=tuple(write_script(tmp_path, "ones.py",
                                                                  ONES_SCRIPT)),
                                       symbols=SYMBOLS, batch_size=60000)
@@ -381,7 +383,8 @@ class TestFiniteDifferenceRuns:
                    pipe_basis, regime_box("turbulent"), config)
         header = (",".join(SYMBOLS) + "\n").encode()
         requests = [header + body for body in log.read_bytes().split(header)[1:]]
-        points = tensor_rule(regime_box("turbulent"), 9).points
+        rule = tensor_rule(regime_box("turbulent"), 9)
+        points = rule.rows(0, len(rule))
         want = [csv_request(SYMBOLS, Q[s:e]).encode()
                 for Q in fd_copies(points, pipe_basis.W, config.h)
                 for s, e in ((0, 29524), (29524, 59049))]
@@ -413,7 +416,8 @@ class TestBatchEncoder:
         return np.unique(Q.view(np.uint64)).size / Q.size
 
     def test_tensor_batches_and_their_shifted_batches(self, pipe_basis):
-        points = tensor_rule(regime_box("turbulent"), 9).points
+        rule = tensor_rule(regime_box("turbulent"), 9)
+        points = rule.rows(0, len(rule))
         for Q in fd_copies(points, pipe_basis.W, 1e-6):
             for s in range(0, Q.shape[0], _CHUNK_ROWS):
                 chunk = Q[s:s + _CHUNK_ROWS]
@@ -421,7 +425,7 @@ class TestBatchEncoder:
                 self.assert_matches_per_value(chunk)
 
     def test_monte_carlo_batch(self):
-        Q = monte_carlo_rule(regime_box("turbulent"), 20000, seed=5).points
+        Q = monte_carlo_rule(regime_box("turbulent"), 20000, seed=5).rows(0, 20000)
         assert self.distinct_share(Q) > 0.5
         self.assert_matches_per_value(Q)
 
@@ -939,6 +943,24 @@ class TestAnalyzeCommand:
                    "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
         assert "bounds must be finite" in capsys.readouterr().err
+
+    def test_a_failure_the_model_raises_on_a_shifted_copy_names_its_rule_point(
+            self, tmp_path, capsys):
+        # D in [1.0, 1.1] and eps in [0.9, 0.99] keep eps / D below 1 in the
+        # box, but the first shifted copy at h = 0.5 leaves it: call row 243
+        # is rule point 0 shifted by h W[:, 0]
+        pairs = [list(pair) for pair in TURBULENT_PAIRS]
+        pairs[2], pairs[3] = [1.0, 1.1], [0.9, 0.99]
+        box_path = tmp_path / "box.json"
+        box_path.write_text(json.dumps({"bounds": pairs}))
+        rc = main(["analyze", "--box", str(box_path), "--algorithm", "2", "--quad", "tensor:3",
+                   "--h", "0.5", "--out-dir", str(tmp_path / "x")])
+        assert rc == 3
+        assert re.fullmatch(
+            r"error: rule points 0 to 242, where call row i is point 0 \+ i mod 243 in copy "
+            r"i div 243 \(copy k > 0 is shifted by h W\[:, k - 1\]\): relative roughness "
+            r"must lie in \[0, 1\) at point 243 \(Re=\S+, rel_rough=\S+\)\n",
+            capsys.readouterr().err)
 
     def test_failing_external_experiment_exit_code(self, tmp_path):
         cmd = write_script(tmp_path, "fail.py", FAIL_SCRIPT)

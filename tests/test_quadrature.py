@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import PointsRule
 from pigroups.errors import ConfigError, ToolkitError
 from pigroups.pipeflow import regime_box
 from pigroups.quadrature import (
-    QuadratureRule,
     RegimeBox,
     gauss_legendre_1d,
     latin_hypercube,
@@ -21,6 +23,30 @@ def in_box(box, points) -> bool:
     """Whether every point lies strictly inside the box."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
     return bool(np.all(P > box.lower) and np.all(P < box.upper))
+
+
+def all_rows(rule) -> np.ndarray:
+    """The rule's whole (N, m) point array, as one row range."""
+    return rule.rows(0, len(rule))
+
+
+def meshgrid_rows(box, p) -> np.ndarray:
+    """The p-point Gauss-Legendre tensor grid over the box, row-major by meshgrid."""
+    x, _ = gauss_legendre_1d(p)
+    axes = [lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.m)
+
+
+def random_box(gen, m) -> RegimeBox:
+    lower = gen.uniform(0.1, 2.0, m)
+    return RegimeBox(lower, lower + gen.uniform(0.1, 3.0, m))
+
+
+@st.composite
+def row_range(draw, N):
+    """A range [start, stop) of rows, empty and full ranges included."""
+    start = draw(st.integers(0, N))
+    return start, draw(st.integers(start, N))
 
 
 class TestRegimeBox:
@@ -99,7 +125,7 @@ class TestTensorRule:
     def test_linear_integrand_gives_the_uniform_mean(self):
         box = RegimeBox.from_pairs([(0.5, 2.5)])
         rule = tensor_rule(box, 2)
-        assert np.sum(rule.weights * rule.points[:, 0]) == pytest.approx(1.5, rel=1e-14)
+        assert np.sum(rule.weights * all_rows(rule)[:, 0]) == pytest.approx(1.5, rel=1e-14)
 
     def test_constant_integrates_to_one(self):
         rule = tensor_rule(regime_box("laminar"), 3)
@@ -110,9 +136,10 @@ class TestTensorRule:
         box = RegimeBox.from_pairs([(0.2, 1.7), (3.0, 5.5), (0.01, 0.02)])
         p = 4
         rule = tensor_rule(box, p)
+        points = all_rows(rule)
         for _ in range(20):
             degs = rng.integers(0, 2 * p, size=3)
-            vals = np.prod(rule.points**degs, axis=1)
+            vals = np.prod(points**degs, axis=1)
             approx = np.sum(rule.weights * vals)
             exact = 1.0
             for (a, b), d in zip(zip(box.lower, box.upper), degs):
@@ -120,10 +147,10 @@ class TestTensorRule:
             assert approx == pytest.approx(exact, rel=1e-12)
 
     def test_row_major_dimension_order(self):
-        rule = tensor_rule(box2(), 2)
+        points = all_rows(tensor_rule(box2(), 2))
         # first coordinate varies slowest
-        assert rule.points[0, 0] == rule.points[1, 0]
-        assert rule.points[0, 1] != rule.points[1, 1]
+        assert points[0, 0] == points[1, 0]
+        assert points[0, 1] != points[1, 1]
 
     def test_point_guard(self):
         box = RegimeBox.from_pairs([(1.0, 2.0)] * 8)
@@ -134,16 +161,13 @@ class TestTensorRule:
     def test_points_inside_box(self):
         box = box2()
         rule = tensor_rule(box, 7)
-        assert in_box(box, rule.points)
+        assert in_box(box, all_rows(rule))
 
     @pytest.mark.parametrize("p,m", [(1, 3), (2, 1), (3, 5), (7, 2), (11, 4), (4, 6)])
     def test_rows_equal_the_meshgrid_rows_bit_for_bit(self, p, m):
         gen = np.random.default_rng(10 * p + m)
-        lower = gen.uniform(0.1, 2.0, m)
-        box = RegimeBox(lower, lower + gen.uniform(0.1, 3.0, m))
-        x, _ = gauss_legendre_1d(p)
-        axes = [lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+        box = random_box(gen, m)
+        grid = meshgrid_rows(box, p)
         rule = tensor_rule(box, p)
         N = p ** m
         assert rule.m == m and len(rule) == N
@@ -151,8 +175,19 @@ class TestTensorRule:
         ranges += [tuple(sorted(gen.integers(0, N + 1, 2))) for _ in range(5)]
         for start, stop in ranges:
             assert rule.rows(start, stop).tobytes() == grid[start:stop].tobytes()
-        assert rule.points.tobytes() == grid.tobytes()
-        assert not rule.points.flags.writeable
+        # each range is a fresh array: writing to it leaves the rule as it was
+        points = all_rows(rule)
+        assert points.tobytes() == grid.tobytes()
+        points[:] = 0.0
+        assert all_rows(rule).tobytes() == grid.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 6), m=st.integers(1, 5), data=st.data())
+    def test_rows_property_equals_the_meshgrid_rows(self, p, m, data):
+        box = random_box(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), m)
+        start, stop = data.draw(row_range(p ** m))
+        got = tensor_rule(box, p).rows(start, stop)
+        assert got.tobytes() == meshgrid_rows(box, p)[start:stop].tobytes()
 
 
 
@@ -161,20 +196,20 @@ class TestMonteCarloRule:
         rule = monte_carlo_rule(box2(), 1, seed=4)
         assert len(rule) == 1
         assert rule.weights[0] == 1.0
-        assert in_box(box2(), rule.points)
+        assert in_box(box2(), all_rows(rule))
 
     def test_seed_reproducibility(self):
         a = monte_carlo_rule(box2(), 100, seed=7)
         b = monte_carlo_rule(box2(), 100, seed=7)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(all_rows(a), all_rows(b))
         c = monte_carlo_rule(box2(), 100, seed=8)
-        assert not np.array_equal(a.points, c.points)
+        assert not np.array_equal(all_rows(a), all_rows(c))
 
     def test_mean_within_standard_error(self):
         box = RegimeBox.from_pairs([(1.0, 2.0), (1.0, 2.0)])
         N = 100_000
         rule = monte_carlo_rule(box, N, seed=123)
-        mean = np.sum(rule.weights * rule.points[:, 0])
+        mean = np.sum(rule.weights * all_rows(rule)[:, 0])
         bound = 3.0 * (1.0 / np.sqrt(12.0)) / np.sqrt(N)
         assert abs(mean - 1.5) < bound
 
@@ -182,7 +217,7 @@ class TestMonteCarloRule:
         box = box2()
         rule = monte_carlo_rule(box, 1000, seed=0)
         assert abs(rule.weights.sum() - 1.0) < 1e-12
-        assert in_box(box, rule.points)
+        assert in_box(box, all_rows(rule))
 
     def test_needs_at_least_one_point(self):
         with pytest.raises(ToolkitError, match="^need at least one point, got 0$"):
@@ -192,9 +227,21 @@ class TestMonteCarloRule:
         box = regime_box("turbulent")
         rule = monte_carlo_rule(box, 1000, seed=3)
         u = np.random.Generator(np.random.Philox(3)).random((1000, box.m))
-        assert rule.points.tobytes() == (box.lower + u * box.widths).tobytes()
-        assert rule.rows(10, 20).tobytes() == rule.points[10:20].tobytes()
+        points = all_rows(rule)
+        assert points.tobytes() == (box.lower + u * box.widths).tobytes()
+        assert rule.rows(10, 20).tobytes() == points[10:20].tobytes()
         assert rule.m == box.m
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 300), m=st.integers(1, 7), seed=st.integers(0, 2**64 - 1),
+           data=st.data())
+    def test_rows_property_equals_the_sliced_draws(self, N, m, seed, data):
+        # start * m need not be a multiple of Philox's four doubles per step
+        box = random_box(np.random.default_rng(seed), m)
+        start, stop = data.draw(row_range(N))
+        u = np.random.Generator(np.random.Philox(seed)).random((N, m))
+        want = (box.lower + u * box.widths)[start:stop]
+        assert monte_carlo_rule(box, N, seed).rows(start, stop).tobytes() == want.tobytes()
 
 
 class TestLatinHypercube:
@@ -231,8 +278,8 @@ class TestLatinHypercube:
 class TestQuadratureRuleInvariants:
     def test_weight_count_must_match(self):
         with pytest.raises(ToolkitError, match="^one weight per point required$"):
-            QuadratureRule(points=np.ones((3, 2)), weights=np.array([0.5, 0.5]))
+            PointsRule(points=np.ones((3, 2)), weights=np.array([0.5, 0.5]))
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ToolkitError, match=r"^weights sum to 0\.8, expected 1$"):
-            QuadratureRule(points=np.array([[1.0], [2.0]]), weights=np.array([0.4, 0.4]))
+            PointsRule(points=np.array([[1.0], [2.0]]), weights=np.array([0.4, 0.4]))
