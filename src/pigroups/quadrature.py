@@ -132,7 +132,8 @@ class _MonteCarloRule(QuadratureRule):
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         # Philox makes four doubles per counter step: skip whole steps,
-        # then throw away the draws of the step that the range starts in
+        # then throw away the draws of the step that the range starts in.
+        # advance() takes a Python int only, not a numpy integer
         skip = int(start) * self.m
         bits = np.random.Philox(self.seed)
         bits.advance(skip // 4)
