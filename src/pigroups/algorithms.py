@@ -11,10 +11,10 @@ relationship g(gamma):
   most 2**15 points and their shifted copies per experiment call, so its
   working arrays do not grow with the rule.
 
-Both read the rule's points by row range, so neither holds the rule's
-whole (N, m) point array. Both integrate in the original variables,
-where the uniform product density is exactly what the tensor rule
-integrates; the induced density on gamma is never materialized. A
+Both read the rule's points and weights by row range, so neither holds
+an array that grows with the rule. Both integrate in the original
+variables, where the uniform product density is exactly what the tensor
+rule integrates; the induced density on gamma is never materialized. A
 full-space variant differences all m log-variables to expose the ridge
 structure of the raw input-output map.
 
@@ -213,8 +213,8 @@ class _ForwardDifferences:
 
     Memory, whatever N: the current run's (n + 1) r x m call, its r x m
     log-points, (n + 1) r weights and replies, and its r x n gradients,
-    with r <= ``_RUN_ROWS``. The rule hands out the run's points, so its
-    whole point array is never built.
+    with r <= ``_RUN_ROWS``. The rule hands out its points and quadrature
+    weights by row range, so neither is ever built whole.
     """
 
     def __init__(self, experiment, rule: QuadratureRule, w, W, h: float, trace=None):

@@ -5,16 +5,17 @@ weights always sum to one; the box volume never appears at call sites.
 Random rules use a counter-based generator (Philox) so a fixed seed gives
 identical points on every platform and schedule.
 
-A rule hands out its points by row range, so a caller that works through
-it in pieces holds one piece at a time, and no rule holds or builds its
-whole (N, m) point array. A tensor rule keeps only its 1-D axes and
-computes a range from the digits of the row indices; a Monte Carlo rule
-keeps its seed and draws a range from the generator's place for it.
+A rule hands out its points and its weights by row range, so a caller
+that works through it in pieces holds one piece at a time, and no rule
+holds or builds an array that grows with its point count N. A tensor
+rule keeps only its 1-D axes and factor weights and computes a range from
+the digits of the row indices; a Monte Carlo rule keeps its seed and
+draws a range from the generator's place for it, and every one of its
+weights is 1/N.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,9 @@ from . import jsonio
 from .errors import MAX_POINTS, ToolkitError, check_count
 
 GL_MAX_POINTS = 64
+# weights per slice of a sum check: a tensor rule's slice costs mostly per
+# call, so long slices sum its weights at a third of the cost of 4,096-row ones
+_SUM_ROWS = 2**15
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,13 @@ class QuadratureRule:
     """N points in m dimensions with positive weights summing to one.
 
     ``rows(start, stop)`` makes the points of rows start to stop - 1 as a
-    fresh (stop - start, m) array; the points exist only as such ranges.
-    Each kind of rule says how it makes them, and passes its m and its
-    point count N, which the weights must match, to this constructor.
+    fresh (stop - start, m) array, and ``weights[start:stop]`` gives their
+    weights. ``weights`` is an (N,) array or any object with an (N,)
+    ``shape`` whose slices are weights, as ``assemble_C`` reads them; the
+    tensor and Monte Carlo rules make both points and weights only as such
+    ranges. Each kind of rule says how it makes its points and passes its
+    m, its weights and its point count N, which the weights must match, to
+    this constructor.
     """
 
     def __init__(self, m: int, weights, count: int):
@@ -105,12 +113,14 @@ class QuadratureRule:
 class _TensorRule(QuadratureRule):
     """Row-major tensor product of 1-D rules: row i takes from axis j the
     node whose index is digit j of i in base p, the first digit most
-    significant. ``axes`` is the (m, p) array of the mapped nodes."""
+    significant. ``axes`` is the (m, p) array of the mapped nodes and
+    ``factor`` the p weights of each axis."""
 
-    def __init__(self, axes: np.ndarray, weights):
+    def __init__(self, axes: np.ndarray, factor: np.ndarray):
         axes.flags.writeable = False
         self.axes = axes
-        super().__init__(axes.shape[0], weights, axes.shape[1] ** axes.shape[0])
+        super().__init__(axes.shape[0], _TensorWeights(factor, axes.shape[0]),
+                         axes.shape[1] ** axes.shape[0])
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         # the node values themselves: the same bits as the rows of the meshgrid
@@ -122,13 +132,53 @@ class _TensorRule(QuadratureRule):
         return out
 
 
+class _TensorWeights:
+    """The p**m weights of a tensor rule, made per slice: the weight of row
+    i is 1.0 times factor[digit j of i] for j = 0, ..., m - 1, multiplied
+    in that order, as ``functools.reduce(np.multiply.outer, [np.ones(1)] +
+    [factor] * m)`` multiplies them, so every bit is the same."""
+
+    def __init__(self, factor: np.ndarray, m: int):
+        factor.flags.writeable = False
+        self.factor, self.m = factor, m
+        self.shape = (factor.shape[0] ** m,)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        p = self.factor.shape[0]
+        # the first j digits of rows start to stop - 1 run from start // p**(m - j)
+        # to ceil(stop / p**(m - j)) - 1, and their weight changes every p**(m - j) rows
+        ranges = [(start, max(start, stop))]
+        for _ in range(self.m):
+            first, end = ranges[-1]
+            ranges.append((first // p, -(-end // p)))
+        first, end = ranges.pop()
+        out = np.ones(end - first)
+        for lo, hi in reversed(ranges):
+            shift = first * p
+            out = (out[:, None] * self.factor).reshape(-1)[lo - shift:hi - shift]
+            first = lo
+        return out
+
+
+class _UniformWeights:
+    """The N weights of a Monte Carlo rule, made per slice: each is 1/N."""
+
+    def __init__(self, N: int):
+        self.shape = (N,)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        return np.full(max(0, stop - start), 1.0 / self.shape[0])
+
+
 class _MonteCarloRule(QuadratureRule):
     """N uniform draws from the box: row i is lower + u * widths, with u
     the m doubles that follow the first i * m of a fresh Philox(seed)."""
 
     def __init__(self, box: RegimeBox, N: int, seed: int):
         self.box, self.seed = box, seed
-        super().__init__(box.m, np.full(N, 1.0 / N), N)
+        super().__init__(box.m, _UniformWeights(N), N)
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         # Philox makes four doubles per counter step: skip whole steps,
@@ -146,14 +196,32 @@ class _MonteCarloRule(QuadratureRule):
         return out
 
 
-def _checked_weights(weights, count: int) -> np.ndarray:
-    """The weights as a read-only vector, once there are ``count`` and they sum to one."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
+def weight_source(weights):
+    """``weights`` as slices can read them: an object with an (N,) ``shape``
+    as it is, anything else as a float vector."""
+    if isinstance(weights, np.ndarray) or not hasattr(weights, "shape"):
+        return np.asarray(weights, dtype=float).reshape(-1)
+    return weights
+
+
+def weight_sum(weights) -> float:
+    """The sum of a weight source, read ``_SUM_ROWS`` weights at a time."""
+    return sum(float(np.sum(weights[start:start + _SUM_ROWS]))
+               for start in range(0, weights.shape[0], _SUM_ROWS))
+
+
+def _checked_weights(weights, count: int):
+    """The weights, once there are ``count`` and their sum is within 1e-10
+    of one, as a NaN sum is not: an array as a read-only vector, any other
+    weight source as it is."""
+    w = weight_source(weights)
+    if isinstance(w, np.ndarray):
+        w.flags.writeable = False
     if w.shape[0] != count:
         raise ToolkitError("one weight per point required")
-    if abs(w.sum() - 1.0) > 1e-10:
-        raise ToolkitError(f"weights sum to {float(w.sum())!r}, expected 1")
-    w.flags.writeable = False
+    total = weight_sum(w)
+    if not abs(total - 1.0) <= 1e-10:
+        raise ToolkitError(f"weights sum to {total!r}, expected 1")
     return w
 
 
@@ -188,8 +256,7 @@ def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
     x, w = gauss_legendre_1d(p)
     axes = np.array([lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)])
     # w sums to 2 on [-1,1]; halving makes each axis integrate its uniform density
-    weights = functools.reduce(np.multiply.outer, [np.ones(1)] + [0.5 * w] * box.m)
-    return _TensorRule(axes, weights)
+    return _TensorRule(axes, 0.5 * w)
 
 
 def monte_carlo_rule(box: RegimeBox, N: int, seed: int) -> QuadratureRule:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dimension import normalize_column_signs
 from .errors import ToolkitError
+from .quadrature import weight_source, weight_sum
 
 _CHUNK_ROWS = 4096      # rows per step of the sum in assemble_C
 EIGEN_GAP_RTOL = 1e-3   # below this gap the relevance ordering is ambiguous
@@ -25,30 +26,38 @@ def assemble_C(gradients, weights) -> np.ndarray:
     """C = sum_j w_j g_j g_j^T, accumulated chunk by chunk in index order.
 
     ``gradients`` is an (N, n) array, or any object with an (N, n)
-    ``shape`` whose row slices are gradient rows. Either is read one
-    ``_CHUNK_ROWS`` slice at a time, so a source that builds its rows on
-    slicing, as the surface route's does, holds 4,096 rows at once. Each
-    chunk is checked for finiteness before it is summed, and a failure
-    names the global row. The reduction order is fixed by the chunk size,
-    so concurrent gradient producers cannot change the result; the lower
-    triangle is mirrored at the end to make C exactly symmetric.
+    ``shape`` whose row slices are gradient rows; ``weights`` is an (N,)
+    array, or any object with an (N,) ``shape`` whose slices are weights,
+    as a quadrature rule's are. Both are read one ``_CHUNK_ROWS`` slice at
+    a time, so a source that builds its rows on slicing, as both routes'
+    gradients and every rule's weights do, holds 4,096 rows at once. The
+    weight count and sum are checked before the first gradient row is
+    read, the sum in ``weight_sum``'s longer slices, so refused weights
+    cost no experiment call. Each
+    gradient chunk is checked for finiteness before it is summed, and a
+    failure names the global row. The reduction order is fixed by the
+    chunk size, so concurrent gradient producers cannot change the
+    result; the lower triangle is mirrored at the end to make C exactly
+    symmetric.
     """
     G = gradients
     if isinstance(G, np.ndarray) or not hasattr(G, "shape"):
         G = np.atleast_2d(np.asarray(G, dtype=float))
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = weight_source(weights)
     rows, n = G.shape
     if rows != w.shape[0]:
         raise ToolkitError(f"{rows} gradient rows vs {w.shape[0]} weights")
-    if abs(w.sum() - 1.0) > 1e-10:
-        raise ToolkitError(f"weights sum to {float(w.sum())!r}, expected 1 +/- 1e-10")
+    total = weight_sum(w)
+    # a NaN sum fails this test, as it must
+    if not abs(total - 1.0) <= 1e-10:
+        raise ToolkitError(f"weights sum to {total!r}, expected 1 +/- 1e-10")
     C = np.zeros((n, n))
     for start in range(0, rows, _CHUNK_ROWS):
         Gc = np.asarray(G[start:start + _CHUNK_ROWS], dtype=float)
         if not np.all(np.isfinite(Gc)):
             bad = start + int(np.argwhere(~np.isfinite(Gc))[0, 0])
             raise ToolkitError(f"gradient row {bad} contains a non-finite entry")
-        wc = w[start:start + _CHUNK_ROWS]
+        wc = np.asarray(w[start:start + _CHUNK_ROWS], dtype=float)
         C += Gc.T @ (wc[:, None] * Gc)
     return np.tril(C) + np.tril(C, -1).T
 
@@ -57,6 +66,9 @@ def _check_symmetric(C) -> np.ndarray:
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if C.shape[0] != C.shape[1]:
         raise ToolkitError(f"matrix is {C.shape[0]} x {C.shape[1]}, expected square")
+    if not np.all(np.isfinite(C)):
+        i, j = np.argwhere(~np.isfinite(C))[0]
+        raise ToolkitError(f"C[{i}, {j}] is {float(C[i, j])!r}; C must be finite")
     scale = max(1.0, float(np.max(np.abs(C))) if C.size else 1.0)
     if float(np.max(np.abs(C - C.T))) > 1e-10 * scale:
         raise ToolkitError("matrix is not symmetric to 1e-10")
@@ -68,7 +80,9 @@ def eigendecompose(C):
 
     Each eigenvector is unit length with its largest-magnitude component
     positive (ties broken by lowest index). Eigenvalues negative within
-    round-off are clamped to zero; anything more negative raises.
+    round-off are clamped to zero; anything more negative raises, and so
+    does a non-finite entry, which C gets from a NaN weight or overflows
+    to from finite gradients above about 1e154.
     """
     C = _check_symmetric(C)
     lam, U = np.linalg.eigh(0.5 * (C + C.T))

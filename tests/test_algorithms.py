@@ -58,6 +58,25 @@ def small_config(**kw):
     return AlgorithmConfig(**base)
 
 
+def fd_heap_peak(basis, quad) -> int:
+    """Bytes traced at the peak, above the start, while a rule is built from
+    ``quad`` over BOX and the finite-difference route assembles its C. A
+    tensor:2 run first makes what a first run in a process makes once."""
+    def run(quad):
+        rule = build_rule(BOX, AlgorithmConfig(quad=quad))
+        source = algorithms._ForwardDifferences(PipeFlowExperiment(), rule, basis.w, basis.W, 1e-6)
+        assemble_C(source, rule.weights)
+
+    run("tensor:2")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(quad)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def random_orthogonal(n, seed):
     gen = np.random.default_rng(seed)
     Q, R = np.linalg.qr(gen.normal(size=(n, n)))
@@ -294,37 +313,44 @@ class TestSharedForwardDifferences:
         assert got.tobytes() == want.tobytes()
 
     def test_turbulent_tensor11_allocates_little_on_the_heap(self, pipe_basis):
-        # the rule itself: its weights (1.3 MB) and 1-D axes. One run of
+        # the rule itself: its 1-D axes and factor weights. One run of
         # 32,211 points at a time: its call array of three copies (3.9 MB),
         # log-points (1.3 MB), pi and the reply (0.8 MB each) and the
-        # gradients (0.5 MB): 8.3 MiB traced at the peak. Building the
-        # rule's point array and differencing it whole traced 21.1 MiB.
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            rule = tensor_rule(BOX, 11)
-            assemble_C(algorithms._ForwardDifferences(PipeFlowExperiment(), rule, pipe_basis.w,
-                                                      pipe_basis.W, 1e-6), rule.weights)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 11 * 2**20
+        # gradients (0.5 MB): 6.5 MiB traced at the peak. The rule's weight
+        # vector (1.3 MB) made it 7.7 MiB; building the rule's point array
+        # and differencing it whole traced 21.1 MiB.
+        assert fd_heap_peak(pipe_basis, "tensor:11") < 7 * 2**20
 
     def test_monte_carlo_rule_allocates_little_on_the_heap(self, pipe_basis):
-        # the rule keeps its seed and weights (1.6 MB) and draws each run's
-        # points as the run is made. Seven runs of 28,571 or 28,572 points:
-        # one run's arrays at a time, 7.3 MiB traced at the peak. Drawing
-        # the 200,000 x 5 points up front traced 14.9 MiB.
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            rule = build_rule(BOX, AlgorithmConfig(quad="mc:200000"))
-            assemble_C(algorithms._ForwardDifferences(PipeFlowExperiment(), rule, pipe_basis.w,
-                                                      pipe_basis.W, 1e-6), rule.weights)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 10 * 2**20
+        # the rule keeps its seed and makes each run's points and weights as
+        # the run is made. Seven runs of 28,571 or 28,572 points: one run's
+        # arrays at a time, 5.8 to 6.5 MiB traced at the peak. The rule's
+        # weight vector (1.6 MB) made it 7.3 to 8.0 MiB; drawing the
+        # 200,000 x 5 points up front traced 14.9 MiB.
+        assert fd_heap_peak(pipe_basis, "mc:200000") < 7 * 2**20
+
+    def test_the_heap_peak_does_not_grow_with_the_rule(self, pipe_basis):
+        # 6 and 24 runs of 32,768 points: the same run arrays, so any gap is
+        # an array that grows with N. The rule's weight vector made it 4.5
+        # MiB. At mc:200000 and mc:800000 the runs hold 28,571 and 32,000
+        # points, and the run arrays alone differ by 0.6 MiB
+        small = fd_heap_peak(pipe_basis, "mc:196608")
+        large = fd_heap_peak(pipe_basis, "mc:786432")
+        assert abs(large - small) < 0.5 * 2**20
+
+    @pytest.mark.parametrize("weights,message", [
+        (np.full(242, 1.0 / 242), "^243 gradient rows vs 242 weights$"),
+        (np.full(243, 1.0 / 242), r"^weights sum to 1\.00413\d*, expected 1 \+/- 1e-10$"),
+        (np.r_[np.nan, np.full(242, 1.0 / 242)], r"^weights sum to nan, expected 1 \+/- 1e-10$"),
+    ], ids=["count", "sum", "nan"])
+    def test_refused_weights_cost_no_experiment_call(self, pipe_basis, weights, message):
+        rule = tensor_rule(BOX, 3)
+        experiment = CountingExperiment(PipeFlowExperiment())
+        source = algorithms._ForwardDifferences(experiment, rule, pipe_basis.w, pipe_basis.W,
+                                                1e-6)
+        with pytest.raises(ToolkitError, match=message):
+            assemble_C(source, weights)
+        assert experiment.count == 0 and source.run == (0, 0, None)
 
     @pytest.mark.parametrize("kind", ["ridge", "pipe"])
     def test_full_space_C_is_the_loop_with_identity_basis(self, pipe_basis, kind):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,11 @@ def in_box(box, points) -> bool:
 def all_rows(rule) -> np.ndarray:
     """The rule's whole (N, m) point array, as one row range."""
     return rule.rows(0, len(rule))
+
+
+def all_weights(rule) -> np.ndarray:
+    """The rule's whole weight vector, as one row range."""
+    return rule.weights[0:len(rule)]
 
 
 def meshgrid_rows(box, p) -> np.ndarray:
@@ -125,11 +132,11 @@ class TestTensorRule:
     def test_linear_integrand_gives_the_uniform_mean(self):
         box = RegimeBox.from_pairs([(0.5, 2.5)])
         rule = tensor_rule(box, 2)
-        assert np.sum(rule.weights * all_rows(rule)[:, 0]) == pytest.approx(1.5, rel=1e-14)
+        assert np.sum(all_weights(rule) * all_rows(rule)[:, 0]) == pytest.approx(1.5, rel=1e-14)
 
     def test_constant_integrates_to_one(self):
         rule = tensor_rule(regime_box("laminar"), 3)
-        assert abs(rule.weights.sum() - 1.0) < 1e-13
+        assert abs(all_weights(rule).sum() - 1.0) < 1e-13
 
     def test_moment_exactness_against_closed_form(self):
         rng = np.random.default_rng(2)
@@ -140,7 +147,7 @@ class TestTensorRule:
         for _ in range(20):
             degs = rng.integers(0, 2 * p, size=3)
             vals = np.prod(points**degs, axis=1)
-            approx = np.sum(rule.weights * vals)
+            approx = np.sum(all_weights(rule) * vals)
             exact = 1.0
             for (a, b), d in zip(zip(box.lower, box.upper), degs):
                 exact *= (b ** (d + 1) - a ** (d + 1)) / ((d + 1) * (b - a))
@@ -189,13 +196,30 @@ class TestTensorRule:
         got = tensor_rule(box, p).rows(start, stop)
         assert got.tobytes() == meshgrid_rows(box, p)[start:stop].tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(1, 7), m=st.integers(1, 6), data=st.data())
+    def test_weight_ranges_equal_the_outer_product_bit_for_bit(self, p, m, data):
+        # the weight vector that tensor_rule built whole before it made ranges
+        _, w = gauss_legendre_1d(p)
+        whole = functools.reduce(np.multiply.outer, [np.ones(1)] + [0.5 * w] * m).reshape(-1)
+        box = random_box(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), m)
+        start, stop = data.draw(row_range(p ** m))
+        got = tensor_rule(box, p).weights[start:stop]
+        assert got.tobytes() == whole[start:stop].tobytes()
+
+    def test_weight_ranges_are_fresh_arrays(self):
+        rule = tensor_rule(box2(), 3)
+        weights = all_weights(rule)
+        weights[:] = 0.0
+        assert abs(all_weights(rule).sum() - 1.0) < 1e-15
+
 
 
 class TestMonteCarloRule:
     def test_single_point(self):
         rule = monte_carlo_rule(box2(), 1, seed=4)
         assert len(rule) == 1
-        assert rule.weights[0] == 1.0
+        assert all_weights(rule)[0] == 1.0
         assert in_box(box2(), all_rows(rule))
 
     def test_seed_reproducibility(self):
@@ -209,14 +233,14 @@ class TestMonteCarloRule:
         box = RegimeBox.from_pairs([(1.0, 2.0), (1.0, 2.0)])
         N = 100_000
         rule = monte_carlo_rule(box, N, seed=123)
-        mean = np.sum(rule.weights * all_rows(rule)[:, 0])
+        mean = np.sum(all_weights(rule) * all_rows(rule)[:, 0])
         bound = 3.0 * (1.0 / np.sqrt(12.0)) / np.sqrt(N)
         assert abs(mean - 1.5) < bound
 
     def test_weights_and_interior(self):
         box = box2()
         rule = monte_carlo_rule(box, 1000, seed=0)
-        assert abs(rule.weights.sum() - 1.0) < 1e-12
+        assert abs(all_weights(rule).sum() - 1.0) < 1e-12
         assert in_box(box, all_rows(rule))
 
     def test_needs_at_least_one_point(self):
@@ -242,6 +266,14 @@ class TestMonteCarloRule:
         u = np.random.Generator(np.random.Philox(seed)).random((N, m))
         want = (box.lower + u * box.widths)[start:stop]
         assert monte_carlo_rule(box, N, seed).rows(start, stop).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 200_000), data=st.data())
+    def test_weight_ranges_equal_the_sliced_uniform_weights(self, N, data):
+        # the weight vector that monte_carlo_rule built whole before it made ranges
+        start, stop = data.draw(row_range(N))
+        got = monte_carlo_rule(box2(), N, seed=0).weights[start:stop]
+        assert got.tobytes() == np.full(N, 1.0 / N)[start:stop].tobytes()
 
 
 class TestLatinHypercube:
@@ -283,3 +315,7 @@ class TestQuadratureRuleInvariants:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ToolkitError, match=r"^weights sum to 0\.8, expected 1$"):
             PointsRule(points=np.array([[1.0], [2.0]]), weights=np.array([0.4, 0.4]))
+
+    def test_a_nan_weight_is_refused(self):
+        with pytest.raises(ToolkitError, match="^weights sum to nan, expected 1$"):
+            PointsRule(points=np.array([[1.0], [2.0]]), weights=np.array([np.nan, 1.0]))

@@ -28,6 +28,21 @@ def random_orthogonal(n, seed):
     return Q * np.sign(np.diag(R))
 
 
+class SliceLog:
+    """An array handed out by slice only, as a source that builds its rows
+    on slicing is; ``slices`` logs each (start, stop) read."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.shape = self.values.shape
+        self.slices = []
+
+    def __getitem__(self, rows: slice):
+        start, stop, _ = rows.indices(self.shape[0])
+        self.slices.append((start, stop))
+        return self.values[start:stop].copy()
+
+
 def random_psd(n, seed):
     gen = np.random.default_rng(seed)
     Q = random_orthogonal(n, seed)
@@ -84,6 +99,43 @@ class TestAssembleC:
         with pytest.raises(ToolkitError, match="^gradient row 2 contains a non-finite entry$"):
             assemble_C(G, np.full(4, 0.25))
 
+    def test_rejects_a_nan_weight(self):
+        # abs(nan - 1.0) > 1e-10 is False: a NaN sum must fail all the same
+        with pytest.raises(ToolkitError, match=r"^weights sum to nan, expected 1 \+/- 1e-10$"):
+            assemble_C(np.ones((3, 2)), [0.5, np.nan, 0.5])
+
+    def test_weight_source_is_read_slice_by_slice(self, monkeypatch):
+        monkeypatch.setattr(subspace, "_CHUNK_ROWS", 4)
+        gen = np.random.default_rng(11)
+        G = gen.normal(size=(10, 3))
+        w = gen.random(10)
+        w /= w.sum()
+        source = SliceLog(w)
+        assert assemble_C(G, source).tobytes() == assemble_C(G, w).tobytes()
+        # the sum check reads the weights, then the sum reads them chunk by chunk
+        assert source.slices == [(0, 10), (0, 4), (4, 8), (8, 10)]
+
+    @pytest.mark.parametrize("weights,message", [
+        (np.full(9, 1.0 / 9), "^10 gradient rows vs 9 weights$"),
+        (np.full(10, 0.2), r"^weights sum to 2\.0, expected 1 \+/- 1e-10$"),
+        (np.r_[np.nan, np.full(9, 1.0 / 9)], r"^weights sum to nan, expected 1 \+/- 1e-10$"),
+    ], ids=["count", "sum", "nan"])
+    def test_refused_weights_read_no_gradient_row(self, monkeypatch, weights, message):
+        monkeypatch.setattr(subspace, "_CHUNK_ROWS", 4)
+        gradients = SliceLog(np.ones((10, 2)))
+        for source in (weights, SliceLog(weights)):
+            with pytest.raises(ToolkitError, match=message):
+                assemble_C(gradients, source)
+        assert gradients.slices == []
+
+    def test_overflow_to_inf_is_refused_by_eigendecompose(self):
+        # finite gradients above about 1e154 square to inf, with a warning
+        with pytest.warns(RuntimeWarning, match="^overflow encountered in matmul$"):
+            C = assemble_C(np.full((2, 2), 1e160), [0.5, 0.5])
+        assert np.all(np.isinf(C))
+        with pytest.raises(ToolkitError, match=r"^C\[0, 0\] is inf; C must be finite$"):
+            eigendecompose(C)
+
 
 class TestEigendecompose:
     def test_diagonal(self):
@@ -101,6 +153,14 @@ class TestEigendecompose:
     def test_not_symmetric(self):
         with pytest.raises(ToolkitError, match="^matrix is not symmetric to 1e-10$"):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, bad):
+        # eigh would return [1, nan] for a NaN, and warn, then do so, for inf
+        with pytest.raises(ToolkitError, match=rf"^C\[0, 1\] is {bad!r}; C must be finite$"):
+            eigendecompose(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ToolkitError, match=rf"^C\[0, 0\] is {bad!r}; C must be finite$"):
+            eigendecompose(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_descending_order_and_reconstruction(self):
         for seed in range(100):
