@@ -62,8 +62,8 @@ def fd_heap_peak(basis, quad) -> int:
     """Bytes traced at the peak, above the start, while a rule is built from
     ``quad`` over BOX and the finite-difference route assembles its C. A
     tensor:2 run first makes what a first run in a process makes once."""
-    def run(quad):
-        rule = build_rule(BOX, AlgorithmConfig(quad=quad))
+    def run(spec):
+        rule = build_rule(BOX, AlgorithmConfig(quad=spec))
         source = algorithms._ForwardDifferences(PipeFlowExperiment(), rule, basis.w, basis.W, 1e-6)
         assemble_C(source, rule.weights)
 
@@ -331,9 +331,9 @@ class TestSharedForwardDifferences:
 
     def test_the_heap_peak_does_not_grow_with_the_rule(self, pipe_basis):
         # 6 and 24 runs of 32,768 points: the same run arrays, so any gap is
-        # an array that grows with N. The rule's weight vector made it 4.5
-        # MiB. At mc:200000 and mc:800000 the runs hold 28,571 and 32,000
-        # points, and the run arrays alone differ by 0.6 MiB
+        # an array that grows with N. The rule's weight vector made the gap
+        # 4.5 MiB. At mc:200000 and mc:800000 the runs hold 28,571 and 32,000
+        # points, and the run arrays alone differ by 0.6 MiB.
         small = fd_heap_peak(pipe_basis, "mc:196608")
         large = fd_heap_peak(pipe_basis, "mc:786432")
         assert abs(large - small) < 0.5 * 2**20
