@@ -11,8 +11,9 @@ relationship g(gamma):
   most 2**15 points and their shifted copies per experiment call, so its
   working arrays do not grow with the rule.
 
-Both read the rule's points and weights by row range, so neither holds
-an array that grows with the rule. Both integrate in the original
+Both read the rule's points by row range and pass the rule to
+``assemble_C``, which reads its weights by row range, so neither holds an
+array that grows with the rule. Both integrate in the original
 variables, where the uniform product density is exactly what the tensor
 rule integrates; the induced density on gamma is never materialized. A
 full-space variant differences all m log-variables to expose the ridge
@@ -343,7 +344,7 @@ def algorithm1(
         holdout_rmse = float(np.sqrt(np.mean((pred - fresh_pi) ** 2)))
 
     rule = build_rule(box, config)
-    C = assemble_C(_SurfaceGradients(surface, rule, W), rule.weights)
+    C = assemble_C(_SurfaceGradients(surface, rule, W), rule)
     if trace is not None:
         trace(points, pi, grad_surface(surface, gamma))
     return _finalize(system, W, C, {
@@ -376,7 +377,7 @@ def algorithm2(
     w, W = basis.w, basis.W
     h = config.h
     rule = build_rule(box, config)
-    C = assemble_C(_ForwardDifferences(experiment, rule, w, W, h, trace), rule.weights)
+    C = assemble_C(_ForwardDifferences(experiment, rule, w, W, h, trace), rule)
     return _finalize(system, W, C, {
         "algorithm": "finite_difference",
         "h": h,
@@ -402,8 +403,7 @@ def full_space_C(experiment, rule: QuadratureRule, h: float) -> SubspaceResult:
     eigensolver's round-off floor near m * eps * lambda_1.
     """
     m = rule.m
-    C = assemble_C(_ForwardDifferences(experiment, rule, np.zeros(m), np.eye(m), h),
-                   rule.weights)
+    C = assemble_C(_ForwardDifferences(experiment, rule, np.zeros(m), np.eye(m), h), rule)
     lam, U = eigendecompose(C)
     return SubspaceResult(C=C, eigenvalues=lam, U=U, Z=U, metadata={
         "algorithm": "full_space",

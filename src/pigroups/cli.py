@@ -24,6 +24,7 @@ import time
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +46,10 @@ from .pipeflow import (
     regime_box,
     regime_names,
 )
+
+if TYPE_CHECKING:
+    from .quadrature import RegimeBox
+
 
 def entry() -> None:
     sys.exit(main())
@@ -161,9 +166,7 @@ def _merge_config(args) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
         file_cfg = jsonio.load(args.config, dict)
-        unknown = set(file_cfg) - set(cfg)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        jsonio.check_keys(file_cfg, cfg, "config")
         cfg.update(file_cfg)
     for key in cfg:
         val = getattr(args, key, None)

@@ -142,6 +142,7 @@ class QuantitySystem:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "QuantitySystem":
+        jsonio.check_keys(doc, ("base_units", "independents", "dependent", "w"), "system")
         base = tuple(doc["base_units"])
         inds = tuple(_quantity_from_dict(d, base) for d in doc["independents"])
         dep = _quantity_from_dict(doc["dependent"], base)
@@ -154,6 +155,7 @@ class QuantitySystem:
 
 
 def _quantity_from_dict(d: dict, base_units) -> Quantity:
+    jsonio.check_keys(d, ("name", "symbol", "dims", "unit"), f"quantity {d.get('symbol')!r}")
     if "dims" not in d and "unit" not in d:
         raise ToolkitError(f"quantity {d.get('symbol')!r} needs a 'unit' or 'dims' field")
     dims = d["dims"] if "dims" in d else parse_unit_expr(d["unit"], base_units)

@@ -1,4 +1,5 @@
-"""Deterministic JSON emission, and the one reader of JSON input files.
+"""Deterministic JSON emission; the one reader of JSON input files, and
+the one check of their keys.
 
 Floats are written in their shortest form that round-trips exactly (the
 standard library's ``repr``); dict keys keep insertion order. Identical
@@ -30,6 +31,13 @@ def dumps(obj) -> str:
 def dump(obj, path) -> None:
     with open(path, "w") as fh:
         fh.write(dumps(obj))
+
+
+def check_keys(doc: dict, known, what: str) -> None:
+    """Refuse the keys of ``doc`` that ``known`` lacks, naming them."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 def load(path, parse):

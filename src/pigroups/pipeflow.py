@@ -23,10 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, ToolkitError
+
+if TYPE_CHECKING:
+    from .dimension import QuantitySystem
+    from .quadrature import RegimeBox
 
 RE_CRITICAL = 3000.0
 SYMBOLS = ("rho", "mu", "D", "eps", "V")

@@ -5,13 +5,14 @@ weights always sum to one; the box volume never appears at call sites.
 Random rules use a counter-based generator (Philox) so a fixed seed gives
 identical points on every platform and schedule.
 
-A rule hands out its points and its weights by row range, so a caller
-that works through it in pieces holds one piece at a time, and no rule
-holds or builds an array that grows with its point count N. A tensor
-rule keeps only its 1-D axes and factor weights and computes a range from
-the digits of the row indices; a Monte Carlo rule keeps its seed and
-draws a range from the generator's place for it, and every one of its
-weights is 1/N.
+A rule hands out its points and its weights by row range, through
+``rows(start, stop)`` and ``weights(start, stop)``, so a caller that works
+through it in pieces holds one piece at a time, and no rule holds or
+builds an array that grows with its point count N. A tensor rule keeps
+only its 1-D axes and factor weights and computes a range from the digits
+of the row indices; a Monte Carlo rule keeps its seed and draws a range
+from the generator's place for it, and every one of its weights is 1/N.
+A rule's weights are checked once, when the rule is made.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from . import jsonio
 from .errors import MAX_POINTS, ToolkitError, check_count
 
 GL_MAX_POINTS = 64
-# weights per slice of a sum check: a tensor rule's slice costs mostly per
-# call, so long slices sum its weights at a third of the cost of 4,096-row ones
+# weights per range of a sum check: a tensor rule's range costs mostly per
+# call, so long ranges sum its weights at a third of the cost of 4,096-row ones
 _SUM_ROWS = 2**15
 
 
@@ -59,6 +60,7 @@ class RegimeBox:
 
     @classmethod
     def from_dict(cls, doc: dict, symbols=None) -> "RegimeBox":
+        jsonio.check_keys(doc, ("bounds",), "box")
         bounds = doc["bounds"]
         if isinstance(bounds, dict):
             if symbols is None:
@@ -66,6 +68,7 @@ class RegimeBox:
             missing = [s for s in symbols if s not in bounds]
             if missing:
                 raise ToolkitError(f"bounds missing for: {', '.join(missing)}")
+            jsonio.check_keys(bounds, symbols, "bounds")
             pairs = [bounds[s] for s in symbols]
         else:
             pairs = list(bounds)
@@ -90,37 +93,57 @@ class QuadratureRule:
     """N points in m dimensions with positive weights summing to one.
 
     ``rows(start, stop)`` makes the points of rows start to stop - 1 as a
-    fresh (stop - start, m) array, and ``weights[start:stop]`` gives their
-    weights. ``weights`` is an (N,) array or any object with an (N,)
-    ``shape`` whose slices are weights, as ``assemble_C`` reads them; the
-    tensor and Monte Carlo rules make both points and weights only as such
-    ranges. Each kind of rule says how it makes its points and passes its
-    m, its weights and its point count N, which the weights must match, to
-    this constructor.
+    fresh (stop - start, m) array, and ``weights(start, stop)`` their
+    weights as a fresh (stop - start,) array, for 0 <= start <= stop <= N;
+    the tensor and Monte Carlo rules make both only as such ranges. Each
+    kind of rule says how it makes its points and weights and passes its m
+    and its point count N to this constructor, which reads the weights
+    once through ``check_weights``.
     """
 
-    def __init__(self, m: int, weights, count: int):
-        self.m = m
-        self.weights = _checked_weights(weights, count)
+    def __init__(self, m: int, N: int):
+        self.m, self._N = m, N
+        check_weights(self.weights, N)
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         raise NotImplementedError
 
+    def weights(self, start: int, stop: int) -> np.ndarray:
+        raise NotImplementedError
+
     def __len__(self) -> int:
-        return self.weights.shape[0]
+        return self._N
+
+
+def check_weights(weights, N: int) -> None:
+    """Refuse the N weights that ``weights(start, stop)`` hands out unless
+    each range holds one weight per row and their sum is within 1e-10 of
+    one, as a NaN sum is not. Reads ``_SUM_ROWS`` weights at a time."""
+    total = 0.0
+    for start in range(0, N, _SUM_ROWS):
+        stop = min(start + _SUM_ROWS, N)
+        w = weights(start, stop)
+        if w.shape != (stop - start,):
+            raise ToolkitError("one weight per point required")
+        total += float(np.sum(w))
+    if not abs(total - 1.0) <= 1e-10:
+        raise ToolkitError(f"weights sum to {total!r}, expected 1 +/- 1e-10")
 
 
 class _TensorRule(QuadratureRule):
     """Row-major tensor product of 1-D rules: row i takes from axis j the
     node whose index is digit j of i in base p, the first digit most
-    significant. ``axes`` is the (m, p) array of the mapped nodes and
-    ``factor`` the p weights of each axis."""
+    significant, and weight 1.0 times factor[digit j of i] for j = 0, ...,
+    m - 1, multiplied in that order, as ``functools.reduce(np.multiply.outer,
+    [np.ones(1)] + [factor] * m)`` multiplies them, so every bit is the
+    same. ``axes`` is the (m, p) array of the mapped nodes and ``factor``
+    the p weights of each axis."""
 
     def __init__(self, axes: np.ndarray, factor: np.ndarray):
         axes.flags.writeable = False
-        self.axes = axes
-        super().__init__(axes.shape[0], _TensorWeights(factor, axes.shape[0]),
-                         axes.shape[1] ** axes.shape[0])
+        factor.flags.writeable = False
+        self.axes, self.factor = axes, factor
+        super().__init__(axes.shape[0], axes.shape[1] ** axes.shape[0])
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         # the node values themselves: the same bits as the rows of the meshgrid
@@ -131,20 +154,7 @@ class _TensorRule(QuadratureRule):
             out[:, j] = self.axes[j, digit]
         return out
 
-
-class _TensorWeights:
-    """The p**m weights of a tensor rule, made per slice: the weight of row
-    i is 1.0 times factor[digit j of i] for j = 0, ..., m - 1, multiplied
-    in that order, as ``functools.reduce(np.multiply.outer, [np.ones(1)] +
-    [factor] * m)`` multiplies them, so every bit is the same."""
-
-    def __init__(self, factor: np.ndarray, m: int):
-        factor.flags.writeable = False
-        self.factor, self.m = factor, m
-        self.shape = (factor.shape[0] ** m,)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, _ = rows.indices(self.shape[0])
+    def weights(self, start: int, stop: int) -> np.ndarray:
         p = self.factor.shape[0]
         # the first j digits of rows start to stop - 1 run from start // p**(m - j)
         # to ceil(stop / p**(m - j)) - 1, and their weight changes every p**(m - j) rows
@@ -161,24 +171,14 @@ class _TensorWeights:
         return out
 
 
-class _UniformWeights:
-    """The N weights of a Monte Carlo rule, made per slice: each is 1/N."""
-
-    def __init__(self, N: int):
-        self.shape = (N,)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, _ = rows.indices(self.shape[0])
-        return np.full(max(0, stop - start), 1.0 / self.shape[0])
-
-
 class _MonteCarloRule(QuadratureRule):
     """N uniform draws from the box: row i is lower + u * widths, with u
-    the m doubles that follow the first i * m of a fresh Philox(seed)."""
+    the m doubles that follow the first i * m of a fresh Philox(seed).
+    Every weight is 1/N."""
 
     def __init__(self, box: RegimeBox, N: int, seed: int):
         self.box, self.seed = box, seed
-        super().__init__(box.m, _UniformWeights(N), N)
+        super().__init__(box.m, N)
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         # Philox makes four doubles per counter step: skip whole steps,
@@ -195,34 +195,8 @@ class _MonteCarloRule(QuadratureRule):
         out += self.box.lower
         return out
 
-
-def weight_source(weights):
-    """``weights`` as slices can read them: an object with an (N,) ``shape``
-    as it is, anything else as a float vector."""
-    if isinstance(weights, np.ndarray) or not hasattr(weights, "shape"):
-        return np.asarray(weights, dtype=float).reshape(-1)
-    return weights
-
-
-def weight_sum(weights) -> float:
-    """The sum of a weight source, read ``_SUM_ROWS`` weights at a time."""
-    return sum(float(np.sum(weights[start:start + _SUM_ROWS]))
-               for start in range(0, weights.shape[0], _SUM_ROWS))
-
-
-def _checked_weights(weights, count: int):
-    """The weights, once there are ``count`` and their sum is within 1e-10
-    of one, as a NaN sum is not: an array as a read-only vector, any other
-    weight source as it is."""
-    w = weight_source(weights)
-    if isinstance(w, np.ndarray):
-        w.flags.writeable = False
-    if w.shape[0] != count:
-        raise ToolkitError("one weight per point required")
-    total = weight_sum(w)
-    if not abs(total - 1.0) <= 1e-10:
-        raise ToolkitError(f"weights sum to {total!r}, expected 1")
-    return w
+    def weights(self, start: int, stop: int) -> np.ndarray:
+        return np.full(stop - start, 1.0 / self._N)
 
 
 def gauss_legendre_1d(p: int):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dimension import normalize_column_signs
 from .errors import ToolkitError
-from .quadrature import weight_source, weight_sum
+from .quadrature import QuadratureRule, check_weights
 
 _CHUNK_ROWS = 4096      # rows per step of the sum in assemble_C
 EIGEN_GAP_RTOL = 1e-3   # below this gap the relevance ordering is ambiguous
@@ -26,39 +26,39 @@ def assemble_C(gradients, weights) -> np.ndarray:
     """C = sum_j w_j g_j g_j^T, accumulated chunk by chunk in index order.
 
     ``gradients`` is an (N, n) array, or any object with an (N, n)
-    ``shape`` whose row slices are gradient rows; ``weights`` is an (N,)
-    array, or any object with an (N,) ``shape`` whose slices are weights,
-    as a quadrature rule's are. Both are read one ``_CHUNK_ROWS`` slice at
-    a time, so a source that builds its rows on slicing, as both routes'
-    gradients and every rule's weights do, holds 4,096 rows at once. The
-    weight count and sum are checked before the first gradient row is
-    read, the sum in ``weight_sum``'s longer slices, so refused weights
-    cost no experiment call. Each
+    ``shape`` whose row slices are gradient rows, as both routes' are;
+    ``weights`` is an (N,) array or an N-point ``QuadratureRule``. Both are
+    read one ``_CHUNK_ROWS`` range at a time, so a source or rule that
+    makes its rows on demand holds 4,096 of them at once. The count, and an
+    array's sum (``check_weights``), are checked before the first gradient
+    row is read, so refused weights cost no experiment call; a rule checked
+    its own weights when it was made, and they are not summed again. Each
     gradient chunk is checked for finiteness before it is summed, and a
-    failure names the global row. The reduction order is fixed by the
-    chunk size, so concurrent gradient producers cannot change the
-    result; the lower triangle is mirrored at the end to make C exactly
-    symmetric.
+    failure names the global row. The reduction order is fixed by the chunk
+    size, so concurrent gradient producers cannot change the result; the
+    lower triangle is mirrored at the end to make C exactly symmetric.
     """
     G = gradients
     if isinstance(G, np.ndarray) or not hasattr(G, "shape"):
         G = np.atleast_2d(np.asarray(G, dtype=float))
-    w = weight_source(weights)
     rows, n = G.shape
-    if rows != w.shape[0]:
-        raise ToolkitError(f"{rows} gradient rows vs {w.shape[0]} weights")
-    total = weight_sum(w)
-    # a NaN sum fails this test, as it must
-    if not abs(total - 1.0) <= 1e-10:
-        raise ToolkitError(f"weights sum to {total!r}, expected 1 +/- 1e-10")
+    if isinstance(weights, QuadratureRule):
+        count, w = len(weights), weights.weights
+    else:
+        vector = np.asarray(weights, dtype=float).reshape(-1)
+        count, w = vector.shape[0], lambda start, stop: vector[start:stop]
+    if rows != count:
+        raise ToolkitError(f"{rows} gradient rows vs {count} weights")
+    if not isinstance(weights, QuadratureRule):
+        check_weights(w, count)
     C = np.zeros((n, n))
     for start in range(0, rows, _CHUNK_ROWS):
-        Gc = np.asarray(G[start:start + _CHUNK_ROWS], dtype=float)
+        stop = min(start + _CHUNK_ROWS, rows)
+        Gc = np.asarray(G[start:stop], dtype=float)
         if not np.all(np.isfinite(Gc)):
             bad = start + int(np.argwhere(~np.isfinite(Gc))[0, 0])
             raise ToolkitError(f"gradient row {bad} contains a non-finite entry")
-        wc = np.asarray(w[start:start + _CHUNK_ROWS], dtype=float)
-        C += Gc.T @ (wc[:, None] * Gc)
+        C += Gc.T @ (w(start, stop)[:, None] * Gc)
     return np.tril(C) + np.tril(C, -1).T
 
 
@@ -107,9 +107,9 @@ def unique_groups(W, U, symbols):
         raise ToolkitError(f"W is {W.shape}, U is {U.shape}")
     n = W.shape[1]
     if float(np.max(np.abs(W.T @ W - np.eye(n)))) > 1e-8:
-        raise ValueError("W must have orthonormal columns")
+        raise ToolkitError("W must have orthonormal columns")
     if float(np.max(np.abs(U.T @ U - np.eye(n)))) > 1e-8:
-        raise ValueError("U must be orthogonal")
+        raise ToolkitError("U must be orthogonal")
     Z = W @ U
     descriptors = [group_descriptor(Z[:, j], symbols) for j in range(n)]
     return Z, descriptors
@@ -131,7 +131,7 @@ def rotation_angle(U) -> float:
     if U.shape != (2, 2):
         raise ToolkitError(f"rotation angle needs a 2x2 matrix, got {U.shape}")
     if float(np.max(np.abs(U.T @ U - np.eye(2)))) > 1e-8:
-        raise ValueError("U must be orthogonal")
+        raise ToolkitError("U must be orthogonal")
     return float(np.degrees(np.arccos(np.clip(U[0, 0], -1.0, 1.0))))
 
 

@@ -151,7 +151,7 @@ def fit_polynomial(designs, targets, degree: int) -> ResponseSurface:
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ToolkitError("designs and targets must be finite")
     if degree < 0:
-        raise ValueError("degree must be nonnegative")
+        raise ToolkitError("degree must be nonnegative")
     N, n = X.shape
     T = n_coefficients(n, degree)
     if N < T:

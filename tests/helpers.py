@@ -208,14 +208,19 @@ def surface_gradient_per_term(surface, gamma) -> np.ndarray:
 
 
 class PointsRule(QuadratureRule):
-    """A quadrature rule over the rows of an (N, m) array given in full."""
+    """A quadrature rule over the rows of an (N, m) array and a weight
+    vector, both given in full."""
 
     def __init__(self, points, weights):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        super().__init__(self.points.shape[1], weights, self.points.shape[0])
+        self.vector = np.asarray(weights, dtype=float).reshape(-1)
+        super().__init__(self.points.shape[1], self.points.shape[0])
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         return self.points[start:stop].copy()
+
+    def weights(self, start: int, stop: int) -> np.ndarray:
+        return self.vector[start:stop].copy()
 
 
 def csv_request(symbols, Q) -> str:

@@ -343,7 +343,7 @@ class TestCriterion9PropertySuite:
         worst = 0.0
         for p in (1, 2, 3, 5, 8):
             rule = tensor_rule(box, p)
-            points, weights = rule.rows(0, len(rule)), rule.weights[0:len(rule)]
+            points, weights = rule.rows(0, len(rule)), rule.weights(0, len(rule))
             for _ in range(10):
                 degs = gen.integers(0, 2 * p, size=2)
                 approx = float(np.sum(weights * np.prod(points**degs, axis=1)))

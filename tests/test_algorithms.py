@@ -20,7 +20,7 @@ from helpers import (
     quadratic_g,
     whole_trace,
 )
-from pigroups import algorithms, jsonio, subspace
+from pigroups import algorithms, jsonio, quadrature, subspace
 from pigroups.algorithms import (
     DIMENSIONLESS_TOL,
     AlgorithmConfig,
@@ -65,7 +65,7 @@ def fd_heap_peak(basis, quad) -> int:
     def run(spec):
         rule = build_rule(BOX, AlgorithmConfig(quad=spec))
         source = algorithms._ForwardDifferences(PipeFlowExperiment(), rule, basis.w, basis.W, 1e-6)
-        assemble_C(source, rule.weights)
+        assemble_C(source, rule)
 
     run("tensor:2")
     tracemalloc.start()
@@ -366,7 +366,7 @@ class TestSharedForwardDifferences:
         ])
         tol_g = fd_tolerance(np.log(points), pipe_basis.w, values, h)
         result = full_space_C(experiment, rule, h)
-        C = assemble_C(G, rule.weights)
+        C = assemble_C(G, rule)
         assert np.max(np.abs(result.C - C)) <= 2.0 * np.abs(G).max() * tol_g
 
 
@@ -396,7 +396,7 @@ class TestRuns:
         rule = build_rule(BOX, config)
         _, grads = fd_whole_rule(PipeFlowExperiment(), rule.rows(0, len(rule)), pipe_basis.w,
                                  pipe_basis.W, config.h)
-        assert result.C.tobytes() == assemble_C(grads, rule.weights).tobytes()
+        assert result.C.tobytes() == assemble_C(grads, rule).tobytes()
         # one call per run: its points and their two shifted copies
         assert experiment.sizes == [3 * 4201, 3 * 4202, 3 * 4202, 3 * 4202]
         assert experiment.count == result.metadata["evaluations"] == 3 * 7**5
@@ -407,7 +407,7 @@ class TestRuns:
         result = full_space_C(PipeFlowExperiment(), rule, h)
         _, grads = fd_whole_rule(PipeFlowExperiment(), rule.rows(0, len(rule)), np.zeros(m),
                                  np.eye(m), h)
-        assert result.C.tobytes() == assemble_C(grads, rule.weights).tobytes()
+        assert result.C.tobytes() == assemble_C(grads, rule).tobytes()
 
     def test_trace_equals_the_whole_rule_trace(self, pipe_system, pipe_basis, runs, tmp_path):
         out = tmp_path / "run"
@@ -471,6 +471,29 @@ class TestRuns:
             algorithm2(FailsInSecondRun(), pipe_system, pipe_basis, BOX,
                        small_config(quad=self.QUAD))
         assert type(failure.value) is caught and failure.value.__cause__ is raised
+
+
+class TestWeightReads:
+    @pytest.mark.parametrize("route", ["algorithm1", "algorithm2", "full_space_C"])
+    def test_a_tensor11_run_reads_each_weight_twice(self, pipe_system, pipe_basis, monkeypatch,
+                                                     route):
+        # once when the rule is made, to check their sum, and once in assemble_C
+        reads = []
+        weights = quadrature._TensorRule.weights
+
+        def counted(rule, start, stop):
+            reads.append(stop - start)
+            return weights(rule, start, stop)
+
+        monkeypatch.setattr(quadrature._TensorRule, "weights", counted)
+        config = small_config(quad="tensor:11")
+        if route == "algorithm1":
+            algorithm1(PipeFlowExperiment(), pipe_system, pipe_basis, BOX, config)
+        elif route == "algorithm2":
+            algorithm2(PipeFlowExperiment(), pipe_system, pipe_basis, BOX, config)
+        else:
+            full_space_C(PipeFlowExperiment(), build_rule(BOX, config), 1e-6)
+        assert sum(reads) == 2 * 11**5
 
 
 class TestAlgorithm1:
@@ -542,10 +565,10 @@ class TestSurfaceIntegration:
         rule = build_rule(BOX, config)
         assert len(rule) > subspace._CHUNK_ROWS and len(rule) % subspace._CHUNK_ROWS
         grads = grad_surface(surface, np.log(rule.rows(0, len(rule))) @ pipe_basis.W)
-        assert np.array_equal(result.C, assemble_C(grads, rule.weights))
+        assert np.array_equal(result.C, assemble_C(grads, rule))
 
     def test_turbulent_tensor11_allocates_little_on_the_heap(self, pipe_system, pipe_basis):
-        # the 161,051-point rule keeps its weights (1.3 MB) and 1-D axes; the
+        # the 161,051-point rule keeps its 1-D axes and factor weights; the
         # integration makes one 4,096-row chunk of points, log-points, groups,
         # features and gradients at a time (3.5 MiB traced in all). Slicing
         # the chunks from the rule's whole point array traced 9.6 MiB, and
@@ -566,7 +589,7 @@ class TestSurfaceIntegration:
             rule = build_rule(box, config)
             points = rule.rows(0, len(rule))
             points[5000, 2] = np.nan
-            return PointsRule(points, rule.weights)
+            return PointsRule(points, rule.weights(0, len(rule)))
 
         monkeypatch.setattr(algorithms, "build_rule", rule_with_a_bad_point)
         with pytest.raises(ToolkitError, match="^gradient row 5000 contains a non-finite entry$"):

@@ -500,12 +500,24 @@ class TestInputFiles:
          "is refused: w and W must be finite"),
         ("surface", surface_file(surface={**surface_file()["surface"], "degree": 2.5}),
          "is refused: surface degree must be an integer, got 2.5"),
+        ("system", {**{k: v for k, v in PIPE_SYSTEM_DOC.items() if k != "w"},
+                    "pinned_w": PIPE_SYSTEM_DOC["w"]},
+         "is refused: unknown system keys: pinned_w"),
+        ("system", {**PIPE_SYSTEM_DOC, "dependent": {
+            "name": "pressure loss", "symbol": "dpdx", "dims": [1, -2, -2], "units": "Pa/m"}},
+         "is refused: unknown quantity 'dpdx' keys: units"),
+        ("box", {"bounds": TURBULENT_PAIRS, "regime": "turbulent"},
+         "is refused: unknown box keys: regime"),
+        ("box", {"bounds": {**dict(zip(SYMBOLS, TURBULENT_PAIRS)), "Eps": TURBULENT_PAIRS[3]}},
+         "is refused: unknown bounds keys: Eps"),
     ], ids=["config-not-json", "config-array", "config-string", "system-array",
             "system-independents", "box-bounds", "surface", "system-no-independents",
             "system-no-name", "box-no-bounds", "surface-no-n", "box-two-pairs",
             "ridge-check-box-two-pairs", "box-empty-pair", "system-null-base-unit",
             "system-infinite-dim", "surface-short-w", "surface-one-W-column",
-            "surface-null-W", "surface-null-in-w", "surface-fractional-degree"])
+            "surface-null-W", "surface-null-in-w", "surface-fractional-degree",
+            "system-unknown-key", "system-quantity-unknown-key", "box-unknown-key",
+            "box-unknown-bound"])
     def test_wrongly_shaped_json_is_config_error_naming_the_file(self, tmp_path, capsys,
                                                                  option, doc, message):
         path = tmp_path / "input.json"

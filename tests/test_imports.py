@@ -16,6 +16,10 @@ syntax tree:
 * every defaulted parameter of a public function or method must be passed
   by some call in the package, so no knob stays that only a test turns.
 
+Another resolves the type hints of every function and method, with the
+names that a module imports for annotations only, under
+``typing.TYPE_CHECKING``, as a type checker sees them.
+
 One checks that only ``errors.py`` imports ``numbers``: an option value's
 type is decided there, by ``check_count`` or ``check_positive``. The others
 check that the package resolves its public names on first use, so a process
@@ -24,10 +28,13 @@ loads only the modules it needs.
 
 import ast
 import builtins
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -224,6 +231,39 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_unbound_names(module):
     assert unbound_names((PACKAGE / module).read_text()) == []
+
+
+def type_checking_names(module) -> dict:
+    """The names that the module's ``if TYPE_CHECKING:`` blocks import."""
+    names = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            code = compile(ast.Module(node.body, []), module.__file__, "exec")
+            exec(code, {"__name__": module.__name__, "__package__": "pigroups"}, names)
+    return names
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_every_annotation_resolves(module):
+    mod = importlib.import_module(f"pigroups.{module[:-3]}")
+    local = type_checking_names(mod)
+    functions = []
+    for _, obj in inspect.getmembers(mod):
+        if getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj):
+            functions.append(obj)
+        elif inspect.isclass(obj):
+            functions += [f for _, f in inspect.getmembers(obj, inspect.isfunction)
+                          if f.__module__ == mod.__name__]
+    assert functions or module == "__main__.py"
+    unresolved = []
+    for function in functions:
+        try:
+            typing.get_type_hints(function, localns=local)
+        except NameError as exc:
+            unresolved.append(f"{function.__qualname__}: {exc}")
+    assert unresolved == []
 
 
 # the package's public names, listed apart from the package's own table

@@ -34,7 +34,7 @@ def all_rows(rule) -> np.ndarray:
 
 def all_weights(rule) -> np.ndarray:
     """The rule's whole weight vector, as one row range."""
-    return rule.weights[0:len(rule)]
+    return rule.weights(0, len(rule))
 
 
 def meshgrid_rows(box, p) -> np.ndarray:
@@ -204,7 +204,7 @@ class TestTensorRule:
         whole = functools.reduce(np.multiply.outer, [np.ones(1)] + [0.5 * w] * m).reshape(-1)
         box = random_box(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), m)
         start, stop = data.draw(row_range(p ** m))
-        got = tensor_rule(box, p).weights[start:stop]
+        got = tensor_rule(box, p).weights(start, stop)
         assert got.tobytes() == whole[start:stop].tobytes()
 
     def test_weight_ranges_are_fresh_arrays(self):
@@ -272,7 +272,7 @@ class TestMonteCarloRule:
     def test_weight_ranges_equal_the_sliced_uniform_weights(self, N, data):
         # the weight vector that monte_carlo_rule built whole before it made ranges
         start, stop = data.draw(row_range(N))
-        got = monte_carlo_rule(box2(), N, seed=0).weights[start:stop]
+        got = monte_carlo_rule(box2(), N, seed=0).weights(start, stop)
         assert got.tobytes() == np.full(N, 1.0 / N)[start:stop].tobytes()
 
 
@@ -313,9 +313,9 @@ class TestQuadratureRuleInvariants:
             PointsRule(points=np.ones((3, 2)), weights=np.array([0.5, 0.5]))
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ToolkitError, match=r"^weights sum to 0\.8, expected 1$"):
+        with pytest.raises(ToolkitError, match=r"^weights sum to 0\.8, expected 1 \+/- 1e-10$"):
             PointsRule(points=np.array([[1.0], [2.0]]), weights=np.array([0.4, 0.4]))
 
     def test_a_nan_weight_is_refused(self):
-        with pytest.raises(ToolkitError, match="^weights sum to nan, expected 1$"):
+        with pytest.raises(ToolkitError, match=r"^weights sum to nan, expected 1 \+/- 1e-10$"):
             PointsRule(points=np.array([[1.0], [2.0]]), weights=np.array([np.nan, 1.0]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SpanMismatch, express_in_classical
+from helpers import PointsRule, SpanMismatch, express_in_classical
 from pigroups import jsonio, subspace
 from pigroups.algorithms import _finalize
 from pigroups.errors import ToolkitError
@@ -29,8 +29,8 @@ def random_orthogonal(n, seed):
 
 
 class SliceLog:
-    """An array handed out by slice only, as a source that builds its rows
-    on slicing is; ``slices`` logs each (start, stop) read."""
+    """An array handed out by slice only, as a gradient source that builds
+    its rows on slicing is; ``slices`` logs each (start, stop) read."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
@@ -104,28 +104,37 @@ class TestAssembleC:
         with pytest.raises(ToolkitError, match=r"^weights sum to nan, expected 1 \+/- 1e-10$"):
             assemble_C(np.ones((3, 2)), [0.5, np.nan, 0.5])
 
-    def test_weight_source_is_read_slice_by_slice(self, monkeypatch):
+    def test_a_rule_is_read_chunk_by_chunk_and_never_summed(self, monkeypatch):
+        class RangeLog(PointsRule):
+            ranges = []
+
+            def weights(self, start, stop):
+                self.ranges.append((start, stop))
+                return super().weights(start, stop)
+
         monkeypatch.setattr(subspace, "_CHUNK_ROWS", 4)
         gen = np.random.default_rng(11)
         G = gen.normal(size=(10, 3))
         w = gen.random(10)
         w /= w.sum()
-        source = SliceLog(w)
-        assert assemble_C(G, source).tobytes() == assemble_C(G, w).tobytes()
-        # the sum check reads the weights, then the sum reads them chunk by chunk
-        assert source.slices == [(0, 10), (0, 4), (4, 8), (8, 10)]
+        rule = RangeLog(np.ones((10, 1)), w)
+        # the constructor checks the weights in one range of at most 2**15
+        assert rule.ranges == [(0, 10)]
+        rule.ranges.clear()
+        assert assemble_C(G, rule).tobytes() == assemble_C(G, w).tobytes()
+        assert rule.ranges == [(0, 4), (4, 8), (8, 10)]
 
     @pytest.mark.parametrize("weights,message", [
         (np.full(9, 1.0 / 9), "^10 gradient rows vs 9 weights$"),
         (np.full(10, 0.2), r"^weights sum to 2\.0, expected 1 \+/- 1e-10$"),
         (np.r_[np.nan, np.full(9, 1.0 / 9)], r"^weights sum to nan, expected 1 \+/- 1e-10$"),
-    ], ids=["count", "sum", "nan"])
+        (PointsRule(np.ones((9, 1)), np.full(9, 1.0 / 9)), "^10 gradient rows vs 9 weights$"),
+    ], ids=["count", "sum", "nan", "rule-count"])
     def test_refused_weights_read_no_gradient_row(self, monkeypatch, weights, message):
         monkeypatch.setattr(subspace, "_CHUNK_ROWS", 4)
         gradients = SliceLog(np.ones((10, 2)))
-        for source in (weights, SliceLog(weights)):
-            with pytest.raises(ToolkitError, match=message):
-                assemble_C(gradients, source)
+        with pytest.raises(ToolkitError, match=message):
+            assemble_C(gradients, weights)
         assert gradients.slices == []
 
     def test_overflow_to_inf_is_refused_by_eigendecompose(self):
@@ -226,8 +235,12 @@ class TestUniqueGroups:
         assert group_descriptor(np.zeros(2), ["a", "b"]) == "1"
 
     def test_rejects_nonorthonormal_w(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ToolkitError, match="^W must have orthonormal columns$"):
             unique_groups(np.ones((4, 2)), np.eye(2), list("abcd"))
+
+    def test_rejects_nonorthogonal_u(self):
+        with pytest.raises(ToolkitError, match="^U must be orthogonal$"):
+            unique_groups(np.eye(4, 2), np.ones((2, 2)), list("abcd"))
 
     def test_shape_mismatch(self, pipe_basis):
         with pytest.raises(ToolkitError, match=r"^W is \(5, 2\), U is \(3, 3\)$"):
@@ -268,7 +281,7 @@ class TestRotationAngle:
             rotation_angle(np.eye(3))
 
     def test_requires_orthogonal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ToolkitError, match="^U must be orthogonal$"):
             rotation_angle(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 

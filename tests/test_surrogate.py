@@ -66,6 +66,10 @@ class TestFitPolynomial:
         s = fit_polynomial(X, y, 0)
         assert eval_surface(s, np.zeros(3)) == pytest.approx(float(y.mean()), rel=1e-13)
 
+    def test_negative_degree_is_a_toolkit_error(self):
+        with pytest.raises(ToolkitError, match="^degree must be nonnegative$"):
+            fit_polynomial(rng().normal(size=(30, 3)), rng().normal(size=30), -1)
+
     def test_zero_targets_give_zero_surface(self):
         X = rng().normal(size=(25, 2))
         s = fit_polynomial(X, np.zeros(25), 2)
