@@ -52,8 +52,19 @@ class RegimeBox:
         object.__setattr__(self, "upper", hi)
 
     @classmethod
-    def from_pairs(cls, pairs) -> "RegimeBox":
-        bounds = np.array(list(pairs), dtype=float)
+    def from_pairs(cls, pairs, symbols=None) -> "RegimeBox":
+        """The box of one [lower, upper] pair per variable. Any other bound is
+        refused by its index, and by its symbol where ``symbols`` names them."""
+        pairs = list(pairs)
+        for i, pair in enumerate(pairs):
+            try:
+                is_pair = np.shape(pair) == (2,)
+            except ValueError:  # a ragged pair
+                is_pair = False
+            if not is_pair:
+                name = "" if symbols is None else f" ({symbols[i]})"
+                raise ToolkitError(f"bound {i}{name} must be a [lower, upper] pair, got {pair!r}")
+        bounds = np.array(pairs, dtype=float)
         if bounds.ndim != 2 or bounds.shape[1] != 2:
             raise ToolkitError("bounds must be [lower, upper] pairs")
         return cls(lower=bounds[:, 0], upper=bounds[:, 1])
@@ -69,11 +80,10 @@ class RegimeBox:
             if missing:
                 raise ToolkitError(f"bounds missing for: {', '.join(missing)}")
             jsonio.check_keys(bounds, symbols, "bounds")
-            pairs = [bounds[s] for s in symbols]
-        else:
-            pairs = list(bounds)
-            if symbols is not None and len(pairs) != len(symbols):
-                raise ToolkitError(f"bounds has {len(pairs)} pairs for {len(symbols)} symbols")
+            return cls.from_pairs([bounds[s] for s in symbols], symbols)
+        pairs = list(bounds)
+        if symbols is not None and len(pairs) != len(symbols):
+            raise ToolkitError(f"bounds has {len(pairs)} pairs for {len(symbols)} symbols")
         return cls.from_pairs(pairs)
 
     @classmethod

@@ -13,13 +13,14 @@ Memory per call is rows x T floats; the surface route passes its rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
+from . import jsonio
 from .errors import ToolkitError, check_count
 
 CONDITION_LIMIT = 1e12
@@ -88,6 +89,7 @@ class ResponseSurface:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResponseSurface":
+        jsonio.check_keys(doc, [f.name for f in fields(cls)], "surface")
         return cls(
             degree=doc["degree"],
             n=doc["n"],

@@ -23,7 +23,7 @@ from pigroups.algorithms import (
     algorithm2,
     full_space_C,
 )
-from pigroups.cli import fit_loglog_slope, signed_column_distance
+from pigroups.cli import fd_sweep, fit_loglog_slope, ridge_sweep, signed_column_distance
 from pigroups.dimension import PiBasis, build_dimension_matrix, check_dimensionless
 from pigroups.pipeflow import PipeFlowExperiment, friction_factor, regime_box
 from pigroups.quadrature import RegimeBox, gauss_legendre_1d, tensor_rule
@@ -40,6 +40,10 @@ HIGHRE_Z1 = np.array([0.0, 0.0, 0.707, -0.707, 0.0])
 HIGHRE_EIG1 = 5.71e-3
 CLASSICAL_RE = np.array([1.0, -1.0, 1.0, 0.0, 1.0])
 CLASSICAL_ROUGH = np.array([0.0, 0.0, -1.0, 1.0, 0.0])
+# |dz| tolerance of each (route, regime) table, and of the leading eigenvalue
+DZ_TOL = {("fd", "turbulent"): 0.02, ("fd", "laminar"): 0.01, ("fd", "high_re"): 0.01,
+          ("surface", "turbulent"): 0.05}
+EIG_TOL = 0.10
 
 H_SWEEP_RIDGE = [1e-2, 1e-3, 1e-4, 1e-5]
 H_SWEEP_FD = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
@@ -76,27 +80,18 @@ def rs_run(experiment, pipe_system, pipe_basis):
 
 
 @pytest.fixture(scope="module")
-def ridge_sweeps(experiment):
-    tables = {}
-    for name in ("laminar", "turbulent", "high_re"):
-        rule = tensor_rule(regime_box(name), 11)
-        rows = [full_space_C(experiment, rule, h=h).eigenvalues for h in H_SWEEP_RIDGE]
-        tables[name] = np.array(rows)
-    return tables
+def ridge_sweeps(experiment, pipe_basis):
+    return {name: ridge_sweep(experiment, tensor_rule(regime_box(name), 11), H_SWEEP_RIDGE,
+                              pipe_basis.n)
+            for name in ("laminar", "turbulent", "high_re")}
 
 
 @pytest.fixture(scope="module")
 def fd_sweeps(experiment, pipe_system, pipe_basis):
-    errors = {}
-    for name in ("laminar", "turbulent"):
-        box = regime_box(name)
-        Zs = {}
-        for h in H_SWEEP_FD:
-            config = AlgorithmConfig(h=h, quad="tensor:7", seed=0)
-            Zs[h] = algorithm2(experiment, pipe_system, pipe_basis, box, config).Z
-        reference = Zs[H_SWEEP_FD[-1]]
-        errors[name] = {h: signed_column_distance(Zs[h], reference) for h in H_SWEEP_FD[:-1]}
-    return errors
+    config = AlgorithmConfig(quad="tensor:7", seed=0)
+    return {name: dict(fd_sweep(experiment, pipe_system, pipe_basis, regime_box(name), config,
+                                H_SWEEP_FD))
+            for name in ("laminar", "turbulent")}
 
 
 class TestCriterion1TurbulentFiniteDifference:
@@ -105,10 +100,12 @@ class TestCriterion1TurbulentFiniteDifference:
         d1 = np.max(np.abs(aligned(result.Z[:, 0], TURBULENT_Z1_FD) - TURBULENT_Z1_FD))
         d2 = np.max(np.abs(aligned(result.Z[:, 1], TURBULENT_Z2_FD) - TURBULENT_Z2_FD))
         eig_dev = np.max(np.abs(result.eigenvalues / TURBULENT_EIG_FD - 1.0))
-        ok = d1 < 0.02 and d2 < 0.02 and eig_dev < 0.10
+        tol = DZ_TOL["fd", "turbulent"]
+        ok = d1 < tol and d2 < tol and eig_dev < EIG_TOL
         assert report(
             "1 (turbulent, finite differences)", ok,
-            f"|dz1|={d1:.2e} |dz2|={d2:.2e} (tol 0.02), eig dev {eig_dev:.1%} (tol 10%)",
+            f"|dz1|={d1:.2e} |dz2|={d2:.2e} (tol {tol}), eig dev {eig_dev:.1%} "
+            f"(tol {EIG_TOL:.0%})",
         )
 
     def test_group_exponents_are_dimensionless(self, fd_runs, pipe_system):
@@ -123,10 +120,10 @@ class TestCriterion1TurbulentFiniteDifference:
 class TestCriterion2TurbulentResponseSurface:
     def test_exponents(self, rs_run):
         d1 = np.max(np.abs(aligned(rs_run.Z[:, 0], TURBULENT_Z1_RS) - TURBULENT_Z1_RS))
-        ok = d1 < 0.05
+        tol = DZ_TOL["surface", "turbulent"]
         assert report(
-            "2 (turbulent, response surface)", ok,
-            f"|dz1|={d1:.2e} (tol 0.05), holdout rmse {rs_run.metadata['holdout_rmse']:.2e}",
+            "2 (turbulent, response surface)", d1 < tol,
+            f"|dz1|={d1:.2e} (tol {tol}), holdout rmse {rs_run.metadata['holdout_rmse']:.2e}",
         )
 
 
@@ -137,11 +134,12 @@ class TestCriterion3Laminar:
         lam = result.eigenvalues
         ratio = lam[1] / lam[0]
         eig_dev = abs(lam[0] / LAMINAR_EIG1 - 1.0)
-        ok = d1 < 0.01 and ratio < 1e-5 and eig_dev < 0.10
+        tol = DZ_TOL["fd", "laminar"]
+        ok = d1 < tol and ratio < 1e-5 and eig_dev < EIG_TOL
         assert report(
             "3 (laminar)", ok,
-            f"|dz1|={d1:.2e} (tol 0.01), eig ratio {ratio:.1e} (tol 1e-5), "
-            f"eig1 dev {eig_dev:.1%} (tol 10%)",
+            f"|dz1|={d1:.2e} (tol {tol}), eig ratio {ratio:.1e} (tol 1e-5), "
+            f"eig1 dev {eig_dev:.1%} (tol {EIG_TOL:.0%})",
         )
 
 
@@ -152,11 +150,12 @@ class TestCriterion4HighReynolds:
         lam = result.eigenvalues
         ratio = lam[1] / lam[0]
         eig_dev = abs(lam[0] / HIGHRE_EIG1 - 1.0)
-        ok = d1 < 0.01 and ratio < 1e-6 and eig_dev < 0.10
+        tol = DZ_TOL["fd", "high_re"]
+        ok = d1 < tol and ratio < 1e-6 and eig_dev < EIG_TOL
         assert report(
             "4 (high Reynolds)", ok,
-            f"|dz1|={d1:.2e} (tol 0.01), eig ratio {ratio:.1e} (tol 1e-6), "
-            f"eig1 dev {eig_dev:.1%} (tol 10%)",
+            f"|dz1|={d1:.2e} (tol {tol}), eig ratio {ratio:.1e} (tol 1e-6), "
+            f"eig1 dev {eig_dev:.1%} (tol {EIG_TOL:.0%})",
         )
 
 
@@ -190,33 +189,22 @@ class TestCriterion7RidgeStructure:
         # computed one is E[(u^T e)^2] = O(h^2): the trailing eigenvalues
         # are a quadratic form in the gradient error and decay at SECOND
         # order, hence the window [1.6, 2.4]. They do so only down to the
-        # eigensolver's backward-error level m * eps * lambda_1; values at
-        # or below it are round-off, so the slope is fitted through the h
-        # values above it. An eigenvalue with fewer than two such points
-        # must sit at that level at the smallest h (an exact ridge). The
+        # eigensolver's backward error, the sweep's round-off floor; each
+        # slope is fitted above it. An eigenvalue with no slope must sit at
+        # the floor at the smallest h, the last (an exact ridge). The
         # leading three eigenvalues are h-stable.
-        hs = np.asarray(H_SWEEP_RIDGE)
-        smallest = int(np.argmin(hs))
         ok = True
         details = []
-        for name, table in ridge_sweeps.items():
-            floor = table.shape[1] * np.finfo(float).eps * table[:, 0]
-            slopes = []
-            slopes_ok = True
-            for idx in (3, 4):
-                above = table[:, idx] > floor
-                if above.sum() >= 2:
-                    slope = fit_loglog_slope(hs[above], table[above, idx])
-                    slopes.append(f"{slope:.2f}")
-                    slopes_ok = slopes_ok and 1.6 <= slope <= 2.4
-                else:
-                    slopes.append("floor")
-                    slopes_ok = slopes_ok and not above[smallest]
-            drift = np.max(np.abs(table[-1, :3] / table[-2, :3] - 1.0))
+        for name, (table, floor, slopes) in ridge_sweeps.items():
+            shown = ["floor" if slope is None else f"{slope:.2f}" for slope in slopes.values()]
+            slopes_ok = all(
+                column[-1] <= floor[-1] if slope is None else 1.6 <= slope <= 2.4
+                for slope, column in zip(slopes.values(), table[:, -len(slopes):].T))
+            drift = np.max(np.abs(table[-1, 1:4] / table[-2, 1:4] - 1.0))
             drift_ok = drift < 0.05
             ok = ok and slopes_ok and drift_ok
             details.append(
-                f"{name}: slopes ({', '.join(slopes)}) "
+                f"{name}: slopes ({', '.join(shown)}) "
                 f"{'ok' if slopes_ok else 'OUT OF [1.6, 2.4] or above floor'}, "
                 f"leading drift {drift:.2%} {'ok' if drift_ok else 'TOO LARGE'}"
             )

@@ -134,6 +134,13 @@ data = sys.stdin.buffer.read()
 sys.stdout.write("1\\n" * (data.count(b"\\n") - 1))
 """
 
+# answers 0 per row without parsing the request
+ZEROS_SCRIPT = """\
+import sys
+data = sys.stdin.buffer.read()
+sys.stdout.write("0\\n" * (data.count(b"\\n") - 1))
+"""
+
 FORM_FEED_SCRIPT = """\
 import sys
 for i, _ in enumerate(sys.stdin.read().splitlines()[1:]):
@@ -485,7 +492,9 @@ class TestInputFiles:
         ("box-ridge-check", {"bounds": TURBULENT_PAIRS[:2]},
          "is refused: bounds has 2 pairs for 5 symbols"),
         ("box", {"bounds": {**dict(zip(SYMBOLS, TURBULENT_PAIRS)), "rho": []}},
-         "is refused: setting an array element with a sequence"),
+         "is refused: bound 0 (rho) must be a [lower, upper] pair, got []"),
+        ("box", {"bounds": [[0.1, 0.14, 0.2]] + TURBULENT_PAIRS[1:]},
+         "is refused: bound 0 must be a [lower, upper] pair, got [0.1, 0.14, 0.2]"),
         ("system", {**PIPE_SYSTEM_DOC, "base_units": [None, "m", "s"]},
          "is refused: base units and quantity symbols must be strings"),
         ("system", {**PIPE_SYSTEM_DOC, "dependent": {
@@ -510,14 +519,24 @@ class TestInputFiles:
          "is refused: unknown box keys: regime"),
         ("box", {"bounds": {**dict(zip(SYMBOLS, TURBULENT_PAIRS)), "Eps": TURBULENT_PAIRS[3]}},
          "is refused: unknown bounds keys: Eps"),
+        ("surface", surface_file(Wt=[[1.0]] * 5), "is refused: unknown surface file keys: Wt"),
+        ("surface", surface_file(surface={**surface_file()["surface"], "degre": 2}),
+         "is refused: unknown surface keys: degre"),
+        ("system", {**PIPE_SYSTEM_DOC, "base_units": ["kg", "m", "kg"]},
+         "is refused: base-unit names must be unique"),
+        ("system", {**PIPE_SYSTEM_DOC, "independents": [
+            {**q, "name": "fluid density"} if q["symbol"] == "mu" else q
+            for q in PIPE_SYSTEM_DOC["independents"]]},
+         "is refused: quantity names must be unique"),
     ], ids=["config-not-json", "config-array", "config-string", "system-array",
             "system-independents", "box-bounds", "surface", "system-no-independents",
             "system-no-name", "box-no-bounds", "surface-no-n", "box-two-pairs",
-            "ridge-check-box-two-pairs", "box-empty-pair", "system-null-base-unit",
-            "system-infinite-dim", "surface-short-w", "surface-one-W-column",
-            "surface-null-W", "surface-null-in-w", "surface-fractional-degree",
-            "system-unknown-key", "system-quantity-unknown-key", "box-unknown-key",
-            "box-unknown-bound"])
+            "ridge-check-box-two-pairs", "box-empty-pair", "box-three-bounds",
+            "system-null-base-unit", "system-infinite-dim", "surface-short-w",
+            "surface-one-W-column", "surface-null-W", "surface-null-in-w",
+            "surface-fractional-degree", "system-unknown-key", "system-quantity-unknown-key",
+            "box-unknown-key", "box-unknown-bound", "surface-unknown-key",
+            "surface-unknown-field", "system-repeated-base-unit", "system-repeated-name"])
     def test_wrongly_shaped_json_is_config_error_naming_the_file(self, tmp_path, capsys,
                                                                  option, doc, message):
         path = tmp_path / "input.json"
@@ -729,6 +748,20 @@ class TestAnalyzeCommand:
         assert metadata["eigen_gap"] is None
         assert metadata["unique"] is True
 
+    @pytest.mark.parametrize("algorithm", ["1", "2"])
+    def test_a_constant_experiment_is_flagged_degenerate(self, tmp_path, capsys, algorithm):
+        # every gradient is zero, so C is zero and lambda_1 is no scale for a gap
+        cmd = write_script(tmp_path, "zeros.py", ZEROS_SCRIPT)
+        out = tmp_path / "out"
+        rc = main(["analyze", "--algorithm", algorithm, "--regime", "turbulent",
+                   "--experiment-cmd", " ".join(cmd), "--quad", "tensor:3",
+                   "--design", "50", "--holdout", "10", "--out-dir", str(out)])
+        assert rc == 0
+        assert "warning: degenerate eigenspace - groups not unique\n" in capsys.readouterr().out
+        metadata = json.loads((out / "result.json").read_text())["metadata"]
+        assert metadata["unique"] is False
+        assert metadata["eigen_gap"] == 0.0
+
     def test_batch_size_default_is_shown_and_shared(self, capsys):
         assert main(["analyze", "--help"]) == 0
         assert "(default 32768)" in " ".join(capsys.readouterr().out.split())
@@ -803,18 +836,20 @@ class TestAnalyzeCommand:
         ("timeout", 10**400, f"--timeout must be a positive number, got {10**400}"),
         ("re_crit", 10**400, f"--re-crit must be a positive number, got {10**400}"),
         ("design", 10**30, f"--design must be at most 10000000, got {10**30}"),
+        ("quad", None, "--quad must be 'tensor:<p>' or 'mc:<N>', got None"),
     ], ids=["null-workers", "string-batch-size", "string-timeout", "algorithm-3",
             "string-algorithm", "pressure-formula", "string-h", "float-degree", "float-seed",
             "boolean-seed", "list-re-crit", "infinite-h", "infinite-h-flag", "boolean-workers",
             "boolean-timeout", "boolean-batch-size", "float-batch-size", "huge-h",
-            "huge-timeout", "huge-re-crit", "huge-design"])
+            "huge-timeout", "huge-re-crit", "huge-design", "null-quad"])
     def test_mistyped_option_in_config_file_is_config_error(self, tmp_path, capsys, key, value,
                                                             message):
-        # a key that starts with "--" is given as a flag instead
+        # a key that starts with "--" is given as a flag instead; the rule is
+        # set in the file, so that a "quad" row can override it
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({} if key.startswith("--") else {key: value}))
         flags = [key, value] if key.startswith("--") else []
-        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:3", *flags,
+        cfg.write_text(json.dumps({"quad": "tensor:3", **({} if flags else {key: value})}))
+        assert main(["analyze", "--regime", "turbulent", *flags,
                      "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
@@ -1057,7 +1092,8 @@ class TestSweepCommands:
         ("nan,1e-3", "--h-sweep must be a positive number, got 'nan'"),
         ("1e-3,1e-3", "--h-sweep repeats the value 0.001"),
         ("1e-2,abc", "--h-sweep must be a positive number, got 'abc'"),
-    ], ids=["zero", "nan", "repeated", "non-numeric"])
+        ("1e-3", "--h-sweep needs at least two values"),
+    ], ids=["zero", "nan", "repeated", "non-numeric", "one-value"])
     def test_bad_sweep_is_rejected_before_any_work(self, tmp_path, capsys, command, sweep,
                                                    message):
         out = tmp_path / "x"
