@@ -419,7 +419,7 @@ def predict_dependent(surface: ResponseSurface, w, W, q_vec) -> float:
     prediction is dimensionally homogeneous by construction.
     """
     q_vec = np.asarray(q_vec, dtype=float)
-    if np.any(q_vec <= 0.0):
+    if not np.all(q_vec > 0.0):  # NaN compares false
         raise ToolkitError("prediction requires strictly positive inputs")
     logq = np.log(q_vec)
     w = np.asarray(w, dtype=float)

@@ -6,9 +6,13 @@ flags. Exit codes: 0 success, else the ``exit_code`` of the failure's class
 in ``pigroups.errors``; exit 2 is a ``ConfigError``, or an ``OSError`` from a
 file the command cannot open or write. Any other exception is a bug and
 ends in a traceback. An analysis command checks every option value before it
-makes its output directory, so a refused value writes nothing. Every analysis
-writes a manifest next to its results; with a fixed seed and config the result
-JSON is byte-identical across runs and worker counts.
+makes its output directory, so a refused value writes nothing. Each input is
+checked once, where it is read: the pipe options by ``PipeFlowExperiment`` and
+the external ones by ``check_external_options``, whichever experiment runs; a
+``--regime`` by ``pipeflow.regime_box``, which needs the pipe quantities in
+any order. The built-in model needs them in the pipe system's order. Every
+analysis writes a manifest next to its results; with a fixed seed and config
+the result JSON is byte-identical across runs and worker counts.
 
 A command imports the analysis modules it runs when it runs, so
 ``pi-basis`` loads neither the drivers nor the quadrature, subspace and
@@ -42,6 +46,7 @@ from .errors import (
 )
 from .pipeflow import (
     RE_CRITICAL,
+    SYMBOLS,
     PipeFlowExperiment,
     moody_grid,
     pipe_quantity_system,
@@ -132,13 +137,18 @@ def _common_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--experiment-cmd",
                    help="external experiment command speaking CSV on stdin/stdout "
                         "(default: the built-in pipe model)")
-    p.add_argument("--system", help="quantity-system JSON (default: the pipe system)")
-    p.add_argument("--regime", help=f"built-in pipe regime: {', '.join(regime_names())}")
-    p.add_argument("--box", help="bounds JSON file")
+    p.add_argument("--system", help="quantity-system JSON (default: the pipe system); "
+                                    f"the built-in model needs {', '.join(SYMBOLS)} in order")
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--regime",
+                       help=f"built-in pipe regime: {', '.join(regime_names())}; "
+                            "needs the pipe quantities, in any order")
+    where.add_argument("--box", help="bounds JSON file")
     p.add_argument("--quad", help="integration rule, tensor:<p> or mc:<N>")
     p.add_argument("--seed", type=int)
     p.add_argument("--re-crit", dest="re_crit",
-                   help="pipe branch switch Reynolds number, or 'none' for Colebrook everywhere")
+                   help="pipe branch switch Reynolds number, or 'none' for Colebrook "
+                        "everywhere; checked whichever experiment runs")
     p.add_argument("--pressure-formula", choices=("fanning", "darcy"),
                    help="pipe pressure-gradient formula (default fanning)")
     p.add_argument("--timeout", type=float, help="per-batch timeout for external experiments")
@@ -173,18 +183,10 @@ def _merge_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    cfg["re_crit"] = _parse_re_crit(cfg["re_crit"])
     check_count("--algorithm", cfg["algorithm"], 1, 2)
     if cfg["seed"] is None:  # a null seed in a config file draws one, for the manifest
         cfg["seed"] = int(np.random.default_rng().integers(2**32))
     return cfg
-
-
-def _parse_re_crit(value) -> float | None:
-    """``--re-crit`` as a number, or None (Colebrook everywhere) for ``none``."""
-    if value is None or str(value).lower() == "none":
-        return None
-    return check_positive("--re-crit", value)
 
 
 def _load_system(args) -> QuantitySystem:
@@ -194,17 +196,18 @@ def _load_system(args) -> QuantitySystem:
 
 
 def _load_box(args, system: QuantitySystem) -> RegimeBox:
-    if getattr(args, "box", None):
-        from .quadrature import RegimeBox
+    if args.regime is not None:
+        return regime_box(args.regime, system.symbols)
+    from .quadrature import RegimeBox
 
-        return RegimeBox.from_file(args.box, symbols=system.symbols)
-    if getattr(args, "regime", None):
-        return regime_box(args.regime)
-    raise ConfigError("either --box or --regime is required")
+    return RegimeBox.from_file(args.box, symbols=system.symbols)
 
 
 def _make_experiment(args, cfg, system: QuantitySystem):
-    if getattr(args, "experiment_cmd", None) is not None:
+    # every option is checked, whichever experiment runs
+    model = PipeFlowExperiment(**{f.name: cfg[f.name] for f in fields(PipeFlowExperiment)})
+    check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
+    if args.experiment_cmd is not None:
         # imported here: a built-in run needs neither the module nor its
         # subprocess and thread-pool imports
         from .external import ExternalExperiment
@@ -222,9 +225,10 @@ def _make_experiment(args, cfg, system: QuantitySystem):
             batch_size=cfg["batch_size"],
             n_workers=cfg["workers"],
         )
-    # the built-in experiment ignores these, but an out-of-range value is an error
-    check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
-    return PipeFlowExperiment(**{f.name: cfg[f.name] for f in fields(PipeFlowExperiment)})
+    if system.symbols != SYMBOLS:  # evaluate_batch reads its columns by position
+        raise ConfigError(f"the built-in pipe model needs --system to list {', '.join(SYMBOLS)}"
+                          f" in this order, got {', '.join(system.symbols)}")
+    return model
 
 
 def _prepare(args):
@@ -460,7 +464,7 @@ def _cmd_fd_convergence(args) -> int:
 
 
 def _cmd_moody_data(args) -> int:
-    grid = moody_grid(re_crit=_parse_re_crit(args.re_crit))
+    grid = moody_grid(re_crit=args.re_crit)
     np.savetxt(args.out, grid, delimiter=",",
                header="log10_re,log10_rel_rough,lambda", comments="", fmt="%.17g")
     print(f"wrote {grid.shape[0]} rows to {args.out}")

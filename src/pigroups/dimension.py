@@ -143,11 +143,13 @@ class QuantitySystem:
     @classmethod
     def from_dict(cls, doc: dict) -> "QuantitySystem":
         jsonio.check_keys(doc, ("base_units", "independents", "dependent", "w"), "system")
-        base = tuple(doc["base_units"])
-        inds = tuple(_quantity_from_dict(d, base) for d in doc["independents"])
+        base = tuple(_array(doc, "base_units", "system"))
+        inds = tuple(_quantity_from_dict(d, base) for d in _array(doc, "independents", "system"))
         dep = _quantity_from_dict(doc["dependent"], base)
         w = doc.get("w")
-        return cls(base, inds, dep, None if w is None else tuple(float(v) for v in w))
+        if w is not None:
+            w = tuple(float(v) for v in _array(doc, "w", "system"))
+        return cls(base, inds, dep, w)
 
     @classmethod
     def from_file(cls, path) -> "QuantitySystem":
@@ -155,11 +157,20 @@ class QuantitySystem:
 
 
 def _quantity_from_dict(d: dict, base_units) -> Quantity:
-    jsonio.check_keys(d, ("name", "symbol", "dims", "unit"), f"quantity {d.get('symbol')!r}")
+    what = f"quantity {d.get('symbol')!r}"
+    jsonio.check_keys(d, ("name", "symbol", "dims", "unit"), what)
     if "dims" not in d and "unit" not in d:
-        raise ToolkitError(f"quantity {d.get('symbol')!r} needs a 'unit' or 'dims' field")
-    dims = d["dims"] if "dims" in d else parse_unit_expr(d["unit"], base_units)
+        raise ToolkitError(f"{what} needs a 'unit' or 'dims' field")
+    dims = _array(d, "dims", what) if "dims" in d else parse_unit_expr(d["unit"], base_units)
     return Quantity(name=d["name"], symbol=d["symbol"], dims=dims)
+
+
+def _array(doc: dict, key: str, what: str) -> list:
+    """``doc[key]``, refused unless it is a JSON array: a string would
+    otherwise be read as its characters."""
+    if not isinstance(doc[key], list):
+        raise TypeError(f"{what} key {key!r} must be a JSON array, got {doc[key]!r}")
+    return doc[key]
 
 
 def _max_abs(a) -> float:

@@ -1,5 +1,5 @@
 """Deterministic JSON emission; the one reader of JSON input files, and
-the one check of their keys.
+the one check of their keys. An input object that repeats a key is refused.
 
 Floats are written in their shortest form that round-trips exactly (the
 standard library's ``repr``); dict keys keep insertion order. Identical
@@ -40,16 +40,29 @@ def check_keys(doc: dict, known, what: str) -> None:
         raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
+def _unique_keys(pairs) -> dict:
+    """The JSON object of ``pairs``, refused if it repeats a key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"repeats the key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load(path, parse):
     """``parse`` applied to the JSON object held by the file at ``path``.
 
-    A file that is not JSON, holds anything but an object, or that ``parse``
-    refuses raises ``ConfigError`` whose message starts with the path and
-    ends with the refusal's own text; a missing key is named.
+    A file that is not JSON, holds anything but an object, repeats a key in
+    an object, or that ``parse`` refuses raises ``ConfigError`` whose
+    message starts with the path and ends with the refusal's own text; a
+    missing or repeated key is named.
     """
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except ConfigError as exc:
+        raise ConfigError(f"{path} {exc}") from None
     except ValueError as exc:  # includes a file that is not UTF-8
         raise ConfigError(f"{path} is not JSON: {exc}") from None
     if not isinstance(doc, dict):

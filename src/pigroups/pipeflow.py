@@ -9,6 +9,11 @@ pipe diameter D [m], wall roughness eps [m], bulk velocity V [m/s].
 ``friction_factor`` (Colebrook everywhere with ``re_crit=None``) and
 ``PipeFlowExperiment.evaluate_batch`` share one checked path on flat
 arrays, which names a failing point by its index in the caller's batch.
+Both read ``re_crit`` through ``_read_re_crit``, its one check.
+
+``evaluate_batch`` reads its columns by position, so the model needs the
+pipe's quantities in the order above; ``regime_box`` reads a regime's
+symbol-keyed bounds in any order of them, and refuses other quantities.
 
 ``PipeFlowExperiment`` is the one pressure-loss model. Its defaults are
 the reference configuration that the bundled regime tables were produced
@@ -27,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, ToolkitError, check_positive
 
 if TYPE_CHECKING:
     from .dimension import QuantitySystem
@@ -148,12 +153,20 @@ def _first_point(mask, Re_a, rr_a, rows) -> str:
     return f"point {int(rows[i])} (Re={float(Re_a[i])!r}, rel_rough={float(rr_a[i])!r})"
 
 
+def _read_re_crit(value) -> float | None:
+    """The one check of ``re_crit``; None or ``"none"`` in any case is Colebrook everywhere."""
+    if value is None or str(value).lower() == "none":
+        return None
+    return check_positive("--re-crit", value)
+
+
 def friction_factor(Re, rel_rough, re_crit: float | None = RE_CRITICAL):
     """Piecewise friction factor: Poiseuille's 64/Re below re_crit,
     Colebrook at and above it.
 
     The branch switch is a genuine discontinuity of the model;
-    ``re_crit=None`` applies Colebrook at every Reynolds number. Every
+    ``re_crit=None`` or ``"none"`` applies Colebrook at every Reynolds
+    number; any other value must be a finite positive number. Every
     point must be finite and lie in the Colebrook domain (Re > 0,
     0 <= rel_rough < 1), whichever branch it takes. Scalar in, scalar out;
     arrays broadcast, and the broadcast points are solved as one flat
@@ -163,12 +176,12 @@ def friction_factor(Re, rel_rough, re_crit: float | None = RE_CRITICAL):
     """
     Re_a, rr_a = np.broadcast_arrays(np.asarray(Re, dtype=float),
                                      np.asarray(rel_rough, dtype=float))
-    lam = _friction(Re_a.ravel(), rr_a.ravel(), re_crit, np.arange(Re_a.size))
+    lam = _friction(Re_a.ravel(), rr_a.ravel(), _read_re_crit(re_crit), np.arange(Re_a.size))
     return float(lam[0]) if Re_a.ndim == 0 else lam.reshape(Re_a.shape)
 
 
-def regime_box(name: str) -> RegimeBox:
-    """Bounds table for one of the named flow regimes."""
+def regime_box(name: str, symbols=SYMBOLS) -> RegimeBox:
+    """A named regime's box: its symbol-keyed bounds, in the order of ``symbols``."""
     # imported here, as in pipe_quantity_system, so that an external child
     # evaluating the model loads neither module
     from .quadrature import RegimeBox
@@ -178,7 +191,10 @@ def regime_box(name: str) -> RegimeBox:
     except KeyError:
         known = ", ".join(sorted(_REGIMES))
         raise ConfigError(f"no regime named {name!r}; known: {known}") from None
-    return RegimeBox.from_pairs([bounds[s] for s in SYMBOLS])
+    try:
+        return RegimeBox.from_dict({"bounds": bounds}, symbols)
+    except ConfigError as exc:
+        raise ConfigError(f"--regime {name} needs the pipe quantities: {exc}") from None
 
 
 def regime_names() -> tuple[str, ...]:
@@ -205,8 +221,9 @@ def pipe_quantity_system() -> QuantitySystem:
 class PipeFlowExperiment:
     """Pressure-loss experiment over q = (rho, mu, D, eps, V).
 
-    ``re_crit=None`` applies the Colebrook correlation at every Reynolds
-    number; a float switches to Poiseuille below that value.
+    ``re_crit=None`` or ``"none"`` applies the Colebrook correlation at
+    every Reynolds number; a positive number switches to Poiseuille below
+    it, and any other value is a ``ConfigError``.
     ``pressure_formula`` selects ``fanning`` (2 lambda rho V^2 / D) or
     ``darcy`` (lambda rho V^2 / (2 D)). The defaults reproduce the shipped
     regime tables. Pure function of its inputs; safe to evaluate
@@ -223,6 +240,7 @@ class PipeFlowExperiment:
     pressure_formula: str = "fanning"
 
     def __post_init__(self):
+        object.__setattr__(self, "re_crit", _read_re_crit(self.re_crit))
         if self.pressure_formula not in ("fanning", "darcy"):
             raise ConfigError(
                 f"pressure_formula must be 'fanning' or 'darcy', got {self.pressure_formula!r}"
@@ -244,8 +262,9 @@ class PipeFlowExperiment:
         return out
 
 
-def moody_grid(re_crit: float) -> np.ndarray:
-    """Rows of (log10 Re, log10 rel_rough, lambda) for plotting the chart."""
+def moody_grid(re_crit) -> np.ndarray:
+    """Rows of (log10 Re, log10 rel_rough, lambda) for plotting the chart;
+    ``re_crit`` as ``friction_factor`` takes it."""
     res, roughs = (np.logspace(np.log10(lo), np.log10(hi), n)
                    for lo, hi, n in (_MOODY_RE, _MOODY_ROUGH))
     rows = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import MAX_POINTS, ToolkitError, check_count
+from .errors import MAX_POINTS, ConfigError, ToolkitError, check_count
 
 GL_MAX_POINTS = 64
 # weights per range of a sum check: a tensor rule's range costs mostly per
@@ -78,7 +78,7 @@ class RegimeBox:
                 raise ToolkitError("symbol-keyed bounds need the independent order")
             missing = [s for s in symbols if s not in bounds]
             if missing:
-                raise ToolkitError(f"bounds missing for: {', '.join(missing)}")
+                raise ConfigError(f"bounds missing for: {', '.join(missing)}")
             jsonio.check_keys(bounds, symbols, "bounds")
             return cls.from_pairs([bounds[s] for s in symbols], symbols)
         pairs = list(bounds)

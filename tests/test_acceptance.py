@@ -27,7 +27,7 @@ from pigroups.cli import fd_sweep, fit_loglog_slope, ridge_sweep, signed_column_
 from pigroups.dimension import PiBasis, build_dimension_matrix, check_dimensionless
 from pigroups.pipeflow import PipeFlowExperiment, friction_factor, regime_box
 from pigroups.quadrature import RegimeBox, gauss_legendre_1d, tensor_rule
-from pigroups.subspace import assemble_C, eigendecompose, rotation_angle
+from pigroups.subspace import eigendecompose, rotation_angle
 
 # reference exponent tables and eigenvalues for the three flow regimes
 TURBULENT_Z1_FD = np.array([0.309, -0.309, 0.732, -0.423, 0.309])

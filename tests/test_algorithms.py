@@ -46,7 +46,7 @@ from pigroups.errors import ConfigError, ExternalError, ToolkitError
 from pigroups.pipeflow import PipeFlowExperiment, regime_box
 from pigroups.quadrature import RegimeBox, tensor_rule
 from pigroups.subspace import assemble_C
-from pigroups.surrogate import eval_surface, fit_polynomial, grad_surface
+from pigroups.surrogate import fit_polynomial, grad_surface
 
 
 BOX = regime_box("turbulent")
@@ -827,6 +827,9 @@ class TestPredictDependent:
     def test_positive_inputs_required(self, pipe_basis):
         surface = fit_polynomial(np.random.default_rng(0).normal(size=(10, 2)),
                                  np.ones(10), 1)
-        with pytest.raises(ToolkitError, match="^prediction requires strictly positive inputs$"):
-            predict_dependent(surface, pipe_basis.w, pipe_basis.W,
-                              np.array([1.0, -1.0, 1.0, 1.0, 1.0]))
+        # NaN compares false both ways, so it must fail the check too
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ToolkitError,
+                               match="^prediction requires strictly positive inputs$"):
+                predict_dependent(surface, pipe_basis.w, pipe_basis.W,
+                                  np.array([1.0, bad, 1.0, 1.0, 1.0]))

@@ -17,8 +17,7 @@ import pigroups
 from helpers import PIPE_SYSTEM_DOC, csv_request, fd_copies, surface_file
 from pigroups import jsonio
 from pigroups.algorithms import AlgorithmConfig, algorithm2
-from pigroups.cli import fit_loglog_slope, main
-from pigroups.dimension import QuantitySystem
+from pigroups.cli import fit_loglog_slope, main, signed_column_distance
 from pigroups.errors import ExternalError
 from pigroups.external import _CHUNK_ROWS, ExternalExperiment, _encode_request, _encode_rows
 from pigroups.pipeflow import (
@@ -46,6 +45,19 @@ from pigroups.pipeflow import PipeFlowExperiment
 rows = sys.stdin.read().strip().splitlines()
 data = np.array([[float(tok) for tok in line.split(",")] for line in rows[1:]])
 for value in PipeFlowExperiment().evaluate_batch(data):
+    print("%.17g" % value)
+"""
+
+# as WRAPPER, but reads the columns by the request's header, in any order
+KEYED_WRAPPER = """\
+import sys
+import numpy as np
+from pigroups.pipeflow import SYMBOLS, PipeFlowExperiment
+
+rows = sys.stdin.read().strip().splitlines()
+header = rows[0].split(",")
+data = np.array([[float(tok) for tok in line.split(",")] for line in rows[1:]])
+for value in PipeFlowExperiment().evaluate_batch(data[:, [header.index(s) for s in SYMBOLS]]):
     print("%.17g" % value)
 """
 
@@ -528,6 +540,21 @@ class TestInputFiles:
             {**q, "name": "fluid density"} if q["symbol"] == "mu" else q
             for q in PIPE_SYSTEM_DOC["independents"]]},
          "is refused: quantity names must be unique"),
+        ("config", b'{"quad": "tensor:2", "quad": "tensor:3"}', "repeats the key 'quad'"),
+        ("box", b'{"bounds": [[1, 2]], "bounds": [[1, 2], [3, 4]]}',
+         "repeats the key 'bounds'"),
+        ("system", {**PIPE_SYSTEM_DOC, "base_units": "kms"},
+         "has a value of the wrong type: system key 'base_units' must be a JSON array, "
+         "got 'kms'"),
+        ("system", {**PIPE_SYSTEM_DOC, "independents": "rho"},
+         "has a value of the wrong type: system key 'independents' must be a JSON array, "
+         "got 'rho'"),
+        ("system", {**PIPE_SYSTEM_DOC, "dependent": {
+            "name": "pressure loss", "symbol": "dpdx", "dims": "100"}},
+         "has a value of the wrong type: quantity 'dpdx' key 'dims' must be a JSON array, "
+         "got '100'"),
+        ("system", {**PIPE_SYSTEM_DOC, "w": "10102"},
+         "has a value of the wrong type: system key 'w' must be a JSON array, got '10102'"),
     ], ids=["config-not-json", "config-array", "config-string", "system-array",
             "system-independents", "box-bounds", "surface", "system-no-independents",
             "system-no-name", "box-no-bounds", "surface-no-n", "box-two-pairs",
@@ -536,7 +563,9 @@ class TestInputFiles:
             "surface-one-W-column", "surface-null-W", "surface-null-in-w",
             "surface-fractional-degree", "system-unknown-key", "system-quantity-unknown-key",
             "box-unknown-key", "box-unknown-bound", "surface-unknown-key",
-            "surface-unknown-field", "system-repeated-base-unit", "system-repeated-name"])
+            "surface-unknown-field", "system-repeated-base-unit", "system-repeated-name",
+            "config-repeated-key", "box-repeated-key", "system-string-base-units",
+            "system-string-independents", "system-string-dims", "system-string-w"])
     def test_wrongly_shaped_json_is_config_error_naming_the_file(self, tmp_path, capsys,
                                                                  option, doc, message):
         path = tmp_path / "input.json"
@@ -557,6 +586,82 @@ class TestInputFiles:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {path} {message}")
         assert not out.exists()
+
+
+# the pipe system with gravity g as a sixth quantity, and no pinned w
+SIX_QUANTITY_SYSTEM = {
+    **{key: value for key, value in PIPE_SYSTEM_DOC.items() if key != "w"},
+    "independents": [*PIPE_SYSTEM_DOC["independents"],
+                     {"name": "gravity", "symbol": "g", "dims": [0, 1, -2]}],
+}
+# the pipe system with its quantities, and pinned w, listed as (V, rho, mu, D, eps)
+V_FIRST = [4, 0, 1, 2, 3]
+V_FIRST_SYSTEM = {**PIPE_SYSTEM_DOC, **{key: [PIPE_SYSTEM_DOC[key][i] for i in V_FIRST]
+                                        for key in ("independents", "w")}}
+
+
+class TestOneCheckPerInput:
+    def test_pressure_formula_is_checked_for_an_external_experiment(
+            self, tmp_path, pipe_system_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pressure_formula": "bogus"}))
+        cmd = write_script(tmp_path, "wrapper.py", WRAPPER)
+        assert main(["analyze", "--experiment-cmd", " ".join(cmd), "--system", pipe_system_file,
+                     "--regime", "turbulent", "--quad", "tensor:2", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == \
+            "error: pressure_formula must be 'fanning' or 'darcy', got 'bogus'\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "ridge-check", "fd-convergence"])
+    def test_regime_refuses_other_quantities(self, tmp_path, capsys, command):
+        system = tmp_path / "six.json"
+        system.write_text(json.dumps(SIX_QUANTITY_SYSTEM))
+        assert main([command, "--system", str(system), "--regime", "turbulent",
+                     "--quad", "tensor:2", "--out-dir", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == \
+            "error: --regime turbulent needs the pipe quantities: bounds missing for: g\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_regime_follows_the_order_of_the_system(self, tmp_path):
+        # the same problem in other coordinates: Z's rows permuted, and Z and
+        # the eigenvalues equal to the O(h) bound of TestFdRotationInvariance
+        system = tmp_path / "v_first.json"
+        system.write_text(json.dumps(V_FIRST_SYSTEM))
+        cmd = write_script(tmp_path, "keyed.py", KEYED_WRAPPER)
+        common = ["analyze", "--regime", "turbulent", "--quad", "tensor:5"]
+        assert main([*common, "--system", str(system), "--experiment-cmd", " ".join(cmd),
+                     "--out-dir", str(tmp_path / "v_first")]) == 0
+        assert main([*common, "--out-dir", str(tmp_path / "pipe")]) == 0
+        permuted, reference = (json.loads((tmp_path / name / "result.json").read_text())
+                               for name in ("v_first", "pipe"))
+        tol = 4.0 * reference["metadata"]["h"]
+        lam = np.array(reference["eigenvalues"])
+        Z = np.array(reference["Z"])[V_FIRST]
+        assert signed_column_distance(np.array(permuted["Z"]), Z) <= tol
+        assert np.max(np.abs(np.array(permuted["eigenvalues"]) - lam)) <= tol * lam[0]
+
+    def test_builtin_model_refuses_the_pipe_quantities_in_another_order(self, tmp_path,
+                                                                          capsys):
+        system = tmp_path / "v_first.json"
+        system.write_text(json.dumps(V_FIRST_SYSTEM))
+        box = tmp_path / "box.json"
+        box.write_text(json.dumps({"bounds": dict(zip(SYMBOLS, TURBULENT_PAIRS))}))
+        assert main(["analyze", "--system", str(system), "--box", str(box),
+                     "--quad", "tensor:2", "--out-dir", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "error: the built-in pipe model needs --system to list rho, mu, D, eps, V "
+            "in this order, got V, rho, mu, D, eps\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "ridge-check", "fd-convergence"])
+    def test_box_and_regime_together_are_a_usage_error(self, tmp_path, capsys, command):
+        box = tmp_path / "box.json"
+        box.write_text(json.dumps({"bounds": TURBULENT_PAIRS}))
+        assert main([command, "--regime", "turbulent", "--box", str(box),
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        assert "argument --box: not allowed with argument --regime" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestPiBasisCommand:

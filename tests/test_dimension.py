@@ -6,7 +6,6 @@ import pytest
 from helpers import PIPE_SYSTEM_DOC, evaluate_point
 from pigroups.dimension import (
     RANK_RTOL,
-    PiBasis,
     Quantity,
     QuantitySystem,
     build_dimension_matrix,

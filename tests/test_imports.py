@@ -1,7 +1,7 @@
 """Checks on the names each module of the package binds, loads and exports.
 
 No linter ships with the toolchain, so the first checks walk each module's
-syntax tree:
+syntax tree. The first two read the test files too:
 
 * every name bound by an import must appear as a name somewhere else in
   the module;
@@ -44,6 +44,11 @@ from helpers import PIPE_SYSTEM_DOC
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pigroups"
 ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+# the files that the import and name checks read: the package's modules by
+# name, and the test files by their path under tests/
+HYGIENE_FILES = {**{module: PACKAGE / module for module in ALL_MODULES},
+                 **{f"tests/{path.name}": path
+                    for path in sorted(Path(__file__).resolve().parent.glob("*.py"))}}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -223,14 +228,14 @@ def test_every_public_definition_is_referenced():
     assert unreferenced_definitions(sources) == []
 
 
-@pytest.mark.parametrize("module", ALL_MODULES)
+@pytest.mark.parametrize("module", HYGIENE_FILES)
 def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(HYGIENE_FILES[module].read_text()) == []
 
 
-@pytest.mark.parametrize("module", ALL_MODULES)
+@pytest.mark.parametrize("module", HYGIENE_FILES)
 def test_no_unbound_names(module):
-    assert unbound_names((PACKAGE / module).read_text()) == []
+    assert unbound_names(HYGIENE_FILES[module].read_text()) == []
 
 
 def type_checking_names(module) -> dict:

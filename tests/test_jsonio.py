@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pigroups import jsonio
-from pigroups.errors import ToolkitError
+from pigroups.errors import ConfigError, ToolkitError
 
 
 @pytest.mark.parametrize("value", [
@@ -61,6 +62,24 @@ def test_floats_round_trip_exactly(value):
     for item in again:
         assert isinstance(item, float)
         assert item == value and math.copysign(1.0, item) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"quad": "tensor:2", "quad": "tensor:3"}', "quad"),
+    ('{"bounds": {"a": [1, 2], "b": [3, 4], "a": [5, 6]}}', "a"),
+], ids=["top-level", "nested"])
+def test_load_refuses_a_repeated_key_naming_it_and_the_file(tmp_path, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} repeats the key '{key}'$"):
+        jsonio.load(path, dict)
+
+
+def test_load_keeps_the_order_of_the_keys(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"b": 1, "a": {"d": 2, "c": 3}}')
+    doc = jsonio.load(path, dict)
+    assert list(doc) == ["b", "a"] and list(doc["a"]) == ["d", "c"]
 
 
 def test_dump_writes_dumps(tmp_path):

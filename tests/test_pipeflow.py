@@ -17,7 +17,6 @@ from pigroups.pipeflow import (
     PipeFlowExperiment,
     friction_factor,
     moody_grid,
-    pipe_quantity_system,
     regime_box,
 )
 from pigroups.quadrature import latin_hypercube
@@ -321,6 +320,23 @@ class TestRegimeBoxes:
                                               "high_re, laminar, turbulent$"):
             regime_box("supersonic")
 
+    def test_bounds_follow_the_order_of_the_symbols(self):
+        box = regime_box("turbulent")
+        order = [4, 0, 1, 2, 3]
+        permuted = regime_box("turbulent", tuple(SYMBOLS[i] for i in order))
+        assert np.array_equal(permuted.lower, box.lower[order])
+        assert np.array_equal(permuted.upper, box.upper[order])
+
+    @pytest.mark.parametrize("symbols,message", [
+        ((*SYMBOLS, "g"), "bounds missing for: g"),
+        (SYMBOLS[:4], "unknown bounds keys: V"),
+        (("rho", "mu", "D", "k", "V"), "bounds missing for: k"),
+    ], ids=["extra-quantity", "missing-quantity", "renamed-quantity"])
+    def test_other_quantities_are_refused(self, symbols, message):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"--regime laminar needs the pipe quantities: {message}")):
+            regime_box("laminar", symbols)
+
     def test_branch_coverage_of_the_boxes(self):
         # turbulent and high-Re corners all sit above the critical Reynolds
         # number; the laminar box straddles it slightly at its extreme corner.
@@ -402,6 +418,26 @@ class TestPipeFlowExperiment:
         with pytest.raises(ConfigError, match="^pressure_formula must be 'fanning' or "
                                                "'darcy', got 'blasius'$"):
             PipeFlowExperiment(pressure_formula="blasius")
+
+    @pytest.mark.parametrize("re_crit", [-5.0, 0, math.nan, math.inf, True, "abc"])
+    def test_bad_re_crit_rejected_by_the_model_and_the_friction_factor(self, re_crit):
+        message = f"^--re-crit must be a positive number, got {re.escape(repr(re_crit))}$"
+        with pytest.raises(ConfigError, match=message):
+            PipeFlowExperiment(re_crit=re_crit)
+        with pytest.raises(ConfigError, match=message):
+            friction_factor(500.0, 1e-3, re_crit=re_crit)
+
+    @pytest.mark.parametrize("re_crit", [None, "none", "None", "NONE"],
+                             ids=["null", "lower", "title", "upper"])
+    def test_none_in_any_case_is_colebrook_everywhere(self, re_crit):
+        colebrook = friction_factor(500.0, 1e-3, re_crit=None)
+        assert colebrook != 64.0 / 500.0
+        assert friction_factor(500.0, 1e-3, re_crit=re_crit) == colebrook
+        assert PipeFlowExperiment(re_crit=re_crit).re_crit is None
+
+    def test_numeric_re_crit_is_read_as_a_float(self):
+        assert PipeFlowExperiment(re_crit="3000").re_crit == RE_CRITICAL
+        assert friction_factor(500.0, 1e-3, re_crit="3000") == 64.0 / 500.0
 
     @pytest.mark.parametrize("re_crit", [None, RE_CRITICAL])
     def test_roughness_domain_checked_on_every_row(self, re_crit):

@@ -74,7 +74,7 @@ class TestRegimeBox:
         assert np.array_equal(box.upper, [4.0, 2.0])
 
     def test_dict_missing_symbol(self):
-        with pytest.raises(ToolkitError, match="^bounds missing for: b$"):
+        with pytest.raises(ConfigError, match="^bounds missing for: b$"):
             RegimeBox.from_dict({"bounds": {"a": [1, 2]}}, symbols=("a", "b"))
 
     def test_contains(self):
