@@ -7,9 +7,10 @@ relationship g(gamma):
   space-filling design and integrates its analytic gradient, one chunk
   of quadrature points at a time;
 * the finite-difference route perturbs each group coordinate of every
-  quadrature point and differences the experiment itself, one run of at
-  most 2**15 points and their shifted copies per experiment call, so its
-  working arrays do not grow with the rule.
+  quadrature point and differences the experiment itself, one run of
+  points and their shifted copies per experiment call, as many rows as
+  the experiment's ``call_rows`` asks, so its working arrays do not grow
+  with the rule.
 
 Both read the rule's points by row range and pass the rule to
 ``assemble_C``, which reads its weights by row range, so neither holds an
@@ -20,7 +21,10 @@ full-space variant differences all m log-variables to expose the ridge
 structure of the raw input-output map.
 
 An experiment is any object whose ``evaluate_batch`` maps an (N, m) array
-of points, one run per row, to the N dependent values.
+of points, one run per row, to the N dependent values. It may say how many
+rows one finite-difference call should hold through a ``call_rows``
+attribute; without one, a call holds the default external batch, 2**15
+rows.
 """
 
 from __future__ import annotations
@@ -72,10 +76,14 @@ from .surrogate import (
 )
 
 DIMENSIONLESS_TOL = 1e-10
-# most rule points per run of the finite-difference route: the default
-# external batch, so that a run and its n shifted copies go out as n + 1
-# batches of the run's size
-_RUN_ROWS = EXTERNAL_DEFAULTS["batch_size"]
+# most rows of one finite-difference call for an experiment without a
+# ``call_rows`` attribute: the default external batch
+_CALL_ROWS = EXTERNAL_DEFAULTS["batch_size"]
+
+
+def _call_rows(experiment) -> int:
+    """Most rows the experiment asks one finite-difference call to hold."""
+    return experiment.call_rows if hasattr(experiment, "call_rows") else _CALL_ROWS
 
 
 @dataclass(frozen=True)
@@ -166,14 +174,24 @@ def evaluate_experiment(experiment, points: np.ndarray, where=None, layout=None)
 
 
 class CountingExperiment:
-    """Wrapper that counts the rows it passes on, for budgets and manifests."""
+    """Wrapper that counts the rows it passes on, its calls and the rows of
+    its largest call, for budgets and manifests. A finite-difference call
+    through it holds as many rows as through the experiment it wraps."""
 
     def __init__(self, experiment):
         self.experiment = experiment
         self.count = 0
+        self.calls = 0
+        self.largest_call = 0
+
+    @property
+    def call_rows(self) -> int:
+        return _call_rows(self.experiment)
 
     def evaluate_batch(self, points):
         self.count += len(points)
+        self.calls += 1
+        self.largest_call = max(self.largest_call, len(points))
         return self.experiment.evaluate_batch(points)
 
 
@@ -199,28 +217,34 @@ class _ForwardDifferences:
     the rule's points, as (N, n) gradient rows made run by run.
 
     With x = log q, the k-th shifted copy of a point moves x by h W[:, k];
-    w = 0 and W = I difference the raw map in every log-variable. The rule
-    is split into ceil(N / ``_RUN_ROWS``) runs whose sizes differ by at most
-    one point, as an external experiment splits a call into batches. A run
-    of r points is one experiment call: the r points, then their n shifted
-    copies, r rows each. ``assemble_C`` slices the rows in order; a slice
-    evaluates the runs it reaches, and one that crosses the end of a run
-    joins the rows of both, so C is summed exactly as from a whole (N, n)
-    array. ``trace``, if given, receives each run's points, pi and
-    gradients once they are made. A non-finite reply is named by its rule
-    point and copy; a failure the experiment raises itself indexes the rows
-    of the run's call, so it is raised again, as the same class, after the
-    run's rule points and how the call's rows map onto them.
+    w = 0 and W = I difference the raw map in every log-variable. A run of
+    r points is one experiment call: the r points, then their n shifted
+    copies, r rows each. The rule is split into ceil(N / r) runs, with
+    r = max(1, ``call_rows`` // (n + 1)) for the experiment's ``call_rows``,
+    and run sizes that differ by at most one point, as an external
+    experiment splits a call into batches. ``assemble_C`` slices the rows
+    in order; a slice evaluates the runs it reaches, and one that crosses
+    the end of a run joins the rows of both, so C is summed exactly as from
+    a whole (N, n) array: for an experiment whose rows are independent, as
+    the built-in model's are, the run size changes no bit of C. ``trace``,
+    if given, receives each run's points, pi and gradients once they are
+    made. A non-finite reply is named by its rule point and copy; a failure
+    the experiment raises itself indexes the rows of the run's call, so it
+    is raised again, as the same class, after the run's rule points and how
+    the call's rows map onto them.
 
-    Memory, whatever N: the current run's (n + 1) r x m call, its r x m
-    log-points, (n + 1) r weights and replies, and its r x n gradients,
-    with r <= ``_RUN_ROWS``. The rule hands out its points and quadrature
-    weights by row range, so neither is ever built whole.
+    Memory, whatever N: the current run's call array of (n + 1) r rows by
+    m, where (n + 1) r <= max(``call_rows``, n + 1); its r x m log-points;
+    its (n + 1) r weights and replies; and its r x n gradients. The
+    built-in model asks for nothing and gets ``_CALL_ROWS`` rows a call;
+    an external experiment asks for one batch per worker. The rule hands
+    out its points and quadrature weights by row range, so neither is ever
+    built whole.
     """
 
     def __init__(self, experiment, rule: QuadratureRule, w, W, h: float, trace=None):
         N = len(rule)
-        count = -(-N // _RUN_ROWS)
+        count = -(-N // max(1, _call_rows(experiment) // (W.shape[1] + 1)))
         self.edges = [N * b // count for b in range(count + 1)]
         self.experiment, self.rule, self.w, self.W, self.h = experiment, rule, w, W, h
         self.trace = trace
@@ -371,8 +395,10 @@ def algorithm2(
     """Finite-difference route: N base points plus N shifted points per group.
 
     Exactly N (n + 1) experiment evaluations for an N-point rule, one call
-    per run of at most ``_RUN_ROWS`` points; ``trace`` receives each run's
-    points, pi and gradients, in rule order.
+    per run of points and their n shifted copies, at most
+    max(``call_rows``, n + 1) rows, as the experiment asks (see
+    ``_ForwardDifferences``); ``trace`` receives each run's points, pi and
+    gradients, in rule order.
     """
     w, W = basis.w, basis.W
     h = config.h

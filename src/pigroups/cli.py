@@ -154,9 +154,12 @@ def _common_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, help="per-batch timeout for external experiments")
     p.add_argument("--batch-size", type=int,
                    help="most rows per external batch; a larger call is split into "
-                        "batches whose sizes differ by at most one row "
+                        "batches whose sizes differ by at most one row, and a "
+                        "finite-difference call holds one batch per worker "
                         f"(default {EXTERNAL_DEFAULTS['batch_size']})")
-    p.add_argument("--workers", type=int, help="concurrent external processes")
+    p.add_argument("--workers", type=int,
+                   help="concurrent external processes; a finite-difference call "
+                        "holds one batch per worker, all run at once")
     p.add_argument("--config", help="JSON file of option defaults")
     p.add_argument("--out-dir", default=".", help="directory for result files")
 
@@ -330,6 +333,7 @@ def _cmd_analyze(args) -> int:
         out_dir, "analyze", args, cfg,
         evaluations=result.metadata["evaluations"], started=started,
         holdout_evaluations=holdout, total_experiment_calls=experiment.count,
+        evaluate_batch_calls=experiment.calls, largest_call_rows=experiment.largest_call,
     )
     _print_result(system, result)
     return 0

@@ -72,7 +72,7 @@ def check_positive(option: str, value) -> float:
 # defaults of the external-run options, keyed by their config names. A
 # child's peak memory grows with its batch; at 2**15 rows the pipe-model
 # child (perfbench/pipe_child.py) peaks above the CLI process that launches
-# it, at about 45-48 MB against 43 MB (Python 3.11, numpy 2.4, x86-64 Linux).
+# it, at about 45-48 MB against 40 MB (Python 3.11, numpy 2.4, x86-64 Linux).
 EXTERNAL_DEFAULTS = {"timeout": None, "batch_size": 2**15, "workers": 1}
 
 

@@ -9,7 +9,9 @@ replacement characters, so it fails the same way. Batching amortizes
 process start-up across large designs: a call of N rows goes out as
 ceil(N / batch_size) batches whose sizes differ by at most one row. With
 several workers, disjoint batches go to separate processes and land in
-preallocated slots, so the result is identical for any worker count. The
+preallocated slots, so the result is identical for any worker count. A
+finite-difference call holds one batch per worker, ``call_rows`` =
+batch_size * n_workers rows, so all of its batches run at once. The
 first failure, or an interrupt of the caller, stops the run: batches still
 queued are not launched.
 
@@ -51,6 +53,11 @@ class ExternalExperiment:
     def __post_init__(self):
         object.__setattr__(self, "timeout", check_external_options(
             self.timeout, self.batch_size, self.n_workers))
+
+    @property
+    def call_rows(self) -> int:
+        """Rows of one finite-difference call: one batch per worker."""
+        return self.batch_size * self.n_workers
 
     def evaluate_batch(self, points) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(points, dtype=float))

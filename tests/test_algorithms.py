@@ -60,10 +60,14 @@ def small_config(**kw):
 
 def fd_heap_peak(basis, quad) -> int:
     """Bytes traced at the peak, above the start, while a rule is built from
-    ``quad`` over BOX and the finite-difference route assembles its C. A
-    tensor:2 run first makes what a first run in a process makes once."""
+    ``quad`` over BOX and the finite-difference route assembles its C, in
+    the groups of ``basis`` or, if it is None, in the full space. A tensor:2
+    run first makes what a first run in a process makes once."""
     def run(spec):
         rule = build_rule(BOX, AlgorithmConfig(quad=spec))
+        if basis is None:
+            full_space_C(PipeFlowExperiment(), rule, 1e-6)
+            return
         source = algorithms._ForwardDifferences(PipeFlowExperiment(), rule, basis.w, basis.W, 1e-6)
         assemble_C(source, rule)
 
@@ -248,9 +252,11 @@ class TestSharedForwardDifferences:
             oracle = fd_gradient(experiment, q, pi_base, w, W, h)
             assert np.max(np.abs(grad - oracle)) <= tol
 
-    def test_each_run_gets_its_own_points(self, pipe_system, pipe_basis, monkeypatch):
+    def test_each_run_gets_its_own_points(self, pipe_system, pipe_basis):
         class Keeper:
             """Keeps every array it is given, as a caching experiment might."""
+
+            call_rows = 300
 
             def __init__(self):
                 self.inner, self.kept = PipeFlowExperiment(), []
@@ -259,9 +265,9 @@ class TestSharedForwardDifferences:
                 self.kept.append(points)
                 return self.inner.evaluate_batch(points)
 
-        # 243 points in runs of 81, 81 and 81: one call per run, holding
-        # the run's points and then its two shifted copies
-        monkeypatch.setattr(algorithms, "_RUN_ROWS", 100)
+        # calls of at most 300 rows are runs of at most 100 points: 243
+        # points in runs of 81, 81 and 81, one call per run, holding the
+        # run's points and then its two shifted copies
         keeper = Keeper()
         h = 1e-3
         algorithm2(keeper, pipe_system, pipe_basis, BOX, small_config(h=h))
@@ -273,10 +279,11 @@ class TestSharedForwardDifferences:
             assert np.array_equal(kept, want)
             assert not any(np.shares_memory(kept, other) for other in keeper.kept[i + 1:])
 
-    def test_a_reply_the_experiment_keeps_is_left_unchanged(self, pipe_system, pipe_basis,
-                                                            monkeypatch):
+    def test_a_reply_the_experiment_keeps_is_left_unchanged(self, pipe_system, pipe_basis):
         class ReplyKeeper:
             """Returns the very array it keeps, as a caching experiment might."""
+
+            call_rows = 300
 
             def __init__(self):
                 self.inner, self.replies, self.copies = PipeFlowExperiment(), [], []
@@ -287,7 +294,6 @@ class TestSharedForwardDifferences:
                 self.copies.append(values.copy())
                 return values
 
-        monkeypatch.setattr(algorithms, "_RUN_ROWS", 100)
         keeper = ReplyKeeper()
         algorithm2(keeper, pipe_system, pipe_basis, BOX, small_config(h=1e-3))
         assert len(keeper.replies) == 3
@@ -309,31 +315,40 @@ class TestSharedForwardDifferences:
         source = algorithms._ForwardDifferences(experiment, rule, w, W, h,
                                                 lambda points, pi, grads: seen.append(pi))
         got = source[0:len(rule)]
-        assert len(seen) == 1 and seen[0].tobytes() == pi0.tobytes()
+        # full-space tensor:6 is two runs, the others one
+        assert np.concatenate(seen).tobytes() == pi0.tobytes()
         assert got.tobytes() == want.tobytes()
 
     def test_turbulent_tensor11_allocates_little_on_the_heap(self, pipe_basis):
-        # the rule itself: its 1-D axes and factor weights. One run of
-        # 32,211 points at a time: its call array of three copies (3.9 MB),
-        # log-points (1.3 MB), pi and the reply (0.8 MB each) and the
-        # gradients (0.5 MB): 6.5 MiB traced at the peak. The rule's weight
-        # vector (1.3 MB) made it 7.7 MiB; building the rule's point array
-        # and differencing it whole traced 21.1 MiB.
-        assert fd_heap_peak(pipe_basis, "tensor:11") < 7 * 2**20
+        # the rule itself: its 1-D axes and factor weights. Calls of at most
+        # 32,768 rows: 15 runs of 10,736 or 10,737 points, one at a time: its
+        # call array of three copies (1.3 MB), log-points (0.4 MB), pi and
+        # the reply (0.3 MB each) and the gradients (0.2 MB): 2.7 MiB traced
+        # at the peak. Five runs of up to 32,211 points traced 6.4 MiB, and
+        # with the rule's weight vector (1.3 MB) 7.7 MiB; building the rule's
+        # point array and differencing it whole traced 21.1 MiB.
+        assert fd_heap_peak(pipe_basis, "tensor:11") < 3.5 * 2**20
 
     def test_monte_carlo_rule_allocates_little_on_the_heap(self, pipe_basis):
         # the rule keeps its seed and makes each run's points and weights as
-        # the run is made. Seven runs of 28,571 or 28,572 points: one run's
-        # arrays at a time, 5.8 to 6.5 MiB traced at the peak. The rule's
-        # weight vector (1.6 MB) made it 7.3 to 8.0 MiB; drawing the
-        # 200,000 x 5 points up front traced 14.9 MiB.
-        assert fd_heap_peak(pipe_basis, "mc:200000") < 7 * 2**20
+        # the run is made. 19 runs of 10,526 or 10,527 points: one run's
+        # arrays at a time, 3.3 MiB traced at the peak. Seven runs of 28,571
+        # or 28,572 points traced 5.8 to 6.5 MiB, and with the rule's weight
+        # vector (1.6 MB) 7.3 to 8.0 MiB; drawing the 200,000 x 5 points up
+        # front traced 14.9 MiB.
+        assert fd_heap_peak(pipe_basis, "mc:200000") < 4 * 2**20
+
+    def test_full_space_C_allocates_little_on_the_heap(self):
+        # six copies of each point: calls of at most 32,768 rows are 11 runs
+        # of 5,368 or 5,369 points, 2.9 MiB traced at the peak. Two runs of
+        # 29,524 and 29,525 points, each a call of 177,150 rows, traced
+        # 11.4 MiB.
+        assert fd_heap_peak(None, "tensor:9") < 4 * 2**20
 
     def test_the_heap_peak_does_not_grow_with_the_rule(self, pipe_basis):
-        # 6 and 24 runs of 32,768 points: the same run arrays, so any gap is
-        # an array that grows with N. The rule's weight vector made the gap
-        # 4.5 MiB. At mc:200000 and mc:800000 the runs hold 28,571 and 32,000
-        # points, and the run arrays alone differ by 0.6 MiB.
+        # 19 runs of 10,347 or 10,348 points and 73 of 10,773 or 10,774:
+        # nearly the same run arrays, so any gap of note is an array that
+        # grows with N. The rule's weight vector made the gap 4.5 MiB.
         small = fd_heap_peak(pipe_basis, "mc:196608")
         large = fd_heap_peak(pipe_basis, "mc:786432")
         assert abs(large - small) < 0.5 * 2**20
@@ -371,16 +386,17 @@ class TestSharedForwardDifferences:
 
 
 class TestRuns:
-    """The finite-difference route in runs of at most ``_RUN_ROWS`` points:
-    at tensor:7 (16,807 points) runs of at most 5,000 points end at 4,201,
-    8,403 and 12,605, inside ``assemble_C``'s 4,096-row slices, so those
-    slices join two runs."""
+    """The finite-difference route in calls of at most ``_CALL_ROWS`` rows:
+    at tensor:7 (16,807 points) calls of at most 15,000 rows are, for two
+    groups, runs of at most 5,000 points, which end at 4,201, 8,403 and
+    12,605, inside ``assemble_C``'s 4,096-row slices, so those slices join
+    two runs. In the full space the runs hold 2,401 points each."""
 
-    QUAD, RUN_ROWS, EDGES = "tensor:7", 5000, (4201, 8403, 12605)
+    QUAD, CALL_ROWS, EDGES = "tensor:7", 15000, (4201, 8403, 12605)
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        monkeypatch.setattr(algorithms, "_RUN_ROWS", self.RUN_ROWS)
+        monkeypatch.setattr(algorithms, "_CALL_ROWS", self.CALL_ROWS)
         assert all(edge % subspace._CHUNK_ROWS for edge in self.EDGES)
 
     def test_algorithm2_C_equals_the_whole_rule_C(self, pipe_system, pipe_basis, runs):
@@ -471,6 +487,50 @@ class TestRuns:
             algorithm2(FailsInSecondRun(), pipe_system, pipe_basis, BOX,
                        small_config(quad=self.QUAD))
         assert type(failure.value) is caught and failure.value.__cause__ is raised
+
+
+class AskingPipe:
+    """The pipe model, asking for finite-difference calls of ``call_rows`` rows."""
+
+    def __init__(self, call_rows):
+        self.call_rows = call_rows
+
+    def evaluate_batch(self, points):
+        return PipeFlowExperiment().evaluate_batch(points)
+
+
+class TestCallRows:
+    """The experiment's ``call_rows`` sizes the runs and changes no bit: each
+    Newton row stops on its own residual, and ``assemble_C`` sums fixed
+    slices in row order."""
+
+    @staticmethod
+    def route(experiment, space, system, basis, trace=None):
+        """C of algorithm 2 at tensor:4, which passes ``trace`` on, or of
+        ``full_space_C``."""
+        config = small_config(quad="tensor:4")
+        if space == "groups":
+            return algorithm2(experiment, system, basis, BOX, config, trace=trace).C
+        return full_space_C(experiment, build_rule(BOX, config), config.h).C
+
+    @pytest.mark.parametrize("space", ["groups", "full"])
+    @settings(max_examples=30, deadline=None)
+    @given(call_rows=st.integers(1, 3000))
+    def test_any_call_size_gives_the_C_of_one_call(self, pipe_system, pipe_basis, space,
+                                                  call_rows):
+        N, copies = 4**5, (pipe_basis.n if space == "groups" else BOX.m) + 1
+        whole_pi, pi = [], []
+        whole = self.route(AskingPipe(N * copies), space, pipe_system, pipe_basis,
+                           lambda points, p, grads: whole_pi.append(p))
+        experiment = CountingExperiment(AskingPipe(call_rows))
+        C = self.route(experiment, space, pipe_system, pipe_basis,
+                       lambda points, p, grads: pi.append(p))
+        assert C.tobytes() == whole.tobytes()
+        assert experiment.calls == -(-N // max(1, call_rows // copies))
+        assert experiment.largest_call <= max(call_rows, copies)
+        if space == "groups":
+            assert len(whole_pi) == 1
+            assert np.concatenate(pi).tobytes() == whole_pi[0].tobytes()
 
 
 class TestWeightReads:

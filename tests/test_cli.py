@@ -1,11 +1,12 @@
-import _thread
 import json
 import os
 import re
 import resource
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -104,16 +105,18 @@ for line in sys.stdin.read().splitlines()[1:]:
 """
 
 # answers 1 per row, but only once the requests marked in the directory
-# argv[1] number a multiple of 3: each batch waits for the other two of its
-# run, and fails if they do not come while it waits
+# argv[1] number a multiple of argv[2] (3 if not given): each batch waits
+# for the other batches of its call, and fails if they do not come while
+# it waits
 BARRIER_SCRIPT = """\
 import os, sys, tempfile, time
 data = sys.stdin.buffer.read()
 tempfile.mkstemp(dir=sys.argv[1])
+size = int(sys.argv[2]) if len(sys.argv) > 2 else 3
 deadline = time.monotonic() + 30
-while len(os.listdir(sys.argv[1])) % 3:
+while len(os.listdir(sys.argv[1])) % size:
     if time.monotonic() > deadline:
-        sys.exit("the other batches of the run never came")
+        sys.exit("the other batches of the call never came")
     time.sleep(0.01)
 sys.stdout.write("1\\n" * (data.count(b"\\n") - 1))
 """
@@ -137,6 +140,16 @@ import sys
 with open(sys.argv[1], "a") as fh:
     fh.write("launched\\n")
 sys.exit(1)
+"""
+
+# appends the row count of each request to the file named by argv[1] and
+# answers 1 per row, without parsing the request
+LOGGED_ONES_SCRIPT = """\
+import sys
+rows = sys.stdin.buffer.read().count(b"\\n") - 1
+with open(sys.argv[1], "a") as fh:
+    fh.write("%d\\n" % rows)
+sys.stdout.write("1\\n" * rows)
 """
 
 # answers 1 per row without parsing the request
@@ -358,8 +371,10 @@ class TestExternalExperiment:
 
     def test_an_interrupt_launches_no_queued_batch(self, tmp_path, monkeypatch):
         # ten batches on two workers, each launch 0.2 s late; the first one
-        # interrupts the caller, which stops the batches still queued: only
-        # those dequeued before the caller handles the interrupt launch
+        # sends SIGINT to the caller, which stops the batches still queued:
+        # only those dequeued before the caller handles the interrupt launch.
+        # A real signal wakes the caller's wait for the first batch, so the
+        # interrupt is raised there, however loaded the host
         launches = []
         run = subprocess.run
 
@@ -367,7 +382,7 @@ class TestExternalExperiment:
             launches.append(args)
             time.sleep(0.2)
             if launches[0] is args:
-                _thread.interrupt_main()
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             return run(*args, **kwargs)
 
         monkeypatch.setattr(subprocess, "run", interrupting_run)
@@ -387,14 +402,15 @@ class TestExternalExperiment:
 
 
 class TestFiniteDifferenceRuns:
-    """Turbulent tensor:9, 59,049 points, is two runs of 29,524 and 29,525
-    points. Each run is one call of the points and their two shifted
-    copies, which the default batch size splits into three batches of the
-    run's size."""
+    """Turbulent tensor:9, 59,049 points. A call holds one batch per worker,
+    a run's points and their two shifted copies: at the default batch size,
+    32,768 rows, one worker makes six runs of 9,841 or 9,842 points, each
+    one call in one batch, and three workers make two runs of 29,524 and
+    29,525 points, each one call in three batches of the run's size."""
 
     def test_the_child_gets_the_batches_of_a_call_per_copy(self, tmp_path, pipe_system,
                                                            pipe_basis):
-        # the same six requests as one call per copy, each in two batches
+        # six requests, each a run's points and then its two shifted copies
         log = tmp_path / "requests.csv"
         cmd = write_script(tmp_path, "echo.py", ECHO_SCRIPT) + [str(log)]
         config = AlgorithmConfig(quad="tensor:9")
@@ -404,10 +420,11 @@ class TestFiniteDifferenceRuns:
         requests = [header + body for body in log.read_bytes().split(header)[1:]]
         rule = tensor_rule(regime_box("turbulent"), 9)
         points = rule.rows(0, len(rule))
-        want = [csv_request(SYMBOLS, Q[s:e]).encode()
-                for Q in fd_copies(points, pipe_basis.W, config.h)
-                for s, e in ((0, 29524), (29524, 59049))]
-        assert sorted(requests) == sorted(want)
+        copies = fd_copies(points, pipe_basis.W, config.h)
+        edges = [59049 * b // 6 for b in range(7)]
+        want = [csv_request(SYMBOLS, np.concatenate([Q[s:e] for Q in copies])).encode()
+                for s, e in zip(edges, edges[1:])]
+        assert requests == want
 
     def test_workers_run_the_batches_of_a_run_at_once(self, tmp_path, pipe_system,
                                                       pipe_basis):
@@ -419,6 +436,32 @@ class TestFiniteDifferenceRuns:
         algorithm2(external, pipe_system, pipe_basis, regime_box("turbulent"),
                    AlgorithmConfig(quad="tensor:9"))
         assert len(list(marks.iterdir())) == 6
+
+    def test_a_batch_that_holds_the_rule_is_one_child(self, tmp_path, capsys):
+        # --batch-size 200000: one call of the rule and its two shifted
+        # copies, 177,147 rows, in one batch
+        log = tmp_path / "sizes.txt"
+        cmd = write_script(tmp_path, "ones.py", LOGGED_ONES_SCRIPT) + [str(log)]
+        out = tmp_path / "run"
+        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:9",
+                     "--experiment-cmd", " ".join(cmd), "--batch-size", "200000",
+                     "--out-dir", str(out)]) == 0
+        assert log.read_text().split() == ["177147"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["evaluate_batch_calls"], manifest["largest_call_rows"]) == (1, 177147)
+
+    def test_each_worker_runs_a_batch_of_the_call_at_once(self, tmp_path, pipe_system,
+                                                          pipe_basis):
+        # --workers 4 --batch-size 45000: one call of 177,147 rows in four
+        # batches, all four in flight at once
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        cmd = write_script(tmp_path, "barrier.py", BARRIER_SCRIPT) + [str(marks), "4"]
+        external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=45000,
+                                      n_workers=4, timeout=60)
+        algorithm2(external, pipe_system, pipe_basis, regime_box("turbulent"),
+                   AlgorithmConfig(quad="tensor:9"))
+        assert len(list(marks.iterdir())) == 4
 
 
 class TestBatchEncoder:
@@ -741,10 +784,21 @@ class TestAnalyzeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["evaluations"] == 243 * 3
         assert manifest["total_experiment_calls"] == 243 * 3
+        assert (manifest["evaluate_batch_calls"], manifest["largest_call_rows"]) == (1, 243 * 3)
         assert manifest["command"] == "analyze"
         lines = (out / "exponents.csv").read_text().strip().splitlines()
         assert lines[0] == "variable,z_1,z_2"
         assert len(lines) == 7
+
+    def test_manifest_says_how_the_experiment_was_called(self, tmp_path, capsys):
+        # 161,051 points in calls of at most 32,768 rows: 15 runs of at most
+        # 10,737 points, each one call with their two shifted copies
+        out = tmp_path / "run"
+        assert main(["analyze", "--regime", "turbulent", "--quad", "tensor:11",
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["total_experiment_calls"] == 3 * 11**5
+        assert (manifest["evaluate_batch_calls"], manifest["largest_call_rows"]) == (15, 32211)
 
     def test_removed_experiment_option_is_refused(self, tmp_path, capsys):
         # not taken as an abbreviation of --experiment-cmd
@@ -772,6 +826,7 @@ class TestAnalyzeCommand:
         assert manifest["evaluations"] == 50
         assert manifest["holdout_evaluations"] == 20
         assert manifest["total_experiment_calls"] == 70
+        assert (manifest["evaluate_batch_calls"], manifest["largest_call_rows"]) == (2, 50)
         surface = json.loads((out / "surface.json").read_text())
         assert {"surface", "w", "W"} <= set(surface)
 
