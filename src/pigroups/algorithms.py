@@ -1,35 +1,33 @@
 """End-to-end drivers for estimating the unique, relevance-ranked groups.
 
 Two routes to the gradient second-moment matrix of the dimensionless
-relationship g(gamma):
+relationship g(gamma). They differ only in how they make gradient rows,
+and each is a generator that yields them in blocks, in rule order:
 
 * the surface route fits a polynomial to (gamma, pi) pairs from a
-  space-filling design and integrates its analytic gradient, one chunk
-  of quadrature points at a time;
+  space-filling design and yields its analytic gradient, one range of
+  quadrature points at a time;
 * the finite-difference route perturbs each group coordinate of every
-  quadrature point and differences the experiment itself, one run of
-  points and their shifted copies per experiment call, as many rows as
-  the experiment's ``call_rows`` asks, so its working arrays do not grow
-  with the rule.
+  quadrature point and differences the experiment itself, yielding the
+  rows of one run of points per experiment call, the run and its shifted
+  copies as many rows as the experiment's ``call_rows`` asks.
 
-Both read the rule's points by row range and pass the rule to
-``assemble_C``, which reads its weights by row range, so neither holds an
-array that grows with the rule. Both integrate in the original
-variables, where the uniform product density is exactly what the tensor
-rule integrates; the induced density on gamma is never materialized. A
-full-space variant differences all m log-variables to expose the ridge
-structure of the raw input-output map.
+``assemble_C(rule, blocks)`` consumes either stream, with the rule's
+weights, so no route holds an array that grows with the rule. Both
+integrate in the original variables, where the uniform product density is
+exactly what the tensor rule integrates; the induced density on gamma is
+never materialized. A full-space variant differences all m log-variables
+to expose the ridge structure of the raw input-output map.
 
 An experiment is any object whose ``evaluate_batch`` maps an (N, m) array
 of points, one run per row, to the N dependent values. It may say how many
 rows one finite-difference call should hold through a ``call_rows``
-attribute; without one, a call holds the default external batch, 2**15
-rows.
+attribute, an integer of at least 1; without one, a call holds the default
+external batch, 2**15 rows.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -79,11 +77,16 @@ DIMENSIONLESS_TOL = 1e-10
 # most rows of one finite-difference call for an experiment without a
 # ``call_rows`` attribute: the default external batch
 _CALL_ROWS = EXTERNAL_DEFAULTS["batch_size"]
+# rows per grad_surface call of the surface route: its features are rows x T floats
+_SURFACE_ROWS = 4096
 
 
 def _call_rows(experiment) -> int:
-    """Most rows the experiment asks one finite-difference call to hold."""
-    return experiment.call_rows if hasattr(experiment, "call_rows") else _CALL_ROWS
+    """Most rows the experiment asks one finite-difference call to hold: an
+    integer of at least 1, else ``ConfigError``."""
+    if not hasattr(experiment, "call_rows"):
+        return _CALL_ROWS
+    return check_count("call_rows", experiment.call_rows, 1)
 
 
 @dataclass(frozen=True)
@@ -212,9 +215,10 @@ def _pi(experiment, points, X, w, where) -> np.ndarray:
     return pi
 
 
-class _ForwardDifferences:
+def _forward_differences(experiment, rule: QuadratureRule, w, W, h: float, trace=None):
     """Forward differences of pi = q exp(-w^T x) along each column of W at
-    the rule's points, as (N, n) gradient rows made run by run.
+    the rule's points: yields the (r, n) gradient rows of each run of r
+    points, in rule order.
 
     With x = log q, the k-th shifted copy of a point moves x by h W[:, k];
     w = 0 and W = I difference the raw map in every log-variable. A run of
@@ -222,82 +226,63 @@ class _ForwardDifferences:
     copies, r rows each. The rule is split into ceil(N / r) runs, with
     r = max(1, ``call_rows`` // (n + 1)) for the experiment's ``call_rows``,
     and run sizes that differ by at most one point, as an external
-    experiment splits a call into batches. ``assemble_C`` slices the rows
-    in order; a slice evaluates the runs it reaches, and one that crosses
-    the end of a run joins the rows of both, so C is summed exactly as from
-    a whole (N, n) array: for an experiment whose rows are independent, as
-    the built-in model's are, the run size changes no bit of C. ``trace``,
-    if given, receives each run's points, pi and gradients once they are
-    made. A non-finite reply is named by its rule point and copy; a failure
-    the experiment raises itself indexes the rows of the run's call, so it
-    is raised again, as the same class, after the run's rule points and how
-    the call's rows map onto them.
+    experiment splits a call into batches. For an experiment whose rows are
+    independent, as the built-in model's are, the run size changes no bit
+    of the gradients, and ``assemble_C`` sums them in chunks of its own, so
+    none of C either. ``trace``, if given, receives each run's points, pi
+    and gradients once they are made.
 
-    Memory, whatever N: the current run's call array of (n + 1) r rows by
-    m, where (n + 1) r <= max(``call_rows``, n + 1); its r x m log-points;
-    its (n + 1) r weights and replies; and its r x n gradients. The
-    built-in model asks for nothing and gets ``_CALL_ROWS`` rows a call;
-    an external experiment asks for one batch per worker. The rule hands
-    out its points and quadrature weights by row range, so neither is ever
-    built whole.
+    Memory, whatever N: one run's arrays, made in ``_run`` and freed when it
+    returns its gradients, so no two runs' call arrays are held at once:
+    its call array of (n + 1) r rows by m, where (n + 1) r <=
+    max(``call_rows``, n + 1); its r x m log-points; its (n + 1) r weights
+    and replies; and its r x n gradients. The built-in model asks for
+    nothing and gets ``_CALL_ROWS`` rows a call; an external experiment
+    asks for one batch per worker. The rule hands out its points by row
+    range, so they are never built whole.
     """
+    N = len(rule)
+    count = -(-N // max(1, _call_rows(experiment) // (W.shape[1] + 1)))
+    for b in range(count):
+        yield _run(experiment, rule, N * b // count, N * (b + 1) // count, w, W, h, trace)
 
-    def __init__(self, experiment, rule: QuadratureRule, w, W, h: float, trace=None):
-        N = len(rule)
-        count = -(-N // max(1, _call_rows(experiment) // (W.shape[1] + 1)))
-        self.edges = [N * b // count for b in range(count + 1)]
-        self.experiment, self.rule, self.w, self.W, self.h = experiment, rule, w, W, h
-        self.trace = trace
-        self.shape = (N, W.shape[1])
-        self.run = (0, 0, None)  # first row, end and gradients of the current run
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, _ = rows.indices(self.shape[0])
-        pieces = []
-        while start < stop:
-            first, end, grads = self.run
-            if not first <= start < end:
-                b = bisect.bisect_right(self.edges, start) - 1
-                first, end = self.edges[b], self.edges[b + 1]
-                grads = self._evaluate(first, end)
-                self.run = first, end, grads
-            take = min(stop, end)
-            pieces.append(grads[start - first:take - first])
-            start = take
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+def _run(experiment, rule, first: int, end: int, w, W, h: float, trace) -> np.ndarray:
+    """The gradient rows of rule points first to end - 1, from one
+    experiment call. A non-finite reply is named by its rule point and
+    copy; a failure the experiment raises itself indexes the rows of the
+    call, so it is raised again, as the same class, after the run's rule
+    points and how the call's rows map onto them."""
+    r, (m, n) = end - first, W.shape
+    Q = np.empty(((n + 1) * r, m))
+    Q[:r] = rule.rows(first, end)
+    X = np.log(Q[:r])
+    shifted = Q[r:]
+    np.add(X, (h * W.T)[:, None, :], out=shifted.reshape(n, r, m))
+    pi = np.empty((n + 1) * r)
+    _weight(X, w, out=pi[:r])
+    del X
+    _weight(shifted, w, out=pi[r:])
+    # the shifted log-points become the copies' points in place: a
+    # fresh call array each run, because the experiment may keep it
+    np.exp(shifted, out=shifted)
 
-    def _evaluate(self, first: int, end: int) -> np.ndarray:
-        w, W, h = self.w, self.W, self.h
-        r, (m, n) = end - first, W.shape
-        Q = np.empty(((n + 1) * r, m))
-        Q[:r] = self.rule.rows(first, end)
-        X = np.log(Q[:r])
-        shifted = Q[r:]
-        np.add(X, (h * W.T)[:, None, :], out=shifted.reshape(n, r, m))
-        pi = np.empty((n + 1) * r)
-        _weight(X, w, out=pi[:r])
-        del X
-        _weight(shifted, w, out=pi[r:])
-        # the shifted log-points become the copies' points in place: a
-        # fresh call array each run, because the experiment may keep it
-        np.exp(shifted, out=shifted)
+    def where(i):
+        point, copy = first + i % r, i // r
+        return f"point index {point}" + (f" shifted by h W[:, {copy - 1}]" if copy else "")
 
-        def where(i):
-            point, copy = first + i % r, i // r
-            return f"point index {point}" + (f" shifted by h W[:, {copy - 1}]" if copy else "")
-
-        layout = (f"rule points {first} to {end - 1}, where call row i is point {first} + i mod "
-                  f"{r} in copy i div {r} (copy k > 0 is shifted by h W[:, k - 1])")
-        # the reply may be an array the experiment keeps: it is only read
-        pi *= evaluate_experiment(self.experiment, Q, where, layout)
-        pi0 = pi[:r]
-        diffs = pi[r:].reshape(n, r)
-        diffs -= pi0
-        diffs /= h
-        grads = diffs.T.copy()
-        if self.trace is not None:
-            self.trace(Q[:r], pi0, grads)
-        return grads
+    layout = (f"rule points {first} to {end - 1}, where call row i is point {first} + i mod "
+              f"{r} in copy i div {r} (copy k > 0 is shifted by h W[:, k - 1])")
+    # the reply may be an array the experiment keeps: it is only read
+    pi *= evaluate_experiment(experiment, Q, where, layout)
+    pi0 = pi[:r]
+    diffs = pi[r:].reshape(n, r)
+    diffs -= pi0
+    diffs /= h
+    grads = diffs.T.copy()
+    if trace is not None:
+        trace(Q[:r], pi0, grads)
+    return grads
 
 
 def _finalize(system, W, C, extra) -> SubspaceResult:
@@ -319,22 +304,14 @@ def _finalize(system, W, C, extra) -> SubspaceResult:
     return SubspaceResult(C=C, eigenvalues=lam, U=U, Z=Z, metadata=metadata)
 
 
-class _SurfaceGradients:
-    """The surrogate's gradient at the rule's points, computed per slice.
-
-    ``assemble_C`` reads its gradient rows one chunk at a time, and a slice
-    asks the rule for just its rows, so the points, log-points, groups,
-    features and gradients of the whole rule are never held at once: row r
-    is ``grad_surface(surface, log(rule.rows(r, r + 1)) @ W)``.
-    """
-
-    def __init__(self, surface: ResponseSurface, rule: QuadratureRule, W: np.ndarray):
-        self.surface, self.rule, self.W = surface, rule, W
-        self.shape = (len(rule), W.shape[1])
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, _ = rows.indices(self.shape[0])
-        return grad_surface(self.surface, np.log(self.rule.rows(start, stop)) @ self.W)
+def _surface_gradients(surface: ResponseSurface, rule: QuadratureRule, W: np.ndarray):
+    """The surrogate's gradient at the rule's points, yielded for one
+    ``_SURFACE_ROWS`` range of rows at a time: ``grad_surface(surface,
+    log(rule.rows(start, stop)) @ W)``. The points, log-points, groups,
+    features and gradients of the whole rule are never held at once."""
+    N = len(rule)
+    for start in range(0, N, _SURFACE_ROWS):
+        yield grad_surface(surface, np.log(rule.rows(start, min(start + _SURFACE_ROWS, N))) @ W)
 
 
 def algorithm1(
@@ -368,7 +345,7 @@ def algorithm1(
         holdout_rmse = float(np.sqrt(np.mean((pred - fresh_pi) ** 2)))
 
     rule = build_rule(box, config)
-    C = assemble_C(_SurfaceGradients(surface, rule, W), rule)
+    C = assemble_C(rule, _surface_gradients(surface, rule, W))
     if trace is not None:
         trace(points, pi, grad_surface(surface, gamma))
     return _finalize(system, W, C, {
@@ -397,13 +374,13 @@ def algorithm2(
     Exactly N (n + 1) experiment evaluations for an N-point rule, one call
     per run of points and their n shifted copies, at most
     max(``call_rows``, n + 1) rows, as the experiment asks (see
-    ``_ForwardDifferences``); ``trace`` receives each run's points, pi and
+    ``_forward_differences``); ``trace`` receives each run's points, pi and
     gradients, in rule order.
     """
     w, W = basis.w, basis.W
     h = config.h
     rule = build_rule(box, config)
-    C = assemble_C(_ForwardDifferences(experiment, rule, w, W, h, trace), rule)
+    C = assemble_C(rule, _forward_differences(experiment, rule, w, W, h, trace))
     return _finalize(system, W, C, {
         "algorithm": "finite_difference",
         "h": h,
@@ -429,7 +406,7 @@ def full_space_C(experiment, rule: QuadratureRule, h: float) -> SubspaceResult:
     eigensolver's round-off floor near m * eps * lambda_1.
     """
     m = rule.m
-    C = assemble_C(_ForwardDifferences(experiment, rule, np.zeros(m), np.eye(m), h), rule)
+    C = assemble_C(rule, _forward_differences(experiment, rule, np.zeros(m), np.eye(m), h))
     lam, U = eigendecompose(C)
     return SubspaceResult(C=C, eigenvalues=lam, U=U, Z=U, metadata={
         "algorithm": "full_space",

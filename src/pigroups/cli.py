@@ -253,8 +253,10 @@ def _prepare(args):
     return cfg, config, system, box, basis, experiment, out_dir
 
 
-def _write_manifest(out_dir: Path, command: str, args, cfg: dict,
+def _write_manifest(out_dir: Path, command: str, args, cfg: dict, experiment,
                     evaluations: int, started: float, **extra) -> None:
+    """``manifest.json``: the run's inputs, versions, time and peak memory,
+    ``evaluations`` and the counts of the ``CountingExperiment``, then ``extra``."""
     # imported after the work, so that loading it (about 50 KB resident)
     # adds to neither a command's start-up nor its peak memory
     import resource
@@ -273,6 +275,9 @@ def _write_manifest(out_dir: Path, command: str, args, cfg: dict,
         # this process's peak resident memory so far; Linux reports KiB
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "evaluations": evaluations,
+        "total_experiment_calls": experiment.count,
+        "evaluate_batch_calls": experiment.calls,
+        "largest_call_rows": experiment.largest_call,
         **extra,
     }
     jsonio.dump(doc, out_dir / "manifest.json")
@@ -328,13 +333,9 @@ def _cmd_analyze(args) -> int:
             {"surface": surface.to_dict(), "w": basis.w, "W": basis.W},
             out_dir / "surface.json",
         )
-    holdout = result.metadata.get("holdout_evaluations", 0)
-    _write_manifest(
-        out_dir, "analyze", args, cfg,
-        evaluations=result.metadata["evaluations"], started=started,
-        holdout_evaluations=holdout, total_experiment_calls=experiment.count,
-        evaluate_batch_calls=experiment.calls, largest_call_rows=experiment.largest_call,
-    )
+    _write_manifest(out_dir, "analyze", args, cfg, experiment,
+                    evaluations=result.metadata["evaluations"], started=started,
+                    holdout_evaluations=result.metadata.get("holdout_evaluations", 0))
     _print_result(system, result)
     return 0
 
@@ -375,16 +376,16 @@ def _make_trace(out_dir: Path, system, n: int):
     return write
 
 
-def _parse_sweep(text: str) -> list[float]:
-    """The steps of ``--h-sweep``, largest first: at least two, each finite,
-    positive and given once. A zero step divides by zero, and a repeated
-    one gives a zero error, to which no slope can be fitted."""
+def _parse_sweep(text: str, least: int) -> list[float]:
+    """The steps of ``--h-sweep``, largest first: at least ``least``, each
+    finite, positive and given once. A zero step divides by zero, and a
+    repeated one gives a zero error, to which no slope can be fitted."""
     hs = [check_positive("--h-sweep", tok) for tok in text.split(",") if tok.strip()]
-    if len(hs) < 2:
-        raise ConfigError("--h-sweep needs at least two values")
     for i, h in enumerate(hs):
         if h in hs[:i]:
             raise ConfigError(f"--h-sweep repeats the value {h!r}")
+    if len(hs) < least:
+        raise ConfigError(f"--h-sweep needs at least {least} values")
     return sorted(hs, reverse=True)
 
 
@@ -436,7 +437,7 @@ def _cmd_ridge_check(args) -> int:
     from .algorithms import build_rule
 
     started = time.monotonic()
-    hs = _parse_sweep(args.h_sweep)
+    hs = _parse_sweep(args.h_sweep, 2)
     cfg, config, system, box, basis, experiment, out_dir = _prepare(args)
     table, _, slopes = ridge_sweep(experiment, build_rule(box, config), hs, basis.n)
     header = ",".join(["h"] + [f"lambda_{i + 1}" for i in range(system.m)])
@@ -445,7 +446,7 @@ def _cmd_ridge_check(args) -> int:
     for name, slope in slopes.items():
         shown = "at round-off floor" if slope is None else f"{slope:.3f}"
         print(f"decay slope of {name}: {shown}")
-    _write_manifest(out_dir, "ridge-check", args, cfg,
+    _write_manifest(out_dir, "ridge-check", args, cfg, experiment,
                     evaluations=experiment.count, started=started,
                     decay_slopes=slopes)
     return 0
@@ -453,7 +454,8 @@ def _cmd_ridge_check(args) -> int:
 
 def _cmd_fd_convergence(args) -> int:
     started = time.monotonic()
-    hs = _parse_sweep(args.h_sweep)
+    # the smallest step is the reference: a slope needs two errors besides
+    hs = _parse_sweep(args.h_sweep, 3)
     cfg, config, system, box, basis, experiment, out_dir = _prepare(args)
     rows = fd_sweep(experiment, system, basis, box, config, hs)
     np.savetxt(out_dir / "fdconv.csv", rows, delimiter=",",
@@ -461,7 +463,7 @@ def _cmd_fd_convergence(args) -> int:
     slope = fit_loglog_slope(*zip(*rows))
     print(f"exponent-error decay slope: {slope:.3f} "
           f"(reference h = {hs[-1]:.1e})")
-    _write_manifest(out_dir, "fd-convergence", args, cfg,
+    _write_manifest(out_dir, "fd-convergence", args, cfg, experiment,
                     evaluations=experiment.count, started=started,
                     error_slope=slope)
     return 0

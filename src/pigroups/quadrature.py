@@ -12,7 +12,9 @@ builds an array that grows with its point count N. A tensor rule keeps
 only its 1-D axes and factor weights and computes a range from the digits
 of the row indices; a Monte Carlo rule keeps its seed and draws a range
 from the generator's place for it, and every one of its weights is 1/N.
-A rule's weights are checked once, when the rule is made.
+A rule's weights are checked once, when the rule is made; ``assemble_C``
+then reads them one range of its chunks at a time, and takes no weights
+from anywhere else.
 """
 
 from __future__ import annotations
@@ -107,13 +109,23 @@ class QuadratureRule:
     weights as a fresh (stop - start,) array, for 0 <= start <= stop <= N;
     the tensor and Monte Carlo rules make both only as such ranges. Each
     kind of rule says how it makes its points and weights and passes its m
-    and its point count N to this constructor, which reads the weights
-    once through ``check_weights``.
+    and its point count N to this constructor. It reads the weights once,
+    ``_SUM_ROWS`` at a time, and refuses them unless each range holds one
+    weight per row and their sum is within 1e-10 of one, as a NaN sum is
+    not; ``assemble_C`` trusts them after that.
     """
 
     def __init__(self, m: int, N: int):
         self.m, self._N = m, N
-        check_weights(self.weights, N)
+        total = 0.0
+        for start in range(0, N, _SUM_ROWS):
+            stop = min(start + _SUM_ROWS, N)
+            w = self.weights(start, stop)
+            if w.shape != (stop - start,):
+                raise ToolkitError("one weight per point required")
+            total += float(np.sum(w))
+        if not abs(total - 1.0) <= 1e-10:
+            raise ToolkitError(f"weights sum to {total!r}, expected 1 +/- 1e-10")
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         raise NotImplementedError
@@ -123,21 +135,6 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return self._N
-
-
-def check_weights(weights, N: int) -> None:
-    """Refuse the N weights that ``weights(start, stop)`` hands out unless
-    each range holds one weight per row and their sum is within 1e-10 of
-    one, as a NaN sum is not. Reads ``_SUM_ROWS`` weights at a time."""
-    total = 0.0
-    for start in range(0, N, _SUM_ROWS):
-        stop = min(start + _SUM_ROWS, N)
-        w = weights(start, stop)
-        if w.shape != (stop - start,):
-            raise ToolkitError("one weight per point required")
-        total += float(np.sum(w))
-    if not abs(total - 1.0) <= 1e-10:
-        raise ToolkitError(f"weights sum to {total!r}, expected 1 +/- 1e-10")
 
 
 class _TensorRule(QuadratureRule):

@@ -15,51 +15,60 @@ import numpy as np
 
 from .dimension import normalize_column_signs
 from .errors import ToolkitError
-from .quadrature import QuadratureRule, check_weights
+from .quadrature import QuadratureRule
 
 _CHUNK_ROWS = 4096      # rows per step of the sum in assemble_C
 EIGEN_GAP_RTOL = 1e-3   # below this gap the relevance ordering is ambiguous
 DEGENERATE_FLAG = "degenerate eigenspace - groups not unique"
 
 
-def assemble_C(gradients, weights) -> np.ndarray:
-    """C = sum_j w_j g_j g_j^T, accumulated chunk by chunk in index order.
+def assemble_C(rule: QuadratureRule, gradients) -> np.ndarray:
+    """C = sum_j w_j g_j g_j^T over the N points of ``rule``, in index order.
 
-    ``gradients`` is an (N, n) array, or any object with an (N, n)
-    ``shape`` whose row slices are gradient rows, as both routes' are;
-    ``weights`` is an (N,) array or an N-point ``QuadratureRule``. Both are
-    read one ``_CHUNK_ROWS`` range at a time, so a source or rule that
-    makes its rows on demand holds 4,096 of them at once. The count, and an
-    array's sum (``check_weights``), are checked before the first gradient
-    row is read, so refused weights cost no experiment call; a rule checked
-    its own weights when it was made, and they are not summed again. Each
-    gradient chunk is checked for finiteness before it is summed, and a
-    failure names the global row. The reduction order is fixed by the chunk
-    size, so concurrent gradient producers cannot change the result; the
-    lower triangle is mirrored at the end to make C exactly symmetric.
+    ``gradients`` is an iterable of (rows, n) blocks of gradient rows, in
+    rule order, of any sizes. The rows are re-cut into ``_CHUNK_ROWS``
+    chunks, a chunk joining the blocks it spans, and each chunk is summed
+    with its weights, ``rule.weights(start, stop)``; the rule checked them
+    when it was made. The reduction order is fixed by the chunk size alone,
+    so how a route cuts its blocks changes no bit of C, and at most one
+    chunk and one block are held at once. Each chunk is checked for
+    finiteness before it is summed, and a failure names the global row; a
+    stream of more or fewer than N rows is refused, naming both counts,
+    once it ends. The lower triangle is mirrored at the end to make C
+    exactly symmetric.
     """
-    G = gradients
-    if isinstance(G, np.ndarray) or not hasattr(G, "shape"):
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-    rows, n = G.shape
-    if isinstance(weights, QuadratureRule):
-        count, w = len(weights), weights.weights
-    else:
-        vector = np.asarray(weights, dtype=float).reshape(-1)
-        count, w = vector.shape[0], lambda start, stop: vector[start:stop]
-    if rows != count:
-        raise ToolkitError(f"{rows} gradient rows vs {count} weights")
-    if not isinstance(weights, QuadratureRule):
-        check_weights(w, count)
-    C = np.zeros((n, n))
-    for start in range(0, rows, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, rows)
-        Gc = np.asarray(G[start:stop], dtype=float)
-        if not np.all(np.isfinite(Gc)):
-            bad = start + int(np.argwhere(~np.isfinite(Gc))[0, 0])
-            raise ToolkitError(f"gradient row {bad} contains a non-finite entry")
-        C += Gc.T @ (w(start, stop)[:, None] * Gc)
+    N, start, C = len(rule), 0, 0.0
+    for chunk in _chunks(gradients, _CHUNK_ROWS):
+        stop = start + len(chunk)
+        if stop <= N:
+            if not np.all(np.isfinite(chunk)):
+                bad = start + int(np.argwhere(~np.isfinite(chunk))[0, 0])
+                raise ToolkitError(f"gradient row {bad} contains a non-finite entry")
+            C = C + chunk.T @ (rule.weights(start, stop)[:, None] * chunk)
+        start = stop
+    if start != N:
+        raise ToolkitError(f"{start} gradient rows for {N} rule points")
     return np.tril(C) + np.tril(C, -1).T
+
+
+def _chunks(blocks, size: int):
+    """The rows of the (rows, n) ``blocks``, in order, as arrays of ``size``
+    rows and a shorter last one: a slice of a block where one holds the
+    chunk, else the pieces of the blocks it spans, joined."""
+    held, count = [], 0
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        at = 0
+        while at < len(block):
+            piece = block[at:at + size - count]
+            held.append(piece)
+            count += len(piece)
+            at += len(piece)
+            if count == size:
+                yield held[0] if len(held) == 1 else np.concatenate(held)
+                held, count = [], 0
+    if held:
+        yield held[0] if len(held) == 1 else np.concatenate(held)
 
 
 def _check_symmetric(C) -> np.ndarray:

@@ -68,8 +68,8 @@ def fd_heap_peak(basis, quad) -> int:
         if basis is None:
             full_space_C(PipeFlowExperiment(), rule, 1e-6)
             return
-        source = algorithms._ForwardDifferences(PipeFlowExperiment(), rule, basis.w, basis.W, 1e-6)
-        assemble_C(source, rule)
+        assemble_C(rule, algorithms._forward_differences(PipeFlowExperiment(), rule, basis.w,
+                                                         basis.W, 1e-6))
 
     run("tensor:2")
     tracemalloc.start()
@@ -312,9 +312,9 @@ class TestSharedForwardDifferences:
         h = 1e-6
         pi0, want = fd_whole_rule(experiment, rule.rows(0, len(rule)), w, W, h)
         seen = []
-        source = algorithms._ForwardDifferences(experiment, rule, w, W, h,
-                                                lambda points, pi, grads: seen.append(pi))
-        got = source[0:len(rule)]
+        blocks = algorithms._forward_differences(experiment, rule, w, W, h,
+                                                 lambda points, pi, grads: seen.append(pi))
+        got = np.concatenate(list(blocks))
         # full-space tensor:6 is two runs, the others one
         assert np.concatenate(seen).tobytes() == pi0.tobytes()
         assert got.tobytes() == want.tobytes()
@@ -353,19 +353,23 @@ class TestSharedForwardDifferences:
         large = fd_heap_peak(pipe_basis, "mc:786432")
         assert abs(large - small) < 0.5 * 2**20
 
-    @pytest.mark.parametrize("weights,message", [
-        (np.full(242, 1.0 / 242), "^243 gradient rows vs 242 weights$"),
-        (np.full(243, 1.0 / 242), r"^weights sum to 1\.00413\d*, expected 1 \+/- 1e-10$"),
-        (np.r_[np.nan, np.full(242, 1.0 / 242)], r"^weights sum to nan, expected 1 \+/- 1e-10$"),
-    ], ids=["count", "sum", "nan"])
-    def test_refused_weights_cost_no_experiment_call(self, pipe_basis, weights, message):
+    def test_the_stream_makes_no_experiment_call_until_it_is_read(self, pipe_basis):
         rule = tensor_rule(BOX, 3)
         experiment = CountingExperiment(PipeFlowExperiment())
-        source = algorithms._ForwardDifferences(experiment, rule, pipe_basis.w, pipe_basis.W,
-                                                1e-6)
-        with pytest.raises(ToolkitError, match=message):
-            assemble_C(source, weights)
-        assert experiment.count == 0 and source.run == (0, 0, None)
+        blocks = algorithms._forward_differences(experiment, rule, pipe_basis.w, pipe_basis.W,
+                                                 1e-6)
+        assert experiment.count == 0
+        assert next(blocks).shape == (243, 2) and experiment.count == 3 * 243
+
+    @pytest.mark.parametrize("points", [242, 244])
+    def test_a_stream_for_another_rule_is_refused(self, pipe_basis, points):
+        # the 243 gradient rows of tensor:3 against a rule of another length
+        rows = tensor_rule(BOX, 3)
+        rule = PointsRule(np.ones((points, 1)), np.full(points, 1.0 / points))
+        blocks = algorithms._forward_differences(PipeFlowExperiment(), rows, pipe_basis.w,
+                                                 pipe_basis.W, 1e-6)
+        with pytest.raises(ToolkitError, match=f"^243 gradient rows for {points} rule points$"):
+            assemble_C(rule, blocks)
 
     @pytest.mark.parametrize("kind", ["ridge", "pipe"])
     def test_full_space_C_is_the_loop_with_identity_basis(self, pipe_basis, kind):
@@ -381,7 +385,7 @@ class TestSharedForwardDifferences:
         ])
         tol_g = fd_tolerance(np.log(points), pipe_basis.w, values, h)
         result = full_space_C(experiment, rule, h)
-        C = assemble_C(G, rule)
+        C = assemble_C(rule, [G])
         assert np.max(np.abs(result.C - C)) <= 2.0 * np.abs(G).max() * tol_g
 
 
@@ -389,7 +393,7 @@ class TestRuns:
     """The finite-difference route in calls of at most ``_CALL_ROWS`` rows:
     at tensor:7 (16,807 points) calls of at most 15,000 rows are, for two
     groups, runs of at most 5,000 points, which end at 4,201, 8,403 and
-    12,605, inside ``assemble_C``'s 4,096-row slices, so those slices join
+    12,605, inside ``assemble_C``'s 4,096-row chunks, so those chunks join
     two runs. In the full space the runs hold 2,401 points each."""
 
     QUAD, CALL_ROWS, EDGES = "tensor:7", 15000, (4201, 8403, 12605)
@@ -412,7 +416,7 @@ class TestRuns:
         rule = build_rule(BOX, config)
         _, grads = fd_whole_rule(PipeFlowExperiment(), rule.rows(0, len(rule)), pipe_basis.w,
                                  pipe_basis.W, config.h)
-        assert result.C.tobytes() == assemble_C(grads, rule).tobytes()
+        assert result.C.tobytes() == assemble_C(rule, [grads]).tobytes()
         # one call per run: its points and their two shifted copies
         assert experiment.sizes == [3 * 4201, 3 * 4202, 3 * 4202, 3 * 4202]
         assert experiment.count == result.metadata["evaluations"] == 3 * 7**5
@@ -423,7 +427,7 @@ class TestRuns:
         result = full_space_C(PipeFlowExperiment(), rule, h)
         _, grads = fd_whole_rule(PipeFlowExperiment(), rule.rows(0, len(rule)), np.zeros(m),
                                  np.eye(m), h)
-        assert result.C.tobytes() == assemble_C(grads, rule).tobytes()
+        assert result.C.tobytes() == assemble_C(rule, [grads]).tobytes()
 
     def test_trace_equals_the_whole_rule_trace(self, pipe_system, pipe_basis, runs, tmp_path):
         out = tmp_path / "run"
@@ -502,7 +506,7 @@ class AskingPipe:
 class TestCallRows:
     """The experiment's ``call_rows`` sizes the runs and changes no bit: each
     Newton row stops on its own residual, and ``assemble_C`` sums fixed
-    slices in row order."""
+    chunks in row order."""
 
     @staticmethod
     def route(experiment, space, system, basis, trace=None):
@@ -531,6 +535,20 @@ class TestCallRows:
         if space == "groups":
             assert len(whole_pi) == 1
             assert np.concatenate(pi).tobytes() == whole_pi[0].tobytes()
+
+    @pytest.mark.parametrize("space", ["groups", "full"])
+    @pytest.mark.parametrize("call_rows,message", [
+        (1000.0, "must be an integer, got 1000.0"),
+        (0, "must be at least 1, got 0"),
+        (-7, "must be at least 1, got -7"),
+        (True, "must be an integer, got True"),
+    ], ids=["float", "zero", "negative", "bool"])
+    def test_a_call_rows_that_is_no_count_is_refused_before_any_call(
+            self, pipe_system, pipe_basis, space, call_rows, message):
+        experiment = CountingExperiment(AskingPipe(call_rows))
+        with pytest.raises(ConfigError, match=f"^call_rows {message}$"):
+            self.route(experiment, space, pipe_system, pipe_basis)
+        assert experiment.calls == 0
 
 
 class TestWeightReads:
@@ -614,7 +632,7 @@ class TestAlgorithm1:
 
 
 class TestSurfaceIntegration:
-    """algorithm1 computes the surrogate gradient inside assemble_C's chunks."""
+    """algorithm1 streams the surrogate gradient into assemble_C one range at a time."""
 
     # tensor:6 is 7,776 rows and mc:10000 three chunks: both end in a partial chunk
     @pytest.mark.parametrize("quad", ["tensor:6", "mc:10000"])
@@ -625,7 +643,7 @@ class TestSurfaceIntegration:
         rule = build_rule(BOX, config)
         assert len(rule) > subspace._CHUNK_ROWS and len(rule) % subspace._CHUNK_ROWS
         grads = grad_surface(surface, np.log(rule.rows(0, len(rule))) @ pipe_basis.W)
-        assert np.array_equal(result.C, assemble_C(grads, rule))
+        assert np.array_equal(result.C, assemble_C(rule, [grads]))
 
     def test_turbulent_tensor11_allocates_little_on_the_heap(self, pipe_system, pipe_basis):
         # the 161,051-point rule keeps its 1-D axes and factor weights; the

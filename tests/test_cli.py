@@ -1218,7 +1218,9 @@ class TestSweepCommands:
         slope = fit_loglog_slope(table[:, 0], table[:, 1])
         assert 0.8 < slope < 1.2
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["evaluations"] == 4 * 243 * 3
+        assert manifest["evaluations"] == manifest["total_experiment_calls"] == 4 * 243 * 3
+        # one call per step: the 243 points and their two shifted copies
+        assert (manifest["evaluate_batch_calls"], manifest["largest_call_rows"]) == (4, 243 * 3)
 
     def test_ridge_check_outputs(self, tmp_path):
         out = tmp_path / "ridge"
@@ -1232,7 +1234,8 @@ class TestSweepCommands:
         # second-order decay, or None where round-off leaves < 2 points
         for slope in manifest["decay_slopes"].values():
             assert slope is None or 1.6 <= slope <= 2.4
-        assert manifest["evaluations"] == 2 * 243 * 6
+        assert manifest["evaluations"] == manifest["total_experiment_calls"] == 2 * 243 * 6
+        assert (manifest["evaluate_batch_calls"], manifest["largest_call_rows"]) == (2, 243 * 6)
 
     def test_ridge_check_integrates_over_the_chosen_rule(self, tmp_path):
         def run(seed):
@@ -1246,21 +1249,32 @@ class TestSweepCommands:
 
         assert run(3) != run(4)
 
-    @pytest.mark.parametrize("command", ["ridge-check", "fd-convergence"])
+    @pytest.mark.parametrize("command,least", [("ridge-check", 2), ("fd-convergence", 3)],
+                             ids=["ridge-check", "fd-convergence"])
     @pytest.mark.parametrize("sweep,message", [
         ("0,1e-3", "--h-sweep must be a positive number, got '0'"),
         ("nan,1e-3", "--h-sweep must be a positive number, got 'nan'"),
         ("1e-3,1e-3", "--h-sweep repeats the value 0.001"),
         ("1e-2,abc", "--h-sweep must be a positive number, got 'abc'"),
-        ("1e-3", "--h-sweep needs at least two values"),
+        ("1e-3", "--h-sweep needs at least {least} values"),
     ], ids=["zero", "nan", "repeated", "non-numeric", "one-value"])
-    def test_bad_sweep_is_rejected_before_any_work(self, tmp_path, capsys, command, sweep,
-                                                   message):
+    def test_bad_sweep_is_rejected_before_any_work(self, tmp_path, capsys, command, least,
+                                                   sweep, message):
         out = tmp_path / "x"
         rc = main([command, "--regime", "turbulent", "--quad", "tensor:3",
                    "--h-sweep", sweep, "--out-dir", str(out)])
         assert rc == 2
-        assert f"error: {message}\n" == capsys.readouterr().err
+        assert f"error: {message.format(least=least)}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fd_convergence_refuses_a_sweep_of_two_steps(self, tmp_path, capsys):
+        # the smallest step is the reference: one error is left, and a slope
+        # through one point is no slope
+        out = tmp_path / "x"
+        rc = main(["fd-convergence", "--regime", "turbulent", "--quad", "tensor:2",
+                   "--h-sweep", "1e-3,1e-4", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --h-sweep needs at least 3 values\n"
         assert not out.exists()
 
     def test_points_per_dim_is_not_an_option(self, tmp_path):

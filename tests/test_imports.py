@@ -20,7 +20,9 @@ Another resolves the type hints of every function and method, with the
 names that a module imports for annotations only, under
 ``typing.TYPE_CHECKING``, as a type checker sees them.
 
-One checks that only ``errors.py`` imports ``numbers``: an option value's
+One checks that no module imports another's single-underscore name: a
+value two modules share, such as a chunk size, is public or each keeps its
+own. One checks that only ``errors.py`` imports ``numbers``: an option value's
 type is decided there, by ``check_count`` or ``check_positive``. The others
 check that the package resolves its public names on first use, so a process
 loads only the modules it needs.
@@ -210,6 +212,30 @@ def imported_modules(source: str) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
     return found
+
+
+def private_imports(source: str) -> list[str]:
+    """Each single-underscore name that ``source`` imports from a module of
+    the package, by a relative import or from ``pigroups`` by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "pigroups"):
+            found += [a.name for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+    return sorted(found)
+
+
+def test_checker_finds_private_imports():
+    source = ("from __future__ import annotations\nfrom . import __version__, jsonio\n"
+              "from .a import _B, c\nfrom pigroups.d import _e\nfrom numpy import _f\n"
+              "def g():\n    from ..h import _i\n")
+    assert private_imports(source) == ["_B", "_e", "_i"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_module_imports_a_private_name_of_another(module):
+    assert private_imports((PACKAGE / module).read_text()) == []
 
 
 def test_only_the_errors_module_imports_numbers():

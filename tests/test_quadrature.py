@@ -312,10 +312,20 @@ class TestQuadratureRuleInvariants:
         with pytest.raises(ToolkitError, match="^one weight per point required$"):
             PointsRule(points=np.ones((3, 2)), weights=np.array([0.5, 0.5]))
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ToolkitError, match=r"^weights sum to 0\.8, expected 1 \+/- 1e-10$"):
-            PointsRule(points=np.array([[1.0], [2.0]]), weights=np.array([0.4, 0.4]))
+    @pytest.mark.parametrize("weights,total", [
+        (np.array([0.4, 0.4]), r"0\.8"),
+        (np.full(4, 0.3), r"1\.2"),
+        (np.full(10, 0.2), r"2\.0"),
+    ])
+    def test_weights_must_sum_to_one(self, weights, total):
+        with pytest.raises(ToolkitError, match=f"^weights sum to {total}, expected 1 \\+/- 1e-10$"):
+            PointsRule(points=np.ones((len(weights), 1)), weights=weights)
 
-    def test_a_nan_weight_is_refused(self):
+    @pytest.mark.parametrize("weights", [
+        np.array([np.nan, 1.0]),
+        np.array([0.5, np.nan, 0.5]),
+        np.r_[np.nan, np.full(9, 1.0 / 9)],
+    ])
+    def test_a_nan_weight_is_refused(self, weights):
         with pytest.raises(ToolkitError, match=r"^weights sum to nan, expected 1 \+/- 1e-10$"):
-            PointsRule(points=np.array([[1.0], [2.0]]), weights=np.array([np.nan, 1.0]))
+            PointsRule(points=np.ones((len(weights), 1)), weights=weights)

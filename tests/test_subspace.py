@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import PointsRule, SpanMismatch, express_in_classical
@@ -28,19 +28,20 @@ def random_orthogonal(n, seed):
     return Q * np.sign(np.diag(R))
 
 
-class SliceLog:
-    """An array handed out by slice only, as a gradient source that builds
-    its rows on slicing is; ``slices`` logs each (start, stop) read."""
+def uniform(N):
+    """A rule over N rows, every weight 1/N; assemble_C reads only its weights."""
+    return PointsRule(np.ones((N, 1)), np.full(N, 1.0 / N))
 
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        self.shape = self.values.shape
-        self.slices = []
 
-    def __getitem__(self, rows: slice):
-        start, stop, _ = rows.indices(self.shape[0])
-        self.slices.append((start, stop))
-        return self.values[start:stop].copy()
+def weighted(w):
+    return PointsRule(np.ones((len(w), 1)), w)
+
+
+def partition(G, cuts):
+    """The rows of G as blocks that end at the sorted ``cuts``: a repeated
+    cut makes an empty block."""
+    edges = [0, *sorted(cuts), len(G)]
+    return [G[a:b] for a, b in zip(edges, edges[1:])]
 
 
 def random_psd(n, seed):
@@ -54,19 +55,19 @@ class TestAssembleC:
     def test_constant_gradient_gives_rank_one(self):
         a = np.array([1.0, 2.0, -1.0])
         G = np.tile(a, (40, 1))
-        C = assemble_C(G, np.full(40, 1.0 / 40))
+        C = assemble_C(uniform(40), [G])
         assert np.max(np.abs(C - np.outer(a, a))) < 1e-14
         lam, _ = eigendecompose(C)
         assert lam[0] == pytest.approx(float(a @ a), rel=1e-14)
         assert np.max(np.abs(lam[1:])) < 1e-13
 
     def test_zero_gradients(self):
-        C = assemble_C(np.zeros((10, 2)), np.full(10, 0.1))
+        C = assemble_C(uniform(10), [np.zeros((10, 2))])
         assert np.array_equal(C, np.zeros((2, 2)))
 
     def test_two_unit_gradients(self):
         G = np.array([[1.0, 0.0], [0.0, 1.0]])
-        C = assemble_C(G, np.array([0.5, 0.5]))
+        C = assemble_C(uniform(2), [G])
         assert np.array_equal(C, np.diag([0.5, 0.5]))
 
     def test_exactly_symmetric(self, monkeypatch):
@@ -75,34 +76,28 @@ class TestAssembleC:
         G = gen.normal(size=(1000, 4))
         w = gen.random(1000)
         w /= w.sum()
-        C = assemble_C(G, w)
+        C = assemble_C(weighted(w), [G])
         assert np.array_equal(C, C.T)
 
     def test_chunk_size_does_not_change_result_materially(self, monkeypatch):
         gen = np.random.default_rng(3)
         G = gen.normal(size=(500, 3))
-        w = np.full(500, 1.0 / 500)
-        C1 = assemble_C(G, w)  # one chunk
-        assert np.array_equal(C1, assemble_C(G, w))  # deterministic
+        rule = uniform(500)
+        C1 = assemble_C(rule, [G])  # one chunk
+        assert np.array_equal(C1, assemble_C(rule, [G]))  # deterministic
         monkeypatch.setattr(subspace, "_CHUNK_ROWS", 7)
-        C2 = assemble_C(G, w)
+        C2 = assemble_C(rule, [G])
         assert np.max(np.abs(C1 - C2)) < 1e-14 * max(1.0, np.max(np.abs(C1)))
 
-    def test_rejects_unnormalized_weights(self):
+    @pytest.mark.parametrize("cuts,bad", [([], 2), ([2], 2), ([1, 3, 3], 5), ([4, 5], 5)],
+                             ids=["one-block", "first-of-second", "fourth-block", "last"])
+    def test_rejects_non_finite_gradients(self, monkeypatch, cuts, bad):
+        monkeypatch.setattr(subspace, "_CHUNK_ROWS", 4)
+        G = np.ones((7, 2))
+        G[bad, 1] = np.nan
         with pytest.raises(ToolkitError,
-                           match=r"^weights sum to 1\.2, expected 1 \+/- 1e-10$"):
-            assemble_C(np.ones((4, 2)), np.full(4, 0.3))
-
-    def test_rejects_non_finite_gradients(self):
-        G = np.ones((4, 2))
-        G[2, 1] = np.nan
-        with pytest.raises(ToolkitError, match="^gradient row 2 contains a non-finite entry$"):
-            assemble_C(G, np.full(4, 0.25))
-
-    def test_rejects_a_nan_weight(self):
-        # abs(nan - 1.0) > 1e-10 is False: a NaN sum must fail all the same
-        with pytest.raises(ToolkitError, match=r"^weights sum to nan, expected 1 \+/- 1e-10$"):
-            assemble_C(np.ones((3, 2)), [0.5, np.nan, 0.5])
+                           match=f"^gradient row {bad} contains a non-finite entry$"):
+            assemble_C(uniform(7), partition(G, cuts))
 
     def test_a_rule_is_read_chunk_by_chunk_and_never_summed(self, monkeypatch):
         class RangeLog(PointsRule):
@@ -121,26 +116,46 @@ class TestAssembleC:
         # the constructor checks the weights in one range of at most 2**15
         assert rule.ranges == [(0, 10)]
         rule.ranges.clear()
-        assert assemble_C(G, rule).tobytes() == assemble_C(G, w).tobytes()
+        C = assemble_C(rule, partition(G, [3, 9]))
         assert rule.ranges == [(0, 4), (4, 8), (8, 10)]
+        assert np.max(np.abs(C - (G.T * w) @ G)) < 1e-14
 
-    @pytest.mark.parametrize("weights,message", [
-        (np.full(9, 1.0 / 9), "^10 gradient rows vs 9 weights$"),
-        (np.full(10, 0.2), r"^weights sum to 2\.0, expected 1 \+/- 1e-10$"),
-        (np.r_[np.nan, np.full(9, 1.0 / 9)], r"^weights sum to nan, expected 1 \+/- 1e-10$"),
-        (PointsRule(np.ones((9, 1)), np.full(9, 1.0 / 9)), "^10 gradient rows vs 9 weights$"),
-    ], ids=["count", "sum", "nan", "rule-count"])
-    def test_refused_weights_read_no_gradient_row(self, monkeypatch, weights, message):
+    @settings(max_examples=200, deadline=None)
+    @given(N=st.integers(1, 40), chunk=st.integers(1, 12),
+           cuts=st.lists(st.integers(0, 40), max_size=43))
+    # every block one row, between empty ones
+    @example(N=10, chunk=3, cuts=[0, *range(11), 10])
+    def test_any_partition_into_blocks_gives_the_same_bytes(self, N, chunk, cuts):
+        # a repeated cut makes an empty block, and cuts one apart a one-row block
+        G = np.random.default_rng(N).normal(size=(N, 3))
+        w = np.random.default_rng(N + 1).random(N)
+        rule = weighted(w / w.sum())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(subspace, "_CHUNK_ROWS", chunk)
+            whole = assemble_C(rule, [G])
+            blocks = partition(G, [min(cut, N) for cut in cuts])
+            assert assemble_C(rule, iter(blocks)).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("rows", [9, 11])
+    @pytest.mark.parametrize("cuts", [[], [4], [5, 5, 8]], ids=["one", "two", "four"])
+    def test_a_stream_of_another_length_is_refused(self, monkeypatch, rows, cuts):
+        class RangeLog(PointsRule):
+            def weights(self, start, stop):
+                self.stops.append(stop)
+                return super().weights(start, stop)
+
+        RangeLog.stops = []
         monkeypatch.setattr(subspace, "_CHUNK_ROWS", 4)
-        gradients = SliceLog(np.ones((10, 2)))
-        with pytest.raises(ToolkitError, match=message):
-            assemble_C(gradients, weights)
-        assert gradients.slices == []
+        rule = RangeLog(np.ones((10, 1)), np.full(10, 0.1))
+        with pytest.raises(ToolkitError, match=f"^{rows} gradient rows for 10 rule points$"):
+            assemble_C(rule, partition(np.ones((rows, 2)), cuts))
+        # no weight is asked for beyond the rule's last row
+        assert max(RangeLog.stops) <= 10
 
     def test_overflow_to_inf_is_refused_by_eigendecompose(self):
         # finite gradients above about 1e154 square to inf, with a warning
         with pytest.warns(RuntimeWarning, match="^overflow encountered in matmul$"):
-            C = assemble_C(np.full((2, 2), 1e160), [0.5, 0.5])
+            C = assemble_C(uniform(2), [np.full((2, 2), 1e160)])
         assert np.all(np.isinf(C))
         with pytest.raises(ToolkitError, match=r"^C\[0, 0\] is inf; C must be finite$"):
             eigendecompose(C)
@@ -293,8 +308,7 @@ class TestRidgeRankBound:
             B = gen.normal(size=(r, 5))
             coeffs = gen.normal(size=(400, r))
             G = coeffs @ B
-            w = np.full(400, 1.0 / 400)
-            lam, _ = eigendecompose(assemble_C(G, w))
+            lam, _ = eigendecompose(assemble_C(uniform(400), [G]))
             assert np.all(lam[r:] < 1e-10 * lam[0])
 
 
