@@ -290,7 +290,7 @@ def _finalize(system, W, C, extra) -> SubspaceResult:
     Z, descriptors = unique_groups(W, U, system.symbols)
     D = build_dimension_matrix(system)
     worst = max(check_dimensionless(D, Z[:, j]) for j in range(Z.shape[1]))
-    if worst > DIMENSIONLESS_TOL:
+    if not worst <= DIMENSIONLESS_TOL:
         raise ToolkitError(f"group exponents are not dimensionless: |Dz| = {worst:.3e}")
     gap = eigen_gap(lam)
     metadata = {

@@ -30,7 +30,6 @@ import time
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,9 +52,6 @@ from .pipeflow import (
     regime_box,
     regime_names,
 )
-
-if TYPE_CHECKING:
-    from .quadrature import RegimeBox
 
 
 def entry() -> None:
@@ -192,20 +188,6 @@ def _merge_config(args) -> dict:
     return cfg
 
 
-def _load_system(args) -> QuantitySystem:
-    if getattr(args, "system", None):
-        return QuantitySystem.from_file(args.system)
-    return pipe_quantity_system()
-
-
-def _load_box(args, system: QuantitySystem) -> RegimeBox:
-    if args.regime is not None:
-        return regime_box(args.regime, system.symbols)
-    from .quadrature import RegimeBox
-
-    return RegimeBox.from_file(args.box, symbols=system.symbols)
-
-
 def _make_experiment(args, cfg, system: QuantitySystem):
     # every option is checked, whichever experiment runs
     model = PipeFlowExperiment(**{f.name: cfg[f.name] for f in fields(PipeFlowExperiment)})
@@ -238,11 +220,14 @@ def _prepare(args):
     """Setup shared by the analysis commands: merged options, algorithm config, system,
     box, basis, a counting experiment and, once all are accepted, the output directory."""
     from .algorithms import AlgorithmConfig, CountingExperiment
+    from .quadrature import RegimeBox
 
     cfg = _merge_config(args)
     config = AlgorithmConfig(**{f.name: cfg[f.name] for f in fields(AlgorithmConfig)})
-    system = _load_system(args)
-    box = _load_box(args, system)
+    system = (QuantitySystem.from_file(args.system) if getattr(args, "system", None)
+              else pipe_quantity_system())
+    box = (regime_box(args.regime, system.symbols) if args.regime is not None
+           else RegimeBox.from_file(args.box, symbols=system.symbols))
     basis = pi_basis(system)
     experiment = CountingExperiment(_make_experiment(args, cfg, system))
     # checked again where used; here only so that a refused size makes no directory

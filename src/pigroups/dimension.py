@@ -125,7 +125,7 @@ class QuantitySystem:
             if len(self.pinned_w) != m or not np.all(np.isfinite(self.pinned_w)):
                 raise ToolkitError("pinned w must have one finite entry per independent")
             res = _max_abs(D @ np.asarray(self.pinned_w) - np.array(self.dependent.dims))
-            if res > BASIS_TOL:
+            if not res <= BASIS_TOL:
                 raise ToolkitError(f"pinned w violates D w = v(q): residual {res:.3e}")
 
     @property
@@ -203,7 +203,7 @@ def solve_output_exponents(D: np.ndarray, v_q: np.ndarray) -> np.ndarray:
         raise ToolkitError(f"v(q) has length {v.shape[0]}, D has {D.shape[0]} rows")
     w, *_ = np.linalg.lstsq(D, v, rcond=None)
     res = _max_abs(D @ w - v)
-    if res > BASIS_TOL:
+    if not res <= BASIS_TOL:
         raise ToolkitError(f"no exponent vector solves D w = v(q); residual {res:.3e}")
     return w
 
@@ -212,17 +212,14 @@ def normalize_column_signs(M: np.ndarray) -> np.ndarray:
     """Flip columns so each one's largest-magnitude entry is positive.
 
     Magnitudes within one part in 1e12 of the maximum count as tied and
-    the lowest index wins, so the rule is stable against round-off.
+    the lowest index wins, so the rule is stable against round-off. One
+    ``argmax`` over the tie mask finds every lead; a zero column keeps its signs.
     """
     M = np.array(M, dtype=float, copy=True)
-    for j in range(M.shape[1]):
-        mags = np.abs(M[:, j])
-        top = mags.max()
-        if top == 0.0:
-            continue
-        lead = int(np.flatnonzero(mags >= top * (1.0 - 1e-12))[0])
-        if M[lead, j] < 0:
-            M[:, j] = -M[:, j]
+    mags = np.abs(M)
+    lead = np.argmax(mags >= mags.max(axis=0, initial=0.0) * (1.0 - 1e-12), axis=0)
+    flip = M[lead, np.arange(M.shape[1])] < 0
+    M[:, flip] = -M[:, flip]
     return M
 
 
@@ -281,7 +278,7 @@ def pi_basis(system: QuantitySystem) -> PiBasis:
     W = nullspace_basis(D)
     res_null = _max_abs(D @ W)
     res_orth = _max_abs(W.T @ W - np.eye(W.shape[1]))
-    if res_null > BASIS_TOL or res_orth > BASIS_TOL:
+    if not res_null <= BASIS_TOL or not res_orth <= BASIS_TOL:
         raise ToolkitError(
             f"null-space basis failed validation: |DW|={res_null:.3e}, "
             f"|W^TW - I|={res_orth:.3e}"

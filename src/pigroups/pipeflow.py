@@ -263,12 +263,10 @@ class PipeFlowExperiment:
 
 
 def moody_grid(re_crit) -> np.ndarray:
-    """Rows of (log10 Re, log10 rel_rough, lambda) for plotting the chart;
-    ``re_crit`` as ``friction_factor`` takes it."""
+    """Rows of (log10 Re, log10 rel_rough, lambda) for plotting the chart, each
+    roughness over every Re in turn; ``re_crit`` as ``friction_factor`` takes it."""
     res, roughs = (np.logspace(np.log10(lo), np.log10(hi), n)
                    for lo, hi, n in (_MOODY_RE, _MOODY_ROUGH))
-    rows = []
-    for rr in roughs:
-        lam = friction_factor(res, rr, re_crit=re_crit)
-        rows.append(np.column_stack([np.log10(res), np.full_like(res, np.log10(rr)), lam]))
-    return np.vstack(rows)
+    lam = friction_factor(res, roughs[:, None], re_crit=re_crit)
+    return np.column_stack([np.tile(np.log10(res), roughs.size),
+                            np.repeat(np.log10(roughs), res.size), lam.reshape(-1)])

@@ -9,8 +9,9 @@ A rule hands out its points and its weights by row range, through
 ``rows(start, stop)`` and ``weights(start, stop)``, so a caller that works
 through it in pieces holds one piece at a time, and no rule holds or
 builds an array that grows with its point count N. A tensor rule keeps
-only its 1-D axes and factor weights and computes a range from the digits
-of the row indices; a Monte Carlo rule keeps its seed and draws a range
+only its 1-D axes and factor weights and makes a range of points and one
+of weights from the same expansion of the row indices' digits, one digit
+level at a time; a Monte Carlo rule keeps its seed and draws a range
 from the generator's place for it, and every one of its weights is 1/N.
 A rule's weights are checked once, when the rule is made; ``assemble_C``
 then reads them one range of its chunks at a time, and takes no weights
@@ -144,7 +145,8 @@ class _TensorRule(QuadratureRule):
     m - 1, multiplied in that order, as ``functools.reduce(np.multiply.outer,
     [np.ones(1)] + [factor] * m)`` multiplies them, so every bit is the
     same. ``axes`` is the (m, p) array of the mapped nodes and ``factor``
-    the p weights of each axis."""
+    the p weights of each axis. Both points and weights come from
+    ``_expand``, which builds a range's digit prefixes one level at a time."""
 
     def __init__(self, axes: np.ndarray, factor: np.ndarray):
         axes.flags.writeable = False
@@ -153,27 +155,35 @@ class _TensorRule(QuadratureRule):
         super().__init__(axes.shape[0], axes.shape[1] ** axes.shape[0])
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        # the node values themselves: the same bits as the rows of the meshgrid
-        index = np.arange(start, stop)
-        out = np.empty((index.size, self.m))
-        for j in range(self.m - 1, -1, -1):
-            index, digit = np.divmod(index, self.axes.shape[1])
-            out[:, j] = self.axes[j, digit]
-        return out
+        def grow(out, j):
+            # the node values themselves: the same bits as the rows of the meshgrid
+            children = np.empty((out.shape[0], self.axes.shape[1], j + 1))
+            children[:, :, :j] = out[:, None, :]
+            children[:, :, j] = self.axes[j]
+            return children.reshape(-1, j + 1)
+
+        return self._expand(start, stop, lambda k: np.empty((k, 0)), grow)
 
     def weights(self, start: int, stop: int) -> np.ndarray:
-        p = self.factor.shape[0]
+        return self._expand(start, stop, np.ones,
+                            lambda out, j: (out[:, None] * self.factor).reshape(-1))
+
+    def _expand(self, start: int, stop: int, root, grow) -> np.ndarray:
+        """Rows start to stop - 1 of the digit expansion: ``root(k)`` makes k
+        empty prefixes, and ``grow(out, j)`` the p children of each prefix in
+        ``out``, one per value of digit j, as a fresh array in row order."""
+        p = self.axes.shape[1]
         # the first j digits of rows start to stop - 1 run from start // p**(m - j)
-        # to ceil(stop / p**(m - j)) - 1, and their weight changes every p**(m - j) rows
+        # to ceil(stop / p**(m - j)) - 1
         ranges = [(start, max(start, stop))]
         for _ in range(self.m):
             first, end = ranges[-1]
             ranges.append((first // p, -(-end // p)))
         first, end = ranges.pop()
-        out = np.ones(end - first)
-        for lo, hi in reversed(ranges):
+        out = root(end - first)
+        for j, (lo, hi) in enumerate(reversed(ranges)):
             shift = first * p
-            out = (out[:, None] * self.factor).reshape(-1)[lo - shift:hi - shift]
+            out = grow(out, j)[lo - shift:hi - shift]
             first = lo
         return out
 

@@ -9,7 +9,7 @@ eigenvalues rank the groups by how much the output responds to each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,7 +79,7 @@ def _check_symmetric(C) -> np.ndarray:
         i, j = np.argwhere(~np.isfinite(C))[0]
         raise ToolkitError(f"C[{i}, {j}] is {float(C[i, j])!r}; C must be finite")
     scale = max(1.0, float(np.max(np.abs(C))) if C.size else 1.0)
-    if float(np.max(np.abs(C - C.T))) > 1e-10 * scale:
+    if not float(np.max(np.abs(C - C.T))) <= 1e-10 * scale:
         raise ToolkitError("matrix is not symmetric to 1e-10")
     return C
 
@@ -115,9 +115,11 @@ def unique_groups(W, U, symbols):
     if W.shape[1] != U.shape[0] or U.shape[0] != U.shape[1]:
         raise ToolkitError(f"W is {W.shape}, U is {U.shape}")
     n = W.shape[1]
-    if float(np.max(np.abs(W.T @ W - np.eye(n)))) > 1e-8:
+    if len(symbols) != W.shape[0]:
+        raise ToolkitError(f"{len(symbols)} symbols for {W.shape[0]} exponent rows")
+    if not float(np.max(np.abs(W.T @ W - np.eye(n)))) <= 1e-8:
         raise ToolkitError("W must have orthonormal columns")
-    if float(np.max(np.abs(U.T @ U - np.eye(n)))) > 1e-8:
+    if not float(np.max(np.abs(U.T @ U - np.eye(n)))) <= 1e-8:
         raise ToolkitError("U must be orthogonal")
     Z = W @ U
     descriptors = [group_descriptor(Z[:, j], symbols) for j in range(n)]
@@ -139,7 +141,7 @@ def rotation_angle(U) -> float:
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape != (2, 2):
         raise ToolkitError(f"rotation angle needs a 2x2 matrix, got {U.shape}")
-    if float(np.max(np.abs(U.T @ U - np.eye(2)))) > 1e-8:
+    if not float(np.max(np.abs(U.T @ U - np.eye(2)))) <= 1e-8:
         raise ToolkitError("U must be orthogonal")
     return float(np.degrees(np.arccos(np.clip(U[0, 0], -1.0, 1.0))))
 
@@ -175,13 +177,7 @@ class SubspaceResult:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "eigenvalues": self.eigenvalues,
-            "U": self.U,
-            "Z": self.Z,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 def result_to_csv(result: SubspaceResult, symbols, path) -> None:

@@ -13,7 +13,7 @@ Memory per call is rows x T floats; the surface route passes its rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -78,14 +78,7 @@ class ResponseSurface:
         return dcoef
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "n": self.n,
-            "coefficients": self.coefficients,
-            "center": self.center,
-            "scale": self.scale,
-            "train_rmse": self.train_rmse,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResponseSurface":
@@ -165,7 +158,7 @@ def fit_polynomial(designs, targets, degree: int) -> ResponseSurface:
     A = _features(Xs, degree)
     coeffs, _, _, sv = np.linalg.lstsq(A, y, rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
-    if cond > CONDITION_LIMIT:
+    if not cond <= CONDITION_LIMIT:
         raise ToolkitError(f"feature matrix condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
     rmse = float(np.sqrt(np.mean((A @ coeffs - y) ** 2)))
     coeffs.flags.writeable = False

@@ -4,8 +4,9 @@ algorithm 2's batched loop, the whole-rule forward differences and trace
 file that its runs must reproduce bit for bit, the graded monomial order and the direct
 monomial and per-term gradient oracles for the response-surface kernels,
 the per-value CSV encoder that the external batch formatter must match,
-the classical-basis coordinates of group exponents (criterion 5) and a
-rule over points given in full."""
+the classical-basis coordinates of group exponents (criterion 5), a
+rule over points given in full and the per-column sign rule that
+``normalize_column_signs`` must match."""
 
 import json
 from itertools import product
@@ -227,3 +228,19 @@ def csv_request(symbols, Q) -> str:
     """Request text of one external batch, formatted one value at a time."""
     text = ",".join(symbols) + "\n"
     return text + "\n".join(",".join("%.17g" % v for v in row) for row in Q) + "\n"
+
+
+def column_signs_by_loop(M) -> np.ndarray:
+    """M with each column negated whose lead is negative, one column at a
+    time: the lead is the first entry whose magnitude is within one part in
+    1e12 of the column's maximum, and a zero column is left as it is."""
+    M = np.array(M, dtype=float, copy=True)
+    for j in range(M.shape[1]):
+        mags = np.abs(M[:, j])
+        top = mags.max()
+        if top == 0.0:
+            continue
+        lead = int(np.flatnonzero(mags >= top * (1.0 - 1e-12))[0])
+        if M[lead, j] < 0:
+            M[:, j] = -M[:, j]
+    return M

@@ -621,6 +621,18 @@ class TestAlgorithm1:
         with pytest.raises(ToolkitError, match=f"^experiment returned nan at {where}$"):
             algorithm1(NanAtRow7(), pipe_system, pipe_basis, BOX, small_config())
 
+    def test_an_error_of_the_experiment_on_a_design_point_is_raised_unchanged(
+            self, pipe_system, pipe_basis):
+        error = ExternalError("batch 0: exit code 3")
+
+        class Refuses:
+            def evaluate_batch(self, Q):
+                raise error
+
+        with pytest.raises(ExternalError) as info:
+            algorithm1(Refuses(), pipe_system, pipe_basis, BOX, small_config())
+        assert info.value is error
+
     def test_returned_surface_supports_prediction(self, pipe_system, pipe_basis):
         experiment = PipeFlowExperiment()
         result, surface = algorithm1(experiment, pipe_system, pipe_basis, BOX,

@@ -28,7 +28,7 @@ from pigroups.pipeflow import (
     regime_box,
 )
 from pigroups.quadrature import latin_hypercube, monte_carlo_rule, tensor_rule
-from pigroups.surrogate import fit_polynomial
+from pigroups.surrogate import ResponseSurface, fit_polynomial, grad_surface
 
 
 @pytest.fixture()
@@ -875,6 +875,25 @@ class TestAnalyzeCommand:
         assert lines[0] == "rho,mu,D,eps,V,pi,g_1,g_2"
         assert len(lines) == 244
 
+    def test_surface_trace_holds_each_design_point_and_the_surrogate_gradient(self, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["analyze", "--regime", "turbulent", "--algorithm", "1", "--design", "60",
+                   "--holdout", "0", "--quad", "tensor:3", "--trace", "--out-dir", str(out)])
+        assert rc == 0
+        assert (out / "trace.csv").read_text().splitlines()[0] == "rho,mu,D,eps,V,pi,g_1,g_2"
+        data = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        points, pi, grads = data[:, :5], data[:, 5], data[:, 6:]
+        # one row per design point, in design order
+        design = latin_hypercube(regime_box("turbulent"), 60, AlgorithmConfig().seed)
+        assert np.array_equal(points, design)
+        doc = json.loads((out / "surface.json").read_text())
+        logq = np.log(points)
+        q = PipeFlowExperiment().evaluate_batch(points)
+        assert np.allclose(pi, q * np.exp(-logq @ np.array(doc["w"])), rtol=1e-13, atol=0.0)
+        surface = ResponseSurface.from_dict(doc["surface"])
+        assert np.allclose(grads, grad_surface(surface, logq @ np.array(doc["W"])),
+                           rtol=1e-12, atol=0.0)
+
     def test_external_experiment_matches_builtin(self, tmp_path, pipe_system_file):
         cmd = write_script(tmp_path, "wrapper.py", WRAPPER)
         out_ext = tmp_path / "ext"
@@ -1175,6 +1194,13 @@ class TestAnalyzeCommand:
                    "--regime", "turbulent",
                    "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
         assert rc == 4
+
+    def test_a_program_that_does_not_exist_cannot_launch(self, tmp_path, capsys):
+        missing = str(tmp_path / "no_such_program")
+        rc = main(["analyze", "--experiment-cmd", missing, "--regime", "turbulent",
+                   "--quad", "tensor:3", "--out-dir", str(tmp_path / "x")])
+        assert rc == 4
+        assert f"cannot launch {missing!r}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("script,message", [
         (NOT_UTF8_SCRIPT, "row 0: unparseable output '\ufffd\ufffd'"),

@@ -2,14 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import PIPE_SYSTEM_DOC, evaluate_point
+from helpers import PIPE_SYSTEM_DOC, column_signs_by_loop, evaluate_point
 from pigroups.dimension import (
     RANK_RTOL,
     Quantity,
     QuantitySystem,
     build_dimension_matrix,
     check_dimensionless,
+    normalize_column_signs,
     nullspace_basis,
     parse_unit_expr,
     solve_output_exponents,
@@ -29,6 +32,29 @@ PIPE_W = np.array([1.0, 0.0, -1.0, 0.0, 2.0])
 
 def exps(dims):
     return [int(e) for e in dims]
+
+
+@st.composite
+def sign_test_matrices(draw):
+    """Matrices of up to 6 x 6 whose columns are random, all-zero with
+    0.0 and -0.0 mixed, or hold a planted tie: two entries of opposite sign
+    at the top magnitude, the first smaller by 0, 5e-13 (inside the tie
+    tolerance) or 2e-12 (outside it) of it, or larger by 5e-13."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = gen.uniform(-1.0, 1.0, (rows, cols))
+    for j in range(cols):
+        kind = draw(st.sampled_from(("random", "zero", "tie")))
+        if kind == "zero":
+            M[:, j] = np.where(gen.random(rows) < 0.5, 0.0, -0.0)
+        elif kind == "tie" and rows > 1:
+            first, second = sorted(gen.choice(rows, 2, replace=False))
+            top = draw(st.floats(1.0, 1e3))
+            gap = draw(st.sampled_from((0.0, 5e-13, 2e-12, -5e-13)))
+            sign = draw(st.sampled_from((1.0, -1.0)))
+            M[first, j] = sign * top * (1.0 - gap)
+            M[second, j] = -sign * top
+    return M
 
 
 class TestParseUnitExpr:
@@ -151,6 +177,17 @@ class TestOutputExponents:
         with pytest.raises(ToolkitError, match="^v\\(q\\) has length 4, D has 3 rows$"):
             solve_output_exponents(PIPE_D, np.zeros(4))
 
+    def test_no_solution_is_refused(self):
+        # rank 1: no w gives the second row a different value from the first
+        with pytest.raises(ToolkitError, match=r"^no exponent vector solves D w = v\(q\); "
+                                               r"residual 5\.000e-01$"):
+            solve_output_exponents(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
+
+    def test_a_nan_target_is_refused(self):
+        with pytest.raises(ToolkitError, match=r"^no exponent vector solves D w = v\(q\); "
+                                               r"residual nan$"):
+            solve_output_exponents(np.array([[1.0, 0.0]]), np.array([np.nan]))
+
 
 class TestNullspaceBasis:
     def test_two_quantities_one_unit(self):
@@ -168,6 +205,10 @@ class TestNullspaceBasis:
         W = nullspace_basis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         assert np.max(np.abs(W - np.array([[0.0], [0.0], [1.0]]))) < 1e-15
 
+    def test_rank_deficient_matrix_is_refused(self):
+        with pytest.raises(ToolkitError, match="^dimension matrix has rank 1 < 2$"):
+            nullspace_basis(np.array([[1.0, 1.0], [2.0, 2.0]]))
+
     def test_no_null_space(self):
         with pytest.raises(ToolkitError, match=r"^no dimensionless groups exist \(m = k = 2\)$"):
             nullspace_basis(np.eye(2))
@@ -182,6 +223,19 @@ class TestNullspaceBasis:
             for j in range(W.shape[1]):
                 lead = np.argmax(np.abs(W[:, j]))
                 assert W[lead, j] > 0
+
+
+class TestNormalizeColumnSigns:
+    @settings(max_examples=300, deadline=None)
+    @given(M=sign_test_matrices())
+    @example(M=np.array([[-(1.0 - 5e-13)], [1.0]]))
+    def test_equals_the_per_column_loop_bit_for_bit(self, M):
+        assert normalize_column_signs(M).tobytes() == column_signs_by_loop(M).tobytes()
+
+    def test_a_tie_goes_to_the_lowest_index(self):
+        M = np.array([[-(1.0 - 5e-13), 1.0 - 2e-12], [1.0, -1.0], [0.0, 0.5]])
+        assert np.array_equal(normalize_column_signs(M), [[1.0 - 5e-13, -(1.0 - 2e-12)],
+                                                          [-1.0, 1.0], [-0.0, -0.5]])
 
 
 class TestNondimOutput:

@@ -20,6 +20,11 @@ Another resolves the type hints of every function and method, with the
 names that a module imports for annotations only, under
 ``typing.TYPE_CHECKING``, as a type checker sees them.
 
+One checks that every tolerance check that raises is NaN-proof: an ``if``
+whose body raises must not test ``x > tol``, which is false for a NaN x,
+where ``tol`` is a ``*_TOL`` or ``*_LIMIT`` name or a float literal in (0, 1),
+alone or in a product; it tests ``not x <= tol`` instead.
+
 One checks that no module imports another's single-underscore name: a
 value two modules share, such as a chunk size, is public or each keeps its
 own. One checks that only ``errors.py`` imports ``numbers``: an option value's
@@ -201,6 +206,49 @@ def test_checker_finds_unpassed_defaults():
         "b.py": "f(0, z=3)\ng(0, **kw)\nK()\nk.m(5)\n",
     }
     assert unpassed_defaults(sources) == ["a.py:K(a)", "a.py:f(y)", "a.py:m(c)"]
+
+
+def _is_tolerance(node) -> bool:
+    """A ``*_TOL`` or ``*_LIMIT`` name or a float literal in (0, 1), alone
+    or as a factor of a product; ``x > 0.0`` is a sign test, not a tolerance."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _is_tolerance(node.left) or _is_tolerance(node.right)
+    if isinstance(node, ast.Name):
+        return node.id.endswith(("_TOL", "_LIMIT"))
+    return isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1
+
+
+def nan_blind_checks(source: str) -> list[int]:
+    """The line of each ``if`` whose body raises and whose test compares
+    ``x > tol`` for a tolerance ``tol``: a NaN x passes such a check."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body)):
+            continue
+        if any(isinstance(op, ast.Gt) and _is_tolerance(right)
+               for cmp in ast.walk(node.test) if isinstance(cmp, ast.Compare)
+               for op, right in zip(cmp.ops, cmp.comparators)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_checker_finds_nan_blind_checks():
+    source = (
+        "if res > BASIS_TOL:\n    raise E\n"
+        "if a > 1e-10 * scale or b:\n    raise E\n"
+        "if not res <= BASIS_TOL:\n    raise E\n"
+        "if cond > CONDITION_LIMIT:\n    x = 1\n"
+        "if n > 2.0 or n > 3:\n    raise E\n"
+        "if len(x) > MAX_POINTS:\n    raise E\n"
+        "if x > 0.0:\n    raise E\n"
+        "if a > b > 1e-8:\n    raise E\n"
+    )
+    assert nan_blind_checks(source) == [1, 3, 15]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_every_tolerance_check_refuses_nan(module):
+    assert nan_blind_checks((PACKAGE / module).read_text()) == []
 
 
 def imported_modules(source: str) -> set[str]:

@@ -23,6 +23,11 @@ def test_non_finite_values_are_refused(value):
         jsonio.dumps(value)
 
 
+def test_an_object_of_another_type_is_refused_naming_its_type():
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        jsonio.dumps({"x": object()})
+
+
 def test_layout_of_numpy_scalars_tuples_and_empty_containers():
     doc = {
         "n": np.int64(3),

@@ -414,6 +414,10 @@ class TestPipeFlowExperiment:
                            r"at point 0 \(Re=\S+, rel_rough=1\.0\)$"):
             evaluate_point(PipeFlowExperiment(), [0.12, 5e-6, 0.65, 0.65, 0.0275])
 
+    def test_four_columns_are_refused(self):
+        with pytest.raises(ToolkitError, match="^pipe experiment expects 5 columns, got 4$"):
+            PipeFlowExperiment().evaluate_batch(np.ones((3, 4)))
+
     def test_bad_formula_rejected(self):
         with pytest.raises(ConfigError, match="^pressure_formula must be 'fanning' or "
                                                "'darcy', got 'blasius'$"):

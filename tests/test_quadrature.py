@@ -73,6 +73,19 @@ class TestRegimeBox:
         assert np.array_equal(box.lower, [3.0, 1.0])
         assert np.array_equal(box.upper, [4.0, 2.0])
 
+    def test_bounds_of_unequal_length(self):
+        with pytest.raises(ToolkitError, match="^lower and upper bounds must have equal length$"):
+            RegimeBox(np.ones(2), np.full(3, 2.0))
+
+    def test_no_pairs(self):
+        with pytest.raises(ToolkitError, match=r"^bounds must be \[lower, upper\] pairs$"):
+            RegimeBox.from_pairs([])
+
+    def test_symbol_keyed_bounds_need_the_symbols(self):
+        with pytest.raises(ToolkitError,
+                           match="^symbol-keyed bounds need the independent order$"):
+            RegimeBox.from_dict({"bounds": {"a": [1, 2]}})
+
     def test_dict_missing_symbol(self):
         with pytest.raises(ConfigError, match="^bounds missing for: b$"):
             RegimeBox.from_dict({"bounds": {"a": [1, 2]}}, symbols=("a", "b"))
@@ -207,6 +220,23 @@ class TestTensorRule:
         got = tensor_rule(box, p).weights(start, stop)
         assert got.tobytes() == whole[start:stop].tobytes()
 
+    @pytest.mark.parametrize("p", range(1, 8))
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_rows_and_weights_at_the_range_edges(self, p, m):
+        box = random_box(np.random.default_rng(10 * p + m), m)
+        rule = tensor_rule(box, p)
+        grid = meshgrid_rows(box, p)
+        _, w = gauss_legendre_1d(p)
+        whole = functools.reduce(np.multiply.outer, [np.ones(1)] + [0.5 * w] * m).reshape(-1)
+        N, mid = p ** m, p ** m // 2
+        # empty ranges at 0, inside and at N; single rows; ranges that end at N
+        for start, stop in [(0, 0), (mid, mid), (N, N), (0, 1), (mid, mid + 1), (N - 1, N),
+                            (mid, N), (1, N), (0, N)]:
+            rows, weights = rule.rows(start, stop), rule.weights(start, stop)
+            assert rows.shape == (stop - start, m) and weights.shape == (stop - start,)
+            assert rows.tobytes() == grid[start:stop].tobytes()
+            assert weights.tobytes() == whole[start:stop].tobytes()
+
     def test_weight_ranges_are_fresh_arrays(self):
         rule = tensor_rule(box2(), 3)
         weights = all_weights(rule)
@@ -295,6 +325,10 @@ class TestLatinHypercube:
         for j in range(box.m):
             strata = np.sort(np.floor(u[:, j] * N).astype(int))
             assert np.array_equal(strata, np.arange(N))
+
+    def test_needs_at_least_one_sample(self):
+        with pytest.raises(ToolkitError, match="^need at least one sample, got 0$"):
+            latin_hypercube(box2(), 0, 1)
 
     def test_seed_reproducibility(self):
         a = latin_hypercube(box2(), 50, seed=33)

@@ -174,6 +174,10 @@ class TestEigendecompose:
         assert lam[1] == pytest.approx(0.0, abs=1e-14)
         assert np.max(np.abs(U[:, 0] - np.array([0.6, 0.8]))) < 1e-14
 
+    def test_not_square(self):
+        with pytest.raises(ToolkitError, match="^matrix is 2 x 3, expected square$"):
+            eigendecompose(np.ones((2, 3)))
+
     def test_not_symmetric(self):
         with pytest.raises(ToolkitError, match="^matrix is not symmetric to 1e-10$"):
             eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -261,6 +265,21 @@ class TestUniqueGroups:
         with pytest.raises(ToolkitError, match=r"^W is \(5, 2\), U is \(3, 3\)$"):
             unique_groups(pipe_basis.W, np.eye(3), list("abcde"))
 
+    @pytest.mark.parametrize("symbols", [["a"], list("abcd")])
+    def test_one_symbol_per_row_of_w(self, symbols):
+        with pytest.raises(ToolkitError, match=f"^{len(symbols)} symbols for 3 exponent rows$"):
+            unique_groups(np.eye(3, 2), np.eye(2), symbols)
+
+    def test_a_nan_in_w_is_refused(self):
+        W = np.eye(3, 2)
+        W[2, 1] = np.nan
+        with pytest.raises(ToolkitError, match="^W must have orthonormal columns$"):
+            unique_groups(W, np.eye(2), list("abc"))
+
+    def test_a_nan_in_u_is_refused(self):
+        with pytest.raises(ToolkitError, match="^U must be orthogonal$"):
+            unique_groups(np.eye(3, 2), np.array([[1.0, 0.0], [0.0, np.nan]]), list("abc"))
+
 
 class TestExpressInClassical:
     def test_same_basis_gives_identity(self, pipe_basis):
@@ -299,6 +318,10 @@ class TestRotationAngle:
         with pytest.raises(ToolkitError, match="^U must be orthogonal$"):
             rotation_angle(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_a_nan_is_refused(self):
+        with pytest.raises(ToolkitError, match="^U must be orthogonal$"):
+            rotation_angle(np.full((2, 2), np.nan))
+
 
 class TestRidgeRankBound:
     def test_rank_r_gradients_give_rank_r_c(self):
@@ -326,6 +349,7 @@ class TestSubspaceResult:
         assert np.array_equal(doc["C"], result.C)
         assert np.array_equal(doc["Z"], result.Z)
         assert doc["metadata"]["h"] == 1e-6
+        assert list(result.to_dict()) == ["C", "eigenvalues", "U", "Z", "metadata"]
 
     def test_csv_layout(self, pipe_basis, tmp_path):
         result = self.make(pipe_basis)
@@ -336,6 +360,12 @@ class TestSubspaceResult:
         assert len(lines) == 7
         assert lines[1].startswith("rho,")
         assert lines[-1].startswith("eigenvalue,")
+
+    def test_csv_needs_one_symbol_per_exponent_row(self, pipe_basis, tmp_path):
+        path = tmp_path / "exponents.csv"
+        with pytest.raises(ToolkitError, match="^4 symbols for 5 exponent rows$"):
+            result_to_csv(self.make(pipe_basis), ("rho", "mu", "D", "eps"), path)
+        assert not path.exists()
 
     def test_degenerate_flagging(self, pipe_system, pipe_basis):
         result = _finalize(pipe_system, pipe_basis.W, np.diag([1.0, 1.0 - 1e-5]), {})

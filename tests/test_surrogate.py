@@ -76,6 +76,20 @@ class TestFitPolynomial:
         assert eval_surface(s, np.array([0.3, -1.0])) == pytest.approx(0.0, abs=1e-14)
         assert np.max(np.abs(grad_surface(s, np.array([0.3, -1.0])))) < 1e-14
 
+    def test_row_counts_must_match(self):
+        with pytest.raises(ToolkitError, match="^10 design rows vs 9 targets$"):
+            fit_polynomial(rng().normal(size=(10, 2)), np.zeros(9), 1)
+
+    @pytest.mark.parametrize("where", ["designs", "targets"])
+    def test_a_nan_is_refused(self, where):
+        X, y = rng().normal(size=(10, 2)), rng().normal(size=10)
+        if where == "designs":
+            X[3, 0] = np.nan
+        else:
+            y[3] = np.nan
+        with pytest.raises(ToolkitError, match="^designs and targets must be finite$"):
+            fit_polynomial(X, y, 1)
+
     def test_underdetermined(self):
         X = rng().normal(size=(5, 2))
         with pytest.raises(ToolkitError, match="^5 samples cannot determine 6 coefficients$"):
@@ -225,6 +239,8 @@ class TestSerialization:
         pts = gen.normal(size=(10, 2))
         assert np.array_equal(eval_surface(again, pts), eval_surface(s, pts))
         assert np.array_equal(grad_surface(again, pts), grad_surface(s, pts))
+        assert list(s.to_dict()) == ["degree", "n", "coefficients", "center", "scale",
+                                     "train_rmse"]
 
 
 class TestOnPipeData:
