@@ -7,9 +7,10 @@ in ``pigroups.errors``; exit 2 is a ``ConfigError``, or an ``OSError`` from a
 file the command cannot open or write. Any other exception is a bug and
 ends in a traceback. An analysis command checks every option value before it
 makes its output directory, so a refused value writes nothing. Each input is
-checked once, where it is read: the pipe options by ``PipeFlowExperiment`` and
-the external ones by ``check_external_options``, whichever experiment runs; a
-``--regime`` by ``pipeflow.regime_box``, which needs the pipe quantities in
+checked once, where it is read: the pipe options by ``PipeFlowExperiment``,
+whichever experiment runs, and the external ones by ``ExternalExperiment``, or
+by ``check_external_options`` on a built-in run; a ``--regime`` by
+``pipeflow.regime_box``, which needs the pipe quantities in
 any order. The built-in model needs them in the pipe system's order. Every
 analysis writes a manifest next to its results; with a fixed seed and config
 the result JSON is byte-identical across runs and worker counts.
@@ -191,7 +192,6 @@ def _merge_config(args) -> dict:
 def _make_experiment(args, cfg, system: QuantitySystem):
     # every option is checked, whichever experiment runs
     model = PipeFlowExperiment(**{f.name: cfg[f.name] for f in fields(PipeFlowExperiment)})
-    check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
     if args.experiment_cmd is not None:
         # imported here: a built-in run needs neither the module nor its
         # subprocess and thread-pool imports
@@ -210,6 +210,7 @@ def _make_experiment(args, cfg, system: QuantitySystem):
             batch_size=cfg["batch_size"],
             n_workers=cfg["workers"],
         )
+    check_external_options(cfg["timeout"], cfg["batch_size"], cfg["workers"])
     if system.symbols != SYMBOLS:  # evaluate_batch reads its columns by position
         raise ConfigError(f"the built-in pipe model needs --system to list {', '.join(SYMBOLS)}"
                           f" in this order, got {', '.join(system.symbols)}")

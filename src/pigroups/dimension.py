@@ -42,32 +42,28 @@ def parse_unit_expr(text: str, base_units) -> tuple[float, ...]:
     exps = [0.0] * len(base_units)
     pos = 0
     sign = 1
-    expect_term = True
-    while pos < len(text):
-        if expect_term:
-            m = _TERM_RE.match(text, pos)
-            if m is None:
-                raise ConfigError(f"expected a term at position {pos} in {text!r}")
-            name, power = m.group(1), m.group(2)
-            exponent = 1 if power is None else int(power)
-            if abs(exponent) > MAX_EXPONENT:
-                raise ConfigError(f"exponent {exponent} exceeds |{MAX_EXPONENT}|")
-            if name != "1":
-                if name not in index:
-                    raise ConfigError(f"base unit {name!r} not declared")
-                exps[index[name]] += sign * exponent
-            pos = m.end()
-            expect_term = False
-        else:
-            m = _OP_RE.match(text, pos)
-            if m is None:
-                raise ConfigError(f"expected '*' or '/' at position {pos} in {text!r}")
-            sign = 1 if m.group(1) == "*" else -1
-            pos = m.end()
-            expect_term = True
-    if expect_term:
-        raise ConfigError(f"expression {text!r} ends on an operator or is empty")
-    return tuple(exps)
+    while True:
+        if pos == len(text):
+            raise ConfigError(f"expression {text!r} ends on an operator or is empty")
+        m = _TERM_RE.match(text, pos)
+        if m is None:
+            raise ConfigError(f"expected a term at position {pos} in {text!r}")
+        name, power = m.group(1), m.group(2)
+        exponent = 1 if power is None else int(power)
+        if abs(exponent) > MAX_EXPONENT:
+            raise ConfigError(f"exponent {exponent} exceeds |{MAX_EXPONENT}|")
+        if name != "1":
+            if name not in index:
+                raise ConfigError(f"base unit {name!r} not declared")
+            exps[index[name]] += sign * exponent
+        pos = m.end()
+        if pos == len(text):
+            return tuple(exps)
+        m = _OP_RE.match(text, pos)
+        if m is None:
+            raise ConfigError(f"expected '*' or '/' at position {pos} in {text!r}")
+        sign = 1 if m.group(1) == "*" else -1
+        pos = m.end()
 
 
 @dataclass(frozen=True)
@@ -86,9 +82,10 @@ class Quantity:
 class QuantitySystem:
     """Declared base units, m independent quantities and one dependent.
 
-    Construction validates that base units and symbols are strings, name
-    uniqueness, that dimension vectors are finite and of length k, and that
-    the dimension matrix of the independents has full row rank.
+    Construction converts a pinned w to floats, then validates that base units
+    and symbols are strings, that each symbol, a CSV column name, is non-empty
+    with no comma or line break, name uniqueness, that dimension vectors are
+    finite and of length k, and that D of the independents has full row rank.
     """
 
     base_units: tuple[str, ...]
@@ -97,10 +94,15 @@ class QuantitySystem:
     pinned_w: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.pinned_w is not None:
+            object.__setattr__(self, "pinned_w", tuple(float(v) for v in self.pinned_w))
         k, m = len(self.base_units), len(self.independents)
         symbols = [q.symbol for q in self.independents] + [self.dependent.symbol]
         if not all(isinstance(s, str) for s in (*self.base_units, *symbols)):
             raise ToolkitError("base units and quantity symbols must be strings")
+        for s in symbols:
+            if not s or any(c in s for c in ",\r\n"):
+                raise ToolkitError(f"quantity symbol {s!r} is empty or holds a comma or line break")
         if len(set(self.base_units)) != k:
             raise ToolkitError("base-unit names must be unique")
         names = [q.name for q in self.independents] + [self.dependent.name]
@@ -146,9 +148,7 @@ class QuantitySystem:
         base = tuple(_array(doc, "base_units", "system"))
         inds = tuple(_quantity_from_dict(d, base) for d in _array(doc, "independents", "system"))
         dep = _quantity_from_dict(doc["dependent"], base)
-        w = doc.get("w")
-        if w is not None:
-            w = tuple(float(v) for v in _array(doc, "w", "system"))
+        w = None if doc.get("w") is None else _array(doc, "w", "system")
         return cls(base, inds, dep, w)
 
     @classmethod
@@ -157,10 +157,11 @@ class QuantitySystem:
 
 
 def _quantity_from_dict(d: dict, base_units) -> Quantity:
+    """A system file's quantity, its dimensions from exactly one of ``unit`` and ``dims``."""
     what = f"quantity {d.get('symbol')!r}"
     jsonio.check_keys(d, ("name", "symbol", "dims", "unit"), what)
-    if "dims" not in d and "unit" not in d:
-        raise ToolkitError(f"{what} needs a 'unit' or 'dims' field")
+    if ("dims" in d) == ("unit" in d):
+        raise ToolkitError(f"{what} needs exactly one of a 'unit' and a 'dims' field")
     dims = _array(d, "dims", what) if "dims" in d else parse_unit_expr(d["unit"], base_units)
     return Quantity(name=d["name"], symbol=d["symbol"], dims=dims)
 

@@ -56,9 +56,13 @@ class RegimeBox:
 
     @classmethod
     def from_pairs(cls, pairs, symbols=None) -> "RegimeBox":
-        """The box of one [lower, upper] pair per variable. Any other bound is
-        refused by its index, and by its symbol where ``symbols`` names them."""
+        """The box of one [lower, upper] pair per variable, one per symbol where
+        ``symbols`` names them. Any other bound is refused by its index and symbol."""
         pairs = list(pairs)
+        if symbols is not None and len(pairs) != len(symbols):
+            raise ToolkitError(f"bounds has {len(pairs)} pairs for {len(symbols)} symbols")
+        if not pairs:
+            raise ToolkitError("bounds must be [lower, upper] pairs")
         for i, pair in enumerate(pairs):
             try:
                 is_pair = np.shape(pair) == (2,)
@@ -68,12 +72,12 @@ class RegimeBox:
                 name = "" if symbols is None else f" ({symbols[i]})"
                 raise ToolkitError(f"bound {i}{name} must be a [lower, upper] pair, got {pair!r}")
         bounds = np.array(pairs, dtype=float)
-        if bounds.ndim != 2 or bounds.shape[1] != 2:
-            raise ToolkitError("bounds must be [lower, upper] pairs")
         return cls(lower=bounds[:, 0], upper=bounds[:, 1])
 
     @classmethod
     def from_dict(cls, doc: dict, symbols=None) -> "RegimeBox":
+        """The box of ``{"bounds": ...}``: [lower, upper] pairs in independent order, or
+        one pair per symbol in any order, put in the order of ``symbols`` for ``from_pairs``."""
         jsonio.check_keys(doc, ("bounds",), "box")
         bounds = doc["bounds"]
         if isinstance(bounds, dict):
@@ -83,11 +87,8 @@ class RegimeBox:
             if missing:
                 raise ConfigError(f"bounds missing for: {', '.join(missing)}")
             jsonio.check_keys(bounds, symbols, "bounds")
-            return cls.from_pairs([bounds[s] for s in symbols], symbols)
-        pairs = list(bounds)
-        if symbols is not None and len(pairs) != len(symbols):
-            raise ToolkitError(f"bounds has {len(pairs)} pairs for {len(symbols)} symbols")
-        return cls.from_pairs(pairs)
+            bounds = [bounds[s] for s in symbols]
+        return cls.from_pairs(bounds, symbols)
 
     @classmethod
     def from_file(cls, path, symbols=None) -> "RegimeBox":

@@ -35,10 +35,10 @@ def n_coefficients(n: int, degree: int) -> int:
 class ResponseSurface:
     """Fitted polynomial in standardized coordinates.
 
-    Construction checks that ``n`` >= 1 and ``degree`` >= 0 are integers
-    (``ConfigError``), then the shapes against them, that every value is finite
-    and that the scale is positive (``ValueError``), so a tampered or truncated
-    ``surface.json`` fails naming the field.
+    Construction makes the arrays float arrays and ``train_rmse`` a float, then checks
+    that ``n`` >= 1 and ``degree`` >= 0 are integers (``ConfigError``), the shapes
+    against them, that every value is finite and the scale positive (``ValueError``),
+    so a tampered or truncated ``surface.json`` fails naming the field.
     """
 
     degree: int
@@ -49,6 +49,9 @@ class ResponseSurface:
     train_rmse: float
 
     def __post_init__(self):
+        for name in ("coefficients", "center", "scale"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "train_rmse", float(self.train_rmse))
         check_count("surface n", self.n, 1)
         check_count("surface degree", self.degree, 0)
         sizes = {"coefficients": n_coefficients(self.n, self.degree),
@@ -83,14 +86,7 @@ class ResponseSurface:
     @classmethod
     def from_dict(cls, doc: dict) -> "ResponseSurface":
         jsonio.check_keys(doc, [f.name for f in fields(cls)], "surface")
-        return cls(
-            degree=doc["degree"],
-            n=doc["n"],
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-            center=np.asarray(doc["center"], dtype=float),
-            scale=np.asarray(doc["scale"], dtype=float),
-            train_rmse=float(doc["train_rmse"]),
-        )
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
 @lru_cache(maxsize=None)

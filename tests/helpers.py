@@ -5,16 +5,19 @@ file that its runs must reproduce bit for bit, the graded monomial order and the
 monomial and per-term gradient oracles for the response-surface kernels,
 the per-value CSV encoder that the external batch formatter must match,
 the classical-basis coordinates of group exponents (criterion 5), a
-rule over points given in full and the per-column sign rule that
-``normalize_column_signs`` must match."""
+rule over points given in full, the per-column sign rule that
+``normalize_column_signs`` must match and the two-state unit-expression
+parser that ``parse_unit_expr`` must match."""
 
 import json
+import re
 from itertools import product
 
 import numpy as np
 
 from pigroups import jsonio
-from pigroups.errors import ToolkitError
+from pigroups.dimension import MAX_EXPONENT
+from pigroups.errors import ConfigError, ToolkitError
 from pigroups.quadrature import QuadratureRule
 from pigroups.surrogate import fit_polynomial
 
@@ -244,3 +247,44 @@ def column_signs_by_loop(M) -> np.ndarray:
         if M[lead, j] < 0:
             M[:, j] = -M[:, j]
     return M
+
+
+_TERM = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|1)\s*(?:\^\s*([+-]?\d+))?\s*")
+_OP = re.compile(r"([*/])")
+
+
+def unit_expr_by_flag(text, base_units) -> tuple:
+    """The exponents of a unit expression, read by a loop that flips a flag
+    between expecting a term and expecting an operator; an expression that
+    is empty or ends on an operator is refused after the loop."""
+    base_units = list(base_units)
+    index = {name: i for i, name in enumerate(base_units)}
+    exps = [0.0] * len(base_units)
+    pos = 0
+    sign = 1
+    expect_term = True
+    while pos < len(text):
+        if expect_term:
+            m = _TERM.match(text, pos)
+            if m is None:
+                raise ConfigError(f"expected a term at position {pos} in {text!r}")
+            name, power = m.group(1), m.group(2)
+            exponent = 1 if power is None else int(power)
+            if abs(exponent) > MAX_EXPONENT:
+                raise ConfigError(f"exponent {exponent} exceeds |{MAX_EXPONENT}|")
+            if name != "1":
+                if name not in index:
+                    raise ConfigError(f"base unit {name!r} not declared")
+                exps[index[name]] += sign * exponent
+            pos = m.end()
+            expect_term = False
+        else:
+            m = _OP.match(text, pos)
+            if m is None:
+                raise ConfigError(f"expected '*' or '/' at position {pos} in {text!r}")
+            sign = 1 if m.group(1) == "*" else -1
+            pos = m.end()
+            expect_term = True
+    if expect_term:
+        raise ConfigError(f"expression {text!r} ends on an operator or is empty")
+    return tuple(exps)

@@ -223,16 +223,20 @@ class TestExternalExperiment:
     def test_mixed_regime_values_do_not_depend_on_the_batch_size(self, tmp_path):
         # rows of the three regimes, shuffled, need different Newton step
         # counts; each stops on its own residual, so any batching of the
-        # rows gives the built-in model's values to the bit
+        # rows gives the built-in model's values to the bit. One-row batches,
+        # a child process each, run on six of the rows: the first two of
+        # each regime, in their shuffled order
         cmd = write_script(tmp_path, "wrapper.py", WRAPPER)
         pts = np.vstack([latin_hypercube(regime_box(name), 20, seed=5)
                          for name in ("laminar", "turbulent", "high_re")])
-        pts = pts[np.random.default_rng(6).permutation(len(pts))]
+        order = np.random.default_rng(6).permutation(len(pts))
+        pts = pts[order]
         want = PipeFlowExperiment().evaluate_batch(pts)
-        for batch_size in (1, 7, 60):
+        six = np.sort(np.concatenate([np.flatnonzero(order // 20 == r)[:2] for r in range(3)]))
+        for batch_size, rows in ((1, six), (7, slice(None)), (60, slice(None))):
             got = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS,
-                                     batch_size=batch_size).evaluate_batch(pts)
-            assert np.array_equal(got, want), batch_size
+                                     batch_size=batch_size).evaluate_batch(pts[rows])
+            assert np.array_equal(got, want[rows]), batch_size
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         cmd = write_script(tmp_path, "wrapper.py", WRAPPER)
@@ -549,7 +553,7 @@ class TestInputFiles:
         ("box", {"bounds": {**dict(zip(SYMBOLS, TURBULENT_PAIRS)), "rho": []}},
          "is refused: bound 0 (rho) must be a [lower, upper] pair, got []"),
         ("box", {"bounds": [[0.1, 0.14, 0.2]] + TURBULENT_PAIRS[1:]},
-         "is refused: bound 0 must be a [lower, upper] pair, got [0.1, 0.14, 0.2]"),
+         "is refused: bound 0 (rho) must be a [lower, upper] pair, got [0.1, 0.14, 0.2]"),
         ("system", {**PIPE_SYSTEM_DOC, "base_units": [None, "m", "s"]},
          "is refused: base units and quantity symbols must be strings"),
         ("system", {**PIPE_SYSTEM_DOC, "dependent": {
@@ -630,6 +634,37 @@ class TestInputFiles:
         assert capsys.readouterr().err.startswith(f"error: {path} {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("symbol", ["rho,x", "", "rho\nx"], ids=["comma", "empty", "newline"])
+    def test_a_symbol_that_cannot_name_a_csv_column_is_refused(self, tmp_path, capsys,
+                                                               symbol):
+        # symbols name the columns of exponents.csv, trace.csv and each request
+        # to the child, which here reads its columns by position
+        doc = json.loads(json.dumps(PIPE_SYSTEM_DOC))
+        doc["independents"][0]["symbol"] = symbol
+        system, box = tmp_path / "system.json", tmp_path / "box.json"
+        system.write_text(json.dumps(doc))
+        box.write_text(json.dumps({"bounds": TURBULENT_PAIRS}))
+        cmd = write_script(tmp_path, "wrapper.py", WRAPPER)
+        out = tmp_path / "x"
+        assert main(["analyze", "--system", str(system), "--box", str(box),
+                     "--experiment-cmd", " ".join(cmd), "--quad", "tensor:2", "--trace",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {system} is refused: quantity symbol {symbol!r} is empty or holds "
+            "a comma or line break\n")
+        assert not out.exists()
+
+    def test_a_quantity_with_both_a_unit_and_dims_is_refused(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PIPE_SYSTEM_DOC))
+        doc["independents"][2] = {"name": "pipe diameter", "symbol": "D", "unit": "m",
+                                  "dims": [1, 0, 0]}
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(doc))
+        assert main(["pi-basis", str(system)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {system} is refused: quantity 'D' needs exactly one of a 'unit' and "
+            "a 'dims' field\n")
+
 
 # the pipe system with gravity g as a sixth quantity, and no pinned w
 SIX_QUANTITY_SYSTEM = {
@@ -683,6 +718,28 @@ class TestOneCheckPerInput:
         Z = np.array(reference["Z"])[V_FIRST]
         assert signed_column_distance(np.array(permuted["Z"]), Z) <= tol
         assert np.max(np.abs(np.array(permuted["eigenvalues"]) - lam)) <= tol * lam[0]
+
+    @pytest.mark.parametrize("external", [True, False], ids=["external", "built-in"])
+    def test_external_options_are_checked_once_per_run(self, tmp_path, pipe_system_file,
+                                                       monkeypatch, external):
+        # the command line checks them for the built-in model, ExternalExperiment
+        # for an external one: each module's binding is counted
+        calls = []
+
+        def counted(check):
+            def spy(*args):
+                calls.append(args)
+                return check(*args)
+            return spy
+
+        for module in (pigroups.cli, pigroups.external):
+            monkeypatch.setattr(module, "check_external_options",
+                                counted(module.check_external_options))
+        cmd = write_script(tmp_path, "wrapper.py", WRAPPER)
+        flags = ["--experiment-cmd", " ".join(cmd)] if external else []
+        assert main(["analyze", *flags, "--system", pipe_system_file, "--regime", "turbulent",
+                     "--quad", "tensor:2", "--out-dir", str(tmp_path / "x")]) == 0
+        assert calls == [(None, 2**15, 1)]
 
     def test_builtin_model_refuses_the_pipe_quantities_in_another_order(self, tmp_path,
                                                                           capsys):

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import PIPE_SYSTEM_DOC, column_signs_by_loop, evaluate_point
+from helpers import PIPE_SYSTEM_DOC, column_signs_by_loop, evaluate_point, unit_expr_by_flag
 from pigroups.dimension import (
     RANK_RTOL,
     Quantity,
@@ -57,7 +58,30 @@ def sign_test_matrices(draw):
     return M
 
 
+# the pieces of drawn unit expressions: base units declared and not, the
+# literal 1, operators good and bad, signs, digits, a fraction, an exponent
+# past MAX_EXPONENT, and blanks
+UNIT_PIECES = ("kg", "m", "s", "ft", "1", "*", "**", "/", "^", "+", "-", *"0123456789",
+               "1.5", "65", " ", "\t")
+
+
+def parse_outcome(parse, text):
+    """The exponents ``parse`` reads from ``text``, or its ``ConfigError`` text."""
+    try:
+        return parse(text, KMS)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
 class TestParseUnitExpr:
+    @settings(max_examples=1000, deadline=None)
+    @given(text=st.lists(st.sampled_from(UNIT_PIECES), max_size=12).map("".join))
+    @example(text="kg*")
+    @example(text="kg / m^2 /\t")
+    @example(text="")
+    def test_equals_the_two_state_parser(self, text):
+        assert parse_outcome(parse_unit_expr, text) == parse_outcome(unit_expr_by_flag, text)
+
     def test_viscosity(self):
         assert exps(parse_unit_expr("kg*m^-1*s^-1", KMS)) == [1, -1, -1]
 
@@ -304,6 +328,31 @@ class TestQuantitySystem:
         doc["w"] = [1, 0, 0, 0, 0]
         with pytest.raises(ToolkitError, match="^pinned w violates D w = v\\(q\\): residual "):
             QuantitySystem.from_dict(doc)
+
+    @pytest.mark.parametrize("fields", [{"unit": "m", "dims": [1, 0, 0]}, {}],
+                             ids=["both", "neither"])
+    def test_dimensions_come_from_exactly_one_field(self, fields):
+        doc = json.loads(json.dumps(SYSTEM_DOC))
+        doc["independents"][2] = {"name": "pipe diameter", "symbol": "D", **fields}
+        with pytest.raises(ToolkitError, match="^quantity 'D' needs exactly one of "
+                                               "a 'unit' and a 'dims' field$"):
+            QuantitySystem.from_dict(doc)
+
+    @pytest.mark.parametrize("role", ["independent", "dependent"])
+    @pytest.mark.parametrize("symbol", ["rho,x", "", "rho\nx", "rho\r"])
+    def test_a_symbol_that_cannot_name_a_csv_column_is_refused(self, symbol, role):
+        doc = json.loads(json.dumps(PIPE_SYSTEM_DOC))
+        quantity = doc["dependent"] if role == "dependent" else doc["independents"][0]
+        quantity["symbol"] = symbol
+        with pytest.raises(ToolkitError, match=f"^quantity symbol {re.escape(repr(symbol))} "
+                                               "is empty or holds a comma or line break$"):
+            QuantitySystem.from_dict(doc)
+
+    def test_pinned_w_is_converted_to_floats(self, pipe_system):
+        w = QuantitySystem(pipe_system.base_units, pipe_system.independents,
+                           pipe_system.dependent, [1, 0, -1, 0, 2]).pinned_w
+        assert w == (1.0, 0.0, -1.0, 0.0, 2.0)
+        assert all(type(v) is float for v in w)
 
     def test_wrong_dims_length_rejected(self):
         doc = json.loads(json.dumps(SYSTEM_DOC))

@@ -86,6 +86,18 @@ class TestRegimeBox:
                            match="^symbol-keyed bounds need the independent order$"):
             RegimeBox.from_dict({"bounds": {"a": [1, 2]}})
 
+    @pytest.mark.parametrize("bounds", [[[1, 2], [1, 2, 3]], {"b": [1, 2, 3], "a": [1, 2]}],
+                             ids=["list", "symbol-keyed"])
+    def test_a_bad_bound_is_named_by_its_symbol_in_either_format(self, bounds):
+        with pytest.raises(ToolkitError,
+                           match=r"^bound 1 \(b\) must be a \[lower, upper\] pair, "
+                                 r"got \[1, 2, 3\]$"):
+            RegimeBox.from_dict({"bounds": bounds}, symbols=("a", "b"))
+
+    def test_pairs_and_symbols_must_be_as_many(self):
+        with pytest.raises(ToolkitError, match="^bounds has 2 pairs for 1 symbols$"):
+            RegimeBox.from_pairs([[1, 2], [3]], symbols=("a",))
+
     def test_dict_missing_symbol(self):
         with pytest.raises(ConfigError, match="^bounds missing for: b$"):
             RegimeBox.from_dict({"bounds": {"a": [1, 2]}}, symbols=("a", "b"))

@@ -242,6 +242,21 @@ class TestSerialization:
         assert list(s.to_dict()) == ["degree", "n", "coefficients", "center", "scale",
                                      "train_rmse"]
 
+    def test_fields_given_as_lists_equal_arrays_bit_for_bit(self):
+        gen = np.random.default_rng(15)
+        s = fit_polynomial(gen.normal(size=(30, 2)), gen.normal(size=30), 3)
+        listed = ResponseSurface(degree=3, n=2, coefficients=s.coefficients.tolist(),
+                                 center=s.center.tolist(), scale=s.scale.tolist(),
+                                 train_rmse=np.float32(s.train_rmse))
+        for name in ("coefficients", "center", "scale"):
+            value = getattr(listed, name)
+            assert type(value) is np.ndarray and value.dtype == np.float64
+            assert value.tobytes() == getattr(s, name).tobytes()
+        assert type(listed.train_rmse) is float
+        assert listed.train_rmse == float(np.float32(s.train_rmse))
+        pts = gen.normal(size=(10, 2))
+        assert grad_surface(listed, pts).tobytes() == grad_surface(s, pts).tobytes()
+
 
 class TestOnPipeData:
     def test_quadratic_fit_explains_turbulent_data(self, pipe_basis):
