@@ -54,7 +54,6 @@ from .quadrature import (
     latin_hypercube,
     monte_carlo_rule,
     tensor_rule,
-    tensor_size,
 )
 from .subspace import (
     DEGENERATE_FLAG,
@@ -130,15 +129,6 @@ class AlgorithmConfig:
             shown = digits if len(digits) <= 20 else f"{len(digits)} digits"
             raise ConfigError(f"{option} must be at most {high}, got {shown}")
         return kind, check_count(option, int(digits), 1, high)
-
-    def check_sizes(self, m: int, n: int | None = None) -> None:
-        """``ConfigError`` unless the rule over m variables and the design for n groups fit."""
-        kind, count = self.parse_quad()
-        if kind == "tensor":
-            tensor_size(count, m)
-        needed = 0 if n is None else n_coefficients(n, self.degree)
-        if self.design < needed:
-            raise ConfigError(f"design of {self.design} cannot fit {needed} surrogate coefficients")
 
 
 def build_rule(box: RegimeBox, config: AlgorithmConfig) -> QuadratureRule:
@@ -327,9 +317,14 @@ def algorithm1(
     Returns the result and the fitted surface. Experiment calls:
     ``config.design`` for the fit plus ``config.holdout`` for the reported
     hold-out error; the integration phase evaluates only the surrogate.
+    The rule and the design are refused before the first call, with a
+    ``ConfigError``: a rule too large, or a design below the coefficient count.
     """
     w, W = basis.w, basis.W
-    config.check_sizes(box.m, W.shape[1])
+    rule = build_rule(box, config)
+    needed = n_coefficients(W.shape[1], config.degree)
+    if config.design < needed:
+        raise ConfigError(f"design of {config.design} cannot fit {needed} surrogate coefficients")
     points = latin_hypercube(box, config.design, config.seed)
     logq = np.log(points)
     pi = _pi(experiment, points, logq, w, lambda i: f"design point {i}")
@@ -344,7 +339,6 @@ def algorithm1(
         pred = eval_surface(surface, fresh_log @ W)
         holdout_rmse = float(np.sqrt(np.mean((pred - fresh_pi) ** 2)))
 
-    rule = build_rule(box, config)
     C = assemble_C(rule, _surface_gradients(surface, rule, W))
     if trace is not None:
         trace(points, pi, grad_surface(surface, gamma))

@@ -5,12 +5,12 @@ Commands: ``pi-basis``, ``analyze``, ``ridge-check``, ``fd-convergence``,
 flags. Exit codes: 0 success, else the ``exit_code`` of the failure's class
 in ``pigroups.errors``; exit 2 is a ``ConfigError``, or an ``OSError`` from a
 file the command cannot open or write. Any other exception is a bug and
-ends in a traceback. An analysis command checks every option value before it
-makes its output directory, so a refused value writes nothing. Each input is
-checked once, where it is read: the pipe options by ``PipeFlowExperiment``,
-whichever experiment runs, and the external ones by ``ExternalExperiment``, or
-by ``check_external_options`` on a built-in run; a ``--regime`` by
-``pipeflow.regime_box``, which needs the pipe quantities in
+ends in a traceback. An analysis command makes its output directory with the
+first file it writes, so a refused value or a failed run writes nothing. Each
+input is checked once, where it is read: the pipe options by
+``PipeFlowExperiment``, whichever experiment runs, and the external ones by
+``ExternalExperiment``, or by ``check_external_options`` on a built-in run; a
+``--regime`` by ``pipeflow.regime_box``, which needs the pipe quantities in
 any order. The built-in model needs them in the pipe system's order. Every
 analysis writes a manifest next to its results; with a fixed seed and config
 the result JSON is byte-identical across runs and worker counts.
@@ -219,7 +219,8 @@ def _make_experiment(args, cfg, system: QuantitySystem):
 
 def _prepare(args):
     """Setup shared by the analysis commands: merged options, algorithm config, system,
-    box, basis, a counting experiment and, once all are accepted, the output directory."""
+    box, basis, a counting experiment and the output path, refused if it or a parent is
+    a file. The rule and the design are refused where built, before the first call."""
     from .algorithms import AlgorithmConfig, CountingExperiment
     from .quadrature import RegimeBox
 
@@ -231,11 +232,10 @@ def _prepare(args):
            else RegimeBox.from_file(args.box, symbols=system.symbols))
     basis = pi_basis(system)
     experiment = CountingExperiment(_make_experiment(args, cfg, system))
-    # checked again where used; here only so that a refused size makes no directory
-    surface = args.command == "analyze" and cfg["algorithm"] == 1
-    config.check_sizes(box.m, basis.n if surface else None)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir {str(out_dir)!r} cannot be made: {str(existing)!r} is a file")
     return cfg, config, system, box, basis, experiment, out_dir
 
 
@@ -312,6 +312,7 @@ def _cmd_analyze(args) -> int:
     else:
         result = algorithm2(experiment, system, basis, box, config, trace=trace_cb)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     jsonio.dump(result.to_dict(), out_dir / "result.json")
     result_to_csv(result, system.symbols, out_dir / "exponents.csv")
     if surface is not None:
@@ -344,9 +345,9 @@ def _print_result(system, result) -> None:
 
 
 def _make_trace(out_dir: Path, system, n: int):
-    """A trace callback: its first call writes ``trace.csv`` with a header,
-    and each later call (the next run of the finite-difference route)
-    appends its rows."""
+    """A trace callback: its first call makes ``out_dir`` and writes
+    ``trace.csv`` with a header, and each later call (the next run of the
+    finite-difference route) appends its rows."""
     path = out_dir / "trace.csv"
     header = ",".join(list(system.symbols) + ["pi"] + [f"g_{j + 1}" for j in range(n)])
     calls = 0
@@ -354,6 +355,8 @@ def _make_trace(out_dir: Path, system, n: int):
     def write(points, pi, grads):
         nonlocal calls
         data = np.column_stack([points, pi, grads])
+        if not calls:
+            out_dir.mkdir(parents=True, exist_ok=True)
         with open(path, "a" if calls else "w") as fh:
             np.savetxt(fh, data, delimiter=",", header="" if calls else header,
                        comments="", fmt="%.17g")
@@ -426,6 +429,7 @@ def _cmd_ridge_check(args) -> int:
     hs = _parse_sweep(args.h_sweep, 2)
     cfg, config, system, box, basis, experiment, out_dir = _prepare(args)
     table, _, slopes = ridge_sweep(experiment, build_rule(box, config), hs, basis.n)
+    out_dir.mkdir(parents=True, exist_ok=True)
     header = ",".join(["h"] + [f"lambda_{i + 1}" for i in range(system.m)])
     np.savetxt(out_dir / "ridge.csv", table, delimiter=",",
                header=header, comments="", fmt="%.17g")
@@ -444,6 +448,7 @@ def _cmd_fd_convergence(args) -> int:
     hs = _parse_sweep(args.h_sweep, 3)
     cfg, config, system, box, basis, experiment, out_dir = _prepare(args)
     rows = fd_sweep(experiment, system, basis, box, config, hs)
+    out_dir.mkdir(parents=True, exist_ok=True)
     np.savetxt(out_dir / "fdconv.csv", rows, delimiter=",",
                header="h,max_abs_z_error", comments="", fmt="%.17g")
     slope = fit_loglog_slope(*zip(*rows))

@@ -31,10 +31,11 @@ def assemble_C(rule: QuadratureRule, gradients) -> np.ndarray:
     with its weights, ``rule.weights(start, stop)``; the rule checked them
     when it was made. The reduction order is fixed by the chunk size alone,
     so how a route cuts its blocks changes no bit of C, and at most one
-    chunk and one block are held at once. Each chunk is checked for
-    finiteness before it is summed, and a failure names the global row; a
-    stream of more or fewer than N rows is refused, naming both counts,
-    once it ends. The lower triangle is mirrored at the end to make C
+    chunk and one block are held at once. A block that is not 2-D, or not
+    as wide as the first, is refused by its index and shape. Each chunk is
+    checked for finiteness before it is summed, and a failure names the
+    global row; a stream of more or fewer than N rows is refused, naming
+    both counts, once it ends. The lower triangle is mirrored at the end to make C
     exactly symmetric.
     """
     N, start, C = len(rule), 0, 0.0
@@ -55,9 +56,13 @@ def _chunks(blocks, size: int):
     """The rows of the (rows, n) ``blocks``, in order, as arrays of ``size``
     rows and a shorter last one: a slice of a block where one holds the
     chunk, else the pieces of the blocks it spans, joined."""
-    held, count = [], 0
-    for block in blocks:
+    held, count, columns = [], 0, None
+    for i, block in enumerate(blocks):
         block = np.asarray(block, dtype=float)
+        columns = block.shape[1:] if columns is None else columns
+        if block.ndim != 2 or block.shape[1:] != columns:
+            raise ToolkitError(f"gradient block {i} has shape {block.shape}, not (rows, n)"
+                               " with the first block's n")
         at = 0
         while at < len(block):
             piece = block[at:at + size - count]

@@ -593,6 +593,18 @@ class TestAlgorithm1:
             algorithm1(experiment, pipe_system, pipe_basis, BOX,
                        small_config(design=5, degree=2))
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"quad": "tensor:30"},
+         "^the point count 30\\^5 of --quad tensor:30 must be at most 10000000, got 24300000$"),
+        ({"design": 5, "degree": 2}, "^design of 5 cannot fit 6 surrogate coefficients$"),
+    ], ids=["rule-too-large", "design-too-small"])
+    def test_sizes_are_refused_before_the_first_call(self, pipe_system, pipe_basis, kw,
+                                                     message):
+        counter = CountingExperiment(PipeFlowExperiment())
+        with pytest.raises(ConfigError, match=message):
+            algorithm1(counter, pipe_system, pipe_basis, BOX, small_config(**kw))
+        assert (counter.count, counter.calls) == (0, 0)
+
     def test_budget_counts_design_and_holdout(self, pipe_system, pipe_basis):
         counter = CountingExperiment(PipeFlowExperiment())
         result, _ = algorithm1(counter, pipe_system, pipe_basis, BOX, small_config())

@@ -378,7 +378,10 @@ class TestExternalExperiment:
         # sends SIGINT to the caller, which stops the batches still queued:
         # only those dequeued before the caller handles the interrupt launch.
         # A real signal wakes the caller's wait for the first batch, so the
-        # interrupt is raised there, however loaded the host
+        # interrupt is raised there, however loaded the host. The caller must
+        # be one that an interrupt reaches: a background job of a
+        # non-interactive shell starts with SIGINT ignored, so the test
+        # installs Python's default handler for its own duration
         launches = []
         run = subprocess.run
 
@@ -393,8 +396,12 @@ class TestExternalExperiment:
         cmd = write_script(tmp_path, "ones.py", ONES_SCRIPT)
         external = ExternalExperiment(command=tuple(cmd), symbols=SYMBOLS, batch_size=10,
                                       n_workers=2)
-        with pytest.raises(KeyboardInterrupt):
-            external.evaluate_batch(np.ones((100, 5)))
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                external.evaluate_batch(np.ones((100, 5)))
+        finally:
+            signal.signal(signal.SIGINT, previous)
         assert 1 <= len(launches) <= 4
 
     def test_child_that_exits_without_reading_a_large_batch(self, tmp_path):
@@ -1133,6 +1140,43 @@ class TestAnalyzeCommand:
         config.write_text(json.dumps({"algorithm": 1, "design": 5}))
         assert main(["ridge-check", "--regime", "turbulent", "--quad", "tensor:2",
                      "--config", str(config), "--out-dir", str(tmp_path / "x")]) == 0
+
+    def test_a_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
+        # eps above D: the first experiment call meets a relative roughness above 1
+        box = tmp_path / "box.json"
+        box.write_text(json.dumps({"bounds": [*TURBULENT_PAIRS[:3], [2.0, 3.0],
+                                              TURBULENT_PAIRS[4]]}))
+        out = tmp_path / "x"
+        assert main(["analyze", "--box", str(box), "--quad", "tensor:3",
+                     "--out-dir", str(out)]) == 3
+        assert "relative roughness must lie in [0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["1", "2"])
+    def test_a_traced_run_makes_a_nested_output_directory(self, tmp_path, algorithm):
+        out = tmp_path / "a" / "b" / "c"
+        assert main(["analyze", "--regime", "turbulent", "--algorithm", algorithm,
+                     "--design", "50", "--holdout", "10", "--quad", "tensor:3", "--trace",
+                     "--out-dir", str(out)]) == 0
+        names = {"trace.csv", "result.json", "exponents.csv", "manifest.json"}
+        assert names <= {path.name for path in out.iterdir()}
+
+    @pytest.mark.parametrize("below", [(), ("sub",), ("sub", "dir")],
+                             ids=["the-file", "under-it", "two-under-it"])
+    @pytest.mark.parametrize("command", ["analyze", "ridge-check", "fd-convergence"])
+    def test_an_out_dir_that_is_or_is_under_a_file_runs_nothing(self, tmp_path, capsys,
+                                                               monkeypatch, command, below):
+        calls = []
+        monkeypatch.setattr(PipeFlowExperiment, "evaluate_batch", calls.append)
+        kept = tmp_path / "results"
+        kept.write_text("kept")
+        out = kept.joinpath(*below)
+        assert main([command, "--regime", "turbulent", "--quad", "tensor:2",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out-dir {str(out)!r} cannot be made: {str(kept)!r} is a file\n")
+        assert calls == []
+        assert kept.read_text() == "kept"
 
     @pytest.mark.parametrize("command,message", [
         ("", "--experiment-cmd names no program"),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from helpers import PointsRule, SpanMismatch, express_in_classical
 from pigroups import jsonio, subspace
 from pigroups.algorithms import _finalize
 from pigroups.errors import ToolkitError
+from pigroups.quadrature import RegimeBox, tensor_rule
 from pigroups.subspace import (
     DEGENERATE_FLAG,
     SubspaceResult,
@@ -151,6 +153,28 @@ class TestAssembleC:
             assemble_C(rule, partition(np.ones((rows, 2)), cuts))
         # no weight is asked for beyond the rule's last row
         assert max(RangeLog.stops) <= 10
+
+    @pytest.mark.parametrize("blocks,bad,shape", [
+        # one group's gradients as a vector: w[:, None] * chunk broadcast it to 3 x 3
+        ([np.array([1.0, 2.0, 3.0])], 0, (3,)),
+        ([np.ones((1, 1)), np.array([1.0, 2.0])], 1, (2,)),
+        # a whole chunk each: the 1 x 1 sum broadcast over the 3 x 3 one
+        ([np.ones((4, 1)), np.ones((4, 3))], 1, (4, 3)),
+        # one chunk spans both blocks
+        ([np.ones((3, 2)), np.ones((5, 3))], 1, (5, 3)),
+    ], ids=["vector", "vector-after-matrix", "wider-chunk", "wider-within-a-chunk"])
+    def test_a_block_of_another_shape_is_refused(self, monkeypatch, blocks, bad, shape):
+        monkeypatch.setattr(subspace, "_CHUNK_ROWS", 4)
+        rows = sum(len(block) for block in blocks)
+        with pytest.raises(ToolkitError, match=re.escape(
+                f"gradient block {bad} has shape {shape}, not (rows, n) with the first "
+                "block's n")):
+            assemble_C(uniform(rows), blocks)
+
+    def test_a_mixed_width_stream_over_a_large_rule_is_refused(self):
+        rule = tensor_rule(RegimeBox.from_pairs([(1.0, 2.0)] * 13), 2)
+        with pytest.raises(ToolkitError, match=re.escape("gradient block 1 has shape (4096, 3)")):
+            assemble_C(rule, [np.ones((4096, 1)), np.ones((4096, 3))])
 
     def test_overflow_to_inf_is_refused_by_eigendecompose(self):
         # finite gradients above about 1e154 square to inf, with a warning
