@@ -197,14 +197,6 @@ def _weight(X, w, out=None) -> np.ndarray:
     return np.exp(weight, out=weight)
 
 
-def _pi(experiment, points, X, w, where) -> np.ndarray:
-    """pi = q exp(-w^T x) at the points, with X = log(points); a non-finite
-    value of the experiment is reported at ``where(i)`` for its row i."""
-    pi = _weight(X, w)
-    pi *= evaluate_experiment(experiment, points, where)
-    return pi
-
-
 def _forward_differences(experiment, rule: QuadratureRule, w, W, h: float, trace=None):
     """Forward differences of pi = q exp(-w^T x) along each column of W at
     the rule's points: yields the (r, n) gradient rows of each run of r
@@ -327,7 +319,7 @@ def algorithm1(
         raise ConfigError(f"design of {config.design} cannot fit {needed} surrogate coefficients")
     points = latin_hypercube(box, config.design, config.seed)
     logq = np.log(points)
-    pi = _pi(experiment, points, logq, w, lambda i: f"design point {i}")
+    pi = _weight(logq, w) * evaluate_experiment(experiment, points, lambda i: f"design point {i}")
     gamma = logq @ W
     surface = fit_polynomial(gamma, pi, config.degree)
 
@@ -335,7 +327,8 @@ def algorithm1(
     if config.holdout > 0:
         fresh = latin_hypercube(box, config.holdout, config.seed + 1)
         fresh_log = np.log(fresh)
-        fresh_pi = _pi(experiment, fresh, fresh_log, w, lambda i: f"hold-out point {i}")
+        fresh_pi = _weight(fresh_log, w) * evaluate_experiment(
+            experiment, fresh, lambda i: f"hold-out point {i}")
         pred = eval_surface(surface, fresh_log @ W)
         holdout_rmse = float(np.sqrt(np.mean((pred - fresh_pi) ** 2)))
 

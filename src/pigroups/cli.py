@@ -147,7 +147,8 @@ def _common_experiment_args(p: argparse.ArgumentParser) -> None:
                    help="pipe branch switch Reynolds number, or 'none' for Colebrook "
                         "everywhere; checked whichever experiment runs")
     p.add_argument("--pressure-formula", choices=("fanning", "darcy"),
-                   help="pipe pressure-gradient formula (default fanning)")
+                   help="pipe pressure-gradient formula "
+                        f"(default {PipeFlowExperiment.pressure_formula})")
     p.add_argument("--timeout", type=float, help="per-batch timeout for external experiments")
     p.add_argument("--batch-size", type=int,
                    help="most rows per external batch; a larger call is split into "
@@ -201,8 +202,6 @@ def _make_experiment(args, cfg, system: QuantitySystem):
             command = tuple(shlex.split(args.experiment_cmd))
         except ValueError as exc:
             raise ConfigError(f"--experiment-cmd cannot be split into words: {exc}") from None
-        if not command:
-            raise ConfigError("--experiment-cmd names no program")
         return ExternalExperiment(
             command=command,
             symbols=system.symbols,

@@ -85,7 +85,8 @@ class QuantitySystem:
     Construction converts a pinned w to floats, then validates that base units
     and symbols are strings, that each symbol, a CSV column name, is non-empty
     with no comma or line break, name uniqueness, that dimension vectors are
-    finite and of length k, and that D of the independents has full row rank.
+    finite and of length k, that D of the independents has full row rank, and
+    that m > k, so that there is at least one group.
     """
 
     base_units: tuple[str, ...]
@@ -123,6 +124,8 @@ class QuantitySystem:
         r = np.linalg.matrix_rank(D, rtol=RANK_RTOL)
         if r < k:
             raise ToolkitError(_rank_message(D, self.base_units, r))
+        if m == k:
+            raise ToolkitError(f"no dimensionless groups exist (m = k = {m})")
         if self.pinned_w is not None:
             if len(self.pinned_w) != m or not np.all(np.isfinite(self.pinned_w)):
                 raise ToolkitError("pinned w must have one finite entry per independent")

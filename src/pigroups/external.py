@@ -36,7 +36,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import EXTERNAL_DEFAULTS, ExternalError, check_external_options
+from .errors import EXTERNAL_DEFAULTS, ConfigError, ExternalError, check_external_options
 
 # rows encoded at a time into a request
 _CHUNK_ROWS = 4096
@@ -51,6 +51,8 @@ class ExternalExperiment:
     n_workers: int = EXTERNAL_DEFAULTS["workers"]
 
     def __post_init__(self):
+        if not self.command:
+            raise ConfigError("--experiment-cmd names no program")
         object.__setattr__(self, "timeout", check_external_options(
             self.timeout, self.batch_size, self.n_workers))
 

@@ -231,20 +231,15 @@ def gauss_legendre_1d(p: int):
     return x, w
 
 
-def tensor_size(p: int, m: int) -> int:
-    """p**m, the point count of the p-point tensor rule in m dimensions;
-    ``ConfigError`` naming ``--quad`` if it exceeds ``MAX_POINTS``."""
-    return check_count(f"the point count {p}^{m} of --quad tensor:{p}", p ** m, 1, MAX_POINTS)
-
-
 def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
     """Tensor-product Gauss-Legendre rule over the box, p points per dimension.
 
     The 1-D rule is mapped affinely onto each interval and the product is
     laid out in row-major dimension order; weights absorb the uniform
-    density so they sum to one. ``tensor_size`` caps the point count p**m.
+    density so they sum to one. A point count p**m above ``MAX_POINTS`` is
+    refused with a ``ConfigError`` naming ``--quad``.
     """
-    tensor_size(p, box.m)
+    check_count(f"the point count {p}^{box.m} of --quad tensor:{p}", p ** box.m, 1, MAX_POINTS)
     x, w = gauss_legendre_1d(p)
     axes = np.array([lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)])
     # w sums to 2 on [-1,1]; halving makes each axis integrate its uniform density

@@ -867,6 +867,15 @@ class TestDimensionlessGroups:
         D = build_dimension_matrix(system)
         assert max(check_dimensionless(D, z) for z in result.Z.T) < DIMENSIONLESS_TOL
 
+    def test_groups_off_the_null_space_are_refused(self, pipe_system, pipe_basis):
+        # W stays orthonormal, so only the final check on the groups sees it
+        W, _ = np.linalg.qr(pipe_basis.W + 0.3 * np.eye(5)[:, :2])
+        assert np.max(np.abs(W.T @ W - np.eye(2))) < 1e-12
+        off = PiBasis(w=pipe_basis.w, W=W)
+        with pytest.raises(ToolkitError, match=r"^group exponents are not dimensionless: "
+                                               r"\|Dz\| = \S+$"):
+            algorithm2(PipeFlowExperiment(), pipe_system, off, BOX, small_config(quad="tensor:2"))
+
 
 class TestFullSpaceC:
     def test_monomial_law_is_rank_one(self, pipe_basis):

@@ -19,7 +19,7 @@ from helpers import PIPE_SYSTEM_DOC, csv_request, fd_copies, surface_file
 from pigroups import jsonio
 from pigroups.algorithms import AlgorithmConfig, algorithm2
 from pigroups.cli import fit_loglog_slope, main, signed_column_distance
-from pigroups.errors import ExternalError
+from pigroups.errors import ConfigError, ExternalError
 from pigroups.external import _CHUNK_ROWS, ExternalExperiment, _encode_request, _encode_rows
 from pigroups.pipeflow import (
     SYMBOLS,
@@ -219,6 +219,12 @@ class TestExternalExperiment:
         got = external.evaluate_batch(pts)
         want = PipeFlowExperiment().evaluate_batch(pts)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("workers", [1, 0], ids=["valid-options", "workers-zero"])
+    def test_an_empty_command_is_refused_when_made(self, workers):
+        # the command is checked ahead of the options, as the CLI reports it
+        with pytest.raises(ConfigError, match=r"^--experiment-cmd names no program$"):
+            ExternalExperiment(command=(), symbols=("a",), n_workers=workers)
 
     def test_mixed_regime_values_do_not_depend_on_the_batch_size(self, tmp_path):
         # rows of the three regimes, shuffled, need different Newton step
@@ -784,7 +790,9 @@ class TestPiBasisCommand:
         assert np.max(np.abs(D @ W)) < 1e-12
         assert doc["pinned_w"] == [1.0, 0.0, -1.0, 0.0, 2.0]
 
-    def test_square_system_has_no_groups(self, tmp_path, capsys):
+    def test_square_system_has_no_groups(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(PipeFlowExperiment, "evaluate_batch", calls.append)
         doc = {
             "base_units": ["kg", "m"],
             "independents": [
@@ -795,8 +803,17 @@ class TestPiBasisCommand:
         }
         path = tmp_path / "square.json"
         path.write_text(json.dumps(doc))
-        assert main(["pi-basis", str(path)]) == 3
-        assert "no dimensionless groups" in capsys.readouterr().err
+        box = tmp_path / "box.json"
+        box.write_text(json.dumps({"bounds": {"a": [1.0, 2.0], "b": [1.0, 2.0]}}))
+        refusal = f"error: {path} is refused: no dimensionless groups exist (m = k = 2)\n"
+        assert main(["pi-basis", str(path)]) == 2
+        assert capsys.readouterr().err == refusal
+        # analyze refuses it where it reads the file, before any call
+        assert main(["analyze", "--system", str(path), "--box", str(box),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == refusal
+        assert calls == []
+        assert not (tmp_path / "run").exists()
 
     def test_rank_deficient_system_hints_at_missing_quantities(self, tmp_path, capsys):
         doc = {

@@ -16,6 +16,7 @@ from pigroups.dimension import (
     normalize_column_signs,
     nullspace_basis,
     parse_unit_expr,
+    pi_basis,
     solve_output_exponents,
 )
 from pigroups.errors import ConfigError, ToolkitError
@@ -159,6 +160,15 @@ class TestDimensionMatrix:
         )
         D = build_dimension_matrix(system)
         assert np.array_equal(D[:, 2], [0.0, 0.0])
+
+    def test_square_system_is_refused_where_it_is_made(self):
+        with pytest.raises(ToolkitError, match=r"^no dimensionless groups exist \(m = k = 2\)$"):
+            QuantitySystem(
+                ("kg", "m"),
+                (Quantity("a", "a", (1, 0)),
+                 Quantity("b", "b", (0, 1))),
+                Quantity("c", "c", (1, 1)),
+            )
 
     def test_rank_deficient_rejected_with_hint(self):
         with pytest.raises(ToolkitError,
@@ -369,6 +379,13 @@ class TestPiBasis:
         assert np.max(np.abs(pipe_basis.W.T @ pipe_basis.W - np.eye(2))) < 1e-12
         assert np.max(np.abs(D @ pipe_basis.w - v_q)) < 1e-12
         assert np.array_equal(pipe_basis.w, PIPE_W)  # pinned vector wins
+
+    def test_a_basis_off_the_null_space_is_refused(self, pipe_system, monkeypatch):
+        monkeypatch.setattr("pigroups.dimension.nullspace_basis",
+                            lambda D: nullspace_basis(D) + 1e-9)
+        with pytest.raises(ToolkitError, match=r"^null-space basis failed validation: "
+                                               r"\|DW\|=\S+, \|W\^TW - I\|=\S+$"):
+            pi_basis(pipe_system)
 
     def test_random_integer_systems_satisfy_invariants(self):
         rng = np.random.default_rng(17)

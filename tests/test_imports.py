@@ -13,6 +13,10 @@ syntax tree. The first two read the test files too:
   public class named as an attribute somewhere in it, so code whose only
   caller is its own test does not stay behind; an entry in the package's
   export table is a string, not a caller;
+* every private top-level function or class, and every private method of a
+  top-level class, must be named somewhere else in its own module, so a
+  helper whose callers are gone goes with them; this one reads the test
+  files too;
 * every defaulted parameter of a public function or method must be passed
   by some call in the package, so no knob stays that only a test turns.
 
@@ -120,6 +124,28 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     return sorted(found)
 
 
+def unreferenced_private_definitions(source: str) -> list[str]:
+    """``name`` of each single-underscore top-level function or class of the
+    module, and ``Class.name`` of each single-underscore method or class in
+    the body of a top-level class, that nothing else in the module names, as
+    a variable or as an attribute. Dunder names are Python's to call."""
+    tree = ast.parse(source)
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+    def unreferenced(node) -> bool:
+        return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and node.name not in named)
+
+    found = [node.name for node in tree.body if unreferenced(node)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            found += [f"{cls.name}.{item.name}" for item in cls.body if unreferenced(item)]
+    return sorted(found)
+
+
 def unpassed_defaults(sources: dict[str, str]) -> list[str]:
     """``module:function(parameter)`` of each defaulted parameter of a public
     top-level function, or of a public method or constructor of a public
@@ -194,6 +220,19 @@ def test_checker_finds_unreferenced_definitions():
     # not; and a name in an export table is a string, not a reference
     assert unreferenced_definitions(sources) == [
         "a.py:Shown", "a.py:Shown.size", "a.py:Shown.unused", "a.py:spare", "b.py:Spare"]
+
+
+def test_checker_finds_unreferenced_private_definitions():
+    source = (
+        "def _called():\n    pass\ndef _spare():\n    pass\ndef __getattr__(name):\n    pass\n"
+        "class _Kept:\n    def _attribute(self):\n        pass\n"
+        "    def _unused(self):\n        pass\n    def __init__(self):\n        self._attribute()\n"
+        "class _Lost:\n    def public(self):\n        pass\n"
+        "async def _waited():\n    pass\n"
+        "def f():\n    def _inner():\n        pass\n    return _called(), _Kept, _waited\n"
+    )
+    # a dunder is Python's to call, and a nested function is not checked
+    assert unreferenced_private_definitions(source) == ["_Kept._unused", "_Lost", "_spare"]
 
 
 def test_checker_finds_unpassed_defaults():
@@ -300,6 +339,11 @@ def test_every_defaulted_parameter_is_passed_by_some_caller():
 def test_every_public_definition_is_referenced():
     sources = {module: (PACKAGE / module).read_text() for module in ALL_MODULES}
     assert unreferenced_definitions(sources) == []
+
+
+@pytest.mark.parametrize("module", HYGIENE_FILES)
+def test_every_private_definition_is_referenced_in_its_module(module):
+    assert unreferenced_private_definitions(HYGIENE_FILES[module].read_text()) == []
 
 
 @pytest.mark.parametrize("module", HYGIENE_FILES)
