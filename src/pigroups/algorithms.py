@@ -13,11 +13,16 @@ and each is a generator that yields them in blocks, in rule order:
   copies as many rows as the experiment's ``call_rows`` asks.
 
 ``assemble_C(rule, blocks)`` consumes either stream, with the rule's
-weights, so no route holds an array that grows with the rule. Both
-integrate in the original variables, where the uniform product density is
-exactly what the tensor rule integrates; the induced density on gamma is
-never materialized. A full-space variant differences all m log-variables
-to expose the ridge structure of the raw input-output map.
+weights, so no route holds an array that grows with the rule. Every rule
+integrates the uniform product density on the box, and the induced
+density on gamma is never materialized. Unless ``AlgorithmConfig.quad``
+names a rule, each route integrates on its own: the surface route on
+``log_gauss_rule`` at p = ``degree``, the Gauss rule of each axis's own
+density in x = log q, on which its gradient product, a polynomial of
+degree 2 (d - 1) in gamma = W^T x, is exact; the finite-difference routes
+on ``DEFAULT_QUAD``, Gauss-Legendre in q. A full-space variant differences
+all m log-variables to expose the ridge structure of the raw input-output
+map.
 
 An experiment is any object whose ``evaluate_batch`` maps an (N, m) array
 of points, one run per row, to the N dependent values. It may say how many
@@ -40,6 +45,7 @@ from .dimension import (
     check_dimensionless,
 )
 from .errors import (
+    DEFAULT_QUAD,
     EXTERNAL_DEFAULTS,
     MAX_POINTS,
     ConfigError,
@@ -52,6 +58,7 @@ from .quadrature import (
     QuadratureRule,
     RegimeBox,
     latin_hypercube,
+    log_gauss_rule,
     monte_carlo_rule,
     tensor_rule,
 )
@@ -93,7 +100,9 @@ class AlgorithmConfig:
     """Knobs shared by both algorithms, checked on construction.
 
     ``quad`` is ``tensor:<p>``, p in [1, ``GL_MAX_POINTS``], or ``mc:<N>``, N
-    in [1, ``MAX_POINTS``]; ``h`` is finite and positive (kept as a float);
+    in [1, ``MAX_POINTS``], or None for the route's own rule: the p =
+    ``degree`` Gauss rule in log q for the surface route (``log_gauss_rule``)
+    and ``DEFAULT_QUAD`` for the others; ``h`` is finite and positive (kept as a float);
     the integers ``degree`` >= 1, ``seed`` >= 0, ``design`` in [1,
     ``MAX_POINTS``] and ``holdout`` in [0, ``MAX_POINTS``]. ``design`` and
     ``holdout`` only matter for the surface route, ``h`` only for finite
@@ -102,7 +111,7 @@ class AlgorithmConfig:
 
     h: float = 1e-6
     degree: int = 2
-    quad: str = "tensor:11"
+    quad: Optional[str] = None
     seed: int = 0
     design: int = 1000
     holdout: int = 200
@@ -117,7 +126,8 @@ class AlgorithmConfig:
         self.parse_quad()
 
     def parse_quad(self):
-        kind, _, arg = str(self.quad).partition(":")
+        """(kind, count) of ``quad``, or of ``DEFAULT_QUAD`` where it is None."""
+        kind, _, arg = str(DEFAULT_QUAD if self.quad is None else self.quad).partition(":")
         if kind not in ("tensor", "mc") or not arg.isdecimal():
             raise ConfigError(f"--quad must be 'tensor:<p>' or 'mc:<N>', got {self.quad!r}")
         option, high = (("--quad tensor:<p>", GL_MAX_POINTS) if kind == "tensor"
@@ -132,6 +142,7 @@ class AlgorithmConfig:
 
 
 def build_rule(box: RegimeBox, config: AlgorithmConfig) -> QuadratureRule:
+    """The rule ``config.quad`` names, ``DEFAULT_QUAD`` where it is None."""
     kind, count = config.parse_quad()
     if kind == "tensor":
         return tensor_rule(box, count)
@@ -308,12 +319,18 @@ def algorithm1(
 
     Returns the result and the fitted surface. Experiment calls:
     ``config.design`` for the fit plus ``config.holdout`` for the reported
-    hold-out error; the integration phase evaluates only the surrogate.
-    The rule and the design are refused before the first call, with a
-    ``ConfigError``: a rule too large, or a design below the coefficient count.
+    hold-out error; the integration phase evaluates only the surrogate, on
+    the rule ``config.quad`` names, or else on ``log_gauss_rule(box,
+    config.degree)``, which integrates the surrogate's gradient product
+    exactly. The rule and the design are refused before the first call,
+    with a ``ConfigError``: a rule too large, or a design below the
+    coefficient count.
     """
     w, W = basis.w, basis.W
-    rule = build_rule(box, config)
+    if config.quad is None:
+        rule, quad = log_gauss_rule(box, config.degree), f"log-gauss:{config.degree}"
+    else:
+        rule, quad = build_rule(box, config), config.quad
     needed = n_coefficients(W.shape[1], config.degree)
     if config.design < needed:
         raise ConfigError(f"design of {config.design} cannot fit {needed} surrogate coefficients")
@@ -338,7 +355,7 @@ def algorithm1(
     return _finalize(system, W, C, {
         "algorithm": "surface",
         "degree": config.degree,
-        "quadrature": f"{config.quad} (N={len(rule)})",
+        "quadrature": f"{quad} (N={len(rule)})",
         "w": w,
         "evaluations": int(config.design),
         "holdout_evaluations": int(config.holdout),
@@ -371,7 +388,7 @@ def algorithm2(
     return _finalize(system, W, C, {
         "algorithm": "finite_difference",
         "h": h,
-        "quadrature": f"{config.quad} (N={len(rule)})",
+        "quadrature": f"{config.quad or DEFAULT_QUAD} (N={len(rule)})",
         "w": w,
         "evaluations": int(len(rule) * (basis.n + 1)),
         "seed": config.seed,

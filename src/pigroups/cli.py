@@ -25,6 +25,7 @@ acceptance suite's criteria 7 and 8 call too.
 from __future__ import annotations
 
 import argparse
+import os
 import shlex
 import sys
 import time
@@ -32,11 +33,23 @@ from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
+# OpenBLAS reads its thread count once, as numpy loads it, and an idle worker
+# spins through the small products of a run, stalling some processes on their
+# first lstsq. So numpy is loaded on one thread unless the caller set a count;
+# the variable goes again at once, and an external experiment inherits the
+# caller's environment. An interpreter that loaded numpy first keeps its threads.
+_ONE_BLAS_THREAD = not any(name in os.environ for name in
+                           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
+if _ONE_BLAS_THREAD:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__, jsonio
 from .dimension import QuantitySystem, build_dimension_matrix, pi_basis, solve_output_exponents
 from .errors import (
+    DEFAULT_QUAD,
     EXTERNAL_DEFAULTS,
     ConfigError,
     ToolkitError,
@@ -141,7 +154,9 @@ def _common_experiment_args(p: argparse.ArgumentParser) -> None:
                        help=f"built-in pipe regime: {', '.join(regime_names())}; "
                             "needs the pipe quantities, in any order")
     where.add_argument("--box", help="bounds JSON file")
-    p.add_argument("--quad", help="integration rule, tensor:<p> or mc:<N>")
+    p.add_argument("--quad", help="integration rule, tensor:<p> or mc:<N> (default: for "
+                                  "algorithm 1, --degree Gauss points per axis in log q, "
+                                  f"exact for its surface; otherwise {DEFAULT_QUAD})")
     p.add_argument("--seed", type=int)
     p.add_argument("--re-crit", dest="re_crit",
                    help="pipe branch switch Reynolds number, or 'none' for Colebrook "

@@ -1,5 +1,5 @@
 """The toolkit's three exception classes, the two checks of an option value,
-and the defaults of the external-run options.
+the defaults of the external-run options and the finite-difference rule.
 
 Callers tell failures apart by these classes alone. Each class carries the
 exit code that the command line returns for it:
@@ -23,6 +23,8 @@ from numbers import Integral
 
 # the bound on every point count: a tensor rule's p**m, mc:N, the design, the hold-out
 MAX_POINTS = 10**7
+# the rule of every route but the surface route where no --quad names one
+DEFAULT_QUAD = "tensor:11"
 
 
 class ToolkitError(Exception):

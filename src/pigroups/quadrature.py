@@ -2,14 +2,19 @@
 
 All rules integrate against the uniform product density on the box, so
 weights always sum to one; the box volume never appears at call sites.
-Random rules use a counter-based generator (Philox) so a fixed seed gives
-identical points on every platform and schedule.
+Two tensor rules share one product construction, with one row of nodes
+and one row of weights per axis: Gauss-Legendre in q (``tensor_rule``),
+whose axes all take the same weight row, and the Gauss rule of each axis's
+own density in x = log q (``log_gauss_rule``), exact for polynomials in
+log q, whose weight rows differ with the bounds. Random rules use a
+counter-based generator (Philox) so a fixed seed gives identical points on
+every platform and schedule.
 
 A rule hands out its points and its weights by row range, through
 ``rows(start, stop)`` and ``weights(start, stop)``, so a caller that works
 through it in pieces holds one piece at a time, and no rule holds or
 builds an array that grows with its point count N. A tensor rule keeps
-only its 1-D axes and factor weights and makes a range of points and one
+only its (m, p) axes and factor weights and makes a range of points and one
 of weights from the same expansion of the row indices' digits, one digit
 level at a time; a Monte Carlo rule keeps its seed and draws a range
 from the generator's place for it, and every one of its weights is 1/N.
@@ -28,6 +33,11 @@ from . import jsonio
 from .errors import MAX_POINTS, ConfigError, ToolkitError, check_count
 
 GL_MAX_POINTS = 64
+# most points per axis of a log-space Gauss rule, and the most half-width in
+# log q of one panel of its discretization: with both, a 64-point panel's sum
+# of exp(x) times a polynomial of degree 2p - 1 is exact to round-off
+LOG_GAUSS_MAX = 32
+_LOG_PANEL = 8.0
 # weights per range of a sum check: a tensor rule's range costs mostly per
 # call, so long ranges sum its weights at a third of the cost of 4,096-row ones
 _SUM_ROWS = 2**15
@@ -142,12 +152,13 @@ class QuadratureRule:
 class _TensorRule(QuadratureRule):
     """Row-major tensor product of 1-D rules: row i takes from axis j the
     node whose index is digit j of i in base p, the first digit most
-    significant, and weight 1.0 times factor[digit j of i] for j = 0, ...,
-    m - 1, multiplied in that order, as ``functools.reduce(np.multiply.outer,
-    [np.ones(1)] + [factor] * m)`` multiplies them, so every bit is the
-    same. ``axes`` is the (m, p) array of the mapped nodes and ``factor``
-    the p weights of each axis. Both points and weights come from
-    ``_expand``, which builds a range's digit prefixes one level at a time."""
+    significant, and weight 1.0 times factor[j, digit j of i] for j = 0,
+    ..., m - 1, multiplied in that order, as ``functools.reduce(
+    np.multiply.outer, [np.ones(1)] + list(factor))`` multiplies them, so
+    every bit is the same. ``axes`` is the (m, p) array of the mapped nodes
+    and ``factor`` the (m, p) array of their weights, one row per axis.
+    Both points and weights come from ``_expand``, which builds a range's
+    digit prefixes one level at a time."""
 
     def __init__(self, axes: np.ndarray, factor: np.ndarray):
         axes.flags.writeable = False
@@ -167,7 +178,7 @@ class _TensorRule(QuadratureRule):
 
     def weights(self, start: int, stop: int) -> np.ndarray:
         return self._expand(start, stop, np.ones,
-                            lambda out, j: (out[:, None] * self.factor).reshape(-1))
+                            lambda out, j: (out[:, None] * self.factor[j]).reshape(-1))
 
     def _expand(self, start: int, stop: int, root, grow) -> np.ndarray:
         """Rows start to stop - 1 of the digit expansion: ``root(k)`` makes k
@@ -243,7 +254,57 @@ def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
     x, w = gauss_legendre_1d(p)
     axes = np.array([lo + (x + 1.0) * 0.5 * (hi - lo) for lo, hi in zip(box.lower, box.upper)])
     # w sums to 2 on [-1,1]; halving makes each axis integrate its uniform density
-    return _TensorRule(axes, 0.5 * w)
+    return _TensorRule(axes, np.tile(0.5 * w, (box.m, 1)))
+
+
+def log_gauss_1d(a: float, b: float, p: int):
+    """The p-point Gauss rule for x = log q with q uniform on [a, b]: nodes
+    in x, ascending, and weights summing to one, exact for polynomials of
+    degree <= 2p - 1 against the density exp(x) / (b - a) on [ln a, ln b].
+
+    The density is discretized on ``gauss_legendre_1d(GL_MAX_POINTS)`` in
+    t = (x - c) / h, c and h the midpoint and half-width of [ln a, ln b],
+    over [-1, 1] split into panels of half-width at most ``_LOG_PANEL`` in
+    x, so that each panel's Gauss-Legendre sum is exact to round-off for
+    p <= ``LOG_GAUSS_MAX``. A Stieltjes procedure on the orthonormal
+    polynomials of that discrete measure gives the recurrence coefficients,
+    and the eigenvalues and first eigenvector components of their Jacobi
+    matrix are the nodes and weights (Golub and Welsch, 1969).
+    """
+    c, h = 0.5 * (np.log(b) + np.log(a)), 0.5 * (np.log(b) - np.log(a))
+    panels = max(1, int(np.ceil(h / _LOG_PANEL)))
+    s, v = gauss_legendre_1d(GL_MAX_POINTS)
+    t = ((2.0 * np.arange(panels)[:, None] + 1.0 + s) / panels - 1.0).reshape(-1)
+    # the density of t, h exp(h t) / (2 sinh h), written so that no exp overflows
+    lam = np.tile(v / panels, panels) * (h * np.exp(h * (t - 1.0)) / -np.expm1(-2.0 * h))
+    # the orthonormal polynomials: beta_k p_(k+1) = (t - alpha_k) p_k - beta_(k-1) p_(k-1)
+    alpha, beta, off = np.empty(p), np.empty(p), 0.0
+    prev, cur = np.zeros_like(t), np.full_like(t, 1.0 / np.sqrt(np.sum(lam)))
+    for k in range(p):
+        alpha[k] = lam @ (t * cur * cur)
+        nxt = (t - alpha[k]) * cur - off * prev
+        off = beta[k] = np.sqrt(lam @ (nxt * nxt))
+        prev, cur = cur, nxt / off
+    # eigh reads the lower triangle of the Jacobi matrix
+    nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+    return c + h * nodes, vectors[0] ** 2
+
+
+def log_gauss_rule(box: RegimeBox, p: int) -> QuadratureRule:
+    """Tensor product over the box of the p-point Gauss rules in log q of
+    ``log_gauss_1d``, one per axis, with q-space nodes exp(x): exact for
+    every polynomial of degree <= 2p - 1 in each log q_i under the uniform
+    density on the box. It is the surface route's own rule, p its
+    ``--degree``; a p above ``LOG_GAUSS_MAX``, or p**m above ``MAX_POINTS``,
+    is refused with a ``ConfigError`` naming ``--degree`` and ``--quad``.
+    """
+    if not 1 <= p <= LOG_GAUSS_MAX or p ** box.m > MAX_POINTS:
+        raise ConfigError(
+            f"--degree {p} needs {p} Gauss points per axis in log q, {p}^{box.m} in "
+            f"all, where at most {LOG_GAUSS_MAX} per axis and {MAX_POINTS} in all are "
+            f"allowed; name a rule with --quad")
+    axes, factor = zip(*(log_gauss_1d(lo, hi, p) for lo, hi in zip(box.lower, box.upper)))
+    return _TensorRule(np.exp(axes), np.array(factor))
 
 
 def monte_carlo_rule(box: RegimeBox, N: int, seed: int) -> QuadratureRule:

@@ -8,7 +8,8 @@ monomials are built by running products, and the gradient comes from the
 coefficients differentiated once into the degree d - 1 basis, so a
 gradient over any number of points is one feature build and one matmul.
 Memory per call is rows x T floats; the surface route passes its rule
-4,096 rows at a time.
+at most 4,096 rows at a time, so its own rule of d^m points, exact for a
+degree-d surface, goes in one call up to d = 5 in five variables.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def grad_surface(surface: ResponseSurface, gamma):
     on the first call and kept; the basis is built once per (n, degree).
     The gradient at every point is then one feature build and one matmul,
     over a (rows, T) feature matrix: memory per call is rows x T floats,
-    which is why the surface route calls it on 4,096-row chunks. As for ``eval_surface``, a
+    which is why the surface route calls it on at most 4,096 rows. As for ``eval_surface``, a
     point's gradient may differ in the last bits with the batch it comes
     in (gemv against gemm).
     """

@@ -5,12 +5,14 @@ file that its runs must reproduce bit for bit, the graded monomial order and the
 monomial and per-term gradient oracles for the response-surface kernels,
 the per-value CSV encoder that the external batch formatter must match,
 the classical-basis coordinates of group exponents (criterion 5), a
-rule over points given in full, the per-column sign rule that
+rule over points given in full, the closed-form moments of log q and a
+Gauss-Legendre reference rule in log q, the per-column sign rule that
 ``normalize_column_signs`` must match and the two-state unit-expression
 parser that ``parse_unit_expr`` must match."""
 
 import json
 import re
+from decimal import Decimal, localcontext
 from itertools import product
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from pigroups import jsonio
 from pigroups.dimension import MAX_EXPONENT
 from pigroups.errors import ConfigError, ToolkitError
-from pigroups.quadrature import QuadratureRule
+from pigroups.quadrature import QuadratureRule, _TensorRule, gauss_legendre_1d
 from pigroups.surrogate import fit_polynomial
 
 
@@ -225,6 +227,40 @@ class PointsRule(QuadratureRule):
 
     def weights(self, start: int, stop: int) -> np.ndarray:
         return self.vector[start:stop].copy()
+
+
+def log_moment(a: float, b: float, k: int) -> tuple[Decimal, Decimal]:
+    """E[x^k] and E[|x|^k] for x = log q, q uniform on [a, b], at 150 digits:
+    the closed form of the integral of x^k e^x / (b - a) over [ln a, ln b],
+    e^x P_k(x) with P_0 = 1 and P_i = x^i - i P_(i-1), evaluated at q = e^x =
+    a, 1, b."""
+    with localcontext() as ctx:
+        ctx.prec = 150
+
+        def antiderivative(q: Decimal) -> Decimal:
+            x, poly = q.ln(), Decimal(1)
+            for i in range(1, k + 1):
+                poly = x**i - i * poly
+            return q * poly
+
+        A, B = Decimal(a), Decimal(b)
+        mean = (antiderivative(B) - antiderivative(A)) / (B - A)
+        if not a < 1.0 < b:
+            return +mean, abs(mean)
+        # x changes sign at q = 1, and |x|^k = (-1)^k x^k below it
+        one = antiderivative(Decimal(1))
+        absolute = (antiderivative(B) - one + (-1) ** k * (one - antiderivative(A))) / (B - A)
+        return +mean, +absolute
+
+
+def log_space_reference_rule(box, p: int) -> QuadratureRule:
+    """Tensor-product Gauss-Legendre rule of p points per axis in x = log q,
+    each weight times the density e^x / (b - a) of x: a reference for the
+    surface route's rule, exact in the limit of p, not at any p."""
+    t, v = gauss_legendre_1d(p)
+    lo, hi = np.log(box.lower)[:, None], np.log(box.upper)[:, None]
+    x = lo + (t + 1.0) * 0.5 * (hi - lo)
+    return _TensorRule(np.exp(x), 0.5 * v * (hi - lo) * np.exp(x) / box.widths[:, None])
 
 
 def csv_request(symbols, Q) -> str:

@@ -14,6 +14,7 @@ from helpers import (
     exp_g,
     express_in_classical,
     linear_g,
+    log_moment,
     quadratic_g,
 )
 from pigroups.algorithms import (
@@ -26,7 +27,7 @@ from pigroups.algorithms import (
 from pigroups.cli import fd_sweep, fit_loglog_slope, ridge_sweep, signed_column_distance
 from pigroups.dimension import PiBasis, build_dimension_matrix, check_dimensionless
 from pigroups.pipeflow import PipeFlowExperiment, friction_factor, regime_box
-from pigroups.quadrature import RegimeBox, gauss_legendre_1d, tensor_rule
+from pigroups.quadrature import RegimeBox, gauss_legendre_1d, log_gauss_1d, tensor_rule
 from pigroups.subspace import eigendecompose, rotation_angle
 
 # reference exponent tables and eigenvalues for the three flow regimes
@@ -341,9 +342,19 @@ class TestCriterion9PropertySuite:
                 worst = max(worst, abs(approx / exact - 1.0))
         x, w = gauss_legendre_1d(11)
         one_d = abs(np.sum(w * x**20) - 2.0 / 21.0)
-        ok = worst < 1e-12 and one_d < 1e-14
+        # the p-point Gauss rule in x = log q: (log q)^k for k <= 2p - 1,
+        # relative to E|log q|^k, against the closed form of x^k e^x
+        log_worst = 0.0
+        for (a, b), p in zip([(0.3, 1.1), (2.0, 7.0), (1e-6, 1e-5), (1.0, 1e6)], (2, 3, 5, 12)):
+            x, w = log_gauss_1d(a, b, p)
+            for k in range(2 * p):
+                mean, absolute = log_moment(a, b, k)
+                log_worst = max(log_worst, abs(float(np.sum(w * x**k)) - float(mean))
+                                / float(absolute))
+        ok = worst < 1e-12 and one_d < 1e-14 and log_worst < 1e-13
         assert report("9e (quadrature exactness)", ok,
-                      f"max relative moment error {worst:.1e} (tol 1e-12)")
+                      f"max relative moment error {worst:.1e} (tol 1e-12), in log q "
+                      f"{log_worst:.1e} (tol 1e-13)")
 
     def test_f_evaluation_budget(self, pipe_system, pipe_basis):
         counter = CountingExperiment(PipeFlowExperiment())

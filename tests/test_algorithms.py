@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import tracemalloc
 
@@ -17,6 +18,7 @@ from helpers import (
     fd_shift_point,
     fd_whole_rule,
     linear_g,
+    log_space_reference_rule,
     quadratic_g,
     whole_trace,
 )
@@ -668,6 +670,29 @@ class TestSurfaceIntegration:
         assert len(rule) > subspace._CHUNK_ROWS and len(rule) % subspace._CHUNK_ROWS
         grads = grad_surface(surface, np.log(rule.rows(0, len(rule))) @ pipe_basis.W)
         assert np.array_equal(result.C, assemble_C(rule, [grads]))
+
+    @pytest.mark.parametrize("regime", ["laminar", "turbulent", "high_re"])
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_default_rule_gives_the_exact_C_of_a_random_surface(
+            self, pipe_system, pipe_basis, monkeypatch, regime, degree):
+        # the gradient product of a degree-d surface is a polynomial of degree
+        # 2 (d - 1) in log q, which the d-point Gauss rule in log q integrates
+        # exactly; the 16-point Gauss-Legendre rule in log q reaches round-off
+        gen = np.random.default_rng(100 * degree + len(regime))
+
+        def random_surface(gamma, pi, d):
+            surface = fit_polynomial(gamma, pi, d)
+            return dataclasses.replace(
+                surface, coefficients=gen.standard_normal(surface.coefficients.shape))
+
+        monkeypatch.setattr(algorithms, "fit_polynomial", random_surface)
+        box = regime_box(regime)
+        config = AlgorithmConfig(degree=degree, design=200, holdout=0)
+        result, surface = algorithm1(PipeFlowExperiment(), pipe_system, pipe_basis, box, config)
+        assert result.metadata["quadrature"] == f"log-gauss:{degree} (N={degree ** 5})"
+        reference = log_space_reference_rule(box, 16)
+        C = assemble_C(reference, algorithms._surface_gradients(surface, reference, pipe_basis.W))
+        assert np.max(np.abs(result.C - C)) <= 1e-13 * np.max(np.abs(C))
 
     def test_turbulent_tensor11_allocates_little_on_the_heap(self, pipe_system, pipe_basis):
         # the 161,051-point rule keeps its 1-D axes and factor weights; the

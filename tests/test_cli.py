@@ -16,7 +16,7 @@ import pytest
 
 import pigroups
 from helpers import PIPE_SYSTEM_DOC, csv_request, fd_copies, surface_file
-from pigroups import jsonio
+from pigroups import algorithms, jsonio
 from pigroups.algorithms import AlgorithmConfig, algorithm2
 from pigroups.cli import fit_loglog_slope, main, signed_column_distance
 from pigroups.errors import ConfigError, ExternalError
@@ -923,6 +923,36 @@ class TestAnalyzeCommand:
         result = json.loads((out / "result.json").read_text())
         assert "N=243" in result["metadata"]["quadrature"]
 
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_default_surface_rule_has_degree_points_per_axis(self, tmp_path, monkeypatch,
+                                                             degree):
+        rows = []
+
+        def counted(surface, gamma):
+            rows.append(len(gamma))
+            return grad_surface(surface, gamma)
+
+        monkeypatch.setattr(algorithms, "grad_surface", counted)
+        out = tmp_path / "run"
+        assert main(["analyze", "--regime", "turbulent", "--algorithm", "1",
+                     "--degree", str(degree), "--seed", "3", "--out-dir", str(out)]) == 0
+        N = degree ** 5
+        result = json.loads((out / "result.json").read_text())
+        assert result["metadata"]["quadrature"] == f"log-gauss:{degree} (N={N})"
+        assert sum(rows) == N
+
+    @pytest.mark.parametrize("algorithm,quadrature", [
+        ("1", "log-gauss:2 (N=32)"), ("2", "tensor:11 (N=161051)")])
+    def test_a_null_quad_in_a_config_file_is_the_route_s_own_rule(self, tmp_path, algorithm,
+                                                                  quadrature):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quad": None}))
+        out = tmp_path / "run"
+        assert main(["analyze", "--regime", "turbulent", "--algorithm", algorithm,
+                     "--config", str(cfg), "--out-dir", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["metadata"]["quadrature"] == quadrature
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"points": 11}))
@@ -1096,12 +1126,12 @@ class TestAnalyzeCommand:
         ("timeout", 10**400, f"--timeout must be a positive number, got {10**400}"),
         ("re_crit", 10**400, f"--re-crit must be a positive number, got {10**400}"),
         ("design", 10**30, f"--design must be at most 10000000, got {10**30}"),
-        ("quad", None, "--quad must be 'tensor:<p>' or 'mc:<N>', got None"),
+        ("quad", 11, "--quad must be 'tensor:<p>' or 'mc:<N>', got 11"),
     ], ids=["null-workers", "string-batch-size", "string-timeout", "algorithm-3",
             "string-algorithm", "pressure-formula", "string-h", "float-degree", "float-seed",
             "boolean-seed", "list-re-crit", "infinite-h", "infinite-h-flag", "boolean-workers",
             "boolean-timeout", "boolean-batch-size", "float-batch-size", "huge-h",
-            "huge-timeout", "huge-re-crit", "huge-design", "null-quad"])
+            "huge-timeout", "huge-re-crit", "huge-design", "integer-quad"])
     def test_mistyped_option_in_config_file_is_config_error(self, tmp_path, capsys, key, value,
                                                             message):
         # a key that starts with "--" is given as a flag instead; the rule is
@@ -1134,7 +1164,12 @@ class TestAnalyzeCommand:
         (["--degree", "0"], "--degree must be at least 1, got 0"),
         (["--algorithm", "1", "--holdout", "100000000000000"],
          "--holdout must be at most 10000000, got 100000000000000"),
-    ], ids=["negative-h", "bogus-quad", "tensor-30", "huge-mc", "zero-degree", "huge-holdout"])
+        # the surface route's own rule: 26 Gauss points per axis in log q
+        (["--algorithm", "1", "--degree", "26"],
+         "--degree 26 needs 26 Gauss points per axis in log q, 26^5 in all, where at most "
+         "32 per axis and 10000000 in all are allowed; name a rule with --quad"),
+    ], ids=["negative-h", "bogus-quad", "tensor-30", "huge-mc", "zero-degree", "huge-holdout",
+            "degree-26"])
     def test_refused_option_runs_nothing_and_writes_nothing(self, tmp_path, capsys,
                                                             monkeypatch, flags, message):
         calls = []
@@ -1566,6 +1601,29 @@ class TestEntryPoint:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"pigroups {pigroups.__version__}"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    @pytest.mark.skipif("openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]
+                        ["name"], reason="numpy is not built on OpenBLAS")
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_the_command_line_loads_numpy_on_one_blas_thread(self, preset):
+        # the interpreter's thread count after the import, and the variable then
+        code = ("import os, pigroups.cli; "
+                "print(next(line.split()[1] for line in open('/proc/self/status') "
+                "if line.startswith('Threads:'))); "
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        src = str(Path(pigroups.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        # OpenBLAS starts no more threads than the CPUs the process may use
+        threads = 1 if preset is None else min(2, len(os.sched_getaffinity(0)))
+        assert proc.stdout.split() == [str(threads), str(preset)]
 
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2

@@ -1,17 +1,22 @@
 import functools
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import PointsRule
+from helpers import PointsRule, log_moment
 from pigroups.errors import ConfigError, ToolkitError
 from pigroups.pipeflow import regime_box
 from pigroups.quadrature import (
+    LOG_GAUSS_MAX,
     RegimeBox,
     gauss_legendre_1d,
     latin_hypercube,
+    log_gauss_1d,
+    log_gauss_rule,
     monte_carlo_rule,
     tensor_rule,
 )
@@ -240,6 +245,8 @@ class TestTensorRule:
         grid = meshgrid_rows(box, p)
         _, w = gauss_legendre_1d(p)
         whole = functools.reduce(np.multiply.outer, [np.ones(1)] + [0.5 * w] * m).reshape(-1)
+        # one row of factor weights per axis, each the same vector
+        assert rule.factor.shape == (m, p) and all(np.array_equal(f, 0.5 * w) for f in rule.factor)
         N, mid = p ** m, p ** m // 2
         # empty ranges at 0, inside and at N; single rows; ranges that end at N
         for start, stop in [(0, 0), (mid, mid), (N, N), (0, 1), (mid, mid + 1), (N - 1, N),
@@ -255,6 +262,59 @@ class TestTensorRule:
         weights[:] = 0.0
         assert abs(all_weights(rule).sum() - 1.0) < 1e-15
 
+
+class TestLogGaussRule:
+    @settings(max_examples=150, deadline=None)
+    @given(lower=st.floats(-8.0, 8.0), ratio=st.floats(1e-3, 6.0), p=st.integers(1, 12))
+    def test_1d_rule_integrates_log_monomials_to_degree_2p_minus_1(self, lower, ratio, p):
+        # log10 of the lower bound and of the bound ratio: ratios up to 1e6
+        a = 10.0 ** lower
+        b = a * 10.0 ** ratio
+        assume(b > a)
+        x, w = log_gauss_1d(a, b, p)
+        assert np.all(np.diff(x) > 0) and np.all((np.exp(x) > a) & (np.exp(x) < b))
+        for k in range(2 * p):
+            mean, absolute = log_moment(a, b, k)
+            # relative to E|x|^k: E[x^k] of odd k can cancel to zero
+            assert abs(Decimal(float(np.sum(w * x**k))) - mean) <= Decimal(1e-13) * absolute, k
+
+    def test_1d_rule_on_wide_and_narrow_intervals(self):
+        # several panels: ln(b / a) of 921 and of 46; and an interval of ratio 1 + 1e-9
+        for a, b, p in [(1e-200, 1e200, 32), (1e-10, 1e10, 12), (1.0, 1.0 + 1e-9, 5)]:
+            x, w = log_gauss_1d(a, b, p)
+            assert np.all((x > np.log(a)) & (x < np.log(b)))
+            for k in range(2 * p):
+                mean, absolute = log_moment(a, b, k)
+                assert abs(Decimal(float(np.sum(w * x**k))) - mean) <= Decimal(1e-13) * absolute
+
+    @pytest.mark.parametrize("p,m", [(1, 3), (2, 5), (5, 2), (3, 4)])
+    def test_rule_is_the_tensor_product_of_the_axis_rules(self, p, m):
+        box = random_box(np.random.default_rng(p + 10 * m), m)
+        rule = log_gauss_rule(box, p)
+        nodes, factors = zip(*(log_gauss_1d(lo, hi, p) for lo, hi in zip(box.lower, box.upper)))
+        grid = np.stack(np.meshgrid(*np.exp(nodes), indexing="ij"), axis=-1).reshape(-1, m)
+        whole = functools.reduce(np.multiply.outer, [np.ones(1)] + list(factors)).reshape(-1)
+        assert len(rule) == p ** m and rule.factor.shape == (m, p)
+        assert all_rows(rule).tobytes() == grid.tobytes()
+        assert all_weights(rule).tobytes() == whole.tobytes()
+        assert in_box(box, all_rows(rule))
+
+    def test_each_log_monomial_of_the_box_is_exact(self):
+        box = RegimeBox.from_pairs([(0.2, 1.7), (3.0, 5.5), (1e-6, 1e-5)])
+        rule = log_gauss_rule(box, 4)
+        X = np.log(all_rows(rule))
+        for degs in np.random.default_rng(3).integers(0, 8, size=(20, 3)):
+            exact = np.prod([float(log_moment(a, b, int(k))[0])
+                             for a, b, k in zip(box.lower, box.upper, degs)])
+            assert np.sum(all_weights(rule) * np.prod(X**degs, axis=1)) == pytest.approx(
+                exact, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("p,m,shown", [(26, 5, "26^5"), (LOG_GAUSS_MAX + 1, 2, "33^2")])
+    def test_too_many_points_name_degree_and_quad(self, p, m, shown):
+        box = RegimeBox.from_pairs([(1.0, 2.0)] * m)
+        with pytest.raises(ConfigError, match=rf"^--degree {p} needs {p} Gauss points per axis "
+                                              rf"in log q, {re.escape(shown)} in all, .*--quad$"):
+            log_gauss_rule(box, p)
 
 
 class TestMonteCarloRule:
