@@ -257,37 +257,43 @@ def tensor_rule(box: RegimeBox, p: int) -> QuadratureRule:
     return _TensorRule(axes, np.tile(0.5 * w, (box.m, 1)))
 
 
-def log_gauss_1d(a: float, b: float, p: int):
+def log_gauss_1d(a, b, p: int):
     """The p-point Gauss rule for x = log q with q uniform on [a, b]: nodes
     in x, ascending, and weights summing to one, exact for polynomials of
     degree <= 2p - 1 against the density exp(x) / (b - a) on [ln a, ln b].
+    The bounds may be arrays of one shape, one interval each; the nodes and
+    weights then gain a last axis of length p.
 
     The density is discretized on ``gauss_legendre_1d(GL_MAX_POINTS)`` in
     t = (x - c) / h, c and h the midpoint and half-width of [ln a, ln b],
     over [-1, 1] split into panels of half-width at most ``_LOG_PANEL`` in
-    x, so that each panel's Gauss-Legendre sum is exact to round-off for
-    p <= ``LOG_GAUSS_MAX``. A Stieltjes procedure on the orthonormal
-    polynomials of that discrete measure gives the recurrence coefficients,
-    and the eigenvalues and first eigenvector components of their Jacobi
-    matrix are the nodes and weights (Golub and Welsch, 1969).
+    x for the widest interval, so that each panel's Gauss-Legendre sum is
+    exact to round-off for p <= ``LOG_GAUSS_MAX``. A Stieltjes procedure
+    on the orthonormal polynomials of that discrete measure gives the
+    recurrence coefficients, and the eigenvalues and first eigenvector
+    components of their Jacobi matrix are the nodes and weights (Golub and
+    Welsch, 1969).
     """
-    c, h = 0.5 * (np.log(b) + np.log(a)), 0.5 * (np.log(b) - np.log(a))
-    panels = max(1, int(np.ceil(h / _LOG_PANEL)))
+    lo, hi = np.log(a), np.log(b)
+    c, h = 0.5 * (hi + lo), 0.5 * (hi - lo)[..., None]
+    panels = max(1, int(np.ceil(np.max(h) / _LOG_PANEL)))
     s, v = gauss_legendre_1d(GL_MAX_POINTS)
     t = ((2.0 * np.arange(panels)[:, None] + 1.0 + s) / panels - 1.0).reshape(-1)
     # the density of t, h exp(h t) / (2 sinh h), written so that no exp overflows
     lam = np.tile(v / panels, panels) * (h * np.exp(h * (t - 1.0)) / -np.expm1(-2.0 * h))
     # the orthonormal polynomials: beta_k p_(k+1) = (t - alpha_k) p_k - beta_(k-1) p_(k-1)
-    alpha, beta, off = np.empty(p), np.empty(p), 0.0
-    prev, cur = np.zeros_like(t), np.full_like(t, 1.0 / np.sqrt(np.sum(lam)))
+    J = np.zeros(lam.shape[:-1] + (p, p))
+    prev, cur = np.zeros_like(lam), np.ones_like(lam) / np.sqrt(np.sum(lam, -1, keepdims=True))
+    off = 0.0
     for k in range(p):
-        alpha[k] = lam @ (t * cur * cur)
-        nxt = (t - alpha[k]) * cur - off * prev
-        off = beta[k] = np.sqrt(lam @ (nxt * nxt))
+        alpha = J[..., k, k] = np.sum(lam * t * cur * cur, -1)
+        nxt = (t - alpha[..., None]) * cur - off * prev
+        off = np.sqrt(np.sum(lam * nxt * nxt, -1, keepdims=True))
         prev, cur = cur, nxt / off
-    # eigh reads the lower triangle of the Jacobi matrix
-    nodes, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
-    return c + h * nodes, vectors[0] ** 2
+        if k + 1 < p:  # eigh reads the lower triangle of the Jacobi matrix
+            J[..., k + 1, k] = off[..., 0]
+    nodes, vectors = np.linalg.eigh(J)
+    return c[..., None] + h * nodes, vectors[..., 0, :] ** 2
 
 
 def log_gauss_rule(box: RegimeBox, p: int) -> QuadratureRule:
@@ -303,8 +309,8 @@ def log_gauss_rule(box: RegimeBox, p: int) -> QuadratureRule:
             f"--degree {p} needs {p} Gauss points per axis in log q, {p}^{box.m} in "
             f"all, where at most {LOG_GAUSS_MAX} per axis and {MAX_POINTS} in all are "
             f"allowed; name a rule with --quad")
-    axes, factor = zip(*(log_gauss_1d(lo, hi, p) for lo, hi in zip(box.lower, box.upper)))
-    return _TensorRule(np.exp(axes), np.array(factor))
+    x, factor = log_gauss_1d(box.lower, box.upper, p)
+    return _TensorRule(np.exp(x), factor)
 
 
 def monte_carlo_rule(box: RegimeBox, N: int, seed: int) -> QuadratureRule:

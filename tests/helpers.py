@@ -11,6 +11,7 @@ Gauss-Legendre reference rule in log q, the per-column sign rule that
 parser that ``parse_unit_expr`` must match."""
 
 import json
+import math
 import re
 from decimal import Decimal, localcontext
 from itertools import product
@@ -230,12 +231,14 @@ class PointsRule(QuadratureRule):
 
 
 def log_moment(a: float, b: float, k: int) -> tuple[Decimal, Decimal]:
-    """E[x^k] and E[|x|^k] for x = log q, q uniform on [a, b], at 150 digits:
-    the closed form of the integral of x^k e^x / (b - a) over [ln a, ln b],
-    e^x P_k(x) with P_0 = 1 and P_i = x^i - i P_(i-1), evaluated at q = e^x =
-    a, 1, b."""
+    """E[x^k] and E[|x|^k] for x = log q, q uniform on [a, b]: the closed
+    form of the integral of x^k e^x / (b - a) over [ln a, ln b], e^x P_k(x)
+    with P_0 = 1 and P_i = x^i - i P_(i-1), evaluated at q = e^x = a, 1, b.
+    Its terms reach k! max(1, X)^k for X = max |x|, and the moment X^k, so
+    the digits carried cover that cancellation and 40 more."""
+    X = max(abs(math.log(a)), abs(math.log(b)))
     with localcontext() as ctx:
-        ctx.prec = 150
+        ctx.prec = 40 + math.ceil(math.log10(math.factorial(k)) + k * max(0.0, -math.log10(X)))
 
         def antiderivative(q: Decimal) -> Decimal:
             x, poly = q.ln(), Decimal(1)

@@ -278,20 +278,25 @@ class TestLogGaussRule:
             # relative to E|x|^k: E[x^k] of odd k can cancel to zero
             assert abs(Decimal(float(np.sum(w * x**k))) - mean) <= Decimal(1e-13) * absolute, k
 
-    def test_1d_rule_on_wide_and_narrow_intervals(self):
-        # several panels: ln(b / a) of 921 and of 46; and an interval of ratio 1 + 1e-9
-        for a, b, p in [(1e-200, 1e200, 32), (1e-10, 1e10, 12), (1.0, 1.0 + 1e-9, 5)]:
-            x, w = log_gauss_1d(a, b, p)
-            assert np.all((x > np.log(a)) & (x < np.log(b)))
+    @pytest.mark.parametrize("p", [5, 32])
+    def test_1d_rules_of_wide_and_narrow_intervals_at_once(self, p):
+        # ln(b / a) of 921 and of 46 need several panels, which the narrow
+        # intervals, of ratio 1.5 and 1 + 1e-9, then share
+        a = np.array([1e-200, 1e-10, 2.0, 5.0])
+        b = np.array([1e200, 1e10, 3.0, 5.0 + 5e-9])
+        X, W = log_gauss_1d(a, b, p)
+        assert X.shape == W.shape == (4, p)
+        for lo, hi, x, w in zip(a, b, X, W):
+            assert np.all((x > np.log(lo)) & (x < np.log(hi)))
             for k in range(2 * p):
-                mean, absolute = log_moment(a, b, k)
+                mean, absolute = log_moment(lo, hi, k)
                 assert abs(Decimal(float(np.sum(w * x**k))) - mean) <= Decimal(1e-13) * absolute
 
     @pytest.mark.parametrize("p,m", [(1, 3), (2, 5), (5, 2), (3, 4)])
     def test_rule_is_the_tensor_product_of_the_axis_rules(self, p, m):
         box = random_box(np.random.default_rng(p + 10 * m), m)
         rule = log_gauss_rule(box, p)
-        nodes, factors = zip(*(log_gauss_1d(lo, hi, p) for lo, hi in zip(box.lower, box.upper)))
+        nodes, factors = log_gauss_1d(box.lower, box.upper, p)
         grid = np.stack(np.meshgrid(*np.exp(nodes), indexing="ij"), axis=-1).reshape(-1, m)
         whole = functools.reduce(np.multiply.outer, [np.ones(1)] + list(factors)).reshape(-1)
         assert len(rule) == p ** m and rule.factor.shape == (m, p)
